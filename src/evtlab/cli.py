@@ -14,11 +14,13 @@ import sys
 
 import numpy as np
 
-from .dist import parse_distribution, sample_quantile_transform, spec_string
+from .dist import Distribution, parse_distribution, sample_quantile_transform, spec_string
 from .errors import DomainError, EvtLabError
-from .geometric import GeometricParams, frac_log_search, oscillation_scan
+from .geometric import GeometricParams, OscillationReport, frac_log_search, oscillation_scan
 from .linear_evt import (
     DEFAULT_UV_GRID,
+    NormingConstants,
+    RhoEstimate,
     dehaan_test,
     estimate_rho,
     limit_cdf,
@@ -26,12 +28,17 @@ from .linear_evt import (
 )
 from .maxima import HnVariant, MaxLaw, sample_max_direct, sample_max_exponential_rep
 from .nonlinear_evt import NormalizerSequence, convergence_diagnostic, default_x_grid
+from .reports import ConvergenceReport
 from .stats import make_rng
 
 __all__ = ["main", "run"]
 
 SEED_ENV_VAR = "EVTLAB_SEED"
 DEFAULT_RANGE_POINTS = 16
+# options that name a law: run parses them before the subcommand sees them
+_LAW_ARGS = ("dist", "base", "target")
+# options that say how to run and where to write, outside the embedded config
+_RUN_ARGS = ("command", "seed", "format", "out")
 
 _VARIANTS = {
     "exp": HnVariant.EXP_FORM,
@@ -42,6 +49,13 @@ _VARIANTS = {
 
 class _UsageError(Exception):
     pass
+
+
+class _AppendPair(argparse.Action):
+    # repeatable --uv whose first use replaces the default grid, not extends it
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, (() if given is self.default else given) + (value,))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +117,29 @@ def _range_str(values) -> str:
     return ",".join(_fmt(float(v)) for v in np.asarray(values).ravel())
 
 
+def _config_value(value):
+    if isinstance(value, Distribution):
+        return spec_string(value)
+    if isinstance(value, np.ndarray):
+        return _range_str(value)
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        if isinstance(value[0], tuple):
+            return ";".join(f"{u:g},{v:g}" for u, v in value)
+        return ",".join(_fmt(v) for v in value)
+    return value
+
+
+def _config(args) -> dict:
+    """The resolved configuration, options in the order they are declared."""
+    config = {"subcommand": args.command, "seed": args.seed, "format": args.format}
+    for key, value in vars(args).items():
+        if key not in _RUN_ARGS:
+            config[key] = _config_value(value)
+    return config
+
+
 def _emit(path: str, fmt: str, config: dict, header, rows, json_body: dict) -> None:
     if fmt == "json":
         text = json.dumps({"config": config, **json_body}, indent=2) + "\n"
@@ -128,157 +165,142 @@ def _resolve_seed(args) -> int:
         raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def _base_config(args, seed: int) -> dict:
-    return {"subcommand": args.command, "seed": seed, "format": args.format}
+def _point(p):
+    return list(p) if isinstance(p, tuple) else float(p)
 
 
-def _samples_payload(samples):
-    header = ["index", "value"]
-    rows = list(enumerate(float(x) for x in samples))
-    return header, rows, {"samples": [float(x) for x in samples]}
+def _table(result):
+    """The CSV header and rows and the JSON body of a diagnostic's result.
+
+    This is the one place that knows how each result type is written out.
+    """
+    if isinstance(result, RhoEstimate):
+        per_scale = [[float(e), float(r)] for e, r in result.per_scale]
+        body = {"rho": result.rho, "spread": result.spread, "per_scale": per_scale}
+        return ["eps", "rho_hat"], [tuple(pair) for pair in per_scale], body
+    if isinstance(result, NormingConstants):
+        body = {"n": result.n, "a_n": result.a_n, "b_n": result.b_n}
+        return list(body), [tuple(body.values())], body
+    if isinstance(result, OscillationReport):
+        ns, ms, probs = result.n_values.tolist(), result.levels.tolist(), result.probs.tolist()
+        body = {
+            "p": result.params.p,
+            "theta": result.params.theta,
+            "q": result.q,
+            "n": ns,
+            "m": ms,
+            "probability": probs,
+            "lim_inf_est": result.lim_inf_est,
+            "lim_sup_est": result.lim_sup_est,
+            "cluster_points": [[float(c), float(v)] for c, v in result.cluster_points],
+        }
+        return ["n", "m", "probability"], list(zip(ns, ms, probs)), body
+    if isinstance(result, ConvergenceReport):
+        values = result.values.tolist()
+        cells = [
+            (s, p, v)
+            for p, row in zip(result.points, values)
+            for s, v in zip(result.scales, row)
+        ]
+        if result.point_name == "uv":
+            header = [result.scale_name, "u", "v", "ratio"]
+            rows = [(float(s), float(u), float(v), r) for s, (u, v), r in cells]
+        else:
+            header = [result.scale_name, result.point_name, "value"]
+            rows = [(s, float(p), v) for s, p, v in cells]
+        body = {
+            "scale": result.scale_name,
+            "grid": list(result.scales),
+            "point": result.point_name,
+            "points": [_point(p) for p in result.points],
+            "values": values,
+            "tol": result.tol,
+            "window": result.window,
+            "converged_per_point": list(result.converged_per_point),
+            "converged": result.converged,
+            "verdict": result.verdict,
+            "limit_table": [[_point(p), float(v)] for p, v in result.limit_table],
+        }
+        if result.nondegenerate is not None:
+            body["nondegenerate"] = result.nondegenerate
+        return header, rows, body
+    raise TypeError(f"no output layout for {type(result).__name__}")
 
 
-def _cmd_sample(args) -> int:
-    seed = _resolve_seed(args)
-    dist = parse_distribution(args.dist)
-    xs = sample_quantile_transform(dist, make_rng(seed), args.count)
-    config = _base_config(args, seed) | {"dist": spec_string(dist), "count": args.count}
-    header, rows, body = _samples_payload(xs)
-    _emit(args.out, args.format, config, header, rows, body)
-    return 0
+def _samples(xs):
+    values = [float(x) for x in xs]
+    return ["index", "value"], list(enumerate(values)), {"samples": values}
 
 
-def _cmd_max(args) -> int:
-    seed = _resolve_seed(args)
-    law = MaxLaw(parse_distribution(args.dist), args.n)
+def _sample(args):
+    return _samples(sample_quantile_transform(args.dist, make_rng(args.seed), args.count)), 0
+
+
+def _max(args):
+    law = MaxLaw(args.dist, args.n)
     sampler = sample_max_direct if args.method == "direct" else sample_max_exponential_rep
-    xs = sampler(law, make_rng(seed), args.count)
-    config = _base_config(args, seed) | {
-        "dist": spec_string(law.base),
-        "n": args.n,
-        "count": args.count,
-        "method": args.method,
-    }
-    header, rows, body = _samples_payload(xs)
-    _emit(args.out, args.format, config, header, rows, body)
-    return 0
+    return _samples(sampler(law, make_rng(args.seed), args.count)), 0
 
 
-def _cmd_dehaan(args) -> int:
-    seed = _resolve_seed(args)
-    dist = parse_distribution(args.dist)
-    pairs = tuple(args.uv) if args.uv else DEFAULT_UV_GRID
-    report = dehaan_test(dist, args.eps, pairs, args.tol)
-    config = _base_config(args, seed) | {
-        "dist": spec_string(dist),
-        "eps": _range_str(args.eps),
-        "uv": ";".join(f"{u:g},{v:g}" for u, v in pairs),
-        "tol": args.tol,
-    }
-    header, rows = report.to_csv_rows()
-    _emit(args.out, args.format, config, header, rows, report.to_json_dict())
-    return 0 if report.converged else 3
+def _dehaan(args):
+    report = dehaan_test(args.dist, args.eps, args.uv, args.tol)
+    return _table(report), 0 if report.verdict else 3
 
 
-def _cmd_rho(args) -> int:
-    seed = _resolve_seed(args)
-    dist = parse_distribution(args.dist)
-    est = estimate_rho(dist, args.eps, args.w)
-    config = _base_config(args, seed) | {
-        "dist": spec_string(dist),
-        "eps": _range_str(args.eps),
-        "w": args.w,
-    }
-    header, rows = est.to_csv_rows()
-    _emit(args.out, args.format, config, header, rows, est.to_json_dict())
-    return 0
+def _rho(args):
+    return _table(estimate_rho(args.dist, args.eps, args.w)), 0
 
 
-def _cmd_norming(args) -> int:
-    seed = _resolve_seed(args)
-    dist = parse_distribution(args.dist)
-    nc = norming_constants(dist, args.n)
-    config = _base_config(args, seed) | {"dist": spec_string(dist), "n": args.n}
-    header, rows = nc.to_csv_rows()
-    _emit(args.out, args.format, config, header, rows, nc.to_json_dict())
-    return 0
+def _norming(args):
+    return _table(norming_constants(args.dist, args.n)), 0
 
 
-def _cmd_limit_law(args) -> int:
-    seed = _resolve_seed(args)
-    xs = np.asarray(args.x, dtype=float)
-    gs = limit_cdf(args.rho, xs)
-    config = _base_config(args, seed) | {"rho": args.rho, "x": _range_str(xs)}
-    header = ["x", "G"]
-    rows = [(float(x), float(g)) for x, g in zip(xs, gs)]
-    body = {"rho": args.rho, "x": [float(v) for v in xs], "G": [float(v) for v in gs]}
-    _emit(args.out, args.format, config, header, rows, body)
-    return 0
+def _limit_law(args):
+    xs, gs = args.x.tolist(), limit_cdf(args.rho, args.x).tolist()
+    return (["x", "G"], list(zip(xs, gs)), {"rho": args.rho, "x": xs, "G": gs}), 0
 
 
-def _cmd_nonlinear(args) -> int:
-    seed = _resolve_seed(args)
-    base = parse_distribution(args.base)
+def _nonlinear(args):
     if args.normalizer == "affine":
-        seq = NormalizerSequence.affine(base)
-        target_str = ""
+        seq = NormalizerSequence.affine(args.base)
+    elif args.target is None:
+        raise DomainError("--target is required for the construction normalizer")
     else:
-        if args.target is None:
-            raise DomainError("--target is required for the construction normalizer")
-        target = parse_distribution(args.target)
-        seq = NormalizerSequence.from_target(target, base)
-        target_str = spec_string(target)
-    x_grid = args.x if args.x is not None else default_x_grid()
+        seq = NormalizerSequence.from_target(args.target, args.base)
     report = convergence_diagnostic(
-        seq, x_grid, args.n, _VARIANTS[args.variant], args.tol, args.nondeg_tol
+        seq, args.x, args.n, _VARIANTS[args.variant], args.tol, args.nondeg_tol
     )
-    config = _base_config(args, seed) | {
-        "base": spec_string(base),
-        "target": target_str,
-        "normalizer": args.normalizer,
-        "variant": args.variant,
-        "x": _range_str(x_grid),
-        "n": _range_str(args.n),
-        "tol": args.tol,
-        "nondeg_tol": args.nondeg_tol,
-    }
-    header, rows = report.to_csv_rows()
-    _emit(args.out, args.format, config, header, rows, report.to_json_dict())
-    return 0 if report.verdict else 3
+    return _table(report), 0 if report.verdict else 3
 
 
-def _cmd_geom_oscillate(args) -> int:
-    seed = _resolve_seed(args)
-    params = GeometricParams(args.p)
-    report = oscillation_scan(params, args.q, args.n, args.cluster_c)
+def _geom_oscillate(args):
+    report = oscillation_scan(GeometricParams(args.p), args.q, args.n, args.cluster_c)
     spread = report.lim_sup_est - report.lim_inf_est
-    config = _base_config(args, seed) | {
-        "p": args.p,
-        "q": args.q,
-        "n": _range_str(args.n),
-        "tol": args.tol,
-        "cluster_c": ",".join(_fmt(c) for c in args.cluster_c),
-    }
-    body = report.to_json_dict() | {"spread": spread, "converged": spread <= args.tol}
-    header, rows = report.to_csv_rows()
-    _emit(args.out, args.format, config, header, rows, body)
-    return 3 if spread > args.tol else 0
+    header, rows, body = _table(report)
+    body |= {"spread": spread, "converged": spread <= args.tol}
+    return (header, rows, body), 3 if spread > args.tol else 0
 
 
-def _cmd_geom_density(args) -> int:
-    seed = _resolve_seed(args)
+def _geom_density(args):
     n, frac, horizon = frac_log_search(args.theta, args.x, args.y, args.n_max)
-    config = _base_config(args, seed) | {
-        "theta": args.theta,
-        "x": args.x,
-        "y": args.y,
-        "n_max": args.n_max,
-    }
-    header = ["n", "frac", "sufficient_horizon"]
-    rows = [(n, frac, horizon)]
     body = {"n": n, "frac": frac, "sufficient_horizon": horizon}
-    _emit(args.out, args.format, config, header, rows, body)
-    return 0
+    return (list(body), [(n, frac, horizon)], body), 0
+
+
+# Each subcommand computes ((header, rows, body), exit code) from the parsed
+# arguments; run resolves the seed and the law specs before and writes the
+# output after.
+_COMMANDS = {
+    "sample": _sample,
+    "max": _max,
+    "dehaan": _dehaan,
+    "rho": _rho,
+    "norming": _norming,
+    "limit-law": _limit_law,
+    "nonlinear": _nonlinear,
+    "geom-oscillate": _geom_oscillate,
+    "geom-density": _geom_density,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True)
     p.add_argument("--eps", type=_geometric_range, default=_geometric_range("1e-2:1e-6"),
                    help="geometric scale grid start:stop[:count]")
-    p.add_argument("--uv", type=_uv_pair, action="append",
+    p.add_argument("--uv", type=_uv_pair, action=_AppendPair, default=DEFAULT_UV_GRID,
                    help="u,v pair (repeatable; default: a 12-pair grid)")
     p.add_argument("--tol", type=float, default=1e-3)
     common(p)
@@ -335,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalizer", choices=("construction", "affine"),
                    default="construction")
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="linear")
-    p.add_argument("--x", type=_geometric_range, default=None,
+    p.add_argument("--x", type=_geometric_range, default=default_x_grid(),
                    help="geometric grid (default: 32 points on [1/16, 16])")
     p.add_argument("--n", type=_int_range, default=_int_range("100:100000:4"))
     p.add_argument("--tol", type=float, default=1e-3)
@@ -361,19 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "sample": _cmd_sample,
-    "max": _cmd_max,
-    "dehaan": _cmd_dehaan,
-    "rho": _cmd_rho,
-    "norming": _cmd_norming,
-    "limit-law": _cmd_limit_law,
-    "nonlinear": _cmd_nonlinear,
-    "geom-oscillate": _cmd_geom_oscillate,
-    "geom-density": _cmd_geom_density,
-}
-
-
 def run(argv) -> int:
     """Parse argv (no program name) and execute; returns the exit code."""
     parser = build_parser()
@@ -383,7 +392,14 @@ def run(argv) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     try:
-        return _HANDLERS[args.command](args)
+        args.seed = _resolve_seed(args)
+        for name in _LAW_ARGS:
+            if getattr(args, name, None) is not None:
+                setattr(args, name, parse_distribution(getattr(args, name)))
+        config = _config(args)
+        (header, rows, body), code = _COMMANDS[args.command](args)
+        _emit(args.out, args.format, config, header, rows, body)
+        return code
     except EvtLabError as exc:
         print(f"evtlab {args.command}: {exc}", file=sys.stderr)
         return 2

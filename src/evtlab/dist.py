@@ -21,7 +21,7 @@ from scipy.special import ndtr, ndtri
 
 from . import geometric as _geom
 from .errors import BracketingError, ContractViolationError, DomainError
-from .stats import uniform_open
+from .stats import _scalar_or_array, uniform_open
 
 __all__ = [
     "Distribution",
@@ -71,10 +71,7 @@ def _validate_u(u):
 def quantile(dist: Distribution, u):
     """Q(u) = inf{x : F(x) > u} for u in (0, 1); endpoints are rejected."""
     arr = _validate_u(u)
-    out = dist.quantile(arr)
-    if np.ndim(u) == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
+    return _scalar_or_array(u, dist.quantile(arr))
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, SearchHorizonError
+from .stats import _scalar_or_array
 
 __all__ = [
     "GeometricParams",
@@ -77,9 +78,7 @@ def geom_cdf(params: GeometricParams, t):
         raise DomainError("t must not be NaN")
     exponent = np.where(arr < 0.0, 1.0, np.floor(arr + 1.0))
     out = np.where(arr < 0.0, 0.0, 1.0 - p**exponent)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(t, out)
 
 
 def _exact_floor_of_log_ratio(u: float, p: float, k: int) -> int:
@@ -217,27 +216,6 @@ class OscillationReport:
     @property
     def probe(self) -> list:
         return list(zip(self.n_values.tolist(), self.probs.tolist()))
-
-    def to_csv_rows(self):
-        header = ["n", "m", "probability"]
-        rows = [
-            (int(n), int(m), float(pr))
-            for n, m, pr in zip(self.n_values, self.levels, self.probs)
-        ]
-        return header, rows
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.params.p,
-            "theta": self.params.theta,
-            "q": self.q,
-            "n": [int(v) for v in self.n_values],
-            "m": [int(v) for v in self.levels],
-            "probability": [float(v) for v in self.probs],
-            "lim_inf_est": self.lim_inf_est,
-            "lim_sup_est": self.lim_sup_est,
-            "cluster_points": [[float(c), float(v)] for c, v in self.cluster_points],
-        }
 
 
 def cluster_limit(params: GeometricParams, q: int, c: float) -> float:

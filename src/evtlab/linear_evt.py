@@ -33,6 +33,7 @@ from .errors import (
     InconsistentTailError,
 )
 from .reports import CAUCHY_WINDOW, ConvergenceReport, build_report
+from .stats import _scalar_or_array
 
 __all__ = [
     "RHO_SERIES_BAND",
@@ -83,9 +84,7 @@ def k_rho(rho: float, u):
     else:
         z = rho * log_u
         out = log_u * (1.0 + z / 2.0 + z * z / 6.0)
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(u, out)
 
 
 def _k_rho_inverse(rho: float, y):
@@ -148,8 +147,6 @@ def dehaan_test(
     scales = np.asarray(
         default_eps_grid() if eps_grid is None else eps_grid, dtype=float
     )
-    if scales.size < 4:
-        raise DomainError("eps_grid needs at least 4 scales")
     if np.any(np.diff(scales) >= 0.0) or np.any(scales <= 0.0):
         raise DomainError("eps_grid must be strictly decreasing and positive")
     pairs = [(float(u), float(v)) for u, v in uv_grid]
@@ -177,16 +174,6 @@ class RhoEstimate:
     rho: float
     per_scale: tuple  # (eps, rho_hat) pairs, coarse to fine
     spread: float
-
-    def to_csv_rows(self):
-        return ["eps", "rho_hat"], [(float(e), float(r)) for e, r in self.per_scale]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "spread": self.spread,
-            "per_scale": [[float(e), float(r)] for e, r in self.per_scale],
-        }
 
 
 def estimate_rho(dist: Distribution, eps_grid=None, w: float = 2.0) -> RhoEstimate:
@@ -240,12 +227,6 @@ class NormingConstants:
     a_n: float
     b_n: float
 
-    def to_csv_rows(self):
-        return ["n", "a_n", "b_n"], [(self.n, self.a_n, self.b_n)]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "a_n": self.a_n, "b_n": self.b_n}
-
 
 def norming_constants(dist: Distribution, n: int) -> NormingConstants:
     """Canonical affine constants at index n (requires n >= 3 so 2/n < 1)."""
@@ -284,9 +265,7 @@ def limit_cdf(rho: float, x):
         inside = 1.0 + rho * y > 0.0
         out = np.where(inside, 1.0 - np.exp(-_k_rho_inverse(rho, np.where(inside, y, 0.0))), 0.0)
         out = np.where(inside, out, 0.0 if rho > 0.0 else 1.0)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(x, out)
 
 
 @dataclass(frozen=True)

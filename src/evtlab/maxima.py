@@ -28,9 +28,10 @@ import numpy as np
 
 from .dist import Distribution, quantile
 from .errors import ContractViolationError, DomainError
-from .stats import make_rng, standard_exponential, uniform_open
+from .stats import _scalar_or_array, make_rng, standard_exponential, uniform_open
 
 __all__ = [
+    "EXPREP_MAX_N",
     "MaxLaw",
     "max_cdf",
     "sample_max_direct",
@@ -40,6 +41,11 @@ __all__ = [
     "floor_reciprocal",
     "spot_check_monotone",
 ]
+
+# Largest n the exponential representation accepts.  At n = 2**53 about two
+# draws in three give exp(-omega/n) < 1; the share falls to 0.011 at 1e17 and
+# to none in 2e5 draws at 3e17, where the redraw loop no longer ends.
+EXPREP_MAX_N = 2**53
 
 
 @dataclass(frozen=True)
@@ -59,10 +65,7 @@ def max_cdf(law: MaxLaw, x):
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("x must not be NaN")
-    out = np.asarray(law.base.cdf(arr), dtype=float) ** law.n
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(x, np.asarray(law.base.cdf(arr), dtype=float) ** law.n)
 
 
 def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
@@ -84,11 +87,18 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int | None = None):
     """M_n sampled as Q(exp(-omega/n)), omega = -log(1 - U).
 
     Draws whose exp(-omega/n) rounds to 1.0 (omega numerically 0 at scale n)
-    are redrawn; this is a zero-probability guard, not a truncation.
+    are redrawn.  In exact arithmetic that has probability zero; in doubles
+    the share redrawn grows with n (a third of the draws at n = 2**53), so
+    at large n the guard truncates the law.  n above 2**53
+    (``EXPREP_MAX_N``) is refused, as the redraw loop may then never end.
     """
     size = 1 if count is None else int(count)
     if size < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
+    if law.n > EXPREP_MAX_N:
+        raise DomainError(
+            f"the exponential representation needs n <= 2**53, got n={law.n}"
+        )
     omega = standard_exponential(rng, size)
     v = np.exp(-omega / law.n)
     bad = (v <= 0.0) | (v >= 1.0)

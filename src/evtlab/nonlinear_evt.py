@@ -22,6 +22,7 @@ from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import norming_constants
 from .maxima import HnVariant, h_n_eval, spot_check_monotone
 from .reports import CAUCHY_WINDOW, ConvergenceReport, build_report
+from .stats import _scalar_or_array
 
 __all__ = [
     "DEFAULT_NONDEG_TOL",
@@ -63,10 +64,7 @@ def build_g_n(target: Distribution, n: int):
         if np.any(np.isnan(arr)) or np.any(arr >= 1.0):
             raise DomainError(f"g_{n}: x must satisfy x < 1")
         arg = np.maximum(np.exp(-float(n) * (1.0 - arr)), _TINY)
-        out = target.quantile(arg)
-        if np.ndim(x) == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
+        return _scalar_or_array(x, target.quantile(arg))
 
     return g
 
@@ -90,10 +88,7 @@ def build_g_n_general(target: Distribution, base: Distribution, n: int):
             raise DomainError(f"g_{n}: x must not be NaN")
         s = np.asarray(base.cdf(arr), dtype=float)
         arg = np.clip(np.exp(-float(n) * (1.0 - s)), _TINY, _BELOW_ONE)
-        out = target.quantile(arg)
-        if np.ndim(x) == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
+        return _scalar_or_array(x, target.quantile(arg))
 
     return g
 

@@ -2,7 +2,9 @@
 
 A report records function values on a (point x scale) grid, a per-point
 Cauchy verdict over the last ``window`` scales, per-point limit estimates
-(the value at the final scale), and an overall verdict.  Diagnostics that
+(the value at the final scale), and an overall verdict.  A grid needs at
+least ``window + 1`` scales, so the verdict never covers the whole sweep
+(on a single scale it would pass trivially).  Diagnostics that
 additionally require a nondegenerate limit set ``nondegenerate``; the
 overall ``verdict`` is then converged-and-nondegenerate.
 """
@@ -45,46 +47,6 @@ class ConvergenceReport:
     def verdict(self) -> bool:
         return self.converged and self.nondegenerate is not False
 
-    def to_csv_rows(self):
-        if self.point_name == "uv":
-            header = [self.scale_name, "u", "v", "ratio"]
-            rows = [
-                (float(s), float(u), float(v), float(self.values[i, j]))
-                for i, (u, v) in enumerate(self.points)
-                for j, s in enumerate(self.scales)
-            ]
-        else:
-            header = [self.scale_name, self.point_name, "value"]
-            rows = [
-                (s, float(p), float(self.values[i, j]))
-                for i, p in enumerate(self.points)
-                for j, s in enumerate(self.scales)
-            ]
-        return header, rows
-
-    def to_json_dict(self) -> dict:
-        points = [list(p) if isinstance(p, tuple) else float(p) for p in self.points]
-        limits = [
-            [list(p) if isinstance(p, tuple) else float(p), float(v)]
-            for p, v in self.limit_table
-        ]
-        out = {
-            "scale": self.scale_name,
-            "grid": [s for s in self.scales],
-            "point": self.point_name,
-            "points": points,
-            "values": self.values.tolist(),
-            "tol": self.tol,
-            "window": self.window,
-            "converged_per_point": list(self.converged_per_point),
-            "converged": self.converged,
-            "verdict": self.verdict,
-            "limit_table": limits,
-        }
-        if self.nondegenerate is not None:
-            out["nondegenerate"] = self.nondegenerate
-        return out
-
 
 def build_report(
     scale_name: str,
@@ -101,6 +63,11 @@ def build_report(
         raise DomainError(
             f"values shape {values.shape} does not match "
             f"{len(points)} points x {len(scales)} scales"
+        )
+    if len(scales) < window + 1:
+        raise DomainError(
+            f"need at least {window + 1} scales for a Cauchy window of {window}, "
+            f"got {len(scales)}"
         )
     per_point = tuple(cauchy_converged(row, tol, window) for row in values)
     limits = tuple((p, float(values[i, -1])) for i, p in enumerate(points))

@@ -35,13 +35,26 @@ KS_CRITICAL = {0.05: 1.358, 0.01: 1.628}
 _MIN_KS_SAMPLES = 20
 
 
+def _scalar_or_array(x, out):
+    """``out`` as a float when the argument ``x`` was a scalar, else as a
+    float array: the return convention of every vectorized function here."""
+    if np.ndim(x) == 0:
+        return float(out)
+    return np.asarray(out, dtype=float)
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream): same pair, same sequence.
 
     Sub-streams with distinct ids are the only sanctioned way to run
-    samplers in parallel under one seed.
+    samplers in parallel under one seed.  Both must be non-negative.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+    seed, stream = int(seed), int(stream)
+    if seed < 0 or stream < 0:
+        raise DomainError(
+            f"seed and stream must be non-negative, got seed={seed}, stream={stream}"
+        )
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -92,10 +105,7 @@ class EmpiricalCdf:
 def ecdf_eval(ecdf: EmpiricalCdf, x):
     """Fraction of samples <= x; right-continuous in x."""
     idx = np.searchsorted(ecdf.sorted_samples, x, side="right")
-    out = idx / ecdf.size
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(x, idx / ecdf.size)
 
 
 @dataclass(frozen=True)

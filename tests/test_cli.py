@@ -3,6 +3,7 @@
 import json
 import math
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,31 @@ def test_bad_seed_env_var_is_a_domain_error(monkeypatch, capsys):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
     assert cli.run(shlex.split("sample --dist uniform:a=0,b=1")) == 2
     assert cli.SEED_ENV_VAR in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_domain_error(monkeypatch, capsys):
+    assert cli.run(shlex.split("sample --dist uniform:a=0,b=1 --seed -1")) == 2
+    assert "seed" in capsys.readouterr().err
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
+    assert cli.run(shlex.split("max --dist uniform:a=0,b=1 --n 5 --count 2")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "seed" in err
+
+
+def test_exprep_refuses_huge_n_at_once(capsys):
+    argv = f"max --dist pareto:alpha=1 --n {10**21} --method exprep"
+    start = time.perf_counter()
+    assert cli.run(shlex.split(argv)) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "2**53" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["100", "100:1000:2", "100:10000:3"])
+def test_nonlinear_needs_four_values_of_n(grid, capsys):
+    argv = f"nonlinear --base geometric:p=0.5 --normalizer affine --n {grid}"
+    assert cli.run(shlex.split(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at least 4 scales" in err
 
 
 def test_max_json_body(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import evtlab as e
+from evtlab.cli import _table
 from evtlab.errors import DomainError, SearchHorizonError
 from evtlab.geometric import (
     GeometricParams,
@@ -274,10 +275,9 @@ def test_subsequence_validation():
 def test_oscillation_report_serialization():
     gp = GeometricParams(0.5)
     report = e.oscillation_scan(gp, 0, np.array([100, 1000, 10_000]))
-    header, rows = report.to_csv_rows()
+    header, rows, d = _table(report)
     assert header == ["n", "m", "probability"]
     assert len(rows) == 3
-    d = report.to_json_dict()
     assert d["p"] == 0.5 and d["q"] == 0
     assert len(d["probability"]) == 3
     assert [c for c, _ in d["cluster_points"]] == [0.0, 0.5, 0.9]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import evtlab as e
+from evtlab.cli import _table
 from evtlab.dist import CONTINUOUS, Distribution
 from evtlab.errors import (
     ContractViolationError,
@@ -311,16 +312,13 @@ def test_three_types_monte_carlo():
 # ---------------------------------------------------------------- serialization
 
 def test_report_serialization_fields():
-    report = e.dehaan_test(e.uniform())
-    header, rows = report.to_csv_rows()
+    header, rows, d = _table(e.dehaan_test(e.uniform()))
     assert header == ["eps", "u", "v", "ratio"]
     assert len(rows) == 12 * 16
-    d = report.to_json_dict()
     for key in ("grid", "values", "verdict", "limit_table"):
         assert key in d
-    est = e.estimate_rho(e.uniform())
-    header, rows = est.to_csv_rows()
+    header, rows, _ = _table(e.estimate_rho(e.uniform()))
     assert header == ["eps", "rho_hat"]
     assert len(rows) == 16
     nc = e.norming_constants(e.exponential(), 100)
-    assert nc.to_json_dict() == {"n": 100, "a_n": nc.a_n, "b_n": nc.b_n}
+    assert _table(nc)[2] == {"n": 100, "a_n": nc.a_n, "b_n": nc.b_n}

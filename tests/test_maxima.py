@@ -7,7 +7,7 @@ import pytest
 
 import evtlab as e
 from evtlab.errors import ContractViolationError, DomainError
-from evtlab.maxima import HnVariant
+from evtlab.maxima import EXPREP_MAX_N, HnVariant
 
 
 # ---------------------------------------------------------------- max_cdf
@@ -111,6 +111,15 @@ def test_sampler_count_validation():
         e.sample_max_direct(e.MaxLaw(e.uniform(), 2), e.make_rng(0), 0)
     with pytest.raises(DomainError):
         e.sample_max_exponential_rep(e.MaxLaw(e.uniform(), 2), e.make_rng(0), -1)
+
+
+def test_exponential_rep_refuses_n_beyond_2_53():
+    # at n = 10**21 every exp(-omega/n) rounds to 1.0 and redrawing never ends
+    for n in (EXPREP_MAX_N + 1, 10**21):
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            e.sample_max_exponential_rep(e.MaxLaw(e.uniform(), n), e.make_rng(0), 10)
+    m = e.sample_max_exponential_rep(e.MaxLaw(e.uniform(), EXPREP_MAX_N), e.make_rng(0), 10)
+    assert np.all((m > 0.0) & (m < 1.0))
 
 
 # ---------------------------------------------------------------- h_n forms

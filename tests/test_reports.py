@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from evtlab.cli import _table
 from evtlab.errors import DomainError
 from evtlab.reports import CAUCHY_WINDOW, build_report, cauchy_converged
 
@@ -36,7 +37,13 @@ def test_build_report_per_point_and_overall():
 
 def test_build_report_shape_mismatch():
     with pytest.raises(DomainError):
-        build_report("n", (1, 2, 3), "x", (0.5,), np.ones((1, 2)), tol=1.0)
+        build_report("n", (1, 2, 3, 4), "x", (0.5,), np.ones((1, 2)), tol=1.0)
+
+
+def test_build_report_needs_one_scale_more_than_the_window():
+    with pytest.raises(DomainError, match="at least 4 scales"):
+        build_report("n", (1, 2, 3), "x", (0.5,), np.ones((1, 3)), tol=1.0)
+    assert build_report("n", (1, 2), "x", (0.5,), np.ones((1, 2)), 1.0, window=1).converged
 
 
 def test_verdict_folds_in_nondegeneracy():
@@ -51,30 +58,32 @@ def test_verdict_folds_in_nondegeneracy():
 
 
 def test_csv_layout_for_uv_and_plain_points():
-    values = np.array([[1.0, 2.0], [3.0, 4.0]])
-    rep = build_report("eps", (0.1, 0.01), "uv", ((2.0, 4.0), (0.5, 4.0)), values, 1.0)
-    header, rows = rep.to_csv_rows()
+    values = np.array([[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
+    scales = (0.1, 0.01, 0.001, 0.0001)
+    rep = build_report("eps", scales, "uv", ((2.0, 4.0), (0.5, 4.0)), values, 1.0)
+    header, rows, _ = _table(rep)
     assert header == ["eps", "u", "v", "ratio"]
     assert rows[0] == (0.1, 2.0, 4.0, 1.0)
-    assert rows[3] == (0.01, 0.5, 4.0, 4.0)
+    assert rows[5] == (0.01, 0.5, 4.0, 4.0)
 
-    rep = build_report("n", (10, 100), "x", (1.5,), np.array([[7.0, 8.0]]), 1.0)
-    header, rows = rep.to_csv_rows()
+    values = np.array([[7.0, 8.0, 9.0, 10.0]])
+    rep = build_report("n", (10, 100, 1000, 10_000), "x", (1.5,), values, 1.0)
+    header, rows, _ = _table(rep)
     assert header == ["n", "x", "value"]
-    assert rows == [(10, 1.5, 7.0), (100, 1.5, 8.0)]
+    assert rows == [(10, 1.5, 7.0), (100, 1.5, 8.0), (1000, 1.5, 9.0), (10_000, 1.5, 10.0)]
 
 
 def test_json_round_trip_keys():
-    values = np.array([[1.0, 2.0, 3.0]])
-    rep = build_report("n", (1, 2, 3), "x", (0.25,), values, tol=0.5)
-    d = rep.to_json_dict()
+    values = np.array([[0.0, 1.0, 2.0, 3.0]])
+    rep = build_report("n", (1, 2, 3, 4), "x", (0.25,), values, tol=0.5)
+    _, _, d = _table(rep)
     assert d["scale"] == "n" and d["point"] == "x"
-    assert d["grid"] == [1, 2, 3]
+    assert d["grid"] == [1, 2, 3, 4]
     assert d["points"] == [0.25]
-    assert d["values"] == [[1.0, 2.0, 3.0]]
+    assert d["values"] == [[0.0, 1.0, 2.0, 3.0]]
     assert d["converged_per_point"] == [False]
     assert d["limit_table"] == [[0.25, 3.0]]
     assert "nondegenerate" not in d
-    d2 = build_report("n", (1, 2, 3), "x", (0.25,), values, 0.5,
-                      nondegenerate=False).to_json_dict()
+    _, _, d2 = _table(build_report("n", (1, 2, 3, 4), "x", (0.25,), values, 0.5,
+                                   nondegenerate=False))
     assert d2["nondegenerate"] is False and d2["verdict"] is False

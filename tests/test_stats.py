@@ -34,6 +34,13 @@ def test_make_rng_reproducible_and_stream_independent():
     assert not np.array_equal(a, c)
 
 
+def test_make_rng_refuses_negative_seed_or_stream():
+    with pytest.raises(DomainError, match="non-negative"):
+        e.make_rng(-1)
+    with pytest.raises(DomainError, match="non-negative"):
+        e.make_rng(0, stream=-1)
+
+
 def test_uniform_open_redraws_zeros():
     class _Stub:
         # first scalar draw is an exact zero; the array path gets one too

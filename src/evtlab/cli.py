@@ -92,8 +92,13 @@ def _linear_range(text: str):
 
 
 def _int_range(text: str):
-    vals = np.unique(np.rint(_parse_range(text)).astype(np.int64))
-    return vals
+    vals = np.rint(_parse_range(text))
+    # the int64 cast is undefined at and beyond 2**63 (and for nan)
+    if not np.all(np.abs(vals) < 2.0**63):
+        raise argparse.ArgumentTypeError(
+            f"integer grid {text!r} must stay below 2**63 in magnitude"
+        )
+    return np.unique(vals.astype(np.int64))
 
 
 def _uv_pair(text: str):
@@ -156,13 +161,16 @@ def _emit(path: str, fmt: str, config: dict, header, rows, json_body: dict) -> N
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _point(p):

@@ -14,6 +14,8 @@ Floor hardening: whenever theta*log n (or log u / log p) lands within 1e-9
 of an integer k, the ambiguity is resolved by exact rational comparison of
 n * p**k against 1 (respectively u against p**k) using the exact binary
 values of p and u, so dyadic cases such as p = 1/2, n = 2**k come out exact.
+The floors are taken over whole arrays; only the entries inside the band
+are resolved one at a time.
 """
 
 import math
@@ -81,15 +83,20 @@ def geom_cdf(params: GeometricParams, t):
     return _scalar_or_array(t, out)
 
 
-def _exact_floor_of_log_ratio(u: float, p: float, k: int) -> int:
-    # floor(log u / log p) when the float ratio is within the guard band of k:
-    # log u <= k log p  <=>  u <= p**k  (log p < 0), decided exactly on the
-    # binary values of u and p.
-    if 0 <= k <= _EXACT_POW_LIMIT:
-        if Fraction(u) <= Fraction(p) ** k:
-            return k
-        return k - 1
-    return int(math.floor(math.log(u) / math.log(p)))
+def _floor_log_ratio(p: float, ratio, exact_u):
+    """floor(ratio) over a 1-d array of ratios log u / log p.
+
+    Entries within ``NEAR_INTEGER_BAND`` of an integer k are settled exactly:
+    log u <= k log p  <=>  u <= p**k  (log p < 0), with ``exact_u(i)`` the
+    exact rational u of entry i and p its binary value.
+    """
+    out = np.floor(ratio)
+    nearest = np.rint(ratio)
+    for i in np.flatnonzero(np.abs(ratio - nearest) < NEAR_INTEGER_BAND):
+        k = int(nearest[i])
+        if 0 <= k <= _EXACT_POW_LIMIT:
+            out[i] = k if exact_u(i) <= Fraction(p) ** k else k - 1
+    return out
 
 
 def geom_quantile(params: GeometricParams, u):
@@ -99,44 +106,27 @@ def geom_quantile(params: GeometricParams, u):
     floor(log u / log p).  Ratios within 1e-9 of an integer are resolved by
     exact comparison of u against p**k.
     """
-    p = params.p
-    scalar = np.ndim(u) == 0
     arr = np.asarray(u, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("tail mass u must lie in (0, 1)")
-    ratio = np.log(arr) / math.log(p)
-    out = np.floor(ratio)
-    nearest = np.rint(ratio)
-    guard = np.abs(ratio - nearest) < NEAR_INTEGER_BAND
-    if np.any(guard):
-        flat_u = np.atleast_1d(arr)
-        flat_near = np.atleast_1d(nearest)
-        flat_out = np.atleast_1d(out)
-        for idx in np.flatnonzero(np.atleast_1d(guard)):
-            flat_out[idx] = _exact_floor_of_log_ratio(
-                float(flat_u[idx]), p, int(flat_near[idx])
-            )
-        out = flat_out.reshape(out.shape) if not scalar else flat_out[0]
-    if scalar:
-        return float(out)
-    return out
+    flat = arr.ravel()
+    out = _floor_log_ratio(
+        params.p, np.log(flat) / math.log(params.p), lambda i: Fraction(float(flat[i]))
+    )
+    return _scalar_or_array(u, out.reshape(arr.shape))
 
 
 def floor_theta_log_n(params: GeometricParams, n: int) -> int:
     """floor(theta * log n) with the near-integer guard resolved exactly.
 
     theta * log n >= k  <=>  n * p**k >= 1, which is decided in exact
-    rational arithmetic when the float product sits within 1e-9 of k.
+    rational arithmetic when the float product sits within 1e-9 of k.  This
+    is the one-point form of the levels ``oscillation_scan`` probes.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    t = params.theta * math.log(n)
-    k = round(t)
-    if abs(t - k) >= NEAR_INTEGER_BAND or not 0 <= k <= _EXACT_POW_LIMIT:
-        return int(math.floor(t))
-    if int(n) * Fraction(params.p) ** k >= 1:
-        return k
-    return k - 1
+    t = params.theta * np.array([math.log(n)])
+    return int(_floor_log_ratio(params.p, t, lambda i: Fraction(1, int(n)))[0])
 
 
 _SEARCH_CHUNK = 1 << 16
@@ -245,12 +235,12 @@ def oscillation_scan(
     if np.any(np.diff(ns) <= 0):
         raise DomainError("n_values must be strictly increasing")
     p = params.p
-    levels = np.empty(ns.size, dtype=np.int64)
-    probs = np.empty(ns.size, dtype=float)
-    for i, n in enumerate(ns):
-        m = floor_theta_log_n(params, int(n)) + int(q)
-        levels[i] = m
-        probs[i] = 0.0 if m < 0 else math.exp(n * math.log1p(-(p ** (m + 1))))
+    t = params.theta * np.log(ns)
+    levels = _floor_log_ratio(p, t, lambda i: Fraction(1, int(ns[i]))).astype(np.int64)
+    levels += int(q)
+    probs = np.zeros(ns.size)
+    live = levels >= 0
+    probs[live] = np.exp(ns[live] * np.log1p(-(p ** (levels[live] + 1.0))))
     tail = probs[probs.size // 2 :]
     cluster = tuple((float(c), cluster_limit(params, int(q), float(c))) for c in cluster_cs)
     return OscillationReport(

@@ -11,7 +11,9 @@ domain of attraction iff the ratio of upper-quantile increments
 
 converges as eps -> 0, in which case the limit is k_rho(u)/k_rho(v) and the
 tail increment r(eps) = Q(1-eps) - Q(1-2eps) is regularly varying of index
-rho, which is how ``estimate_rho`` reads rho off a scale sweep.  With the
+rho, which is how ``estimate_rho`` reads rho off a scale sweep.  Each sweep
+takes all its quantiles in one call, and ``dehaan_ratio`` is the one-point
+sweep of ``dehaan_test``.  With the
 canonical constants b_n = Q(1-1/n) and a_n = Q(1-2/n) - b_n (note a_n <= 0),
 (M_n - b_n)/a_n converges in law to k_rho(omega)/k_rho(2) with omega
 standard exponential; ``limit_cdf`` is that limit law.  The sign of rho
@@ -96,38 +98,58 @@ def _k_rho_inverse(rho: float, y):
         return np.exp(np.log1p(rho * y) / rho)
 
 
-def _tail_increment(dist: Distribution, eps_lo: float, eps_hi: float) -> float:
-    # Q(1 - eps_lo) - Q(1 - eps_hi) for eps_lo < eps_hi
-    return quantile(dist, 1.0 - eps_lo) - quantile(dist, 1.0 - eps_hi)
-
-
-def _validate_eps(eps: float, factor: float = 1.0):
+def _validate_eps(eps: float, factor: float):
     if not isinstance(eps, (int, float)) or math.isnan(eps) or eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
     if eps * factor >= 1.0:
         raise DomainError(f"eps * {factor} must stay below 1, got eps={eps}")
 
 
+def _dehaan_grid(dist: Distribution, pairs, scales, locate: bool = True):
+    """The ratio for every (u, v) pair (rows) at every scale (columns).
+
+    ``scales`` is strictly decreasing.  One quantile call covers the
+    (3, pairs, scales) levels 1 - eps*{1, u, v}.  ``locate`` appends the
+    offending (u, v, eps) to a degenerate-tail error.
+    """
+    for u, v in pairs:
+        for name, val in (("u", u), ("v", v)):
+            if not isinstance(val, (int, float)) or math.isnan(val) or val <= 0.0:
+                raise DomainError(f"{name} must be positive, got {val!r}")
+        if v == 1.0:
+            raise DomainError("v = 1 makes the denominator identically zero")
+        if len(scales):
+            _validate_eps(scales[0], max(u, v, 1.0))
+    eps = np.asarray(scales, dtype=float)
+    factors = np.array([(1.0, u, v) for u, v in pairs], dtype=float).T
+    levels = 1.0 - factors[:, :, None] * eps
+    rounded = np.any(levels >= 1.0, axis=(0, 1))
+    if np.any(rounded):
+        raise DomainError(
+            f"eps = {float(eps[np.argmax(rounded)])} is too small: the level "
+            f"1 - {factors.min():g}*eps rounds to 1"
+        )
+    q = quantile(dist, levels)
+    num, den = q[1] - q[0], q[2] - q[0]
+    flat = np.argwhere(den == 0.0)
+    if flat.size:
+        i, j = flat[0]
+        (u, v), e = pairs[i], float(eps[j])
+        msg = f"flat upper quantile: Q(1-{e}*{v}) == Q(1-{e}) for {dist.name}"
+        if locate:
+            msg += f" at (u, v, eps) = ({u}, {v}, {e})"
+        raise DegenerateTailError(msg)
+    return num / den
+
+
 def dehaan_ratio(dist: Distribution, u: float, v: float, eps: float) -> float:
     """[Q(1-eps*u) - Q(1-eps)] / [Q(1-eps*v) - Q(1-eps)] at scale eps.
 
     The denominator vanishing (flat upper quantile between the two tail
-    masses) raises ``DegenerateTailError``.
+    masses) raises ``DegenerateTailError``.  This is the one-point grid of
+    ``dehaan_test``, so the two agree bit for bit.
     """
-    for name, val in (("u", u), ("v", v)):
-        if not isinstance(val, (int, float)) or math.isnan(val) or val <= 0.0:
-            raise DomainError(f"{name} must be positive, got {val!r}")
-    if v == 1.0:
-        raise DomainError("v = 1 makes the denominator identically zero")
-    _validate_eps(eps, max(u, v, 1.0))
-    q0 = quantile(dist, 1.0 - eps)
-    num = quantile(dist, 1.0 - eps * u) - q0
-    den = quantile(dist, 1.0 - eps * v) - q0
-    if den == 0.0:
-        raise DegenerateTailError(
-            f"flat upper quantile: Q(1-{eps}*{v}) == Q(1-{eps}) for {dist.name}"
-        )
-    return float(num / den)
+    return float(_dehaan_grid(dist, [(u, v)], [eps], locate=False)[0, 0])
 
 
 def dehaan_test(
@@ -141,7 +163,7 @@ def dehaan_test(
     Ratios are tabulated per (u, v) pair across the strictly decreasing
     ``eps_grid``; a pair converges when its last three values sit within
     ``tol`` of each other, and the report's limit table holds the value at
-    the smallest scale.  A degenerate tail is re-raised with the offending
+    the smallest scale.  A degenerate tail raises with the first offending
     (u, v, eps) attached.
     """
     scales = np.asarray(
@@ -152,15 +174,7 @@ def dehaan_test(
     pairs = [(float(u), float(v)) for u, v in uv_grid]
     if not pairs:
         raise DomainError("uv_grid must be nonempty")
-    values = np.empty((len(pairs), scales.size))
-    for i, (u, v) in enumerate(pairs):
-        for j, eps in enumerate(scales):
-            try:
-                values[i, j] = dehaan_ratio(dist, u, v, float(eps))
-            except DegenerateTailError as exc:
-                raise DegenerateTailError(
-                    f"{exc} at (u, v, eps) = ({u}, {v}, {eps})"
-                ) from exc
+    values = _dehaan_grid(dist, pairs, scales)
     return build_report(
         "eps", scales.tolist(), "uv", pairs, values, tol, CAUCHY_WINDOW
     )
@@ -193,29 +207,28 @@ def estimate_rho(dist: Distribution, eps_grid=None, w: float = 2.0) -> RhoEstima
     if np.any(np.diff(scales) >= 0.0) or np.any(scales <= 0.0):
         raise DomainError("eps_grid must be strictly decreasing and positive")
     _validate_eps(float(scales[0]), 2.0 * w)
-    r_vals = {}
-    for eps in scales:
-        for e in (float(eps), float(eps) * w):
-            r = _tail_increment(dist, e, 2.0 * e)
-            if r == 0.0:
-                raise DegenerateTailError(
-                    f"tail increment r({e}) = 0 for {dist.name}"
-                )
-            r_vals[e] = r
-    signs = {math.copysign(1.0, r) for r in r_vals.values()}
-    if len(signs) > 1:
+    # q[j, i, k] = Q(1 - m_k*e_i) at e = (eps_j, eps_j*w) and m = (1, 2)
+    masses = scales[:, None, None] * np.array([1.0, w])[:, None] * np.array([1.0, 2.0])
+    levels = 1.0 - masses
+    if np.any(levels >= 1.0):
+        e = float(scales[np.argmax(levels[:, 0, 0] >= 1.0)])
+        raise DomainError(f"eps = {e} is too small: the level 1 - eps rounds to 1")
+    q = quantile(dist, levels)
+    r = q[..., 0] - q[..., 1]
+    zero = np.argwhere(r == 0.0)
+    if zero.size:
+        j, i = zero[0]
+        raise DegenerateTailError(
+            f"tail increment r({float(masses[j, i, 0])}) = 0 for {dist.name}"
+        )
+    if np.any(r > 0.0) and np.any(r < 0.0):
         raise InconsistentTailError("tail increment changed sign across scales")
-    per_scale = []
-    for eps in scales:
-        e = float(eps)
-        rho_hat = math.log(r_vals[e * w] / r_vals[e]) / math.log(w)
-        per_scale.append((e, rho_hat))
-    ests = [r for _, r in per_scale]
-    tail = ests[len(ests) // 2 :]
+    rho_hat = np.log(r[:, 1] / r[:, 0]) / math.log(w)
+    tail = rho_hat[rho_hat.size // 2 :]
     return RhoEstimate(
-        rho=float(ests[-1]),
-        per_scale=tuple(per_scale),
-        spread=float(max(tail) - min(tail)),
+        rho=float(rho_hat[-1]),
+        per_scale=tuple(zip(scales.tolist(), rho_hat.tolist())),
+        spread=float(tail.max() - tail.min()),
     )
 
 
@@ -232,7 +245,10 @@ def norming_constants(dist: Distribution, n: int) -> NormingConstants:
     """Canonical affine constants at index n (requires n >= 3 so 2/n < 1)."""
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise DomainError(f"n must be an integer >= 3, got {n!r}")
-    b = quantile(dist, 1.0 - 1.0 / n)
+    level = 1.0 - 1.0 / n
+    if level >= 1.0:
+        raise DomainError(f"n = {n} is too large: the level 1 - 1/n rounds to 1")
+    b = quantile(dist, level)
     a = quantile(dist, 1.0 - 2.0 / n) - b
     if a == 0.0:
         raise DegenerateNormalizationError(

@@ -16,7 +16,9 @@ parametrized:
 * ``epsilon_form``   g(Q(1 - eps*x)) with the index n = floor(1/eps)
 
 The two parametrizations agree as n grows (exp_form >= linear_form for
-nondecreasing g); the gap at fixed x shrinks like x**2/(2n).
+nondecreasing g); the gap at fixed x shrinks like x**2/(2n).  One helper
+builds and checks these arguments over a whole x grid; ``h_n_eval`` is its
+one-point form and ``convergence_diagnostic`` uses it for each n.
 """
 
 import math
@@ -47,6 +49,9 @@ __all__ = [
 # to none in 2e5 draws at 3e17, where the redraw loop no longer ends.
 EXPREP_MAX_N = 2**53
 
+# Most uniforms ``sample_max_direct`` holds at once (32 MB).
+_DIRECT_BLOCK = 2**22
+
 
 @dataclass(frozen=True)
 class MaxLaw:
@@ -72,13 +77,22 @@ def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
     """Maximum of n quantile-transform draws, ``count`` times.
 
     Q is nondecreasing, so Q(max U_i) is pointwise identical to the maximum
-    of the per-draw transforms.  Memory is O(count * n); use the exponential
-    representation for large n.
+    of the per-draw transforms.  The (count, n) uniforms are drawn in
+    row-major blocks of at most 2**22, so memory stays bounded, but time is
+    O(count * n); use the exponential representation for large n.
     """
     size = 1 if count is None else int(count)
     if size < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
-    u = uniform_open(rng, (size, law.n)).max(axis=1)
+    # row-major blocks keep the stream order of one (size, n) draw
+    width = min(law.n, _DIRECT_BLOCK)
+    rows = _DIRECT_BLOCK // width
+    u = np.zeros(size)
+    for r in range(0, size, rows):
+        block = u[r : r + rows]
+        for c in range(0, law.n, width):
+            part = uniform_open(rng, (block.size, min(width, law.n - c)))
+            np.maximum(block, part.max(axis=1), out=block)
     x = np.asarray(law.base.quantile(u), dtype=float)
     return float(x[0]) if count is None else x
 
@@ -133,6 +147,36 @@ def floor_reciprocal(eps: float) -> int:
     return n
 
 
+def _h_n_args(n: int, x, variant: HnVariant, eps: float | None = None):
+    """The base-quantile arguments of h_n at the positive reals in array x,
+    checked to lie in (0, 1): exp(-x/n), 1 - x/n, or 1 - eps*x."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    variant = HnVariant(variant)
+    if variant is HnVariant.EXP_FORM:
+        args = np.exp(-x / n)
+        msg = "exp_form: exp(-x/n) = {arg} left (0, 1) for x={x}, n={n}"
+    elif variant is HnVariant.LINEAR_FORM:
+        args = 1.0 - x / n
+        msg = "linear_form: x must lie in (0, n), got x={x}, n={n}"
+    else:
+        if eps is None:
+            args = 1.0 - x / n
+        else:
+            idx = floor_reciprocal(eps)
+            if idx != n:
+                raise DomainError(
+                    f"epsilon_form: floor(1/eps) = {idx} does not match n = {n}"
+                )
+            args = 1.0 - eps * x
+        msg = "epsilon_form: 1 - eps*x = {arg} left (0, 1) for x={x}, n={n}"
+    outside = np.flatnonzero(~((args > 0.0) & (args < 1.0)))
+    if outside.size:
+        i = outside[0]
+        raise DomainError(msg.format(arg=args[i], x=x[i], n=n))
+    return args
+
+
 def h_n_eval(
     g,
     base: Distribution,
@@ -144,40 +188,16 @@ def h_n_eval(
     """Evaluate the normalized maximum profile h_n(x) = g(Q(.)) at one point.
 
     ``g`` must be monotone on the base quantile's range (use
-    ``spot_check_monotone`` to validate a candidate).  For ``epsilon_form``,
-    omit ``eps`` to use the exact rational 1/n; a supplied eps must satisfy
-    floor(1/eps) == n so that g is evaluated at its own index.
+    ``spot_check_monotone`` to validate a candidate) and accept arrays.  For
+    ``epsilon_form``, omit ``eps`` to use the exact rational 1/n; a supplied
+    eps must satisfy floor(1/eps) == n so that g is evaluated at its own
+    index.  This is the one-point form of ``convergence_diagnostic``'s grid,
+    and agrees with it bit for bit.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
     if not isinstance(x, (int, float)) or math.isnan(x) or x <= 0.0:
         raise DomainError(f"x must be a positive real, got {x!r}")
-    variant = HnVariant(variant)
-    if variant is HnVariant.EXP_FORM:
-        arg = math.exp(-x / n)
-        if not 0.0 < arg < 1.0:
-            raise DomainError(
-                f"exp_form: exp(-x/n) = {arg} left (0, 1) for x={x}, n={n}"
-            )
-    elif variant is HnVariant.LINEAR_FORM:
-        arg = 1.0 - x / n
-        if not 0.0 < arg < 1.0:
-            raise DomainError(f"linear_form: x must lie in (0, n), got x={x}, n={n}")
-    else:
-        if eps is None:
-            arg = 1.0 - x / n
-        else:
-            idx = floor_reciprocal(eps)
-            if idx != n:
-                raise DomainError(
-                    f"epsilon_form: floor(1/eps) = {idx} does not match n = {n}"
-                )
-            arg = 1.0 - eps * x
-        if not 0.0 < arg < 1.0:
-            raise DomainError(
-                f"epsilon_form: 1 - eps*x = {arg} left (0, 1) for x={x}, n={n}"
-            )
-    return float(g(quantile(base, arg)))
+    args = _h_n_args(n, np.array([x]), variant, eps)
+    return float(np.asarray(g(quantile(base, args)), dtype=float)[0])
 
 
 _SPOT_CHECK_SEED = 0x6D6F6E6F  # fixed: the check must not perturb caller streams

@@ -8,8 +8,9 @@ the construction needs, which is exactly the obstruction the geometric law
 exhibits.
 
 ``convergence_diagnostic`` tabulates the normalized profiles h_n over an
-(x, n) grid, applies the Cauchy verdict per x, and checks that the limit
-profile is nondegenerate; the overall verdict is the conjunction.
+(x, n) grid, one base-quantile call and one g_n call per n over all x,
+applies the Cauchy verdict per x, and checks that the limit profile is
+nondegenerate; the overall verdict is the conjunction.
 """
 
 import math
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import CONTINUOUS, Distribution
+from .dist import CONTINUOUS, Distribution, quantile
 from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import norming_constants
-from .maxima import HnVariant, h_n_eval, spot_check_monotone
+from .maxima import HnVariant, _h_n_args, spot_check_monotone
 from .reports import CAUCHY_WINDOW, ConvergenceReport, build_report
 from .stats import _scalar_or_array
 
@@ -168,12 +169,12 @@ def convergence_diagnostic(
     values = np.empty((xs.size, len(ns)))
     for j, n in enumerate(ns):
         g = normalizer.builder(n)
-        for i, x in enumerate(xs):
-            values[i, j] = h_n_eval(g, normalizer.base, n, float(x), variant)
+        qs = quantile(normalizer.base, _h_n_args(n, xs, variant))
+        values[:, j] = g(qs)
         if n in (ns[0], ns[-1]):
-            col = _quantile_range(normalizer.base, n, xs, variant)
-            if col is not None:
-                spot_check_monotone(g, col[0], col[1], normalizer.direction)
+            lo, hi = float(np.min(qs)), float(np.max(qs))
+            if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
+                spot_check_monotone(g, lo, hi, normalizer.direction)
     limits = values[:, -1]
     nondeg = nondegeneracy_check(zip(xs, limits), nondeg_tol)
     return build_report(
@@ -181,15 +182,3 @@ def convergence_diagnostic(
         nondegenerate=nondeg,
     )
 
-
-def _quantile_range(base, n, xs, variant):
-    # the interval of base-quantile values g actually sees on this grid
-    if variant is HnVariant.EXP_FORM:
-        args = np.exp(-xs / n)
-    else:
-        args = 1.0 - xs / n
-    qs = np.asarray(base.quantile(args), dtype=float)
-    lo, hi = float(np.min(qs)), float(np.max(qs))
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        return None
-    return lo, hi

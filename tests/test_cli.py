@@ -4,8 +4,10 @@ import json
 import math
 import shlex
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evtlab import cli
@@ -109,6 +111,49 @@ def test_exprep_refuses_huge_n_at_once(capsys):
     assert cli.run(shlex.split(argv)) == 2
     assert time.perf_counter() - start < 1.0
     assert "2**53" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        ("rho --dist pareto:alpha=2", "rho"),  # draws nothing
+        ("sample --dist uniform:a=0,b=1 --count 3", "sample"),
+    ],
+)
+def test_every_subcommand_refuses_a_negative_seed(argv, name, monkeypatch, capsys):
+    assert cli.run(shlex.split(argv) + ["--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"evtlab {name}: seed must be non-negative, got -1\n"
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
+    assert cli.run(shlex.split(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"evtlab {name}: seed must be non-negative, got -3\n"
+
+
+def test_norming_refuses_n_whose_level_rounds_to_one(capsys):
+    n = 10**20
+    assert cli.run(shlex.split(f"norming --dist pareto:alpha=1 --n {n}")) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"n = {n} is too large: the level 1 - 1/n rounds to 1" in err
+
+
+def test_dehaan_refuses_eps_whose_level_rounds_to_one(capsys):
+    argv = "dehaan --dist pareto:alpha=2 --eps 1e-2:1e-20 --uv 2,4"
+    assert cli.run(shlex.split(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the first scale at or below 2**-54, where 1 - eps == 1.0
+    eps = next(x for x in np.geomspace(1e-2, 1e-20, 16) if x <= 2.0**-54)
+    assert f"eps = {eps} is too small: the level 1 - 1*eps rounds to 1" in err
+
+
+def test_integer_grid_beyond_int64_is_a_usage_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's cast warning would raise here
+        assert cli.run(shlex.split("geom-oscillate --n 1e3:1e19:4")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "2**63" in err
 
 
 @pytest.mark.parametrize("grid", ["100", "100:1000:2", "100:10000:3"])

@@ -186,6 +186,13 @@ def test_estimate_rho_validation():
         e.estimate_rho(e.uniform(), eps_grid=[0.4])  # 2*w*eps >= 1
 
 
+def test_estimate_rho_refuses_eps_whose_level_rounds_to_one():
+    grid = [1e-2, 1e-8, 1e-17, 1e-18]  # 1 - 1e-17 == 1.0
+    message = r"eps = 1e-17 is too small: the level 1 - eps rounds to 1"
+    with pytest.raises(DomainError, match=message):
+        e.estimate_rho(e.pareto(2.0), grid)
+
+
 # ---------------------------------------------------------------- norming constants
 
 def test_norming_constants_examples():

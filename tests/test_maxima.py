@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import evtlab as e
+from evtlab import maxima
 from evtlab.errors import ContractViolationError, DomainError
 from evtlab.maxima import EXPREP_MAX_N, HnVariant
 
@@ -84,6 +85,17 @@ def test_direct_sampler_dominates_every_draw():
     u = e.uniform_open(e.make_rng(61), (200, 6))
     assert np.array_equal(got, u.max(axis=1))
     assert np.all(got[:, None] >= u)
+
+
+@pytest.mark.parametrize("count,n", [(1, 3), (5, 3), (4, 7), (3, 8), (3, 20), (1, 23)])
+def test_direct_sampler_blocks_match_the_one_shot_draw(count, n, monkeypatch):
+    # a block of 7 uniforms: several rows per block, one row per block, and
+    # rows longer than a block all keep the stream order of the full draw
+    monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 7)
+    law = e.MaxLaw(e.pareto(2.0), n)
+    got = e.sample_max_direct(law, e.make_rng(5), count)
+    u = e.uniform_open(e.make_rng(5), (count, n)).max(axis=1)
+    assert np.array_equal(got, law.base.quantile(u))
 
 
 def test_direct_sampler_scalar_mode():

@@ -35,6 +35,8 @@ __all__ = ["main", "run"]
 
 SEED_ENV_VAR = "EVTLAB_SEED"
 DEFAULT_RANGE_POINTS = 16
+# a range's point count is refused above this before anything is allocated
+MAX_RANGE_POINTS = 2**20
 # options that name a law: run parses them before the subcommand sees them
 _LAW_ARGS = ("dist", "base", "target")
 # options that say how to run and where to write, outside the embedded config
@@ -76,6 +78,10 @@ def _parse_range(text: str, count: int = DEFAULT_RANGE_POINTS, spacing: str = "g
     start, stop = float(parts[0]), float(parts[1])
     if count < 2:
         raise ValueError("range needs at least 2 points")
+    if count > MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} asks for {count} points; at most 2**20 = {MAX_RANGE_POINTS}"
+        )
     if spacing == "geometric":
         if start <= 0.0 or stop <= 0.0:
             raise ValueError("geometric range endpoints must be positive")

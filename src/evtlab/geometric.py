@@ -130,6 +130,11 @@ def floor_theta_log_n(params: GeometricParams, n: int) -> int:
 
 
 _SEARCH_CHUNK = 1 << 16
+# blocks settled per block step: each takes a few predicate evaluations, so a
+# block step costs about what an integer step of _SEARCH_CHUNK points does
+_BLOCK_CHUNK = 1 << 12
+# the search works in int64; below 2**62 its bracket arithmetic cannot overflow
+_SEARCH_CEILING = 2**62
 
 
 def sufficient_horizon(theta: float, x: float, y: float) -> int:
@@ -138,12 +143,64 @@ def sufficient_horizon(theta: float, x: float, y: float) -> int:
     Once q >= theta*log(1/(exp((y-x)/theta) - 1)) - x, the real interval
     [exp((q+x)/theta), exp((q+y)/theta)] has length >= 1 and so contains an
     integer witness; the bound is the right endpoint of the first such
-    interval.
+    interval.  A theta for which that bound is not a finite float (an
+    infinite theta, or one so small that exp((q+y)/theta) overflows) is a
+    ``DomainError``.
     """
-    growth = math.expm1((y - x) / theta)
-    q_star = theta * math.log(1.0 / growth) - x
-    q_hat = max(0, math.ceil(q_star))
-    return int(math.ceil(math.exp((q_hat + y) / theta)))
+    try:
+        growth = math.expm1((y - x) / theta)
+        q_star = theta * math.log(1.0 / growth) - x
+        q_hat = max(0, math.ceil(q_star))
+        return int(math.ceil(math.exp((q_hat + y) / theta)))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        raise DomainError(
+            f"theta={theta!r} is out of range: the sufficient horizon of "
+            f"[{x}, {y}] is not a finite float"
+        ) from None
+
+
+def _first_reaching(theta: float, x: float, qs: np.ndarray, cap: int) -> np.ndarray:
+    """For each block q, the smallest n in [1, cap] with theta*log(n) >= q + x.
+
+    cap + 1 stands for none.  The test is ``theta*np.log(n) - q >= x``, which
+    is monotone in n and, for n in block q, is the search's own frac >= x.
+    ceil(exp((q + x)/theta)) is only a first guess (near 2**62 it is off by
+    hundreds): galloping brackets each answer and bisection settles it.
+    """
+
+    def reached(n, q):
+        return theta * np.log(n) - q >= x
+
+    top = cap + 1
+    with np.errstate(over="ignore"):
+        guess = np.ceil(np.clip(np.exp((qs + x) / theta), 1.0, float(top)))
+    guess = np.minimum(guess.astype(np.int64), top)
+    # [lo, hi] brackets the answer once n = lo misses and n = hi reaches;
+    # n = 0 misses and n = top reaches by convention
+    step = 1 + (guess >> 50)
+    lo, hi = np.maximum(guess - step, 0), np.minimum(guess + step - 1, top)
+    i = np.flatnonzero(lo > 0)
+    while i.size:
+        i = i[reached(lo[i], qs[i])]
+        hi[i] = lo[i]
+        step[i] = np.minimum(step[i], 1 << 60) * 2
+        lo[i] = np.maximum(lo[i] - step[i], 0)
+        i = i[lo[i] > 0]
+    i = np.flatnonzero(hi < top)
+    while i.size:
+        i = i[~reached(hi[i], qs[i])]
+        lo[i] = hi[i]
+        step[i] = np.minimum(step[i], 1 << 60) * 2
+        hi[i] = np.minimum(hi[i] + step[i], top)
+        i = i[hi[i] < top]
+    i = np.flatnonzero(hi - lo > 1)
+    while i.size:
+        mid = lo[i] + (hi[i] - lo[i]) // 2
+        up = reached(mid, qs[i])
+        hi[i[up]] = mid[up]
+        lo[i[~up]] = mid[~up]
+        i = i[hi[i] - lo[i] > 1]
+    return hi
 
 
 def frac_log_search(theta: float, x: float, y: float, n_max: int):
@@ -151,11 +208,23 @@ def frac_log_search(theta: float, x: float, y: float, n_max: int):
 
     Returns ``(n, frac_value, horizon)`` where ``horizon`` is the precomputed
     sufficient bound.  If ``n_max`` is below the bound a warning is issued
-    before scanning; exhausting the scan raises ``SearchHorizonError``
+    before searching; exhausting the search raises ``SearchHorizonError``
     carrying the bound.
+
+    The search walks blocks.  Block q holds the n with floor(theta log n) = q,
+    and frac(theta log n) rises through it, so its hits form one run that
+    starts at its first n with theta log n >= q + x; bisection from
+    exp((q+x)/theta) finds that n.  Below n of about theta a block is shorter
+    than one integer, so each step takes either the next 2**12 blocks or the
+    next 2**16 integers, whichever reaches the larger n.  A step costs about
+    a millisecond, and a search that returns n, or fails at N = min(n_max,
+    2**62), takes about min(n / 2**16, theta*log(n) / 2**12) + 1 steps (n
+    replaced by N).  The search stops at 2**62 whatever ``n_max`` is.
+    ``n`` and ``frac_value`` are those of a plain scan of
+    ``theta*np.log(n)`` over 1..n_max, bit for bit.
     """
-    if not (isinstance(theta, (int, float)) and theta > 0.0) or math.isnan(theta):
-        raise DomainError(f"theta must be positive, got {theta!r}")
+    if not (isinstance(theta, (int, float)) and theta > 0.0) or not math.isfinite(theta):
+        raise DomainError(f"theta must be positive and finite, got {theta!r}")
     if not 0.0 <= x < y <= 1.0:
         raise DomainError(f"need 0 <= x < y <= 1, got x={x}, y={y}")
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
@@ -167,17 +236,29 @@ def frac_log_search(theta: float, x: float, y: float, n_max: int):
             "the search may fail",
             stacklevel=2,
         )
-    for lo in range(1, int(n_max) + 1, _SEARCH_CHUNK):
-        hi = min(lo + _SEARCH_CHUNK, int(n_max) + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
+    cap = min(int(n_max), _SEARCH_CEILING)
+    last_block = int(np.floor(theta * np.log(np.array([cap], dtype=np.int64)))[0])
+    # every n below n_next misses, and so does every n in a block below q_next
+    n_next, q_next = 1, 0
+    while n_next <= cap and q_next <= last_block:
+        blocks = min(_BLOCK_CHUNK, last_block + 1 - q_next)
+        # the blocks reach about n = exp((q_next + blocks)/theta)
+        if (q_next + blocks) / theta > math.log(n_next + _SEARCH_CHUNK):
+            ns = _first_reaching(theta, x, np.arange(q_next, q_next + blocks, dtype=float), cap)
+            q_next += blocks
+            n_next = max(n_next, int(ns[-1]))
+        else:
+            ns = np.arange(n_next, min(n_next + _SEARCH_CHUNK, cap + 1), dtype=np.int64)
+            n_next = int(ns[-1]) + 1
         t = theta * np.log(ns)
         frac = t - np.floor(t)
         hits = np.flatnonzero((frac >= x) & (frac <= y))
-        if hits.size:
-            n = int(ns[hits[0]])
-            return n, float(frac[hits[0]]), horizon
+        if hits.size and ns[hits[0]] <= cap:  # a block step gives cap + 1 for none
+            return int(ns[hits[0]]), float(frac[hits[0]]), horizon
+        q_next = max(q_next, math.floor(t[-1]))
+    searched = n_max if cap == n_max else f"2**62 (the search's ceiling; n_max={n_max})"
     raise SearchHorizonError(
-        f"no n <= {n_max} with frac(theta log n) in [{x}, {y}]; "
+        f"no n <= {searched} with frac(theta log n) in [{x}, {y}]; "
         f"a horizon of {horizon} suffices",
         sufficient_horizon=horizon,
     )

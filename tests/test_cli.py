@@ -27,6 +27,7 @@ EXAMPLES = [
     ("geom-oscillate --p 0.5 --q 0 --n 1e3:1e6:64", 3),
     ("geom-oscillate --p 0.5 --q 0 --n 1024:1048576:11", 0),
     ("geom-density --theta 1 --x 0.6 --y 0.7", 0),
+    ("geom-density --theta 1 --x 0.1 --y 0.1000000001 --n-max 100000000000000000000", 0),
 ]
 
 
@@ -253,6 +254,51 @@ def test_geom_density_output(capsys):
     assert header == ["n", "frac", "sufficient_horizon"]
     assert rows[0][0] == "2"
     assert float(rows[0][1]) == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_geom_density_finds_a_far_witness_in_a_narrow_window(capsys):
+    argv = "geom-density --theta 1 --x 0.1 --y 0.1000000001 --n-max 100000000000000000000"
+    start = time.perf_counter()
+    assert cli.run(shlex.split(argv)) == 0
+    assert time.perf_counter() - start < 1.0
+    _, _, rows = _parse_csv(capsys.readouterr().out)
+    n, frac = int(rows[0][0]), float(rows[0][1])
+    assert 1e10 < n < 2e10 and 0.1 <= frac <= 0.1000000001
+
+
+@pytest.mark.parametrize("theta", ["inf", "1e-300"])
+def test_geom_density_refuses_theta_out_of_range(theta, capsys):
+    assert cli.run(shlex.split(f"geom-density --theta {theta} --x 0.1 --y 0.2")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "theta" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "geom-oscillate --n 1:1e6:1000000000",
+        "dehaan --dist pareto:alpha=2 --eps 1e-2:1e-6:1048577",
+        "limit-law --rho 0 --x=-2:6:5000000",
+    ],
+)
+def test_range_point_count_is_refused_before_allocating(argv, monkeypatch, capsys):
+    # without the ceiling numpy would be asked for the whole grid (7.45 GiB
+    # for the first line); here it may not even be asked
+    for name in ("geomspace", "linspace"):
+        real = getattr(np, name)
+
+        def bounded(start, stop, num, real=real):
+            assert num <= cli.MAX_RANGE_POINTS, f"asked numpy for {num} points"
+            return real(start, stop, num)
+
+        monkeypatch.setattr(np, name, bounded)
+    assert cli.run(shlex.split(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "at most 2**20" in err
+
+
+def test_range_point_count_ceiling_is_inclusive():
+    assert cli._parse_range(f"1:2:{cli.MAX_RANGE_POINTS}").size == cli.MAX_RANGE_POINTS
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,9 +1,14 @@
 """Geometric law: exact step algebra, fractional-part search, oscillation."""
 
+import importlib
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import evtlab as e
 from evtlab.cli import _table
@@ -14,6 +19,9 @@ from evtlab.geometric import (
     floor_theta_log_n,
     sufficient_horizon,
 )
+
+# the module itself: the package's name ``geometric`` is the distribution
+geometric = importlib.import_module("evtlab.geometric")
 
 
 # ---------------------------------------------------------------- params
@@ -151,9 +159,143 @@ def test_frac_log_search_validation():
     with pytest.raises(DomainError):
         e.frac_log_search(-1.0, 0.1, 0.2, 10)
     with pytest.raises(DomainError):
+        e.frac_log_search(math.nan, 0.1, 0.2, 10)
+    with pytest.raises(DomainError):
         e.frac_log_search(1.0, 0.5, 0.4, 10)
     with pytest.raises(DomainError):
         e.frac_log_search(1.0, 0.1, 0.2, 0)
+
+
+def _scan(theta, x, y, n_max):
+    """The oracle: a linear scan of 1..n_max with the search's own predicate.
+
+    Returns ``(n, frac)`` of the first n with frac(theta*log n) in [x, y], or
+    None.  It is the search the block walk replaced, so the two must agree
+    bit for bit wherever the scan finishes.
+    """
+    chunk = 1 << 16
+    for lo in range(1, n_max + 1, chunk):
+        ns = np.arange(lo, min(lo + chunk, n_max + 1), dtype=np.int64)
+        t = theta * np.log(ns)
+        frac = t - np.floor(t)
+        hits = np.flatnonzero((frac >= x) & (frac <= y))
+        if hits.size:
+            return int(ns[hits[0]]), float(frac[hits[0]])
+    return None
+
+
+@st.composite
+def windows(draw):
+    """theta from 0.05 to 9e4, so that integer steps (n below about theta)
+    and block steps both run, alone and mixed; windows from about 1e-8 wide
+    to [0, 1]; n_max up to 2e5, often beyond the first 2**16 integers."""
+    theta = draw(st.sampled_from((0.05, 0.3, 2.0, 15.0, 100.0, 700.0, 5e3, 3e4)))
+    theta *= draw(st.floats(1.0, 3.0))
+    x = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999)))
+    width = draw(st.floats(1.0, 10.0)) * 10.0 ** -draw(st.integers(0, 8))
+    y = draw(st.one_of(st.just(min(1.0, x + width)), st.just(1.0)))
+    n_max = draw(st.one_of(st.integers(1, 200_000), st.integers(65_537, 200_000)))
+    return theta, x, y, n_max
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(windows())
+@example((1.0, 0.0, 1e-6, 200_000))  # x = 0: n = 1, where theta log n = 0
+@example((3e4, 0.0, 1e-6, 200_000))
+@example((0.05, 0.9, 1.0, 200_000))  # y = 1, and no hit below n = 2e5
+@example((2000.0, 0.3, 0.300001, 200_000))  # integer steps, then blocks
+def test_frac_log_search_matches_the_linear_scan(window):
+    theta, x, y, n_max = window
+    horizon = sufficient_horizon(theta, x, y)
+    expected = _scan(theta, x, y, n_max)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            found = e.frac_log_search(theta, x, y, n_max)
+        except SearchHorizonError as exc:
+            assert exc.sufficient_horizon == horizon
+            found = None
+    assert found == (None if expected is None else (*expected, horizon))
+    # one below-horizon warning exactly when n_max < horizon, and nothing else
+    assert [w.category for w in caught] == [UserWarning] * (n_max < horizon)
+
+
+@pytest.mark.parametrize("theta", [500.0, 2000.0, 5000.0])
+def test_frac_log_search_mixes_integer_and_block_steps(theta, monkeypatch):
+    # blocks are shorter than an integer below n = theta: the first steps
+    # take 2**16 integers each, and blocks take over further out
+    first_blocks = []
+    real = geometric._first_reaching
+
+    def recorded(theta, x, qs, cap):
+        first_blocks.append(int(qs[0]))
+        return real(theta, x, qs, cap)
+
+    monkeypatch.setattr(geometric, "_first_reaching", recorded)
+    rng = np.random.default_rng(int(theta))
+    for _ in range(20):
+        x = 0.99 * rng.random()
+        y = x + 10.0 ** rng.uniform(-7.0, -5.0)
+        expected = _scan(theta, x, y, 200_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                found = e.frac_log_search(theta, x, y, 200_000)[:2]
+            except SearchHorizonError:
+                found = None
+        assert found == expected, (x, y)
+    assert first_blocks and min(first_blocks) > 0
+
+
+def test_frac_log_search_narrow_window_at_the_ceiling():
+    x = 0.123456789012
+    y = x + 1e-12
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n, frac, horizon = e.frac_log_search(1.0, x, y, 2**62)
+    assert time.perf_counter() - start < 1.0
+    assert n <= horizon
+    # n is a hit, and none of the 2**16 integers below it is
+    t = np.log(np.arange(n - (1 << 16), n + 1, dtype=np.int64))
+    fracs = t - np.floor(t)
+    assert np.flatnonzero((fracs >= x) & (fracs <= y)).tolist() == [1 << 16]
+    assert fracs[-1] == frac
+
+
+def test_frac_log_search_ends_at_once_when_no_block_can_hit():
+    # theta log n < 0.44 for every n <= 2**62: block 0 holds every n and
+    # none reaches frac 0.5; a scan of the 10**12 integers would take hours
+    start = time.perf_counter()
+    with pytest.warns(UserWarning, match="horizon"):
+        with pytest.raises(SearchHorizonError, match="no n <= 1000000000000 "):
+            e.frac_log_search(0.01, 0.5, 0.6, 10**12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_frac_log_search_names_its_ceiling():
+    # n_max is above the sufficient horizon (about 1.1e26), so no warning,
+    # but the search stops at 2**62
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SearchHorizonError, match=r"no n <= 2\*\*62 .*n_max=10{30}"):
+            e.frac_log_search(0.01, 0.5, 0.6, 10**30)
+
+
+@pytest.mark.parametrize(
+    "theta, x, y",
+    [
+        (math.inf, 0.1, 0.2),  # (y - x)/theta = 0: no growth to invert
+        (1e-300, 0.1, 0.2),  # expm1((y - x)/theta) overflows
+        (1e-3, 0.5, 0.9),  # expm1 is finite, exp((q + y)/theta) overflows
+        (1e307, 0.1, 0.2),  # theta*log(1/growth) overflows
+    ],
+)
+def test_theta_out_of_range_is_a_domain_error(theta, x, y):
+    with pytest.raises(DomainError, match="theta"):
+        sufficient_horizon(theta, x, y)
+    with pytest.raises(DomainError, match="theta"):
+        e.frac_log_search(theta, x, y, 10)
 
 
 # ---------------------------------------------------------------- oscillation

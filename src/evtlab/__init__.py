@@ -19,6 +19,7 @@ from .dist import (
     quantile,
     sample_quantile_transform,
     spec_string,
+    tail_quantile,
     uniform,
 )
 from .errors import (

@@ -6,7 +6,14 @@ the ordinary inverse; at an atom it picks the atom's location for every u
 in the closed step [F(x-), F(x)), which is what makes the step-law algebra
 in the geometric module come out exactly.
 
-Distribution values are immutable; their cdf/quantile callables are pure,
+Beside Q every law carries its tail quantile Q(1 - eps), computed from the
+tail mass eps itself (de Haan's U(t) = Q(1 - 1/t) at t = 1/eps).  The
+upper-tail theory is stated in eps, and ``tail_quantile`` keeps it exact
+where the level 1 - eps would round: for eps below 2**-54 the level is
+1.0, and well above that it has already lost the low bits of eps.  The
+two forms agree wherever 1 - u is exact, as on the samplers' 2**-53 grid.
+
+Distribution values are immutable; their callables are pure,
 numpy-vectorized, and safe to share across threads.  Built-in families use
 closed forms (the normal law delegates to scipy's ndtr/ndtri);
 ``numeric_quantile`` provides an independent bisection route for arbitrary
@@ -15,6 +22,7 @@ monotone cdfs.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -33,6 +41,7 @@ __all__ = [
     "degenerate",
     "geometric",
     "quantile",
+    "tail_quantile",
     "numeric_quantile",
     "sample_quantile_transform",
     "parse_distribution",
@@ -47,12 +56,14 @@ DISCRETE = "discrete"
 
 @dataclass(frozen=True)
 class Distribution:
-    """A named law: vectorized cdf, strict generalized-inverse quantile,
-    support interval, and kind tag ('continuous' or 'discrete')."""
+    """A named law: vectorized cdf, strict generalized-inverse quantile
+    Q(u), tail quantile Q(1 - eps) taken at the tail mass eps, support
+    interval, and kind tag ('continuous' or 'discrete')."""
 
     name: str
     cdf: callable
     quantile: callable
+    tail: callable
     support: tuple
     kind: str
     params: dict = field(default_factory=dict)
@@ -61,10 +72,10 @@ class Distribution:
         return f"Distribution({spec_string(self)!r})"
 
 
-def _validate_u(u):
+def _validate_u(u, name="quantile argument u"):
     arr = np.asarray(u, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("quantile argument u must lie in the open interval (0, 1)")
+        raise DomainError(f"{name} must lie in the open interval (0, 1)")
     return arr
 
 
@@ -72,6 +83,24 @@ def quantile(dist: Distribution, u):
     """Q(u) = inf{x : F(x) > u} for u in (0, 1); endpoints are rejected."""
     arr = _validate_u(u)
     return _scalar_or_array(u, dist.quantile(arr))
+
+
+def tail_quantile(dist: Distribution, eps):
+    """Q(1 - eps) for tail masses eps in (0, 1), computed from eps itself.
+
+    A non-finite value is a ``DomainError`` naming the first such eps and
+    the law."""
+    arr = _validate_u(eps, "tail mass eps")
+    with np.errstate(over="ignore"):
+        out = np.asarray(dist.tail(arr), dtype=float)
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = np.argmin(finite)  # the first non-finite value, in flat order
+        raise DomainError(
+            f"Q(1 - eps) = {out.flat[i]} is not finite at eps = "
+            f"{float(arr.flat[i])!r} for {spec_string(dist)}"
+        )
+    return _scalar_or_array(eps, out)
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
@@ -85,7 +114,10 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
     def q(u):
         return a + np.asarray(u, dtype=float) * width
 
-    return Distribution("uniform", cdf, q, (a, b), CONTINUOUS, {"a": a, "b": b})
+    def tail(eps):
+        return a + (1.0 - np.asarray(eps, dtype=float)) * width
+
+    return Distribution("uniform", cdf, q, tail, (a, b), CONTINUOUS, {"a": a, "b": b})
 
 
 def exponential(rate: float = 1.0) -> Distribution:
@@ -99,8 +131,11 @@ def exponential(rate: float = 1.0) -> Distribution:
     def q(u):
         return -np.log1p(-np.asarray(u, dtype=float)) / rate
 
+    def tail(eps):
+        return -np.log(np.asarray(eps, dtype=float)) / rate
+
     return Distribution(
-        "exponential", cdf, q, (0.0, math.inf), CONTINUOUS, {"rate": rate}
+        "exponential", cdf, q, tail, (0.0, math.inf), CONTINUOUS, {"rate": rate}
     )
 
 
@@ -112,11 +147,14 @@ def pareto(alpha: float = 1.0) -> Distribution:
         arr = np.asarray(x, dtype=float)
         return np.where(arr < 1.0, 0.0, 1.0 - np.maximum(arr, 1.0) ** (-alpha))
 
+    def tail(eps):
+        return np.asarray(eps, dtype=float) ** (-1.0 / alpha)
+
     def q(u):
-        return (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / alpha)
+        return tail(1.0 - np.asarray(u, dtype=float))
 
     return Distribution(
-        "pareto", cdf, q, (1.0, math.inf), CONTINUOUS, {"alpha": alpha}
+        "pareto", cdf, q, tail, (1.0, math.inf), CONTINUOUS, {"alpha": alpha}
     )
 
 
@@ -130,8 +168,11 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
     def q(u):
         return mu + sigma * ndtri(np.asarray(u, dtype=float))
 
+    def tail(eps):
+        return mu - sigma * ndtri(np.asarray(eps, dtype=float))
+
     return Distribution(
-        "normal", cdf, q, (-math.inf, math.inf), CONTINUOUS, {"mu": mu, "sigma": sigma}
+        "normal", cdf, q, tail, (-math.inf, math.inf), CONTINUOUS, {"mu": mu, "sigma": sigma}
     )
 
 
@@ -145,7 +186,7 @@ def degenerate(c: float = 0.0) -> Distribution:
     def q(u):
         return np.full_like(np.asarray(u, dtype=float), c)
 
-    return Distribution("degenerate", cdf, q, (c, c), DISCRETE, {"c": c})
+    return Distribution("degenerate", cdf, q, q, (c, c), DISCRETE, {"c": c})
 
 
 def geometric(p: float = 0.5) -> Distribution:
@@ -154,11 +195,12 @@ def geometric(p: float = 0.5) -> Distribution:
     def cdf(x):
         return _geom.geom_cdf(params, x)
 
-    def q(u):
-        # tail-mass orientation: Q(u) = geom_quantile at tail mass 1 - u
-        return _geom.geom_quantile(params, 1.0 - np.asarray(u, dtype=float))
+    tail = partial(_geom.geom_quantile, params)
 
-    return Distribution("geometric", cdf, q, (0.0, math.inf), DISCRETE, {"p": p})
+    def q(u):
+        return tail(1.0 - np.asarray(u, dtype=float))
+
+    return Distribution("geometric", cdf, q, tail, (0.0, math.inf), DISCRETE, {"p": p})
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ domain of attraction iff the ratio of upper-quantile increments
 converges as eps -> 0, in which case the limit is k_rho(u)/k_rho(v) and the
 tail increment r(eps) = Q(1-eps) - Q(1-2eps) is regularly varying of index
 rho, which is how ``estimate_rho`` reads rho off a scale sweep.  Each sweep
-takes all its quantiles in one call, and ``dehaan_ratio`` is the one-point
-sweep of ``dehaan_test``.  With the
+builds its tail masses (eps*u, 2*eps, 1/n, ...) and takes all their tail
+quantiles Q(1 - mass) in one ``tail_quantile`` call, so no level 1 - mass
+is ever rounded; ``dehaan_ratio`` is the one-point sweep of
+``dehaan_test``.  With the
 canonical constants b_n = Q(1-1/n) and a_n = Q(1-2/n) - b_n (note a_n <= 0),
 (M_n - b_n)/a_n converges in law to k_rho(omega)/k_rho(2) with omega
 standard exponential; ``limit_cdf`` is that limit law.  The sign of rho
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution, quantile
+from .dist import Distribution, tail_quantile
 from .errors import (
     ContractViolationError,
     DegenerateNormalizationError,
@@ -34,6 +36,7 @@ from .errors import (
     DomainError,
     InconsistentTailError,
 )
+from .maxima import _refuse_huge_n
 from .reports import CAUCHY_WINDOW, ConvergenceReport, build_report
 from .stats import _scalar_or_array
 
@@ -108,8 +111,8 @@ def _validate_eps(eps: float, factor: float):
 def _dehaan_grid(dist: Distribution, pairs, scales, locate: bool = True):
     """The ratio for every (u, v) pair (rows) at every scale (columns).
 
-    ``scales`` is strictly decreasing.  One quantile call covers the
-    (3, pairs, scales) levels 1 - eps*{1, u, v}.  ``locate`` appends the
+    ``scales`` is strictly decreasing.  One tail-quantile call covers the
+    (3, pairs, scales) tail masses eps*{1, u, v}.  ``locate`` appends the
     offending (u, v, eps) to a degenerate-tail error.
     """
     for u, v in pairs:
@@ -122,14 +125,7 @@ def _dehaan_grid(dist: Distribution, pairs, scales, locate: bool = True):
             _validate_eps(scales[0], max(u, v, 1.0))
     eps = np.asarray(scales, dtype=float)
     factors = np.array([(1.0, u, v) for u, v in pairs], dtype=float).T
-    levels = 1.0 - factors[:, :, None] * eps
-    rounded = np.any(levels >= 1.0, axis=(0, 1))
-    if np.any(rounded):
-        raise DomainError(
-            f"eps = {float(eps[np.argmax(rounded)])} is too small: the level "
-            f"1 - {factors.min():g}*eps rounds to 1"
-        )
-    q = quantile(dist, levels)
+    q = tail_quantile(dist, factors[:, :, None] * eps)
     num, den = q[1] - q[0], q[2] - q[0]
     flat = np.argwhere(den == 0.0)
     if flat.size:
@@ -209,11 +205,7 @@ def estimate_rho(dist: Distribution, eps_grid=None, w: float = 2.0) -> RhoEstima
     _validate_eps(float(scales[0]), 2.0 * w)
     # q[j, i, k] = Q(1 - m_k*e_i) at e = (eps_j, eps_j*w) and m = (1, 2)
     masses = scales[:, None, None] * np.array([1.0, w])[:, None] * np.array([1.0, 2.0])
-    levels = 1.0 - masses
-    if np.any(levels >= 1.0):
-        e = float(scales[np.argmax(levels[:, 0, 0] >= 1.0)])
-        raise DomainError(f"eps = {e} is too small: the level 1 - eps rounds to 1")
-    q = quantile(dist, levels)
+    q = tail_quantile(dist, masses)
     r = q[..., 0] - q[..., 1]
     zero = np.argwhere(r == 0.0)
     if zero.size:
@@ -242,14 +234,13 @@ class NormingConstants:
 
 
 def norming_constants(dist: Distribution, n: int) -> NormingConstants:
-    """Canonical affine constants at index n (requires n >= 3 so 2/n < 1)."""
+    """Canonical affine constants at index n, from the tail masses 1/n and
+    2/n (requires 3 <= n <= 2**960, so 2/n < 1 is a normal double)."""
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise DomainError(f"n must be an integer >= 3, got {n!r}")
-    level = 1.0 - 1.0 / n
-    if level >= 1.0:
-        raise DomainError(f"n = {n} is too large: the level 1 - 1/n rounds to 1")
-    b = quantile(dist, level)
-    a = quantile(dist, 1.0 - 2.0 / n) - b
+    _refuse_huge_n(n)
+    b = tail_quantile(dist, 1.0 / n)
+    a = tail_quantile(dist, 2.0 / n) - b
     if a == 0.0:
         raise DegenerateNormalizationError(
             f"a_n = 0 at n = {n} for {dist.name}: the upper quantile is flat "

@@ -2,23 +2,24 @@
 
 For M_n the maximum of n iid draws from a base law F, the cdf is F(x)**n,
 and M_n has the exact single-draw representation Q(exp(-omega/n)) with
-omega standard exponential and Q the strict generalized inverse of F.  Both
-samplers below consume uniforms from the same stream contract, so they can
-be compared seed-for-seed; the exponential-representation route is the one
-that stays cheap at large n.
+omega standard exponential and Q the strict generalized inverse of F, that
+is, the tail quantile Q(1 - eps) at the tail mass eps = 1 - exp(-omega/n),
+computed as -expm1(-omega/n).  Both samplers below consume uniforms from
+the same stream contract, so they can be compared seed-for-seed; the
+exponential-representation route is the one that stays cheap at large n.
 
-``h_n_eval`` evaluates a monotone normalizer g against the base quantile in
-three algebraically equivalent forms that differ in how the tail argument is
-parametrized:
+``h_n_eval`` evaluates a monotone normalizer g against the base tail
+quantile in three algebraically equivalent forms that differ in how the
+tail mass is parametrized:
 
-* ``exp_form``       g(Q(exp(-x/n)))
-* ``linear_form``    g(Q(1 - x/n))
-* ``epsilon_form``   g(Q(1 - eps*x)) with the index n = floor(1/eps)
+* ``exp_form``       g(Q(1 - eps)) at eps = 1 - exp(-x/n)
+* ``linear_form``    g(Q(1 - eps)) at eps = x/n
+* ``epsilon_form``   g(Q(1 - eps)) at eps*x, with the index n = floor(1/eps)
 
 The two parametrizations agree as n grows (exp_form >= linear_form for
 nondecreasing g); the gap at fixed x shrinks like x**2/(2n).  One helper
-builds and checks these arguments over a whole x grid; ``h_n_eval`` is its
-one-point form and ``convergence_diagnostic`` uses it for each n.
+builds and checks these tail masses over a whole x grid; ``h_n_eval`` is
+its one-point form and ``convergence_diagnostic`` uses it for each n.
 """
 
 import math
@@ -28,12 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dist import Distribution, quantile
+from .dist import Distribution, tail_quantile
 from .errors import ContractViolationError, DomainError
 from .stats import _scalar_or_array, make_rng, standard_exponential, uniform_open
 
 __all__ = [
-    "EXPREP_MAX_N",
     "MaxLaw",
     "max_cdf",
     "sample_max_direct",
@@ -44,10 +44,18 @@ __all__ = [
     "spot_check_monotone",
 ]
 
-# Largest n the exponential representation accepts.  At n = 2**53 about two
-# draws in three give exp(-omega/n) < 1; the share falls to 0.011 at 1e17 and
-# to none in 2e5 draws at 3e17, where the redraw loop no longer ends.
-EXPREP_MAX_N = 2**53
+# Largest n a law of maxima accepts.  Up to here the tail masses 2/n and
+# omega/n (omega >= 2**-53 from the uniform stream) stay normal doubles.
+_N_MAX = 2**960
+
+
+def _refuse_huge_n(n) -> None:
+    if n > _N_MAX:
+        raise DomainError(
+            f"n = {n} is too large: the tail masses 2/n and omega/n stay normal "
+            "doubles only up to n = 2**960"
+        )
+
 
 # Most uniforms ``sample_max_direct`` holds at once (32 MB).
 _DIRECT_BLOCK = 2**22
@@ -63,6 +71,7 @@ class MaxLaw:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        _refuse_huge_n(self.n)
 
 
 def max_cdf(law: MaxLaw, x):
@@ -100,27 +109,16 @@ def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
 def sample_max_exponential_rep(law: MaxLaw, rng, count: int | None = None):
     """M_n sampled as Q(exp(-omega/n)), omega = -log(1 - U).
 
-    Draws whose exp(-omega/n) rounds to 1.0 (omega numerically 0 at scale n)
-    are redrawn.  In exact arithmetic that has probability zero; in doubles
-    the share redrawn grows with n (a third of the draws at n = 2**53), so
-    at large n the guard truncates the law.  n above 2**53
-    (``EXPREP_MAX_N``) is refused, as the redraw loop may then never end.
+    The base law's tail quantile is taken at the tail mass
+    eps = -expm1(-omega/n), which keeps every bit of omega/n at any n.  The
+    uniform stream gives omega in [2**-53, 36.8], so eps lies in (0, 1) for
+    every n the law accepts and no draw is ever redrawn.
     """
     size = 1 if count is None else int(count)
     if size < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
-    if law.n > EXPREP_MAX_N:
-        raise DomainError(
-            f"the exponential representation needs n <= 2**53, got n={law.n}"
-        )
     omega = standard_exponential(rng, size)
-    v = np.exp(-omega / law.n)
-    bad = (v <= 0.0) | (v >= 1.0)
-    while np.any(bad):
-        omega = standard_exponential(rng, int(bad.sum()))
-        v[bad] = np.exp(-omega / law.n)
-        bad = (v <= 0.0) | (v >= 1.0)
-    x = np.asarray(law.base.quantile(v), dtype=float)
+    x = np.asarray(law.base.tail(-np.expm1(-omega / law.n)), dtype=float)
     return float(x[0]) if count is None else x
 
 
@@ -148,28 +146,28 @@ def floor_reciprocal(eps: float) -> int:
 
 
 def _h_n_args(n: int, x, variant: HnVariant, eps: float | None = None):
-    """The base-quantile arguments of h_n at the positive reals in array x,
-    checked to lie in (0, 1): exp(-x/n), 1 - x/n, or 1 - eps*x."""
+    """The base tail masses of h_n at the positive reals in array x,
+    checked to lie in (0, 1): 1 - exp(-x/n), x/n, or eps*x."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     variant = HnVariant(variant)
     if variant is HnVariant.EXP_FORM:
-        args = np.exp(-x / n)
-        msg = "exp_form: exp(-x/n) = {arg} left (0, 1) for x={x}, n={n}"
+        args = -np.expm1(-x / n)
+        msg = "exp_form: 1 - exp(-x/n) = {arg} left (0, 1) for x={x}, n={n}"
     elif variant is HnVariant.LINEAR_FORM:
-        args = 1.0 - x / n
+        args = x / n
         msg = "linear_form: x must lie in (0, n), got x={x}, n={n}"
     else:
         if eps is None:
-            args = 1.0 - x / n
+            args = x / n
         else:
             idx = floor_reciprocal(eps)
             if idx != n:
                 raise DomainError(
                     f"epsilon_form: floor(1/eps) = {idx} does not match n = {n}"
                 )
-            args = 1.0 - eps * x
-        msg = "epsilon_form: 1 - eps*x = {arg} left (0, 1) for x={x}, n={n}"
+            args = eps * x
+        msg = "epsilon_form: eps*x = {arg} left (0, 1) for x={x}, n={n}"
     outside = np.flatnonzero(~((args > 0.0) & (args < 1.0)))
     if outside.size:
         i = outside[0]
@@ -185,7 +183,7 @@ def h_n_eval(
     variant: HnVariant = HnVariant.EXP_FORM,
     eps: float | None = None,
 ) -> float:
-    """Evaluate the normalized maximum profile h_n(x) = g(Q(.)) at one point.
+    """Evaluate the normalized maximum profile h_n(x) = g(Q(1 - .)) at one point.
 
     ``g`` must be monotone on the base quantile's range (use
     ``spot_check_monotone`` to validate a candidate) and accept arrays.  For
@@ -197,7 +195,7 @@ def h_n_eval(
     if not isinstance(x, (int, float)) or math.isnan(x) or x <= 0.0:
         raise DomainError(f"x must be a positive real, got {x!r}")
     args = _h_n_args(n, np.array([x]), variant, eps)
-    return float(np.asarray(g(quantile(base, args)), dtype=float)[0])
+    return float(np.asarray(g(tail_quantile(base, args)), dtype=float)[0])
 
 
 _SPOT_CHECK_SEED = 0x6D6F6E6F  # fixed: the check must not perturb caller streams

@@ -8,7 +8,8 @@ the construction needs, which is exactly the obstruction the geometric law
 exhibits.
 
 ``convergence_diagnostic`` tabulates the normalized profiles h_n over an
-(x, n) grid, one base-quantile call and one g_n call per n over all x,
+(x, n) grid, one base tail-quantile call (at the tail masses of the chosen
+``HnVariant``) and one g_n call per n over all x,
 applies the Cauchy verdict per x, and checks that the limit profile is
 nondegenerate; the overall verdict is the conjunction.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import CONTINUOUS, Distribution, quantile
+from .dist import CONTINUOUS, Distribution, tail_quantile
 from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import norming_constants
 from .maxima import HnVariant, _h_n_args, spot_check_monotone
@@ -38,7 +39,6 @@ __all__ = [
 DEFAULT_NONDEG_TOL = 1e-6
 
 _TINY = np.nextafter(0.0, 1.0)
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def default_x_grid(count: int = 32):
@@ -74,7 +74,9 @@ def build_g_n_general(target: Distribution, base: Distribution, n: int):
     """g_n(x) = G_inv(exp(-n(1-F(x)))) through a continuous base cdf F.
 
     Refuses a discrete base: a step cdf skips the levels the construction
-    must pass through, so no such g_n can work.
+    must pass through, so no such g_n can work.  An x at which F(x) rounds
+    to 1 is a ``DomainError``, as ``build_g_n`` refuses x >= 1: there
+    1 - F(x) is lost and G_inv(1) is no value of g_n.
     """
     _validate_n(n)
     if base.kind != CONTINUOUS:
@@ -88,7 +90,13 @@ def build_g_n_general(target: Distribution, base: Distribution, n: int):
         if np.any(np.isnan(arr)):
             raise DomainError(f"g_{n}: x must not be NaN")
         s = np.asarray(base.cdf(arr), dtype=float)
-        arg = np.clip(np.exp(-float(n) * (1.0 - s)), _TINY, _BELOW_ONE)
+        saturated = np.flatnonzero(s >= 1.0)
+        if saturated.size:
+            raise DomainError(
+                f"n = {n}: the base cdf F(x) rounds to 1 at "
+                f"x = {float(arr.flat[saturated[0]])!r}, where g_n needs 1 - F(x)"
+            )
+        arg = np.maximum(np.exp(-float(n) * (1.0 - s)), _TINY)
         return _scalar_or_array(x, target.quantile(arg))
 
     return g
@@ -149,7 +157,7 @@ def convergence_diagnostic(
     tol: float = 1e-3,
     nondeg_tol: float = DEFAULT_NONDEG_TOL,
 ) -> ConvergenceReport:
-    """Tabulate h_n(x) = g_n(Q_base(.)) over (x, n) and judge convergence.
+    """Tabulate h_n(x) = g_n(Q_base(1 - .)) over (x, n) and judge convergence.
 
     Each x row gets the Cauchy verdict over the last three n; the limit
     estimate is the value at the largest n, and the limit profile must be
@@ -169,7 +177,7 @@ def convergence_diagnostic(
     values = np.empty((xs.size, len(ns)))
     for j, n in enumerate(ns):
         g = normalizer.builder(n)
-        qs = quantile(normalizer.base, _h_n_args(n, xs, variant))
+        qs = tail_quantile(normalizer.base, _h_n_args(n, xs, variant))
         values[:, j] = g(qs)
         if n in (ns[0], ns[-1]):
             lo, hi = float(np.min(qs)), float(np.max(qs))

@@ -9,10 +9,10 @@ one-point grid of the same code.  Three kinds of property pin that down:
 * each scalar wrapper equals its grid entry bit for bit.  A wrapper that
   passed a 0-d array would not: numpy's ``**`` can round a 0-d argument
   differently from a 1-d one;
-* each grid stays within a few ulps of the per-point loop of scalar calls
-  it replaced.  The two round differently (numpy's array ``**`` and ``exp``
-  against the C library's), so the bound is a few units of 2**-53, times
-  the condition number where one is known.
+* each grid stays within a few ulps of the per-point loop of scalar
+  ``tail_quantile`` calls it replaced.  The two round differently (numpy's
+  array ``**`` and ``expm1`` against the C library's), so the bound is a few
+  units of 2**-53.
 """
 
 import math
@@ -150,19 +150,19 @@ def test_dehaan_ratio_is_its_grid_entry(law, grid, pairs):
 def test_dehaan_and_rho_match_the_per_point_loop(law, grid, pairs):
     dist = LAWS[law]
 
-    def q(u):
-        return e.quantile(dist, u)
+    def t(mass):
+        return e.tail_quantile(dist, mass)
 
     values = e.dehaan_test(dist, grid, pairs).values
     for i, (u, v) in enumerate(pairs):
         for j, eps in enumerate(grid):
-            q0 = q(1.0 - eps)
-            ratio = (q(1.0 - eps * u) - q0) / (q(1.0 - eps * v) - q0)
+            t0 = t(eps)
+            ratio = (t(eps * u) - t0) / (t(eps * v) - t0)
             assert values[i, j] == pytest.approx(ratio, rel=64 * ULP)
     per_scale = e.estimate_rho(dist, grid).per_scale
     for eps, rho_hat in per_scale:
-        r0 = q(1.0 - eps) - q(1.0 - 2.0 * eps)
-        r1 = q(1.0 - 2.0 * eps) - q(1.0 - 4.0 * eps)
+        r0 = t(eps) - t(2.0 * eps)
+        r1 = t(2.0 * eps) - t(4.0 * eps)
         loop = math.log(r1 / r0) / math.log(2.0)
         assert rho_hat == pytest.approx(loop, abs=64 * ULP)
 
@@ -209,9 +209,6 @@ def test_convergence_diagnostic_matches_the_per_point_loop(name, variant, xs, ns
     for j, n in enumerate(ns):
         g = seq.builder(n)
         for i, x in enumerate(xs):
-            if variant is e.HnVariant.EXP_FORM:
-                # one ulp of exp(-x/n) is a relative n/x of the tail mass
-                arg, rel = math.exp(-x / n), 64 * ULP * n / x
-            else:
-                arg, rel = 1.0 - x / n, 64 * ULP
-            assert values[i, j] == pytest.approx(g(e.quantile(base, arg)), rel=rel)
+            mass = -math.expm1(-x / n) if variant is e.HnVariant.EXP_FORM else x / n
+            want = g(e.tail_quantile(base, mass))
+            assert values[i, j] == pytest.approx(want, rel=64 * ULP)

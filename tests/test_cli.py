@@ -106,12 +106,28 @@ def test_negative_seed_is_a_domain_error(monkeypatch, capsys):
     assert out == "" and "seed" in err
 
 
-def test_exprep_refuses_huge_n_at_once(capsys):
-    argv = f"max --dist pareto:alpha=1 --n {10**21} --method exprep"
+def test_exprep_at_huge_n_returns_at_once(capsys):
+    n = 10**21
+    argv = f"max --dist pareto:alpha=1 --n {n} --method exprep"
     start = time.perf_counter()
-    assert cli.run(shlex.split(argv)) == 2
+    assert cli.run(shlex.split(argv)) == 0
     assert time.perf_counter() - start < 1.0
-    assert "2**53" in capsys.readouterr().err
+    _, _, rows = _parse_csv(capsys.readouterr().out)
+    values = np.array([float(r[1]) for r in rows])
+    # M_n = Q(1 - eps) = 1/eps with eps = -expm1(-omega/n) and omega <= 36.8
+    assert len(rows) == 1000 and np.unique(values).size == values.size
+    assert np.all(values >= n / 36.8)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["norming --dist pareto:alpha=1 --n {n}", "max --dist pareto:alpha=1 --n {n} --method exprep"],
+)
+def test_n_beyond_2_960_is_a_domain_error(argv, capsys):
+    n = 10**400  # beyond any float: 1.0/n raises OverflowError
+    assert cli.run(shlex.split(argv.format(n=n))) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"n = {n} is too large" in err and "2**960" in err
 
 
 @pytest.mark.parametrize(
@@ -131,22 +147,41 @@ def test_every_subcommand_refuses_a_negative_seed(argv, name, monkeypatch, capsy
     assert out == "" and err == f"evtlab {name}: seed must be non-negative, got -3\n"
 
 
-def test_norming_refuses_n_whose_level_rounds_to_one(capsys):
-    n = 10**20
-    assert cli.run(shlex.split(f"norming --dist pareto:alpha=1 --n {n}")) == 2
+def test_norming_at_n_whose_level_rounds_to_one(capsys):
+    n = 10**20  # 1 - 1/n == 1.0; the tail masses 1/n and 2/n are exact
+    assert cli.run(shlex.split(f"norming --dist pareto:alpha=1 --n {n}")) == 0
+    _, header, rows = _parse_csv(capsys.readouterr().out)
+    assert header == ["n", "a_n", "b_n"]
+    assert rows == [[str(n), "-5e+19", "1e+20"]]
+
+
+def test_dehaan_at_eps_whose_level_rounds_to_one(capsys):
+    # scales down to 1e-20, far below 2**-54 where 1 - eps == 1.0
+    argv = "dehaan --dist pareto:alpha=2 --eps 1e-2:1e-20 --uv 2,4"
+    assert cli.run(shlex.split(argv)) == 0
+    _, _, rows = _parse_csv(capsys.readouterr().out)
+    assert len(rows) == 16
+    ratios = [float(r[-1]) for r in rows]
+    # the pareto(2) ratio is 2 - sqrt(2) at every scale
+    assert ratios == pytest.approx([2.0 - math.sqrt(2.0)] * 16, rel=4 * 2.0**-52)
+
+
+@pytest.mark.parametrize("command", ["rho", "dehaan"])
+def test_non_finite_tail_quantile_is_a_domain_error(command, capsys):
+    # pareto(0.01): Q(1 - eps) = eps**-100 overflows on the default grids
+    assert cli.run([command, "--dist", "pareto:alpha=0.01"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"n = {n} is too large: the level 1 - 1/n rounds to 1" in err
+    assert "is not finite at eps = " in err and "pareto:alpha=0.01" in err
 
 
-def test_dehaan_refuses_eps_whose_level_rounds_to_one(capsys):
-    argv = "dehaan --dist pareto:alpha=2 --eps 1e-2:1e-20 --uv 2,4"
+@pytest.mark.parametrize("variant", ["linear", "exp"])
+def test_nonlinear_refuses_n_where_the_base_cdf_saturates(variant, capsys):
+    argv = f"nonlinear --base uniform:a=0,b=1 --target normal --n 1e3:1e18:4 --variant {variant}"
     assert cli.run(shlex.split(argv)) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    # the first scale at or below 2**-54, where 1 - eps == 1.0
-    eps = next(x for x in np.geomspace(1e-2, 1e-20, 16) if x <= 2.0**-54)
-    assert f"eps = {eps} is too small: the level 1 - 1*eps rounds to 1" in err
+    assert "n = 1000000000000000000: the base cdf F(x) rounds to 1" in err
 
 
 def test_integer_grid_beyond_int64_is_a_usage_error(capsys):

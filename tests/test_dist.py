@@ -1,9 +1,12 @@
 """Distribution families, the strict generalized inverse, numeric inversion."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evtlab as e
 from evtlab.dist import CONTINUOUS, DISCRETE
@@ -36,6 +39,53 @@ def test_quantile_domain_errors():
     for bad in (0.0, 1.0, -0.2, 1.2, math.nan):
         with pytest.raises(DomainError):
             e.quantile(e.uniform(), bad)
+
+
+# ---------------------------------------------------------------- tail quantile
+
+def test_tail_quantile_closed_forms_at_tiny_tail_masses():
+    # masses whose level 1 - eps rounds to 1 (or nearly) in doubles
+    eps = np.array([1e-3, 2.0**-54, 1e-20, 1e-300])
+    assert np.array_equal(e.tail_quantile(e.pareto(2.0), eps), eps**-0.5)
+    assert np.array_equal(e.tail_quantile(e.pareto(1.0), eps), 1.0 / eps)
+    assert np.array_equal(e.tail_quantile(e.exponential(2.0), eps), -np.log(eps) / 2.0)
+    ref = [-NormalDist().inv_cdf(x) for x in eps]
+    assert e.tail_quantile(e.normal(), eps) == pytest.approx(ref, rel=1e-14)
+    assert e.tail_quantile(e.normal(1.0, 2.0), 1e-20) == pytest.approx(1.0 + 2.0 * ref[2], rel=1e-14)
+    assert e.tail_quantile(e.uniform(2.0, 6.0), 0.25) == 5.0
+    assert e.tail_quantile(e.degenerate(1.5), 1e-300) == 1.5
+    # geometric p = 1/2: the tail mass 2**-k sits on the step k
+    assert e.tail_quantile(e.geometric(0.5), 2.0**-60) == 60.0
+    assert e.tail_quantile(e.geometric(0.5), 0.75 * 2.0**-60) == 60.0
+
+
+def test_tail_quantile_domain_errors():
+    for bad in (0.0, 1.0, -0.2, 1.2, math.nan):
+        with pytest.raises(DomainError, match="tail mass eps"):
+            e.tail_quantile(e.exponential(), bad)
+
+
+def test_tail_quantile_refuses_a_non_finite_value():
+    # 1e-5**(-100) overflows: the first such eps and the law are named
+    eps = np.array([0.5, 1e-2, 1e-5, 1e-7])
+    message = r"Q\(1 - eps\) = inf is not finite at eps = 1e-05 for pareto:alpha=0.01"
+    with pytest.raises(DomainError, match=message):
+        e.tail_quantile(e.pareto(0.01), eps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(range(len(ALL_FAMILIES))),
+    st.one_of(
+        st.integers(1, 2**53 - 1), st.integers(1, 2**20), st.integers(2**53 - 2**20, 2**53 - 1)
+    ),
+)
+def test_quantile_and_tail_agree_on_the_sampling_grid(family, k):
+    # on the uniform stream's grid u = k * 2**-53, 1 - u is exact; both ends
+    # of the grid are drawn often, where one of u and 1 - u is tiny
+    dist, u = ALL_FAMILIES[family], k * 2.0**-53
+    q, t = float(dist.quantile(np.array([u]))[0]), float(dist.tail(np.array([1.0 - u]))[0])
+    assert abs(q - t) <= np.spacing(max(abs(q), abs(t)))
 
 
 def test_quantile_vectorized_and_monotone():

@@ -170,11 +170,14 @@ def test_estimate_rho_degenerate_tail():
 
 def test_estimate_rho_inconsistent_tail():
     # crafted quantile whose tail increment changes sign across scales
-    def q(u):
-        s = 1.0 - np.asarray(u, dtype=float)
+    def tail(eps):
+        s = np.asarray(eps, dtype=float)
         return np.where(s > 0.005, -s, s)
 
-    crafted = Distribution("crafted", lambda x: x, q, (-1.0, 1.0), CONTINUOUS)
+    def q(u):
+        return tail(1.0 - np.asarray(u, dtype=float))
+
+    crafted = Distribution("crafted", lambda x: x, q, tail, (-1.0, 1.0), CONTINUOUS)
     with pytest.raises(InconsistentTailError):
         e.estimate_rho(crafted, eps_grid=[1e-2, 1e-3, 1e-4, 1e-5])
 
@@ -186,11 +189,21 @@ def test_estimate_rho_validation():
         e.estimate_rho(e.uniform(), eps_grid=[0.4])  # 2*w*eps >= 1
 
 
-def test_estimate_rho_refuses_eps_whose_level_rounds_to_one():
-    grid = [1e-2, 1e-8, 1e-17, 1e-18]  # 1 - 1e-17 == 1.0
-    message = r"eps = 1e-17 is too small: the level 1 - eps rounds to 1"
-    with pytest.raises(DomainError, match=message):
-        e.estimate_rho(e.pareto(2.0), grid)
+def test_estimate_rho_at_eps_whose_level_rounds_to_one():
+    # 1 - 1e-17 == 1.0, but the tail masses themselves are exact: pareto(2)
+    # gives rho_hat = -1/2 and exponential 0 to rounding at every scale
+    grid = [1e-2, 1e-8, 1e-17, 1e-18]
+    for dist, rho in ((e.pareto(2.0), -0.5), (e.exponential(), 0.0)):
+        est = e.estimate_rho(dist, grid)
+        assert [x for x, _ in est.per_scale] == grid
+        for _, rho_hat in est.per_scale:
+            assert abs(rho_hat - rho) <= 1e-13
+        assert est.spread <= 1e-13
+
+
+def test_estimate_rho_refuses_a_non_finite_tail_quantile():
+    with pytest.raises(DomainError, match=r"not finite at eps = .* for pareto:alpha=0.01"):
+        e.estimate_rho(e.pareto(0.01))
 
 
 # ---------------------------------------------------------------- norming constants
@@ -215,6 +228,20 @@ def test_norming_constants_sign_and_validation():
         e.norming_constants(e.uniform(), 2)
 
 
+def test_norming_constants_from_tail_masses_at_huge_n():
+    # pareto(1): b_n = n and a_n = -n/2 at every n, not only where 1 - 1/n
+    # keeps the bits of 1/n
+    for n in (10**7, 10**15, 10**20, 2**960):
+        nc = e.norming_constants(e.pareto(1.0), n)
+        assert nc.b_n == pytest.approx(float(n), rel=1e-15)
+        assert nc.a_n == pytest.approx(-float(n) / 2.0, rel=1e-15)
+    nc = e.norming_constants(e.exponential(), 10**288)
+    assert nc.b_n == pytest.approx(288.0 * math.log(10.0), rel=1e-15)
+    assert nc.a_n == pytest.approx(-math.log(2.0), rel=1e-12)
+    with pytest.raises(DomainError, match=r"too large.*2\*\*960"):
+        e.norming_constants(e.pareto(1.0), 2**960 + 1)
+
+
 def test_norming_constants_degenerate_geometric():
     # p = 0.2, n = 100: tail masses 0.01 and 0.02 share the quantile step
     with pytest.raises(DegenerateNormalizationError, match="flat"):
@@ -226,7 +253,7 @@ def test_norming_constants_degenerate_geometric():
 
 def test_norming_constants_detects_non_monotone_quantile():
     bad = Distribution("bad", lambda x: x, lambda u: -np.asarray(u, dtype=float),
-                       (-1.0, 0.0), CONTINUOUS)
+                       lambda eps: np.asarray(eps, dtype=float) - 1.0, (-1.0, 0.0), CONTINUOUS)
     with pytest.raises(ContractViolationError):
         e.norming_constants(bad, 10)
 

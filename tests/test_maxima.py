@@ -8,7 +8,7 @@ import pytest
 import evtlab as e
 from evtlab import maxima
 from evtlab.errors import ContractViolationError, DomainError
-from evtlab.maxima import EXPREP_MAX_N, HnVariant
+from evtlab.maxima import HnVariant
 
 
 # ---------------------------------------------------------------- max_cdf
@@ -125,13 +125,29 @@ def test_sampler_count_validation():
         e.sample_max_exponential_rep(e.MaxLaw(e.uniform(), 2), e.make_rng(0), -1)
 
 
-def test_exponential_rep_refuses_n_beyond_2_53():
-    # at n = 10**21 every exp(-omega/n) rounds to 1.0 and redrawing never ends
-    for n in (EXPREP_MAX_N + 1, 10**21):
-        with pytest.raises(DomainError, match="2\\*\\*53"):
-            e.sample_max_exponential_rep(e.MaxLaw(e.uniform(), n), e.make_rng(0), 10)
-    m = e.sample_max_exponential_rep(e.MaxLaw(e.uniform(), EXPREP_MAX_N), e.make_rng(0), 10)
-    assert np.all((m > 0.0) & (m < 1.0))
+@pytest.mark.parametrize("n", [2**53 + 1, 10**15, 10**21])
+def test_exponential_rep_follows_the_exact_frechet_law_at_huge_n(n):
+    # pareto(1): P{M_n <= x} = (1 - 1/x)**n; the tail mass -expm1(-omega/n)
+    # keeps omega/n whole where exp(-omega/n) would round to 1
+    count = 20_000
+    m = e.sample_max_exponential_rep(e.MaxLaw(e.pareto(1.0), n), e.make_rng(0), count)
+    assert np.unique(m).size == count
+    exact = lambda x: np.exp(n * np.log1p(-1.0 / np.asarray(x)))
+    assert e.ks_one_sample(m, exact, alpha=0.01).passed
+
+
+def test_exponential_rep_tail_mass_is_omega_over_n():
+    # u = 1 - e^{-1} gives omega = 1: M_n = Q(1 - eps) at eps = -expm1(-1/n)
+    for n in (10**15, 10**21, 2**960):
+        rng = _FixedUniform([1.0 - math.exp(-1.0)])
+        got = e.sample_max_exponential_rep(e.MaxLaw(e.pareto(1.0), n), rng)
+        assert got == pytest.approx(float(n), rel=1e-15)
+
+
+def test_max_law_refuses_n_beyond_2_960():
+    e.MaxLaw(e.uniform(), 2**960)
+    with pytest.raises(DomainError, match=r"n = \d+ is too large.*2\*\*960"):
+        e.MaxLaw(e.uniform(), 2**960 + 1)
 
 
 # ---------------------------------------------------------------- h_n forms

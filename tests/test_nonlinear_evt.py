@@ -1,6 +1,7 @@
 """Prescribed-limit normalizers and the convergence/nondegeneracy diagnostic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def test_build_g_n_general_exponential_base_formula():
         got = e.build_g_n_general(e.uniform(), e.exponential(), n)(x)
         want = np.exp(-n * np.exp(-x))
         assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+
+
+def test_build_g_n_general_refuses_x_where_the_base_cdf_rounds_to_one():
+    # pareto(2) base, exponential target: g(x) = -log1p(-exp(-n x**-2));
+    # F(1e9) = 1 - 1e-18 rounds to 1, so g(1e9) = 27.6 is out of reach
+    n = 10**6
+    g = e.build_g_n_general(e.exponential(), e.pareto(2.0), n)
+    assert g(1e5) == pytest.approx(-math.log(-math.expm1(-n * 1e-10)), rel=1e-5)
+    for x, first in ((1e9, 1e9), (1e12, 1e12), (np.array([1e5, 1e9, 1e12]), 1e9)):
+        message = f"n = {n}: the base cdf F(x) rounds to 1 at x = {first!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            g(x)
 
 
 def test_build_g_n_general_refuses_discrete_base():

@@ -39,6 +39,7 @@ from .geometric import (
     frac_log_search,
     geom_cdf,
     geom_quantile,
+    geom_sf,
     oscillation_scan,
     subsequence_generator,
 )

@@ -56,12 +56,13 @@ DISCRETE = "discrete"
 
 @dataclass(frozen=True)
 class Distribution:
-    """A named law: vectorized cdf, strict generalized-inverse quantile
-    Q(u), tail quantile Q(1 - eps) taken at the tail mass eps, support
-    interval, and kind tag ('continuous' or 'discrete')."""
+    """A named law: vectorized cdf F and survival function 1 - F, strict
+    generalized-inverse quantile Q(u), tail quantile Q(1 - eps) taken at the
+    tail mass eps, support interval, and kind tag ('continuous' or 'discrete')."""
 
     name: str
     cdf: callable
+    sf: callable
     quantile: callable
     tail: callable
     support: tuple
@@ -85,22 +86,29 @@ def quantile(dist: Distribution, u):
     return _scalar_or_array(u, dist.quantile(arr))
 
 
+def _finite_quantiles(dist: Distribution, arg, tail: bool = False):
+    """Q(u) at the array u, or with ``tail`` Q(1 - eps) at the array eps; a
+    non-finite value is a ``DomainError`` naming the first such u or eps."""
+    fn, value, name = (dist.tail, "Q(1 - eps)", "eps") if tail else (dist.quantile, "Q(u)", "u")
+    with np.errstate(over="ignore"):
+        out = np.asarray(fn(arg), dtype=float)
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = np.argmin(finite)  # the first non-finite value, in flat order
+        raise DomainError(
+            f"{value} = {out.flat[i]} is not finite at {name} = "
+            f"{float(arg.flat[i])!r} for {spec_string(dist)}"
+        )
+    return out
+
+
 def tail_quantile(dist: Distribution, eps):
     """Q(1 - eps) for tail masses eps in (0, 1), computed from eps itself.
 
     A non-finite value is a ``DomainError`` naming the first such eps and
     the law."""
     arr = _validate_u(eps, "tail mass eps")
-    with np.errstate(over="ignore"):
-        out = np.asarray(dist.tail(arr), dtype=float)
-    finite = np.isfinite(out)
-    if not finite.all():
-        i = np.argmin(finite)  # the first non-finite value, in flat order
-        raise DomainError(
-            f"Q(1 - eps) = {out.flat[i]} is not finite at eps = "
-            f"{float(arr.flat[i])!r} for {spec_string(dist)}"
-        )
-    return _scalar_or_array(eps, out)
+    return _scalar_or_array(eps, _finite_quantiles(dist, arr, tail=True))
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
@@ -111,13 +119,16 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
     def cdf(x):
         return np.clip((np.asarray(x, dtype=float) - a) / width, 0.0, 1.0)
 
+    def sf(x):
+        return np.clip((b - np.asarray(x, dtype=float)) / width, 0.0, 1.0)
+
     def q(u):
         return a + np.asarray(u, dtype=float) * width
 
     def tail(eps):
         return a + (1.0 - np.asarray(eps, dtype=float)) * width
 
-    return Distribution("uniform", cdf, q, tail, (a, b), CONTINUOUS, {"a": a, "b": b})
+    return Distribution("uniform", cdf, sf, q, tail, (a, b), CONTINUOUS, {"a": a, "b": b})
 
 
 def exponential(rate: float = 1.0) -> Distribution:
@@ -128,6 +139,9 @@ def exponential(rate: float = 1.0) -> Distribution:
         arr = np.asarray(x, dtype=float)
         return np.where(arr < 0.0, 0.0, -np.expm1(-rate * np.maximum(arr, 0.0)))
 
+    def sf(x):
+        return np.exp(-rate * np.maximum(np.asarray(x, dtype=float), 0.0))
+
     def q(u):
         return -np.log1p(-np.asarray(u, dtype=float)) / rate
 
@@ -135,7 +149,7 @@ def exponential(rate: float = 1.0) -> Distribution:
         return -np.log(np.asarray(eps, dtype=float)) / rate
 
     return Distribution(
-        "exponential", cdf, q, tail, (0.0, math.inf), CONTINUOUS, {"rate": rate}
+        "exponential", cdf, sf, q, tail, (0.0, math.inf), CONTINUOUS, {"rate": rate}
     )
 
 
@@ -147,6 +161,9 @@ def pareto(alpha: float = 1.0) -> Distribution:
         arr = np.asarray(x, dtype=float)
         return np.where(arr < 1.0, 0.0, 1.0 - np.maximum(arr, 1.0) ** (-alpha))
 
+    def sf(x):
+        return np.maximum(np.asarray(x, dtype=float), 1.0) ** (-alpha)
+
     def tail(eps):
         return np.asarray(eps, dtype=float) ** (-1.0 / alpha)
 
@@ -154,7 +171,7 @@ def pareto(alpha: float = 1.0) -> Distribution:
         return tail(1.0 - np.asarray(u, dtype=float))
 
     return Distribution(
-        "pareto", cdf, q, tail, (1.0, math.inf), CONTINUOUS, {"alpha": alpha}
+        "pareto", cdf, sf, q, tail, (1.0, math.inf), CONTINUOUS, {"alpha": alpha}
     )
 
 
@@ -165,6 +182,9 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
     def cdf(x):
         return ndtr((np.asarray(x, dtype=float) - mu) / sigma)
 
+    def sf(x):
+        return ndtr((mu - np.asarray(x, dtype=float)) / sigma)
+
     def q(u):
         return mu + sigma * ndtri(np.asarray(u, dtype=float))
 
@@ -172,7 +192,7 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
         return mu - sigma * ndtri(np.asarray(eps, dtype=float))
 
     return Distribution(
-        "normal", cdf, q, tail, (-math.inf, math.inf), CONTINUOUS, {"mu": mu, "sigma": sigma}
+        "normal", cdf, sf, q, tail, (-math.inf, math.inf), CONTINUOUS, {"mu": mu, "sigma": sigma}
     )
 
 
@@ -183,24 +203,26 @@ def degenerate(c: float = 0.0) -> Distribution:
     def cdf(x):
         return np.where(np.asarray(x, dtype=float) >= c, 1.0, 0.0)
 
+    def sf(x):
+        return np.where(np.asarray(x, dtype=float) >= c, 0.0, 1.0)
+
     def q(u):
         return np.full_like(np.asarray(u, dtype=float), c)
 
-    return Distribution("degenerate", cdf, q, q, (c, c), DISCRETE, {"c": c})
+    return Distribution("degenerate", cdf, sf, q, q, (c, c), DISCRETE, {"c": c})
 
 
 def geometric(p: float = 0.5) -> Distribution:
     params = _geom.GeometricParams(p)
 
-    def cdf(x):
-        return _geom.geom_cdf(params, x)
-
+    cdf = partial(_geom.geom_cdf, params)
+    sf = partial(_geom.geom_sf, params)
     tail = partial(_geom.geom_quantile, params)
 
     def q(u):
         return tail(1.0 - np.asarray(u, dtype=float))
 
-    return Distribution("geometric", cdf, q, tail, (0.0, math.inf), DISCRETE, {"p": p})
+    return Distribution("geometric", cdf, sf, q, tail, (0.0, math.inf), DISCRETE, {"p": p})
 
 
 @dataclass(frozen=True)
@@ -301,8 +323,7 @@ def sample_quantile_transform(dist: Distribution, rng, count: int):
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
-    u = uniform_open(rng, int(count))
-    return np.asarray(dist.quantile(u), dtype=float)
+    return _finite_quantiles(dist, uniform_open(rng, int(count)))
 
 
 _FAMILIES = {

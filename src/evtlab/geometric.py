@@ -1,12 +1,13 @@
 """The geometric law and its oscillating maxima.
 
-For success parameter p the cdf is the step function F(t) = 1 - p**floor(t+1)
+For success parameter p the cdf is the step F(t) = 1 - p**(floor(t)+1)
 on t >= 0, whose upper quantiles move in integer jumps of size governed by
 theta = -1/log(p).  Because frac(theta * log n) is dense in [0, 1] but never
 settles, the probability P{M_n <= floor(theta log n) + q} oscillates
 persistently between exp(-p**(q+1)) and exp(-p**q); no choice of constants
-removes the oscillation.  This module provides the closed-form cdf/quantile
-pair, a hardened floor of theta*log n, a constructive search for fractional
+removes the oscillation.  This module provides the closed-form sf/cdf/quantile
+steps, the law of a maximum exp(n log1p(-S)) from a survival function S,
+a hardened floor of theta*log n, a constructive search for fractional
 parts, the oscillation scan itself, and the geometrically spaced
 subsequences along which the probe does converge.
 
@@ -30,6 +31,7 @@ from .stats import _scalar_or_array
 
 __all__ = [
     "GeometricParams",
+    "geom_sf",
     "geom_cdf",
     "geom_quantile",
     "floor_theta_log_n",
@@ -72,15 +74,25 @@ class GeometricParams:
             )
 
 
-def geom_cdf(params: GeometricParams, t):
-    """F(t) = 1 - p**floor(t+1) for t >= 0, and 0 for t < 0."""
-    p = params.p
+def geom_sf(params: GeometricParams, t):
+    """S(t) = p**(floor(t)+1) for t >= 0, and 1 for t < 0."""
     arr = np.asarray(t, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("t must not be NaN")
-    exponent = np.where(arr < 0.0, 1.0, np.floor(arr + 1.0))
-    out = np.where(arr < 0.0, 0.0, 1.0 - p**exponent)
+    out = np.where(arr < 0.0, 1.0, params.p ** (np.floor(np.maximum(arr, 0.0)) + 1.0))
     return _scalar_or_array(t, out)
+
+
+def geom_cdf(params: GeometricParams, t):
+    """F(t) = 1 - S(t) = 1 - p**(floor(t)+1) for t >= 0, and 0 for t < 0."""
+    return 1.0 - geom_sf(params, t)
+
+
+def _cdf_of_max(n, sf):
+    """P{M_n <= x} = F(x)**n as exp(n log1p(-S(x))): exact in the survival
+    function S at any n, where F**n loses what 1 - S rounds away."""
+    with np.errstate(divide="ignore"):
+        return np.exp(n * np.log1p(-sf))
 
 
 def _floor_log_ratio(p: float, ratio, exact_u):
@@ -304,9 +316,9 @@ def oscillation_scan(
 ) -> OscillationReport:
     """Probe P{M_n <= floor(theta log n) + q} across ``n_values``.
 
-    Probabilities are computed as exp(n * log1p(-p**(m+1))) to keep large-n
-    values exact to machine precision; a probed level below zero has
-    probability exactly 0 and is recorded as such.
+    Probabilities are computed from the survival function at the probed
+    level m, exp(n * log1p(-p**(m+1))), to keep large-n values exact to
+    machine precision; a level below zero has S = 1 and probability 0.
     """
     ns = np.asarray(n_values, dtype=np.int64)
     if ns.size == 0:
@@ -315,13 +327,10 @@ def oscillation_scan(
         raise DomainError("n_values must be positive integers")
     if np.any(np.diff(ns) <= 0):
         raise DomainError("n_values must be strictly increasing")
-    p = params.p
     t = params.theta * np.log(ns)
-    levels = _floor_log_ratio(p, t, lambda i: Fraction(1, int(ns[i]))).astype(np.int64)
+    levels = _floor_log_ratio(params.p, t, lambda i: Fraction(1, int(ns[i]))).astype(np.int64)
     levels += int(q)
-    probs = np.zeros(ns.size)
-    live = levels >= 0
-    probs[live] = np.exp(ns[live] * np.log1p(-(p ** (levels[live] + 1.0))))
+    probs = _cdf_of_max(ns, geom_sf(params, levels))
     tail = probs[probs.size // 2 :]
     cluster = tuple((float(c), cluster_limit(params, int(q), float(c))) for c in cluster_cs)
     return OscillationReport(

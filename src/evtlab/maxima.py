@@ -1,12 +1,14 @@
 """Laws of maxima and their normalized evaluation forms.
 
 For M_n the maximum of n iid draws from a base law F, the cdf is F(x)**n,
-and M_n has the exact single-draw representation Q(exp(-omega/n)) with
-omega standard exponential and Q the strict generalized inverse of F, that
-is, the tail quantile Q(1 - eps) at the tail mass eps = 1 - exp(-omega/n),
-computed as -expm1(-omega/n).  Both samplers below consume uniforms from
-the same stream contract, so they can be compared seed-for-seed; the
-exponential-representation route is the one that stays cheap at large n.
+taken as exp(n log1p(-S(x))) from the survival function S = 1 - F so that
+it keeps every bit of S at any n.  M_n has the exact single-draw
+representation Q(exp(-omega/n)) with omega standard exponential and Q the
+strict generalized inverse of F, that is, the tail quantile Q(1 - eps) at
+eps = 1 - exp(-omega/n), computed as -expm1(-omega/n).  Both samplers below
+consume uniforms from the same stream contract, so they can be compared
+seed-for-seed; the exponential-representation route is the one that stays
+cheap at large n.
 
 ``h_n_eval`` evaluates a monotone normalizer g against the base tail
 quantile in three algebraically equivalent forms that differ in how the
@@ -29,8 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dist import Distribution, tail_quantile
+from .dist import Distribution, _finite_quantiles, tail_quantile
 from .errors import ContractViolationError, DomainError
+from .geometric import _cdf_of_max
 from .stats import _scalar_or_array, make_rng, standard_exponential, uniform_open
 
 __all__ = [
@@ -75,11 +78,11 @@ class MaxLaw:
 
 
 def max_cdf(law: MaxLaw, x):
-    """P{M_n <= x} = F(x)**n."""
+    """P{M_n <= x} = F(x)**n, computed as exp(n log1p(-S(x)))."""
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("x must not be NaN")
-    return _scalar_or_array(x, np.asarray(law.base.cdf(arr), dtype=float) ** law.n)
+    return _scalar_or_array(x, _cdf_of_max(float(law.n), law.base.sf(arr)))
 
 
 def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
@@ -102,7 +105,7 @@ def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
         for c in range(0, law.n, width):
             part = uniform_open(rng, (block.size, min(width, law.n - c)))
             np.maximum(block, part.max(axis=1), out=block)
-    x = np.asarray(law.base.quantile(u), dtype=float)
+    x = _finite_quantiles(law.base, u)
     return float(x[0]) if count is None else x
 
 
@@ -118,7 +121,7 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int | None = None):
     if size < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
     omega = standard_exponential(rng, size)
-    x = np.asarray(law.base.tail(-np.expm1(-omega / law.n)), dtype=float)
+    x = _finite_quantiles(law.base, -np.expm1(-omega / law.n), tail=True)
     return float(x[0]) if count is None else x
 
 

@@ -2,7 +2,8 @@
 
 For a uniform base, g_n(x) = G_inv(exp(-n(1-x))) maps the maximum of n
 uniforms into a sample whose law converges to the target G; for a general
-continuous base the same works through F, g_n(x) = G_inv(exp(-n(1-F(x)))).
+continuous base the same works through its survival function S = 1 - F,
+g_n(x) = G_inv(exp(-n S(x))), which keeps the mass 1 - F(x) would cancel.
 Discrete bases are refused: their cdf never takes the intermediate values
 the construction needs, which is exactly the obstruction the geometric law
 exhibits.
@@ -46,60 +47,49 @@ def default_x_grid(count: int = 32):
     return np.geomspace(1.0 / 16.0, 16.0, count)
 
 
-def _validate_n(n):
+def _g_n(target: Distribution, n: int, survival):
+    """g_n(x) = G_inv(exp(-n S(x))) for the base survival function S.
+
+    A level exp(-n S(x)) that underflows to 0 is floored at the smallest
+    positive double, so the map stays total and monotone; one that rounds
+    to 1 is a ``DomainError``, as G_inv(1) is no value of g_n.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-
-
-def build_g_n(target: Distribution, n: int):
-    """g_n(x) = G_inv(exp(-n(1-x))) for x < 1; nondecreasing in x.
-
-    The exponential argument is mathematically in (0, 1) for every x < 1;
-    if it underflows to 0 it is floored at the smallest positive double so
-    the map stays total and monotone.
-    """
-    _validate_n(n)
-
-    def g(x):
-        arr = np.asarray(x, dtype=float)
-        if np.any(np.isnan(arr)) or np.any(arr >= 1.0):
-            raise DomainError(f"g_{n}: x must satisfy x < 1")
-        arg = np.maximum(np.exp(-float(n) * (1.0 - arr)), _TINY)
-        return _scalar_or_array(x, target.quantile(arg))
-
-    return g
-
-
-def build_g_n_general(target: Distribution, base: Distribution, n: int):
-    """g_n(x) = G_inv(exp(-n(1-F(x)))) through a continuous base cdf F.
-
-    Refuses a discrete base: a step cdf skips the levels the construction
-    must pass through, so no such g_n can work.  An x at which F(x) rounds
-    to 1 is a ``DomainError``, as ``build_g_n`` refuses x >= 1: there
-    1 - F(x) is lost and G_inv(1) is no value of g_n.
-    """
-    _validate_n(n)
-    if base.kind != CONTINUOUS:
-        raise UnsupportedBaseError(
-            f"base {base.name!r} is {base.kind}; the construction needs a "
-            "continuous cdf"
-        )
 
     def g(x):
         arr = np.asarray(x, dtype=float)
         if np.any(np.isnan(arr)):
             raise DomainError(f"g_{n}: x must not be NaN")
-        s = np.asarray(base.cdf(arr), dtype=float)
-        saturated = np.flatnonzero(s >= 1.0)
+        level = np.exp(-float(n) * survival(arr))
+        saturated = np.flatnonzero(level >= 1.0)
         if saturated.size:
             raise DomainError(
-                f"n = {n}: the base cdf F(x) rounds to 1 at "
-                f"x = {float(arr.flat[saturated[0]])!r}, where g_n needs 1 - F(x)"
+                f"n = {n}: the level exp(-n(1 - F(x))) rounds to 1 at "
+                f"x = {float(arr.flat[saturated[0]])!r}, where G_inv(1) is no value of g_n"
             )
-        arg = np.maximum(np.exp(-float(n) * (1.0 - s)), _TINY)
-        return _scalar_or_array(x, target.quantile(arg))
+        return _scalar_or_array(x, target.quantile(np.maximum(level, _TINY)))
 
     return g
+
+
+def build_g_n(target: Distribution, n: int):
+    """g_n(x) = G_inv(exp(-n(1-x))) for a uniform base; nondecreasing in x."""
+    return _g_n(target, n, lambda x: 1.0 - x)
+
+
+def build_g_n_general(target: Distribution, base: Distribution, n: int):
+    """g_n(x) = G_inv(exp(-n S(x))) through a continuous base's S = 1 - F.
+
+    Refuses a discrete base: a step cdf skips the levels the construction
+    must pass through, so no such g_n can work.
+    """
+    if base.kind != CONTINUOUS:
+        raise UnsupportedBaseError(
+            f"base {base.name!r} is {base.kind}; the construction needs a "
+            "continuous cdf"
+        )
+    return _g_n(target, n, base.sf)
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,9 @@ def _threshold(alpha: float, n_effective: float) -> float:
 def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:
     """Sup-distance between the sample ECDF and ``cdf``, with verdict.
 
-    Both one-sided gaps are evaluated at every jump, so atoms in the sample
-    are handled exactly.
+    D- takes F(s), not the left limit F(s-), so at an atom of ``cdf`` the
+    statistic is overstated by up to the atom's mass; the exact statistic
+    would make the threshold conservative there (Conover, JASA 1972).
     """
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from evtlab import cli
 
@@ -181,7 +182,39 @@ def test_nonlinear_refuses_n_where_the_base_cdf_saturates(variant, capsys):
     assert cli.run(shlex.split(argv)) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "n = 1000000000000000000: the base cdf F(x) rounds to 1" in err
+    assert "n = 1000000000000000000: the level exp(-n(1 - F(x))) rounds to 1" in err
+
+
+def test_nonlinear_keeps_the_base_tail_mass(capsys):
+    # pareto(2) base: S(Q(1 - eps)) = eps, so each value is ndtri(exp(-n*eps))
+    # at the exp variant's eps = -expm1(-x/n); forming 1 - F(x) instead loses
+    # up to 3e-10 here
+    argv = "nonlinear --base pareto:alpha=2 --target normal --variant exp --n 10:1e6:6"
+    assert cli.run(shlex.split(argv)) == 3  # not converged at tol 1e-3; the table is written
+    _, header, rows = _parse_csv(capsys.readouterr().out)
+    assert header == ["n", "x", "value"] and len(rows) == 6 * 32
+    n = np.array([float(r[0]) for r in rows])
+    eps = -np.expm1(-np.array([float(r[1]) for r in rows]) / n)
+    want = ndtri(np.exp(-n * eps))
+    assert np.max(np.abs(np.array([float(r[2]) for r in rows]) - want)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("max --n 1000 --count 5 --method exprep", "Q(1 - eps) = inf is not finite at eps = "),
+        ("max --n 1000 --count 5 --method direct", "Q(u) = inf is not finite at u = "),
+        ("sample --count 5000", "Q(u) = inf is not finite at u = "),
+    ],
+)
+def test_samplers_refuse_a_non_finite_draw(argv, message, capsys):
+    # pareto(0.01): Q(u) = (1 - u)**-100 overflows for u above 1 - 10**-3.08
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        assert cli.run(shlex.split(argv) + ["--dist", "pareto:alpha=0.01"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err and "pareto:alpha=0.01" in err
 
 
 def test_integer_grid_beyond_int64_is_a_usage_error(capsys):

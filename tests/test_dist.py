@@ -1,6 +1,7 @@
 """Distribution families, the strict generalized inverse, numeric inversion."""
 
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -86,6 +87,21 @@ def test_quantile_and_tail_agree_on_the_sampling_grid(family, k):
     dist, u = ALL_FAMILIES[family], k * 2.0**-53
     q, t = float(dist.quantile(np.array([u]))[0]), float(dist.tail(np.array([1.0 - u]))[0])
     assert abs(q - t) <= np.spacing(max(abs(q), abs(t)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(range(len(ALL_FAMILIES))),
+    st.one_of(st.floats(-4.0, 64.0), st.floats(-1e300, 1e300)),
+)
+def test_cdf_and_survival_function_agree(family, x):
+    # cdf + sf = 1 up to the rounding of each, counted exactly; where the
+    # cdf is written as 1 - S it is that bit for bit
+    dist = ALL_FAMILIES[family]
+    f, s = float(dist.cdf(np.array([x]))[0]), float(dist.sf(np.array([x]))[0])
+    assert abs(Fraction(f) + Fraction(s) - 1) <= Fraction(2) ** -52
+    if dist.name in ("pareto", "degenerate", "geometric"):
+        assert f == 1.0 - s
 
 
 def test_quantile_vectorized_and_monotone():

@@ -54,6 +54,14 @@ def test_geom_cdf_examples():
         e.geom_cdf(gp, math.nan)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.2])
+def test_geom_cdf_just_below_an_integer(p):
+    # floor(t) + 1, not floor(t + 1): t + 1 rounds up to k + 1 at t just below k
+    law = e.geometric(p)
+    for k in range(1, 61):
+        assert law.cdf(float(np.nextafter(k, 0.0))) == 1.0 - p**k
+
+
 def test_geom_quantile_examples():
     # the argument is the tail mass u: value = floor(log u / log p)
     gp = GeometricParams(0.5)

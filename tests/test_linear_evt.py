@@ -177,7 +177,9 @@ def test_estimate_rho_inconsistent_tail():
     def q(u):
         return tail(1.0 - np.asarray(u, dtype=float))
 
-    crafted = Distribution("crafted", lambda x: x, q, tail, (-1.0, 1.0), CONTINUOUS)
+    crafted = Distribution(
+        "crafted", lambda x: x, lambda x: 1.0 - x, q, tail, (-1.0, 1.0), CONTINUOUS
+    )
     with pytest.raises(InconsistentTailError):
         e.estimate_rho(crafted, eps_grid=[1e-2, 1e-3, 1e-4, 1e-5])
 
@@ -252,7 +254,8 @@ def test_norming_constants_degenerate_geometric():
 
 
 def test_norming_constants_detects_non_monotone_quantile():
-    bad = Distribution("bad", lambda x: x, lambda u: -np.asarray(u, dtype=float),
+    bad = Distribution("bad", lambda x: x, lambda x: 1.0 - x,
+                       lambda u: -np.asarray(u, dtype=float),
                        lambda eps: np.asarray(eps, dtype=float) - 1.0, (-1.0, 0.0), CONTINUOUS)
     with pytest.raises(ContractViolationError):
         e.norming_constants(bad, 10)

@@ -14,12 +14,31 @@ from evtlab.maxima import HnVariant
 # ---------------------------------------------------------------- max_cdf
 
 def test_max_cdf_examples():
-    assert e.max_cdf(e.MaxLaw(e.uniform(), 3), 0.5) == 0.125
-    assert e.max_cdf(e.MaxLaw(e.geometric(0.5), 2), 0.0) == 0.25
+    # exp(n log1p(-S)) against the closed forms F(x)**n, to 2**-52
+    assert abs(e.max_cdf(e.MaxLaw(e.uniform(), 3), 0.5) - 0.125) <= 2.0**-52
+    assert abs(e.max_cdf(e.MaxLaw(e.geometric(0.5), 2), 0.0) - 0.25) <= 2.0**-52
     for dist in (e.uniform(), e.exponential(), e.geometric(0.5)):
         law = e.MaxLaw(dist, 1)
         x = np.linspace(-1.0, 5.0, 50)
-        assert np.array_equal(e.max_cdf(law, x), np.asarray(dist.cdf(x), dtype=float))
+        assert np.max(np.abs(e.max_cdf(law, x) - dist.cdf(x))) <= 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "n", [10**9, 10**12, 10**15, 10**17, 2**900], ids=["1e9", "1e12", "1e15", "1e17", "2**900"]
+)
+def test_max_cdf_keeps_the_tail_mass_at_huge_n(n):
+    # pareto(1) at x = n: S = 1/n, and (1 - 1/n)**n = e**-1 (1 - 1/(2n) + O(n**-2));
+    # a power of F = 1 - 1/n would lose what 1 - 1/n rounds away (1.0 at 1e17)
+    got = e.max_cdf(e.MaxLaw(e.pareto(1.0), n), float(n))
+    assert got == pytest.approx(math.exp(n * math.log1p(-1.0 / n)), rel=1e-15)
+    assert abs(got - math.exp(-1.0) * (1.0 - 0.5 / n)) <= 1e-15
+
+
+def test_max_cdf_normal_at_b_n():
+    # S(b_n) = 1/n up to the ndtr/ndtri round trip, about 7e-15 relative
+    n = 10**12
+    got = e.max_cdf(e.MaxLaw(e.normal(), n), e.tail_quantile(e.normal(), 1.0 / n))
+    assert got == pytest.approx(math.exp(-1.0) * (1.0 - 0.5 / n), rel=1e-13)
 
 
 def test_max_cdf_power_identity_uniform():

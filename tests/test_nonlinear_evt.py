@@ -56,14 +56,16 @@ def test_build_g_n_general_exponential_base_formula():
         assert np.max(np.abs(got / want - 1.0)) <= 1e-10
 
 
-def test_build_g_n_general_refuses_x_where_the_base_cdf_rounds_to_one():
-    # pareto(2) base, exponential target: g(x) = -log1p(-exp(-n x**-2));
-    # F(1e9) = 1 - 1e-18 rounds to 1, so g(1e9) = 27.6 is out of reach
+def test_build_g_n_general_keeps_the_base_tail_mass():
+    # pareto(2) base, exponential target: g(x) = -log(-expm1(-n x**-2)), which
+    # the level exp(-n S) carries to 2**-53/(n S) relative in 1 - level; at
+    # x = 1e12 the level rounds to 1, and G_inv(1) is no value of g_n
     n = 10**6
     g = e.build_g_n_general(e.exponential(), e.pareto(2.0), n)
-    assert g(1e5) == pytest.approx(-math.log(-math.expm1(-n * 1e-10)), rel=1e-5)
-    for x, first in ((1e9, 1e9), (1e12, 1e12), (np.array([1e5, 1e9, 1e12]), 1e9)):
-        message = f"n = {n}: the base cdf F(x) rounds to 1 at x = {first!r}"
+    for x, rel in ((1e5, 1e-10), (1e7, 1e-10), (1e9, 1e-6)):
+        assert g(x) == pytest.approx(-math.log(-math.expm1(-n * x**-2.0)), rel=rel)
+    for x, first in ((1e12, 1e12), (np.array([1e5, 1e12, 1e14]), 1e12)):
+        message = f"n = {n}: the level exp(-n(1 - F(x))) rounds to 1 at x = {first!r}"
         with pytest.raises(DomainError, match=re.escape(message)):
             g(x)
 

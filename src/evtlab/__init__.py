@@ -7,7 +7,6 @@ KS machinery and seeded streams that verify all of it.
 """
 
 from .dist import (
-    BracketPolicy,
     Distribution,
     degenerate,
     exponential,

@@ -16,8 +16,12 @@ import numpy as np
 
 from .dist import Distribution, parse_distribution, sample_quantile_transform, spec_string
 from .errors import DomainError, EvtLabError
-from .geometric import GeometricParams, OscillationReport, frac_log_search, oscillation_scan
+from .geometric import (
+    DEFAULT_CLUSTER_CS, GeometricParams, OscillationReport, frac_log_search, oscillation_scan
+)
 from .linear_evt import (
+    DEFAULT_EPS_GRID,
+    DEFAULT_RHO_W,
     DEFAULT_UV_GRID,
     NormingConstants,
     RhoEstimate,
@@ -27,8 +31,10 @@ from .linear_evt import (
     norming_constants,
 )
 from .maxima import HnVariant, MaxLaw, sample_max_direct, sample_max_exponential_rep
-from .nonlinear_evt import NormalizerSequence, convergence_diagnostic, default_x_grid
-from .reports import ConvergenceReport
+from .nonlinear_evt import (
+    DEFAULT_N_GRID, DEFAULT_NONDEG_TOL, NormalizerSequence, convergence_diagnostic, default_x_grid
+)
+from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol
 from .stats import make_rng
 
 __all__ = ["main", "run"]
@@ -288,11 +294,13 @@ def _nonlinear(args):
 
 
 def _geom_oscillate(args):
+    _check_tol(args.tol)
     report = oscillation_scan(GeometricParams(args.p), args.q, args.n, args.cluster_c)
     spread = report.lim_sup_est - report.lim_inf_est
+    converged = spread <= args.tol
     header, rows, body = _table(report)
-    body |= {"spread": spread, "converged": spread <= args.tol}
-    return (header, rows, body), 3 if spread > args.tol else 0
+    body |= {"spread": spread, "converged": converged}
+    return (header, rows, body), 0 if converged else 3
 
 
 def _geom_density(args):
@@ -341,17 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dehaan", help="attraction criterion scale sweep")
     p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=_geometric_range, default=_geometric_range("1e-2:1e-6"),
+    p.add_argument("--eps", type=_geometric_range, default=DEFAULT_EPS_GRID,
                    help="geometric scale grid start:stop[:count]")
     p.add_argument("--uv", type=_uv_pair, action=_AppendPair, default=DEFAULT_UV_GRID,
                    help="u,v pair (repeatable; default: a 12-pair grid)")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=DEFAULT_CAUCHY_TOL)
     common(p)
 
     p = sub.add_parser("rho", help="estimate the attraction index rho")
     p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=_geometric_range, default=_geometric_range("1e-2:1e-6"))
-    p.add_argument("--w", type=float, default=2.0)
+    p.add_argument("--eps", type=_geometric_range, default=DEFAULT_EPS_GRID)
+    p.add_argument("--w", type=float, default=DEFAULT_RHO_W)
     common(p)
 
     p = sub.add_parser("norming", help="canonical affine constants a_n, b_n")
@@ -373,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="linear")
     p.add_argument("--x", type=_geometric_range, default=default_x_grid(),
                    help="geometric grid (default: 32 points on [1/16, 16])")
-    p.add_argument("--n", type=_int_range, default=_int_range("100:100000:4"))
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--nondeg-tol", type=float, default=1e-6)
+    p.add_argument("--n", type=_int_range, default=DEFAULT_N_GRID)
+    p.add_argument("--tol", type=float, default=DEFAULT_CAUCHY_TOL)
+    p.add_argument("--nondeg-tol", type=float, default=DEFAULT_NONDEG_TOL)
     common(p)
 
     p = sub.add_parser("geom-oscillate", help="oscillating maxima probe (geometric law)")
@@ -384,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_range, default=_int_range("1e3:1e6:64"))
     p.add_argument("--tol", type=float, default=1e-2,
                    help="spread above which the probe counts as oscillating")
-    p.add_argument("--cluster-c", type=_float_list, default=(0.0, 0.5, 0.9))
+    p.add_argument("--cluster-c", type=_float_list, default=DEFAULT_CLUSTER_CS)
     common(p)
 
     p = sub.add_parser("geom-density", help="find n with frac(theta log n) in [x, y]")

@@ -17,7 +17,7 @@ Distribution values are immutable; their callables are pure,
 numpy-vectorized, and safe to share across threads.  Built-in families use
 closed forms (the normal law delegates to scipy's ndtr/ndtri);
 ``numeric_quantile`` provides an independent bisection route for arbitrary
-monotone cdfs.
+monotone cdfs, from the fixed bracket [-1, 1] doubled outward.
 """
 
 import math
@@ -33,7 +33,6 @@ from .stats import _scalar_or_array, uniform_open
 
 __all__ = [
     "Distribution",
-    "BracketPolicy",
     "uniform",
     "exponential",
     "pareto",
@@ -58,14 +57,13 @@ DISCRETE = "discrete"
 class Distribution:
     """A named law: vectorized cdf F and survival function 1 - F, strict
     generalized-inverse quantile Q(u), tail quantile Q(1 - eps) taken at the
-    tail mass eps, support interval, and kind tag ('continuous' or 'discrete')."""
+    tail mass eps, and kind tag ('continuous' or 'discrete')."""
 
     name: str
     cdf: callable
     sf: callable
     quantile: callable
     tail: callable
-    support: tuple
     kind: str
     params: dict = field(default_factory=dict)
 
@@ -128,7 +126,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
     def tail(eps):
         return a + (1.0 - np.asarray(eps, dtype=float)) * width
 
-    return Distribution("uniform", cdf, sf, q, tail, (a, b), CONTINUOUS, {"a": a, "b": b})
+    return Distribution("uniform", cdf, sf, q, tail, CONTINUOUS, {"a": a, "b": b})
 
 
 def exponential(rate: float = 1.0) -> Distribution:
@@ -148,9 +146,7 @@ def exponential(rate: float = 1.0) -> Distribution:
     def tail(eps):
         return -np.log(np.asarray(eps, dtype=float)) / rate
 
-    return Distribution(
-        "exponential", cdf, sf, q, tail, (0.0, math.inf), CONTINUOUS, {"rate": rate}
-    )
+    return Distribution("exponential", cdf, sf, q, tail, CONTINUOUS, {"rate": rate})
 
 
 def pareto(alpha: float = 1.0) -> Distribution:
@@ -170,9 +166,7 @@ def pareto(alpha: float = 1.0) -> Distribution:
     def q(u):
         return tail(1.0 - np.asarray(u, dtype=float))
 
-    return Distribution(
-        "pareto", cdf, sf, q, tail, (1.0, math.inf), CONTINUOUS, {"alpha": alpha}
-    )
+    return Distribution("pareto", cdf, sf, q, tail, CONTINUOUS, {"alpha": alpha})
 
 
 def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
@@ -191,9 +185,7 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
     def tail(eps):
         return mu - sigma * ndtri(np.asarray(eps, dtype=float))
 
-    return Distribution(
-        "normal", cdf, sf, q, tail, (-math.inf, math.inf), CONTINUOUS, {"mu": mu, "sigma": sigma}
-    )
+    return Distribution("normal", cdf, sf, q, tail, CONTINUOUS, {"mu": mu, "sigma": sigma})
 
 
 def degenerate(c: float = 0.0) -> Distribution:
@@ -209,7 +201,7 @@ def degenerate(c: float = 0.0) -> Distribution:
     def q(u):
         return np.full_like(np.asarray(u, dtype=float), c)
 
-    return Distribution("degenerate", cdf, sf, q, q, (c, c), DISCRETE, {"c": c})
+    return Distribution("degenerate", cdf, sf, q, q, DISCRETE, {"c": c})
 
 
 def geometric(p: float = 0.5) -> Distribution:
@@ -222,28 +214,14 @@ def geometric(p: float = 0.5) -> Distribution:
     def q(u):
         return tail(1.0 - np.asarray(u, dtype=float))
 
-    return Distribution("geometric", cdf, sf, q, tail, (0.0, math.inf), DISCRETE, {"p": p})
-
-
-@dataclass(frozen=True)
-class BracketPolicy:
-    """Geometric bracket expansion for numeric quantile inversion."""
-
-    lo: float = -1.0
-    hi: float = 1.0
-    growth: float = 2.0
-    max_expansions: int = 1100
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError("bracket requires lo < hi")
-        if self.growth <= 1.0:
-            raise DomainError("bracket growth factor must exceed 1")
+    return Distribution("geometric", cdf, sf, q, tail, DISCRETE, {"p": p})
 
 
 _PROB_TOL = 1e-12
 _X_RTOL = 1e-12
 _MONOTONE_SLACK = 1e-12
+# doublings of the bracket [-1, 1]: 1100 carry it past every finite double
+_MAX_EXPANSIONS = 1100
 
 
 def _checked_cdf(cdf, x: float) -> float:
@@ -253,45 +231,44 @@ def _checked_cdf(cdf, x: float) -> float:
     return v
 
 
-def numeric_quantile(cdf, u: float, bracket: BracketPolicy | None = None) -> float:
+def numeric_quantile(cdf, u: float) -> float:
     """Invert a monotone cdf by bisection: the infimum-side root of F(x) > u.
 
-    The bracket [lo, hi] is expanded geometrically until it straddles level
-    u, then bisected until either the probability gap across the bracket is
-    below 1e-12 or the bracket width is below 1e-12 relative.  The returned
-    point always satisfies F(x) > u, so at a jump it converges to the jump
-    location from above.  A cdf value that breaks monotonicity along the way
-    raises ``ContractViolationError``.
+    The bracket [-1, 1] is expanded outward, doubling its step, until it
+    straddles level u, then bisected until either the probability gap
+    across the bracket is below 1e-12 or the bracket width is below 1e-12
+    relative.  The returned point always satisfies F(x) > u, so at a jump
+    it converges to the jump location from above.  A cdf value that breaks
+    monotonicity along the way raises ``ContractViolationError``.
     """
     u = float(u)
     if math.isnan(u) or not 0.0 < u < 1.0:
         raise DomainError("quantile argument u must lie in the open interval (0, 1)")
-    policy = bracket if bracket is not None else BracketPolicy()
-    lo, hi = float(policy.lo), float(policy.hi)
+    lo, hi = -1.0, 1.0
     f_lo, f_hi = _checked_cdf(cdf, lo), _checked_cdf(cdf, hi)
     step = hi - lo
-    for _ in range(policy.max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         if f_hi > u:
             break
         lo, f_lo = hi, f_hi
-        step *= policy.growth
+        step *= 2.0
         hi = hi + step
         f_hi = _checked_cdf(cdf, hi)
     else:
         raise BracketingError(
-            f"cdf never exceeded u={u} after {policy.max_expansions} expansions"
+            f"cdf never exceeded u={u} after {_MAX_EXPANSIONS} expansions"
         )
     step = hi - lo
-    for _ in range(policy.max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         if f_lo <= u:
             break
         hi, f_hi = lo, f_lo
-        step *= policy.growth
+        step *= 2.0
         lo = lo - step
         f_lo = _checked_cdf(cdf, lo)
     else:
         raise BracketingError(
-            f"cdf never fell to u={u} after {policy.max_expansions} expansions"
+            f"cdf never fell to u={u} after {_MAX_EXPANSIONS} expansions"
         )
     # invariant: f_lo <= u < f_hi
     for _ in range(20000):

@@ -2,14 +2,17 @@
 
 For success parameter p the cdf is the step F(t) = 1 - p**(floor(t)+1)
 on t >= 0, whose upper quantiles move in integer jumps of size governed by
-theta = -1/log(p).  Because frac(theta * log n) is dense in [0, 1] but never
-settles, the probability P{M_n <= floor(theta log n) + q} oscillates
-persistently between exp(-p**(q+1)) and exp(-p**q); no choice of constants
-removes the oscillation.  This module provides the closed-form sf/cdf/quantile
+theta = -1/log(p), which ``GeometricParams`` derives from p alone.  Because
+frac(theta * log n) is dense in [0, 1] but never settles, the probability
+P{M_n <= floor(theta log n) + q} oscillates persistently between
+exp(-p**(q+1)) and exp(-p**q); no choice of constants removes the
+oscillation.  This module provides the closed-form sf/cdf/quantile
 steps, the law of a maximum exp(n log1p(-S)) from a survival function S,
 a hardened floor of theta*log n, a constructive search for fractional
 parts, the oscillation scan itself, and the geometrically spaced
-subsequences along which the probe does converge.
+subsequences along which the probe does converge.  Integer grids (the n of
+a scan, the k of a subsequence) are refused, not truncated or overflowed,
+when an entry is not an integer below 2**63 in magnitude.
 
 Floor hardening: whenever theta*log n (or log u / log p) lands within 1e-9
 of an integer k, the ambiguity is resolved by exact rational comparison of
@@ -21,7 +24,7 @@ are resolved one at a time.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,10 +42,12 @@ __all__ = [
     "OscillationReport",
     "oscillation_scan",
     "subsequence_generator",
+    "DEFAULT_CLUSTER_CS",
 ]
 
 NEAR_INTEGER_BAND = 1e-9
-_THETA_IDENTITY_TOL = 1e-12
+# the fractional-part values c whose cluster limits a scan reports by default
+DEFAULT_CLUSTER_CS = (0.0, 0.5, 0.9)
 # Beyond this exponent the exact rational comparison is pointless (and slow);
 # the float floor is unambiguous anyway at such scales.
 _EXACT_POW_LIMIT = 200_000
@@ -50,28 +55,19 @@ _EXACT_POW_LIMIT = 200_000
 
 @dataclass(frozen=True)
 class GeometricParams:
-    """Success parameter p in (0, 1) and the step scale theta = -1/log(p).
-
-    theta must satisfy theta * log(1/p) == 1 to within 1e-12; omit it to have
-    it derived from p.
-    """
+    """Success parameter p in (0, 1), with the step scale theta = -1/log(p)."""
 
     p: float
-    theta: float = field(default=None)
 
     def __post_init__(self):
         if not isinstance(self.p, (int, float)) or math.isnan(self.p):
             raise DomainError(f"p must be a real number in (0, 1), got {self.p!r}")
         if not 0.0 < self.p < 1.0:
             raise DomainError(f"p must lie in (0, 1), got {self.p}")
-        derived = -1.0 / math.log(self.p)
-        if self.theta is None:
-            object.__setattr__(self, "theta", derived)
-        elif abs(self.theta * math.log(1.0 / self.p) - 1.0) > _THETA_IDENTITY_TOL:
-            raise DomainError(
-                f"theta={self.theta} inconsistent with p={self.p}: "
-                f"theta * log(1/p) must equal 1 to {_THETA_IDENTITY_TOL}"
-            )
+
+    @property
+    def theta(self) -> float:
+        return -1.0 / math.log(self.p)
 
 
 def geom_sf(params: GeometricParams, t):
@@ -308,11 +304,22 @@ def cluster_limit(params: GeometricParams, q: int, c: float) -> float:
     return math.exp(-params.p ** (q + 1 - c))
 
 
+def _int64_array(values, name: str) -> np.ndarray:
+    """``values`` as int64.  An entry that is not an integer of magnitude
+    below 2**63 is a ``DomainError``, where the cast would truncate or overflow."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "bi":
+        for v in arr.flat:
+            if not (v % 1 == 0 and -(2**63) < v < 2**63):  # NaN fails too
+                raise DomainError(f"{name} must be integers of magnitude below 2**63, got {v}")
+    return arr.astype(np.int64)
+
+
 def oscillation_scan(
     params: GeometricParams,
     q: int,
     n_values,
-    cluster_cs=(0.0, 0.5, 0.9),
+    cluster_cs=DEFAULT_CLUSTER_CS,
 ) -> OscillationReport:
     """Probe P{M_n <= floor(theta log n) + q} across ``n_values``.
 
@@ -320,7 +327,7 @@ def oscillation_scan(
     level m, exp(n * log1p(-p**(m+1))), to keep large-n values exact to
     machine precision; a level below zero has S = 1 and probability 0.
     """
-    ns = np.asarray(n_values, dtype=np.int64)
+    ns = _int64_array(n_values, "n_values")
     if ns.size == 0:
         raise DomainError("n_values must be nonempty")
     if np.any(ns < 1):
@@ -354,11 +361,14 @@ def subsequence_generator(params: GeometricParams, c: float, k_range) -> np.ndar
     """
     if not 0.0 <= c < 1.0:
         raise DomainError(f"c must lie in [0, 1), got {c}")
-    ks = np.asarray(k_range, dtype=np.int64)
+    ks = _int64_array(k_range, "k_range")
     if ks.size == 0:
         raise DomainError("k_range must be nonempty")
     log_inv_p = math.log(1.0 / params.p)
-    vals = np.array([math.exp((int(k) + c) * log_inv_p) for k in ks])
+    # an exponent past log(2**62) + 1 is refused below whatever its value;
+    # capping it there keeps math.exp from overflowing first
+    cap = math.log(2.0**62) + 1.0
+    vals = np.array([math.exp(min((int(k) + c) * log_inv_p, cap)) for k in ks])
     if np.any(vals < 1.0):
         raise DomainError("k_range entries must satisfy (k + c)/theta >= 0")
     if np.any(vals > 2**62):

@@ -37,7 +37,7 @@ from .errors import (
     InconsistentTailError,
 )
 from .maxima import _refuse_huge_n
-from .reports import CAUCHY_WINDOW, ConvergenceReport, build_report
+from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
 from .stats import _scalar_or_array
 
 __all__ = [
@@ -45,7 +45,8 @@ __all__ = [
     "DEFAULT_UV_GRID",
     "DEFAULT_CAUCHY_TOL",
     "DEFAULT_CLASSIFY_TOL",
-    "default_eps_grid",
+    "DEFAULT_EPS_GRID",
+    "DEFAULT_RHO_W",
     "k_rho",
     "dehaan_ratio",
     "dehaan_test",
@@ -65,19 +66,19 @@ RHO_SERIES_BAND = 1e-6
 DEFAULT_UV_GRID = tuple(
     (u, v) for u in (0.25, 0.5, 2.0, 4.0) for v in (0.25, 0.5, 2.0, 4.0) if u != v
 )
-DEFAULT_CAUCHY_TOL = 1e-3
 DEFAULT_CLASSIFY_TOL = 1e-2
-
-
-def default_eps_grid(start: float = 1e-2, stop: float = 1e-6, count: int = 16):
-    """Strictly decreasing geometric scale grid."""
-    return np.geomspace(start, stop, count)
+# the strictly decreasing geometric scale sweep; read-only, as every caller
+# that takes the default shares this one array
+DEFAULT_EPS_GRID = np.geomspace(1e-2, 1e-6, 16)
+DEFAULT_EPS_GRID.flags.writeable = False
+# the scale ratio w of estimate_rho's r(eps*w)/r(eps)
+DEFAULT_RHO_W = 2.0
 
 
 def k_rho(rho: float, u):
     """k_rho(u) = (u**rho - 1)/rho, continuously extended through rho = 0."""
-    if math.isnan(rho):
-        raise DomainError("rho must be a real number")
+    if not math.isfinite(rho):
+        raise DomainError(f"rho must be a finite real number, got {rho!r}")
     arr = np.asarray(u, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr <= 0.0):
         raise DomainError("u must be positive")
@@ -150,7 +151,7 @@ def dehaan_ratio(dist: Distribution, u: float, v: float, eps: float) -> float:
 
 def dehaan_test(
     dist: Distribution,
-    eps_grid=None,
+    eps_grid=DEFAULT_EPS_GRID,
     uv_grid=DEFAULT_UV_GRID,
     tol: float = DEFAULT_CAUCHY_TOL,
 ) -> ConvergenceReport:
@@ -162,18 +163,14 @@ def dehaan_test(
     the smallest scale.  A degenerate tail raises with the first offending
     (u, v, eps) attached.
     """
-    scales = np.asarray(
-        default_eps_grid() if eps_grid is None else eps_grid, dtype=float
-    )
+    scales = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(scales) >= 0.0) or np.any(scales <= 0.0):
         raise DomainError("eps_grid must be strictly decreasing and positive")
     pairs = [(float(u), float(v)) for u, v in uv_grid]
     if not pairs:
         raise DomainError("uv_grid must be nonempty")
     values = _dehaan_grid(dist, pairs, scales)
-    return build_report(
-        "eps", scales.tolist(), "uv", pairs, values, tol, CAUCHY_WINDOW
-    )
+    return build_report("eps", scales.tolist(), "uv", pairs, values, tol)
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,9 @@ class RhoEstimate:
     spread: float
 
 
-def estimate_rho(dist: Distribution, eps_grid=None, w: float = 2.0) -> RhoEstimate:
+def estimate_rho(
+    dist: Distribution, eps_grid=DEFAULT_EPS_GRID, w: float = DEFAULT_RHO_W
+) -> RhoEstimate:
     """Read rho off the regular variation of r(eps) = Q(1-eps) - Q(1-2eps).
 
     Per scale, rho_hat(eps) = log(r(eps*w)/r(eps)) / log(w).  A vanishing
@@ -195,9 +194,7 @@ def estimate_rho(dist: Distribution, eps_grid=None, w: float = 2.0) -> RhoEstima
     """
     if not isinstance(w, (int, float)) or math.isnan(w) or w <= 1.0:
         raise DomainError(f"w must exceed 1, got {w!r}")
-    scales = np.asarray(
-        default_eps_grid() if eps_grid is None else eps_grid, dtype=float
-    )
+    scales = np.asarray(eps_grid, dtype=float)
     if scales.size < 1:
         raise DomainError("eps_grid must be nonempty")
     if np.any(np.diff(scales) >= 0.0) or np.any(scales <= 0.0):
@@ -258,10 +255,8 @@ def limit_cdf(rho: float, x):
 
     G_rho(x) = 1 - exp(-k_rho^{-1}(x * k_rho(2))); outside the inverse's
     range the value clamps to 0 (rho > 0) or 1 (rho < 0).  G_rho(0) equals
-    1 - 1/e for every rho.
+    1 - 1/e for every rho; ``k_rho`` refuses a rho that is not finite.
     """
-    if math.isnan(rho):
-        raise DomainError("rho must be a real number")
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("x must not be NaN")
@@ -287,8 +282,7 @@ def classify_type(rho: float, tol: float = DEFAULT_CLASSIFY_TOL) -> TypeClass:
     """rho < -tol: frechet; |rho| <= tol: gumbel; rho > tol: weibull."""
     if math.isnan(rho):
         raise DomainError("rho must be a real number")
-    if math.isnan(tol) or tol < 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol!r}")
+    _check_tol(tol)
     if rho < -tol:
         kind = "frechet"
     elif rho > tol:

@@ -202,27 +202,21 @@ def h_n_eval(
 
 
 _SPOT_CHECK_SEED = 0x6D6F6E6F  # fixed: the check must not perturb caller streams
+_SPOT_CHECK_POINTS = 200
 
 
-def spot_check_monotone(
-    g,
-    lo: float,
-    hi: float,
-    direction: str = "nondecreasing",
-    pairs: int = 100,
-    rng=None,
-) -> None:
-    """Spot-check monotonicity of ``g`` on [lo, hi] at ``pairs`` random points.
+def spot_check_monotone(g, lo: float, hi: float, direction: str = "nondecreasing") -> None:
+    """Spot-check monotonicity of ``g`` on [lo, hi] at 200 random points.
 
     Raises ``ContractViolationError`` on a violation beyond float slack.
-    The default generator is fixed-seed so results are deterministic.
+    The points come from a fixed-seed generator of their own, so results
+    are deterministic and no caller's stream moves.
     """
     if direction not in ("nondecreasing", "nonincreasing"):
         raise DomainError(f"unknown direction {direction!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
-    r = rng if rng is not None else make_rng(_SPOT_CHECK_SEED)
-    pts = np.sort(lo + (hi - lo) * r.random(2 * int(pairs)))
+    pts = np.sort(lo + (hi - lo) * make_rng(_SPOT_CHECK_SEED).random(_SPOT_CHECK_POINTS))
     vals = np.asarray(g(pts), dtype=float)
     diffs = np.diff(vals)
     tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))

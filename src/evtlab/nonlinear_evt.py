@@ -24,11 +24,12 @@ from .dist import CONTINUOUS, Distribution, tail_quantile
 from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import norming_constants
 from .maxima import HnVariant, _h_n_args, spot_check_monotone
-from .reports import CAUCHY_WINDOW, ConvergenceReport, build_report
+from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
 from .stats import _scalar_or_array
 
 __all__ = [
     "DEFAULT_NONDEG_TOL",
+    "DEFAULT_N_GRID",
     "default_x_grid",
     "build_g_n",
     "build_g_n_general",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_NONDEG_TOL = 1e-6
+DEFAULT_N_GRID = (100, 1000, 10000, 100000)
 
 _TINY = np.nextafter(0.0, 1.0)
 
@@ -94,24 +96,15 @@ def build_g_n_general(target: Distribution, base: Distribution, n: int):
 
 @dataclass(frozen=True)
 class NormalizerSequence:
-    """A base law plus a builder n -> g_n of monotone normalizers.
-
-    ``target`` records the intended limit law when known (None for affine
-    normalizers, whose limit depends on the base's attraction index).
-    """
+    """A base law plus a builder n -> g_n of monotone normalizers."""
 
     base: Distribution
     builder: callable
-    target: Distribution | None = None
     direction: str = "nondecreasing"
 
     @classmethod
     def from_target(cls, target: Distribution, base: Distribution) -> "NormalizerSequence":
-        return cls(
-            base=base,
-            builder=lambda n: build_g_n_general(target, base, n),
-            target=target,
-        )
+        return cls(base=base, builder=lambda n: build_g_n_general(target, base, n))
 
     @classmethod
     def affine(cls, base: Distribution) -> "NormalizerSequence":
@@ -124,7 +117,7 @@ class NormalizerSequence:
             return g
 
         # a_n < 0 flips orientation
-        return cls(base=base, builder=builder, target=None, direction="nonincreasing")
+        return cls(base=base, builder=builder, direction="nonincreasing")
 
 
 def nondegeneracy_check(values, tol: float) -> bool:
@@ -132,6 +125,7 @@ def nondegeneracy_check(values, tol: float) -> bool:
 
     Needs at least two points with distinct x to be meaningful.
     """
+    _check_tol(tol, "nondegeneracy tol")
     pts = [(float(x), float(h)) for x, h in values]
     if len({x for x, _ in pts}) < 2:
         raise DomainError("nondegeneracy check needs >= 2 distinct x values")
@@ -142,9 +136,9 @@ def nondegeneracy_check(values, tol: float) -> bool:
 def convergence_diagnostic(
     normalizer: NormalizerSequence,
     x_grid=None,
-    n_grid=(100, 1000, 10000, 100000),
+    n_grid=DEFAULT_N_GRID,
     variant: HnVariant = HnVariant.LINEAR_FORM,
-    tol: float = 1e-3,
+    tol: float = DEFAULT_CAUCHY_TOL,
     nondeg_tol: float = DEFAULT_NONDEG_TOL,
 ) -> ConvergenceReport:
     """Tabulate h_n(x) = g_n(Q_base(1 - .)) over (x, n) and judge convergence.
@@ -176,7 +170,6 @@ def convergence_diagnostic(
     limits = values[:, -1]
     nondeg = nondegeneracy_check(zip(xs, limits), nondeg_tol)
     return build_report(
-        "n", ns, "x", [float(x) for x in xs], values, tol, CAUCHY_WINDOW,
-        nondegenerate=nondeg,
+        "n", ns, "x", [float(x) for x in xs], values, tol, nondegenerate=nondeg
     )
 

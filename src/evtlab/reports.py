@@ -1,32 +1,34 @@
 """Cauchy-convergence reports over scale grids.
 
 A report records function values on a (point x scale) grid, a per-point
-Cauchy verdict over the last ``window`` scales, per-point limit estimates
-(the value at the final scale), and an overall verdict.  A grid needs at
-least ``window + 1`` scales, so the verdict never covers the whole sweep
-(on a single scale it would pass trivially).  Diagnostics that
-additionally require a nondegenerate limit set ``nondegenerate``; the
-overall ``verdict`` is then converged-and-nondegenerate.
+Cauchy verdict over the last three scales (finite, and mutually within
+``tol``), per-point limit estimates (the value at the final scale), and an
+overall verdict.  A grid needs at least four scales, so the verdict never
+covers the whole sweep (on a single scale it would pass trivially).
+Diagnostics that additionally require a nondegenerate limit set
+``nondegenerate``; the overall ``verdict`` is then
+converged-and-nondegenerate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ConvergenceReport", "cauchy_converged", "build_report"]
+__all__ = ["ConvergenceReport", "build_report", "DEFAULT_CAUCHY_TOL"]
 
+# the scales a Cauchy verdict compares, and the spread it allows by default
 CAUCHY_WINDOW = 3
+DEFAULT_CAUCHY_TOL = 1e-3
 
 
-def cauchy_converged(values, tol: float, window: int = CAUCHY_WINDOW) -> bool:
-    """True iff the last ``window`` values are finite and mutually within tol."""
-    arr = np.asarray(values, dtype=float)
-    tail = arr[-min(window, arr.size):]
-    if not np.all(np.isfinite(tail)):
-        return False
-    return float(np.max(tail) - np.min(tail)) <= tol
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Refuse a tolerance that is NaN or negative: either makes every verdict
+    negative whatever the values."""
+    if math.isnan(tol) or tol < 0.0:
+        raise DomainError(f"{name} must be >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -55,21 +57,24 @@ def build_report(
     points,
     values: np.ndarray,
     tol: float,
-    window: int = CAUCHY_WINDOW,
     nondegenerate: bool | None = None,
 ) -> ConvergenceReport:
+    _check_tol(tol)
     values = np.asarray(values, dtype=float)
     if values.shape != (len(points), len(scales)):
         raise DomainError(
             f"values shape {values.shape} does not match "
             f"{len(points)} points x {len(scales)} scales"
         )
-    if len(scales) < window + 1:
+    if len(scales) < CAUCHY_WINDOW + 1:
         raise DomainError(
-            f"need at least {window + 1} scales for a Cauchy window of {window}, "
-            f"got {len(scales)}"
+            f"need at least {CAUCHY_WINDOW + 1} scales for a Cauchy window of "
+            f"{CAUCHY_WINDOW}, got {len(scales)}"
         )
-    per_point = tuple(cauchy_converged(row, tol, window) for row in values)
+    tail = values[:, -CAUCHY_WINDOW:]
+    with np.errstate(invalid="ignore"):  # inf - inf; such a row fails anyway
+        spread = np.ptp(tail, axis=1)
+    per_point = tuple((np.isfinite(tail).all(axis=1) & (spread <= tol)).tolist())
     limits = tuple((p, float(values[i, -1])) for i, p in enumerate(points))
     return ConvergenceReport(
         scale_name=scale_name,
@@ -78,7 +83,7 @@ def build_report(
         points=tuple(points),
         values=values,
         tol=tol,
-        window=window,
+        window=CAUCHY_WINDOW,
         converged_per_point=per_point,
         converged=all(per_point),
         limit_table=limits,

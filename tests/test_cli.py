@@ -334,6 +334,73 @@ def test_geom_density_finds_a_far_witness_in_a_narrow_window(capsys):
     assert 1e10 < n < 2e10 and 0.1 <= frac <= 0.1000000001
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        ("geom-oscillate --p 0.5 --q 0 --n 1e3:1e6:64 --tol nan", "tol"),
+        ("geom-oscillate --p 0.5 --q 0 --n 1024:1048576:11 --tol -0.5", "tol"),
+        ("dehaan --dist pareto:alpha=2 --tol nan", "tol"),
+        ("dehaan --dist pareto:alpha=2 --tol=-1e-3", "tol"),
+        ("nonlinear --base uniform:a=0,b=1 --target exponential:rate=1 --tol nan", "tol"),
+        ("nonlinear --base uniform:a=0,b=1 --target exponential:rate=1 --nondeg-tol nan",
+         "nondegeneracy tol"),
+        ("nonlinear --base uniform:a=0,b=1 --target exponential:rate=1 --nondeg-tol -1",
+         "nondegeneracy tol"),
+    ],
+)
+def test_nan_or_negative_tolerance_is_a_domain_error(argv, name, capsys):
+    # a NaN tol fails every comparison: geom-oscillate used to exit 0 while
+    # writing "converged": false, dehaan and nonlinear to exit 3
+    assert cli.run(shlex.split(argv + " --format json")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{name} must be >= 0" in err
+
+
+@pytest.mark.parametrize("tol", ["0.5", "0", "1e-9"])
+def test_geom_oscillate_exit_code_matches_its_verdict(tol, capsys):
+    argv = f"geom-oscillate --p 0.5 --q 0 --n 1e3:1e6:64 --tol {tol} --format json"
+    code = cli.run(shlex.split(argv))
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is (doc["spread"] <= float(tol))
+    assert code == (0 if doc["converged"] else 3)
+
+
+@pytest.mark.parametrize("rho", ["inf", "-inf", "nan"])
+def test_limit_law_refuses_a_non_finite_rho(rho, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(shlex.split(f"limit-law --rho={rho} --x 0.5")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "rho must be a finite real number" in err
+
+
+def test_default_grids_are_shared_but_never_written(capsys):
+    from evtlab.linear_evt import DEFAULT_EPS_GRID
+
+    assert not DEFAULT_EPS_GRID.flags.writeable
+    defaults = (
+        "dehaan --dist pareto:alpha=2",
+        "rho --dist pareto:alpha=2",
+        "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1",
+    )
+    explicit = (
+        "dehaan --dist pareto:alpha=2 --eps 1e-1:1e-3:5 --uv 3,4 --uv 0.5,2",
+        "rho --dist pareto:alpha=2 --eps 1e-1:1e-3:5",
+        "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1 --n 10:1e4:5",
+    )
+
+    def outputs(lines):
+        out = []
+        for line in lines:
+            cli.run(shlex.split(line))
+            out.append(capsys.readouterr().out)
+        return out
+
+    first = outputs(defaults)
+    outputs(explicit)
+    assert outputs(defaults) == first
+
+
 @pytest.mark.parametrize("theta", ["inf", "1e-300"])
 def test_geom_density_refuses_theta_out_of_range(theta, capsys):
     assert cli.run(shlex.split(f"geom-density --theta {theta} --x 0.1 --y 0.2")) == 2

@@ -145,11 +145,10 @@ def test_cdf_right_continuity():
     assert np.array_equal(g.cdf(t), g.cdf(np.floor(t)))
 
 
-def test_support_and_kind_tags():
+def test_kind_tags():
     assert e.uniform().kind == CONTINUOUS
     assert e.geometric(0.5).kind == DISCRETE
-    assert e.degenerate(2.0).support == (2.0, 2.0)
-    assert e.pareto(1.0).support[0] == 1.0
+    assert e.degenerate(2.0).kind == DISCRETE
 
 
 def test_family_parameter_validation():
@@ -215,22 +214,26 @@ def test_numeric_quantile_detects_non_monotone_cdf():
 
 
 def test_numeric_quantile_bracketing_error():
+    # the bracket doubles past every finite double, then gives up
     capped = lambda x: min(0.4, max(0.0, float(x)))
-    policy = e.BracketPolicy(max_expansions=60)
-    with pytest.raises(BracketingError):
-        e.numeric_quantile(capped, 0.7, bracket=policy)
+    with pytest.raises(BracketingError, match="never exceeded u=0.7 after 1100 expansions"):
+        e.numeric_quantile(capped, 0.7)
+    floored = lambda x: max(0.6, min(1.0, float(x)))
+    with pytest.raises(BracketingError, match="never fell to u=0.3 after 1100 expansions"):
+        e.numeric_quantile(floored, 0.3)
+
+
+def test_numeric_quantile_reaches_the_extreme_doubles():
+    # the fixed bracket [-1, 1] reaches jumps near either end of the doubles
+    for jump in (1e300, -1e300, 1.5e-300):
+        q = e.numeric_quantile(lambda x, j=jump: 1.0 if x >= j else 0.0, 0.5)
+        assert q >= jump and q - jump <= 1e-12 * max(1.0, abs(jump))
 
 
 def test_numeric_quantile_rejects_cdf_range_violations():
+    # F(-1) = -1 at the bracket's first end
     with pytest.raises(ContractViolationError):
-        e.numeric_quantile(lambda x: float(x), 0.5, bracket=e.BracketPolicy(lo=0.5, hi=3.0))
-
-
-def test_bracket_policy_validation():
-    with pytest.raises(DomainError):
-        e.BracketPolicy(lo=1.0, hi=1.0)
-    with pytest.raises(DomainError):
-        e.BracketPolicy(growth=1.0)
+        e.numeric_quantile(lambda x: float(x), 0.5)
 
 
 # ---------------------------------------------------------------- sampling

@@ -29,15 +29,15 @@ geometric = importlib.import_module("evtlab.geometric")
 def test_params_derive_theta():
     gp = GeometricParams(0.5)
     assert gp.theta == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
-    explicit = GeometricParams(0.5, theta=1.0 / math.log(2.0))
-    assert explicit.theta == gp.theta
+    for p in (0.5, 0.3, 1e-300, 1.0 - 2.0**-53):
+        assert GeometricParams(p).theta == -1.0 / math.log(p)
 
 
 def test_params_validation():
     for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
         with pytest.raises(DomainError):
             GeometricParams(bad)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):  # theta is derived from p, never given
         GeometricParams(0.5, theta=2.0)
 
 
@@ -355,6 +355,26 @@ def test_oscillation_scan_validation():
         e.oscillation_scan(gp, 0, [0, 5])
 
 
+@pytest.mark.parametrize(
+    "n_values",
+    [[1.5, 2.7, 3.9], [10, 20.5], [np.nan], [2**63], [10, 2**63], [2**64], [10**400]],
+)
+def test_oscillation_scan_refuses_a_non_integer_or_int64_overflowing_n(n_values):
+    # a plain int64 cast would probe n = 1, 2, 3 or raise a bare OverflowError
+    with pytest.raises(DomainError, match="n_values must be integers"):
+        e.oscillation_scan(GeometricParams(0.5), 0, n_values)
+
+
+def test_oscillation_scan_accepts_integral_floats_and_the_int64_top():
+    gp = GeometricParams(0.5)
+    ints = e.oscillation_scan(gp, 0, [1000, 2000, 4000])
+    floats = e.oscillation_scan(gp, 0, np.array([1000.0, 2000.0, 4000.0]))
+    assert np.array_equal(ints.probs, floats.probs)
+    assert np.array_equal(ints.levels, floats.levels)
+    top = e.oscillation_scan(gp, 0, [2**63 - 1])
+    assert top.levels.tolist() == [62]
+
+
 def test_cluster_limit_values():
     gp = GeometricParams(0.5)
     assert cluster_limit(gp, 0, 0.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
@@ -418,6 +438,26 @@ def test_subsequence_validation():
         e.subsequence_generator(gp, 0.5, [])
     with pytest.raises(DomainError):
         e.subsequence_generator(gp, 0.0, [200])  # overflows 2^62
+
+
+@pytest.mark.parametrize(
+    "p,k_range",
+    [(0.5, [63]), (0.5, [64]), (0.5, [10**6]), (1e-300, [2]), (0.5, [10, 2**63]), (0.5, [1.5])],
+)
+def test_subsequence_refuses_k_before_math_exp_overflows(p, k_range):
+    # exp((k + c) log(1/p)) overflows a double at k = 10**6 for p = 0.5
+    with pytest.raises(DomainError, match="k_range"):
+        e.subsequence_generator(GeometricParams(p), 0.0, k_range)
+
+
+def test_subsequence_keeps_every_accepted_k():
+    # up to the 2**62 ceiling the values are round(exp((k + c) log(1/p)))
+    for p, c in ((0.5, 0.0), (0.5, 0.25), (0.3, 0.9)):
+        log_inv_p = math.log(1.0 / p)
+        top = int(62 * math.log(2.0) / log_inv_p - c)
+        ks = range(0, top)
+        expected = [round(math.exp((k + c) * log_inv_p)) for k in ks]
+        assert e.subsequence_generator(GeometricParams(p), c, ks).tolist() == expected
 
 
 # ---------------------------------------------------------------- serialization

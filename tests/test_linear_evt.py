@@ -15,7 +15,7 @@ from evtlab.errors import (
     DomainError,
     InconsistentTailError,
 )
-from evtlab.linear_evt import DEFAULT_UV_GRID, default_eps_grid
+from evtlab.linear_evt import DEFAULT_EPS_GRID, DEFAULT_UV_GRID
 
 
 # ---------------------------------------------------------------- k_rho
@@ -51,6 +51,14 @@ def test_k_rho_validation():
         e.k_rho(0.5, -1.0)
     with pytest.raises(DomainError):
         e.k_rho(math.nan, 1.0)
+
+
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+def test_non_finite_rho_is_refused(rho):
+    with pytest.raises(DomainError, match="rho must be a finite real number"):
+        e.k_rho(rho, 2.0)
+    with pytest.raises(DomainError, match="rho must be a finite real number"):
+        e.limit_cdf(rho, 0.5)
 
 
 # ---------------------------------------------------------------- de Haan ratios
@@ -145,7 +153,11 @@ def test_dehaan_test_grid_validation():
 def test_default_uv_grid_shape():
     assert len(DEFAULT_UV_GRID) == 12
     assert all(u != v for u, v in DEFAULT_UV_GRID)
-    assert len(default_eps_grid()) == 16
+    assert len(DEFAULT_EPS_GRID) == 16
+    assert np.all(np.diff(DEFAULT_EPS_GRID) < 0.0)
+    assert not DEFAULT_EPS_GRID.flags.writeable
+    with pytest.raises(ValueError):
+        DEFAULT_EPS_GRID[0] = 0.5
 
 
 # ---------------------------------------------------------------- estimate_rho
@@ -178,7 +190,7 @@ def test_estimate_rho_inconsistent_tail():
         return tail(1.0 - np.asarray(u, dtype=float))
 
     crafted = Distribution(
-        "crafted", lambda x: x, lambda x: 1.0 - x, q, tail, (-1.0, 1.0), CONTINUOUS
+        "crafted", lambda x: x, lambda x: 1.0 - x, q, tail, CONTINUOUS
     )
     with pytest.raises(InconsistentTailError):
         e.estimate_rho(crafted, eps_grid=[1e-2, 1e-3, 1e-4, 1e-5])
@@ -256,7 +268,7 @@ def test_norming_constants_degenerate_geometric():
 def test_norming_constants_detects_non_monotone_quantile():
     bad = Distribution("bad", lambda x: x, lambda x: 1.0 - x,
                        lambda u: -np.asarray(u, dtype=float),
-                       lambda eps: np.asarray(eps, dtype=float) - 1.0, (-1.0, 0.0), CONTINUOUS)
+                       lambda eps: np.asarray(eps, dtype=float) - 1.0, CONTINUOUS)
     with pytest.raises(ContractViolationError):
         e.norming_constants(bad, 10)
 

@@ -1,28 +1,49 @@
 """Convergence report bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from evtlab.cli import _table
 from evtlab.errors import DomainError
-from evtlab.reports import CAUCHY_WINDOW, build_report, cauchy_converged
+from evtlab.reports import CAUCHY_WINDOW, build_report
 
 
-def test_cauchy_converged_uses_only_the_window_tail():
-    assert cauchy_converged([100.0, 1.0, 1.0, 1.0], tol=1e-9)
-    assert not cauchy_converged([1.0, 1.0, 1.0, 100.0], tol=1e-9)
-    # spread exactly at tol counts as converged
-    assert cauchy_converged([0.0, 0.5, 1.0], tol=1.0)
-    assert not cauchy_converged([0.0, 0.5, 1.0 + 1e-12], tol=1.0)
-    assert cauchy_converged([2.0], tol=0.0)
-    assert cauchy_converged([5.0, 2.0], tol=3.0, window=5)
+def _per_point(rows, tol):
+    values = np.array(rows, dtype=float)
+    scales = tuple(range(1, values.shape[1] + 1))
+    points = tuple(float(i) for i in range(values.shape[0]))
+    return build_report("n", scales, "x", points, values, tol).converged_per_point
 
 
-def test_cauchy_converged_rejects_nonfinite():
-    assert not cauchy_converged([1.0, 1.0, np.nan], tol=1.0)
-    assert not cauchy_converged([1.0, np.inf, 1.0], tol=1.0)
-    # nonfinite outside the window is ignored
-    assert cauchy_converged([np.nan, 1.0, 1.0, 1.0], tol=1e-9)
+def test_cauchy_verdict_uses_only_the_window_tail():
+    rows = [
+        [100.0, 1.0, 1.0, 1.0],
+        [1.0, 1.0, 1.0, 100.0],
+        [9.0, 0.0, 0.5, 1.0],  # spread exactly at tol counts as converged
+        [9.0, 0.0, 0.5, 1.0 + 1e-12],
+    ]
+    assert _per_point(rows, 1.0) == (True, False, True, False)
+    assert _per_point([[5.0, 2.0, 2.0, 2.0]], 0.0) == (True,)
+
+
+def test_cauchy_verdict_rejects_nonfinite():
+    rows = [
+        [1.0, 1.0, 1.0, np.nan],
+        [1.0, 1.0, np.inf, 1.0],
+        [1.0, np.inf, np.inf, np.inf],  # inf - inf is nan: refused, no warning
+        [np.nan, 1.0, 1.0, 1.0],  # nonfinite outside the window is ignored
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _per_point(rows, 1.0) == (False, False, False, True)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-9])
+def test_build_report_refuses_nan_or_negative_tol(tol):
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        build_report("n", (1, 2, 3, 4), "x", (0.5,), np.ones((1, 4)), tol)
 
 
 def test_build_report_per_point_and_overall():
@@ -43,7 +64,7 @@ def test_build_report_shape_mismatch():
 def test_build_report_needs_one_scale_more_than_the_window():
     with pytest.raises(DomainError, match="at least 4 scales"):
         build_report("n", (1, 2, 3), "x", (0.5,), np.ones((1, 3)), tol=1.0)
-    assert build_report("n", (1, 2), "x", (0.5,), np.ones((1, 2)), 1.0, window=1).converged
+    assert build_report("n", (1, 2, 3, 4), "x", (0.5,), np.ones((1, 4)), 1.0).converged
 
 
 def test_verdict_folds_in_nondegeneracy():

@@ -8,6 +8,7 @@ that did not converge or degenerated), 4 unwritable output path.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -325,7 +326,15 @@ _COMMANDS = {
 }
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    # a default of the one shared parser: every run reads this same array
+    values.setflags(write=False)
+    return values
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; its defaults are shared and read-only."""
     parser = _Parser(prog="evtlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -369,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit-law", help="tabulate the limit cdf for a given rho")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--x", type=_linear_range, default=_linear_range("-2:6:33"),
+    p.add_argument("--x", type=_linear_range, default=_frozen(_linear_range("-2:6:33")),
                    help="linear grid start:stop[:count]")
     common(p)
 
@@ -379,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalizer", choices=("construction", "affine"),
                    default="construction")
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="linear")
-    p.add_argument("--x", type=_geometric_range, default=default_x_grid(),
+    p.add_argument("--x", type=_geometric_range, default=_frozen(default_x_grid()),
                    help="geometric grid (default: 32 points on [1/16, 16])")
     p.add_argument("--n", type=_int_range, default=DEFAULT_N_GRID)
     p.add_argument("--tol", type=float, default=DEFAULT_CAUCHY_TOL)
@@ -389,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geom-oscillate", help="oscillating maxima probe (geometric law)")
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--q", type=int, default=0)
-    p.add_argument("--n", type=_int_range, default=_int_range("1e3:1e6:64"))
+    p.add_argument("--n", type=_int_range, default=_frozen(_int_range("1e3:1e6:64")))
     p.add_argument("--tol", type=float, default=1e-2,
                    help="spread above which the probe counts as oscillating")
     p.add_argument("--cluster-c", type=_float_list, default=DEFAULT_CLUSTER_CS)

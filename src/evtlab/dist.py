@@ -15,7 +15,8 @@ two forms agree wherever 1 - u is exact, as on the samplers' 2**-53 grid.
 
 Distribution values are immutable; their callables are pure,
 numpy-vectorized, and safe to share across threads.  Built-in families use
-closed forms (the normal law delegates to scipy's ndtr/ndtri);
+closed forms (the normal law delegates to scipy's ndtr/ndtri, importing
+scipy.special on its first evaluation, so ``import evtlab`` never loads it);
 ``numeric_quantile`` provides an independent bisection route for arbitrary
 monotone cdfs, from the fixed bracket [-1, 1] doubled outward.
 """
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import geometric as _geom
 from .errors import BracketingError, ContractViolationError, DomainError
@@ -173,16 +173,25 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
     if not math.isfinite(mu) or not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"normal requires finite mu and sigma > 0, got {mu}, {sigma}")
 
+    # scipy.special is imported on first use, so that no other law pays for it
     def cdf(x):
+        from scipy.special import ndtr
+
         return ndtr((np.asarray(x, dtype=float) - mu) / sigma)
 
     def sf(x):
+        from scipy.special import ndtr
+
         return ndtr((mu - np.asarray(x, dtype=float)) / sigma)
 
     def q(u):
+        from scipy.special import ndtri
+
         return mu + sigma * ndtri(np.asarray(u, dtype=float))
 
     def tail(eps):
+        from scipy.special import ndtri
+
         return mu - sigma * ndtri(np.asarray(eps, dtype=float))
 
     return Distribution("normal", cdf, sf, q, tail, CONTINUOUS, {"mu": mu, "sigma": sigma})

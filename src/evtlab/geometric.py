@@ -301,7 +301,12 @@ def cluster_limit(params: GeometricParams, q: int, c: float) -> float:
     """Limit of the probe along subsequences with frac(theta log n) -> c."""
     if not 0.0 <= c < 1.0:
         raise DomainError(f"c must lie in [0, 1), got {c}")
-    return math.exp(-params.p ** (q + 1 - c))
+    exponent = q + 1 - c
+    # the limit exp(-p**exponent) is 0.0 once p**exponent passes e**7, well
+    # before p**exponent itself overflows (a very negative q)
+    if exponent * math.log(params.p) > 7.0:
+        return 0.0
+    return math.exp(-params.p**exponent)
 
 
 def _int64_array(values, name: str) -> np.ndarray:
@@ -336,13 +341,18 @@ def oscillation_scan(
         raise DomainError("n_values must be strictly increasing")
     t = params.theta * np.log(ns)
     levels = _floor_log_ratio(params.p, t, lambda i: Fraction(1, int(ns[i]))).astype(np.int64)
-    levels += int(q)
+    # checked in Python ints, as int64 arithmetic would wrap or overflow; the
+    # shift through the lowest level stays in int64 whenever the result does
+    q, low = int(q), int(levels.min())
+    if not -(2**63) <= low + q <= int(levels.max()) + q < 2**63:
+        raise DomainError(f"q = {q} takes the levels floor(theta log n) + q out of int64")
+    levels = (levels - low) + (low + q)
     probs = _cdf_of_max(ns, geom_sf(params, levels))
     tail = probs[probs.size // 2 :]
-    cluster = tuple((float(c), cluster_limit(params, int(q), float(c))) for c in cluster_cs)
+    cluster = tuple((float(c), cluster_limit(params, q, float(c))) for c in cluster_cs)
     return OscillationReport(
         params=params,
-        q=int(q),
+        q=q,
         n_values=ns,
         levels=levels,
         probs=probs,

@@ -93,15 +93,6 @@ def k_rho(rho: float, u):
     return _scalar_or_array(u, out)
 
 
-def _k_rho_inverse(rho: float, y):
-    # inverse of k_rho on its range; callers clamp outside 1 + rho*y > 0
-    y = np.asarray(y, dtype=float)
-    if rho == 0.0:
-        return np.exp(y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.exp(np.log1p(rho * y) / rho)
-
-
 def _validate_eps(eps: float, factor: float):
     if not isinstance(eps, (int, float)) or math.isnan(eps) or eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
@@ -260,13 +251,25 @@ def limit_cdf(rho: float, x):
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("x must not be NaN")
-    y = arr * k_rho(rho, 2.0)
+    with np.errstate(over="ignore"):
+        k2 = k_rho(rho, 2.0)
     if rho == 0.0:
-        out = 1.0 - np.exp(-np.exp(y))
-    else:
-        inside = 1.0 + rho * y > 0.0
-        out = np.where(inside, 1.0 - np.exp(-_k_rho_inverse(rho, np.where(inside, y, 0.0))), 0.0)
-        out = np.where(inside, out, 0.0 if rho > 0.0 else 1.0)
+        return _scalar_or_array(x, 1.0 - np.exp(-np.exp(arr * k2)))
+    # the inverse k_rho^{-1}(x k_rho(2)) = (1 + t)**(1/rho), on its range
+    # 1 + t > 0, with t = x(2**rho - 1), which is 0 at x = 0 whatever rho
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = rho * np.where(arr == 0.0, 0.0, arr * k2)
+        inside = 1.0 + t > 0.0
+        inverse = np.exp(np.log1p(np.where(inside, t, 0.0)) / rho)
+        far = np.isinf(t) & np.isfinite(arr)
+        if far.any():
+            # t overflows (so rho > 0): log(1 + t) is taken as
+            # rho log 2 + log(x(1 - 2**-rho) + 2**-rho)
+            s = 2.0**-rho
+            shifted = arr * (1.0 - s) + s
+            inside = np.where(far, shifted > 0.0, inside)
+            inverse = np.where(far, np.exp(math.log(2.0) + np.log(shifted) / rho), inverse)
+    out = np.where(inside, 1.0 - np.exp(-inverse), 0.0 if rho > 0.0 else 1.0)
     return _scalar_or_array(x, out)
 
 

@@ -374,19 +374,54 @@ def test_limit_law_refuses_a_non_finite_rho(rho, capsys):
     assert out == "" and "rho must be a finite real number" in err
 
 
+def test_limit_law_beyond_the_overflow_of_2_to_the_rho(capsys):
+    # 2**2000 overflows; the limit law still gives 1 - exp(-2**(1999/2000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(shlex.split("limit-law --rho 2000 --x 0.5 --format json")) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["G"] == [pytest.approx(1.0 - math.exp(-(2.0 ** (1999 / 2000))), rel=1e-15)]
+
+
+def test_geom_oscillate_refuses_a_q_beyond_int64(capsys):
+    # the top level on 10:100 is floor(log2(100)) + q = 6 + q
+    for q in (10**20, 2**63 - 6):
+        assert cli.run(shlex.split(f"geom-oscillate --q {q} --n 10:100:4")) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"q = {q}" in err
+
+    assert cli.run(shlex.split(f"geom-oscillate --q {2**63 - 7} --n 10:100:4 --format json")) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["m"][-1] == 2**63 - 1 and doc["probability"] == [1.0] * 4
+
+
 def test_default_grids_are_shared_but_never_written(capsys):
     from evtlab.linear_evt import DEFAULT_EPS_GRID
 
-    assert not DEFAULT_EPS_GRID.flags.writeable
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser  # built once per process
+    grids = [DEFAULT_EPS_GRID] + [
+        getattr(parser.parse_args(shlex.split(line)), name)
+        for line, name in (
+            ("limit-law --rho 1", "x"),
+            ("nonlinear --base uniform", "x"),
+            ("geom-oscillate", "n"),
+        )
+    ]
+    assert not any(grid.flags.writeable for grid in grids)
     defaults = (
         "dehaan --dist pareto:alpha=2",
         "rho --dist pareto:alpha=2",
         "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1",
+        "limit-law --rho 0.5",
+        "geom-oscillate --p 0.5",
     )
     explicit = (
         "dehaan --dist pareto:alpha=2 --eps 1e-1:1e-3:5 --uv 3,4 --uv 0.5,2",
         "rho --dist pareto:alpha=2 --eps 1e-1:1e-3:5",
         "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1 --n 10:1e4:5",
+        "limit-law --rho 0.5 --x=-1:1:5",
+        "geom-oscillate --p 0.5 --n 10:1e4:8",
     )
 
     def outputs(lines):
@@ -399,6 +434,14 @@ def test_default_grids_are_shared_but_never_written(capsys):
     first = outputs(defaults)
     outputs(explicit)
     assert outputs(defaults) == first
+
+    # a usage error part-way through a subcommand's options leaves the
+    # shared parser as it was for the next run
+    again = "geom-oscillate --p 0.5 --n 10:1e4:8"
+    before = outputs([again])
+    assert cli.run(shlex.split("geom-oscillate --n 10:1e4:8 --cluster-c x,y")) == 1
+    assert capsys.readouterr().out == ""
+    assert outputs([again]) == before
 
 
 @pytest.mark.parametrize("theta", ["inf", "1e-300"])

@@ -1,6 +1,9 @@
 """Distribution families, the strict generalized inverse, numeric inversion."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -162,6 +165,45 @@ def test_family_parameter_validation():
         e.normal(0.0, 0.0)
     with pytest.raises(DomainError):
         e.degenerate(math.inf)
+
+
+def test_scipy_special_is_imported_on_a_normal_laws_first_use():
+    # a fresh interpreter: this one has scipy loaded by the imports above
+    script = """
+import sys
+import evtlab, evtlab.cli
+from evtlab.errors import DomainError
+law = evtlab.normal(1.0, 2.0)
+try:
+    evtlab.normal(0.0, 0.0)
+except DomainError:
+    pass
+else:
+    sys.exit("normal(0, 0) was accepted")
+before = "scipy.special" in sys.modules
+law.cdf(0.0)
+print(before, "scipy.special" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(e.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (1.5, 0.25), (-3.0, 7.0)])
+def test_normal_is_scipy_special_bit_for_bit(mu, sigma):
+    from scipy.special import ndtr, ndtri
+
+    law = e.normal(mu, sigma)
+    x = mu + sigma * np.linspace(-40.0, 40.0, 161)
+    u = np.concatenate([np.geomspace(1e-300, 0.25, 40), np.linspace(0.26, 1.0 - 2.0**-53, 40)])
+    assert np.array_equal(law.cdf(x), ndtr((x - mu) / sigma))
+    assert np.array_equal(law.sf(x), ndtr((mu - x) / sigma))
+    assert np.array_equal(law.quantile(u), mu + sigma * ndtri(u))
+    assert np.array_equal(law.tail(u), mu - sigma * ndtri(u))
 
 
 # ---------------------------------------------------------------- numeric inversion

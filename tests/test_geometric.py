@@ -375,6 +375,32 @@ def test_oscillation_scan_accepts_integral_floats_and_the_int64_top():
     assert top.levels.tolist() == [62]
 
 
+@pytest.mark.parametrize("q", [2**63 - 8, 10**20, -(2**63) - 10])
+def test_oscillation_scan_refuses_a_q_that_takes_a_level_out_of_int64(q):
+    # the levels at n = 1000 and 10**6 are 9 + q and 19 + q; int64 addition
+    # would wrap 2**63 - 8 to negative levels with probability 0
+    with pytest.raises(DomainError, match=f"q = {q} takes the levels"):
+        e.oscillation_scan(GeometricParams(0.5), q, [1000, 10**6])
+
+
+def test_oscillation_scan_accepts_a_q_at_the_int64_edges():
+    gp = GeometricParams(0.5)
+    top = e.oscillation_scan(gp, 2**63 - 1 - 19, [1000, 10**6])
+    assert top.levels.tolist() == [2**63 - 11, 2**63 - 1]
+    assert top.probs.tolist() == [1.0, 1.0]
+    bottom = e.oscillation_scan(gp, -(2**63) - 9, [1000, 10**6])
+    assert bottom.levels.tolist() == [-(2**63), -(2**63) + 10]
+    assert bottom.probs.tolist() == [0.0, 0.0]
+    assert [v for _, v in bottom.cluster_points] == [0.0, 0.0, 0.0]
+
+
+def test_cluster_limit_is_zero_where_p_to_the_q_overflows():
+    gp = GeometricParams(0.5)
+    assert cluster_limit(gp, -2000, 0.5) == 0.0  # 0.5**-1999.5 overflows
+    for q in range(-12, -8):  # q = -12 is past the cut, -11 to -9 are before it
+        assert cluster_limit(gp, q, 0.0) == math.exp(-(0.5 ** (q + 1)))
+
+
 def test_cluster_limit_values():
     gp = GeometricParams(0.5)
     assert cluster_limit(gp, 0, 0.0) == pytest.approx(math.exp(-0.5), rel=1e-15)

@@ -1,6 +1,8 @@
 """The k_rho family, attraction criterion, rho estimate, and the limit law."""
 
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -299,6 +301,53 @@ def test_limit_cdf_is_a_cdf_with_clamps():
     # rho < 0: support is bounded above at -1/(rho k_rho(2))
     assert e.limit_cdf(-1.0, 2.0) == 1.0
     assert e.limit_cdf(-1.0, 5.0) == 1.0
+
+
+def _limit_cdf_reference(rho: float, x: float) -> float:
+    # 1 - exp(-(1 + x(2**rho - 1))**(1/rho)) at 50 digits, through
+    # log(1 + x(2**rho - 1)) = rho log 2 + log(x + (1 - x) 2**-rho)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r, xd = Decimal(rho), Decimal(x)
+        inner = xd + (1 - xd) * Decimal(2) ** -r
+        return float(1 - (-(Decimal(2).ln() + inner.ln() / r).exp()).exp())
+
+
+@pytest.mark.parametrize(
+    "rho,xs",
+    [
+        # 2**rho itself overflows
+        (1024.5, [1e-300, 1e-3, 0.25, 0.5, 1.0, 2.0, 6.0, 1e300]),
+        (2000.0, [1e-300, 1e-3, 0.25, 0.5, 1.0, 2.0, 6.0, 1e300]),
+        (1e308, [1e-300, 1e-3, 0.25, 0.5, 1.0, 2.0, 6.0, 1e300]),
+        # 2**rho is finite, x(2**rho - 1) is not
+        (1000.0, [1e10, 1e100, 1e300]),
+        (2.0, [1e308]),
+    ],
+)
+def test_limit_cdf_where_x_times_2_to_the_rho_overflows(rho, xs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = e.limit_cdf(rho, np.array(xs))
+        edges = e.limit_cdf(rho, np.array([-np.inf, -1.0, 0.0, np.inf]))
+    for x, g in zip(xs, got):
+        ref = _limit_cdf_reference(rho, x)
+        assert abs(g - ref) <= 2 * math.ulp(ref), (x, g, ref)
+    assert edges.tolist() == [0.0, 0.0, 1.0 - math.exp(-1.0), 1.0]
+    if rho == 2000.0:
+        assert got[3] == pytest.approx(1.0 - math.exp(-(2.0 ** (1999 / 2000))), rel=1e-15)
+
+
+def test_limit_cdf_below_the_overflow_keeps_its_formula():
+    # 2**1000 is finite: the direct inverse (1 + rho y)**(1/rho) stays in use
+    x = np.array([-1.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 6.0])
+    y = x * ((2.0**1000 - 1.0) / 1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = e.limit_cdf(1000.0, x)
+        inverse = np.exp(np.log1p(1000.0 * y[1:]) / 1000.0)
+    assert got[0] == 0.0
+    assert np.array_equal(got[1:], 1.0 - np.exp(-inverse))
 
 
 def test_limit_cdf_monte_carlo_oracle():

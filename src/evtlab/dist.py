@@ -73,7 +73,7 @@ class Distribution:
 
 def _validate_u(u, name="quantile argument u"):
     arr = np.asarray(u, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both
         raise DomainError(f"{name} must lie in the open interval (0, 1)")
     return arr
 

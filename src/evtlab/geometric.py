@@ -301,6 +301,11 @@ def cluster_limit(params: GeometricParams, q: int, c: float) -> float:
     """Limit of the probe along subsequences with frac(theta log n) -> c."""
     if not 0.0 <= c < 1.0:
         raise DomainError(f"c must lie in [0, 1), got {c}")
+    # past 2**1000 in size q alone decides the limit, before q + 1 - c is
+    # formed in floats (which may overflow): p**(q + 1 - c) is 0 or infinite
+    # there for every p in (0, 1), as |log p| exceeds 2**-53
+    if abs(q) > 2**1000:
+        return 1.0 if q > 0 else 0.0
     exponent = q + 1 - c
     # the limit exp(-p**exponent) is 0.0 once p**exponent passes e**7, well
     # before p**exponent itself overflows (a very negative q)

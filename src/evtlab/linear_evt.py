@@ -36,7 +36,7 @@ from .errors import (
     DomainError,
     InconsistentTailError,
 )
-from .maxima import _refuse_huge_n
+from .maxima import _n_entries, _refuse_huge_n
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
 from .stats import _scalar_or_array
 
@@ -221,23 +221,38 @@ class NormingConstants:
     b_n: float
 
 
+def _norming_arrays(dist: Distribution, n):
+    """a_n and b_n at the int n, or at each entry of an array of ints, as
+    float arrays of n's shape, from one tail-quantile call at the masses 1/n
+    and 2/n.  Every n is checked before any constant is formed, and the
+    first n whose a_n is not negative is refused."""
+    ns = _n_entries(n)
+    for m in ns:
+        if not isinstance(m, (int, np.integer)) or m < 3:
+            raise DomainError(f"n must be an integer >= 3, got {m!r}")
+        _refuse_huge_n(m)
+    q = tail_quantile(dist, np.array([[1.0 / m for m in ns], [2.0 / m for m in ns]]))
+    b, a = q[0], q[1] - q[0]
+    negative = a < 0.0
+    if not negative.all():
+        i = np.argmin(negative)  # the first n whose a_n is not negative
+        if a[i] == 0.0:
+            raise DegenerateNormalizationError(
+                f"a_n = 0 at n = {ns[i]} for {dist.name}: the upper quantile is flat "
+                "between tail masses 2/n and 1/n"
+            )
+        raise ContractViolationError(
+            f"quantile is not monotone: a_n = {float(a[i])} > 0 at n = {ns[i]}"
+        )
+    return a.reshape(np.shape(n)), b.reshape(np.shape(n))
+
+
 def norming_constants(dist: Distribution, n: int) -> NormingConstants:
     """Canonical affine constants at index n, from the tail masses 1/n and
-    2/n (requires 3 <= n <= 2**960, so 2/n < 1 is a normal double)."""
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise DomainError(f"n must be an integer >= 3, got {n!r}")
-    _refuse_huge_n(n)
-    b = tail_quantile(dist, 1.0 / n)
-    a = tail_quantile(dist, 2.0 / n) - b
-    if a == 0.0:
-        raise DegenerateNormalizationError(
-            f"a_n = 0 at n = {n} for {dist.name}: the upper quantile is flat "
-            "between tail masses 2/n and 1/n"
-        )
-    if a > 0.0:
-        raise ContractViolationError(
-            f"quantile is not monotone: a_n = {a} > 0 at n = {n}"
-        )
+    2/n (requires 3 <= n <= 2**960, so 2/n < 1 is a normal double); the
+    one-point form of the constants the affine normalizer takes at a whole
+    n column."""
+    a, b = _norming_arrays(dist, n)
     return NormingConstants(n=int(n), a_n=float(a), b_n=float(b))
 
 

@@ -20,10 +20,12 @@ tail mass is parametrized:
 
 The two parametrizations agree as n grows (exp_form >= linear_form for
 nondecreasing g); the gap at fixed x shrinks like x**2/(2n).  One helper
-builds and checks these tail masses over a whole x grid; ``h_n_eval`` is
-its one-point form and ``convergence_diagnostic`` uses it for each n.
+builds and checks these tail masses over a whole x grid, at one n or at a
+column of n values; ``h_n_eval`` is its one-point form and
+``convergence_diagnostic`` calls it once, with its whole n column.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -148,33 +150,62 @@ def floor_reciprocal(eps: float) -> int:
     return n
 
 
-def _h_n_args(n: int, x, variant: HnVariant, eps: float | None = None):
+def _n_entries(n) -> list:
+    """The entries of an index n given as an int or as an array of them
+    (a column of Python ints keeps each n exact up to 2**960)."""
+    return n.ravel().tolist() if isinstance(n, np.ndarray) else [n]
+
+
+def _positive_n(n):
+    """float(n) for a positive integer n, or per entry for an array of them;
+    the first entry that is no positive integer is a ``DomainError``."""
+    for m in _n_entries(n):
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise DomainError(f"n must be a positive integer, got {m!r}")
+    return np.asarray(n, dtype=float) if isinstance(n, np.ndarray) else float(n)
+
+
+def _entry(values, shape, i):
+    """Entry i, in flat order, of the array ``values`` broadcast to
+    ``shape``; a scalar is its own entry."""
+    if isinstance(values, np.ndarray):
+        return np.broadcast_to(values, shape).flat[i]
+    return values
+
+
+def _h_n_args(n, x, variant: HnVariant, eps: float | None = None):
     """The base tail masses of h_n at the positive reals in array x,
-    checked to lie in (0, 1): 1 - exp(-x/n), x/n, or eps*x."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    checked to lie in (0, 1): 1 - exp(-x/n), x/n, or eps*x.
+
+    ``n`` is an int or a column of them, broadcast against x; the first
+    mass outside (0, 1) in flat (n-major) order is the one named.
+    """
+    nf = _positive_n(n)
     variant = HnVariant(variant)
     if variant is HnVariant.EXP_FORM:
-        args = -np.expm1(-x / n)
+        args = -np.expm1(-x / nf)
         msg = "exp_form: 1 - exp(-x/n) = {arg} left (0, 1) for x={x}, n={n}"
     elif variant is HnVariant.LINEAR_FORM:
-        args = x / n
+        args = x / nf
         msg = "linear_form: x must lie in (0, n), got x={x}, n={n}"
     else:
         if eps is None:
-            args = x / n
+            args = x / nf
         else:
             idx = floor_reciprocal(eps)
-            if idx != n:
-                raise DomainError(
-                    f"epsilon_form: floor(1/eps) = {idx} does not match n = {n}"
-                )
-            args = eps * x
+            for m in _n_entries(n):
+                if idx != m:
+                    raise DomainError(
+                        f"epsilon_form: floor(1/eps) = {idx} does not match n = {m}"
+                    )
+            args = np.broadcast_to(eps * x, np.broadcast_shapes(np.shape(nf), x.shape))
         msg = "epsilon_form: eps*x = {arg} left (0, 1) for x={x}, n={n}"
-    outside = np.flatnonzero(~((args > 0.0) & (args < 1.0)))
-    if outside.size:
-        i = outside[0]
-        raise DomainError(msg.format(arg=args[i], x=x[i], n=n))
+    inside = (args > 0.0) & (args < 1.0)
+    if not inside.all():
+        i = np.argmin(inside)  # the first mass outside, in flat order
+        raise DomainError(
+            msg.format(arg=args.flat[i], x=_entry(x, args.shape, i), n=_entry(n, args.shape, i))
+        )
     return args
 
 
@@ -205,6 +236,15 @@ _SPOT_CHECK_SEED = 0x6D6F6E6F  # fixed: the check must not perturb caller stream
 _SPOT_CHECK_POINTS = 200
 
 
+@functools.cache
+def _spot_check_fractions() -> np.ndarray:
+    """The spot check's 200 fixed fractions of [lo, hi], drawn once per
+    process and read-only, as every check shares them."""
+    u = make_rng(_SPOT_CHECK_SEED).random(_SPOT_CHECK_POINTS)
+    u.setflags(write=False)
+    return u
+
+
 def spot_check_monotone(g, lo: float, hi: float, direction: str = "nondecreasing") -> None:
     """Spot-check monotonicity of ``g`` on [lo, hi] at 200 random points.
 
@@ -216,7 +256,7 @@ def spot_check_monotone(g, lo: float, hi: float, direction: str = "nondecreasing
         raise DomainError(f"unknown direction {direction!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
-    pts = np.sort(lo + (hi - lo) * make_rng(_SPOT_CHECK_SEED).random(_SPOT_CHECK_POINTS))
+    pts = np.sort(lo + (hi - lo) * _spot_check_fractions())
     vals = np.asarray(g(pts), dtype=float)
     diffs = np.diff(vals)
     tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))

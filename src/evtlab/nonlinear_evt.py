@@ -9,10 +9,11 @@ the construction needs, which is exactly the obstruction the geometric law
 exhibits.
 
 ``convergence_diagnostic`` tabulates the normalized profiles h_n over an
-(x, n) grid, one base tail-quantile call (at the tail masses of the chosen
-``HnVariant``) and one g_n call per n over all x,
-applies the Cauchy verdict per x, and checks that the limit profile is
-nondegenerate; the overall verdict is the conjunction.
+(x, n) grid in one pass: one base tail-quantile call at the tail masses of
+the chosen ``HnVariant`` for every (n, x), and one g_n call, built for the
+whole n column, over all of them.  It applies the Cauchy verdict per x,
+and checks that the limit profile is nondegenerate; the overall verdict is
+the conjunction.
 """
 
 import math
@@ -22,8 +23,8 @@ import numpy as np
 
 from .dist import CONTINUOUS, Distribution, tail_quantile
 from .errors import DomainError, UnsupportedBaseError
-from .linear_evt import norming_constants
-from .maxima import HnVariant, _h_n_args, spot_check_monotone
+from .linear_evt import _norming_arrays
+from .maxima import HnVariant, _entry, _h_n_args, _positive_n, spot_check_monotone
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
 from .stats import _scalar_or_array
 
@@ -49,38 +50,44 @@ def default_x_grid(count: int = 32):
     return np.geomspace(1.0 / 16.0, 16.0, count)
 
 
-def _g_n(target: Distribution, n: int, survival):
+def _g_n(target: Distribution, n, survival):
     """g_n(x) = G_inv(exp(-n S(x))) for the base survival function S.
 
-    A level exp(-n S(x)) that underflows to 0 is floored at the smallest
-    positive double, so the map stays total and monotone; one that rounds
-    to 1 is a ``DomainError``, as G_inv(1) is no value of g_n.
+    ``n`` is a positive integer, or a column of them that the returned g
+    broadcasts against its argument (each n taken as float(n)).  A level
+    exp(-n S(x)) that underflows to 0 is floored at the smallest positive
+    double, so the map stays total and monotone; one that rounds to 1 is a
+    ``DomainError`` naming the first such (n, x) in flat order, as G_inv(1)
+    is no value of g_n.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    nf = _positive_n(n)
 
     def g(x):
         arr = np.asarray(x, dtype=float)
-        if np.any(np.isnan(arr)):
-            raise DomainError(f"g_{n}: x must not be NaN")
-        level = np.exp(-float(n) * survival(arr))
-        saturated = np.flatnonzero(level >= 1.0)
-        if saturated.size:
+        nan = np.isnan(arr)
+        if nan.any():
+            shape = np.broadcast_shapes(arr.shape, np.shape(nf))
+            i = np.argmax(np.broadcast_to(nan, shape))  # the first, in flat order
+            raise DomainError(f"g_{_entry(n, shape, i)}: x must not be NaN")
+        level = np.exp(-nf * survival(arr))
+        saturated = level >= 1.0
+        if saturated.any():
+            i = np.argmax(saturated)
             raise DomainError(
-                f"n = {n}: the level exp(-n(1 - F(x))) rounds to 1 at "
-                f"x = {float(arr.flat[saturated[0]])!r}, where G_inv(1) is no value of g_n"
+                f"n = {_entry(n, level.shape, i)}: the level exp(-n(1 - F(x))) rounds to 1 at "
+                f"x = {float(_entry(arr, level.shape, i))!r}, where G_inv(1) is no value of g_n"
             )
         return _scalar_or_array(x, target.quantile(np.maximum(level, _TINY)))
 
     return g
 
 
-def build_g_n(target: Distribution, n: int):
+def build_g_n(target: Distribution, n):
     """g_n(x) = G_inv(exp(-n(1-x))) for a uniform base; nondecreasing in x."""
     return _g_n(target, n, lambda x: 1.0 - x)
 
 
-def build_g_n_general(target: Distribution, base: Distribution, n: int):
+def build_g_n_general(target: Distribution, base: Distribution, n):
     """g_n(x) = G_inv(exp(-n S(x))) through a continuous base's S = 1 - F.
 
     Refuses a discrete base: a step cdf skips the levels the construction
@@ -96,7 +103,15 @@ def build_g_n_general(target: Distribution, base: Distribution, n: int):
 
 @dataclass(frozen=True)
 class NormalizerSequence:
-    """A base law plus a builder n -> g_n of monotone normalizers."""
+    """A base law plus a builder n -> g_n of monotone normalizers.
+
+    ``builder(n)`` takes an int n or a column of them (an (k, 1) array of
+    Python ints), and the g it returns broadcasts against its argument:
+    built for the column, g maps a (k, m) array row by row, row j through
+    g_n at the j-th n.  ``convergence_diagnostic`` builds g once for its
+    whole n grid, and once more at the scalar first and last n to
+    spot-check monotonicity.
+    """
 
     base: Distribution
     builder: callable
@@ -109,10 +124,10 @@ class NormalizerSequence:
     @classmethod
     def affine(cls, base: Distribution) -> "NormalizerSequence":
         def builder(n):
-            nc = norming_constants(base, n)
+            a, b = _norming_arrays(base, n)
 
             def g(x):
-                return (np.asarray(x, dtype=float) - nc.b_n) / nc.a_n
+                return (np.asarray(x, dtype=float) - b) / a
 
             return g
 
@@ -145,9 +160,13 @@ def convergence_diagnostic(
 
     Each x row gets the Cauchy verdict over the last three n; the limit
     estimate is the value at the largest n, and the limit profile must be
-    nondegenerate at ``nondeg_tol``.  The g_n at the smallest and largest n
-    are monotonicity spot-checked on their actual evaluation range before
-    use.
+    nondegenerate at ``nondeg_tol``.  The grid is one pass: the builder is
+    called once with the n column, and its g once on every tail quantile.
+    The g_n at the smallest and largest n, built at the scalar n, are then
+    monotonicity spot-checked on their actual evaluation range.  Where
+    several (n, x) fail, the first failure in n-major order is named within
+    the first stage that fails: the builder, the tail masses, the tail
+    quantiles, g, then the spot checks.
     """
     xs = np.asarray(default_x_grid() if x_grid is None else x_grid, dtype=float)
     ns = [int(n) for n in n_grid]
@@ -158,15 +177,15 @@ def convergence_diagnostic(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("n_grid must be strictly increasing")
     variant = HnVariant(variant)
-    values = np.empty((xs.size, len(ns)))
-    for j, n in enumerate(ns):
-        g = normalizer.builder(n)
-        qs = tail_quantile(normalizer.base, _h_n_args(n, xs, variant))
-        values[:, j] = g(qs)
-        if n in (ns[0], ns[-1]):
-            lo, hi = float(np.min(qs)), float(np.max(qs))
-            if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
-                spot_check_monotone(g, lo, hi, normalizer.direction)
+    # one pass over the n-major (n, x) grid; the report wants (x, n)
+    n_col = np.array(ns, dtype=object)[:, None]
+    g = normalizer.builder(n_col)
+    qs = tail_quantile(normalizer.base, _h_n_args(n_col, xs, variant))
+    values = np.asarray(g(qs), dtype=float).T
+    for j in sorted({0, len(ns) - 1}):
+        lo, hi = float(np.min(qs[j])), float(np.max(qs[j]))
+        if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
+            spot_check_monotone(normalizer.builder(ns[j]), lo, hi, normalizer.direction)
     limits = values[:, -1]
     nondeg = nondegeneracy_check(zip(xs, limits), nondeg_tol)
     return build_report(

@@ -75,7 +75,7 @@ def build_report(
     with np.errstate(invalid="ignore"):  # inf - inf; such a row fails anyway
         spread = np.ptp(tail, axis=1)
     per_point = tuple((np.isfinite(tail).all(axis=1) & (spread <= tol)).tolist())
-    limits = tuple((p, float(values[i, -1])) for i, p in enumerate(points))
+    limits = tuple(zip(points, values[:, -1].tolist()))
     return ConvergenceReport(
         scale_name=scale_name,
         scales=tuple(scales),

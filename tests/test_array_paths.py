@@ -212,3 +212,25 @@ def test_convergence_diagnostic_matches_the_per_point_loop(name, variant, xs, ns
             mass = -math.expm1(-x / n) if variant is e.HnVariant.EXP_FORM else x / n
             want = g(e.tail_quantile(base, mass))
             assert values[i, j] == pytest.approx(want, rel=64 * ULP)
+
+
+AFFINE_BASES = {
+    "uniform": e.uniform(),
+    "exponential": e.exponential(),
+    "pareto2": e.pareto(2.0),
+    "geometric0.5": e.geometric(0.5),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(AFFINE_BASES)), x_grids, n_grids)
+@example("pareto2", [0.5, 1.0, 2.0], [10, 100, 10**5, 10**6])
+def test_affine_diagnostic_equals_the_per_n_loop(name, xs, ns):
+    # the grid's array constants and the per-n loop of norming_constants give
+    # the same bits, so == holds, not just a few ulps
+    base = AFFINE_BASES[name]
+    values = e.convergence_diagnostic(e.NormalizerSequence.affine(base), xs, ns).values
+    for j, n in enumerate(ns):
+        nc = e.norming_constants(base, n)
+        loop = (e.tail_quantile(base, np.array(xs) / n) - nc.b_n) / nc.a_n
+        assert values[:, j].tolist() == loop.tolist()

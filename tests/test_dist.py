@@ -69,6 +69,16 @@ def test_tail_quantile_domain_errors():
             e.tail_quantile(e.exponential(), bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.0, 1.0, math.inf, -math.inf])
+def test_unit_interval_refusals_keep_their_message(bad):
+    # one comparison pass refuses NaN too; an array is refused for one bad entry
+    for call, name in ((e.quantile, "quantile argument u"), (e.tail_quantile, "tail mass eps")):
+        for arg in (bad, np.array([0.5, bad, 0.25])):
+            with pytest.raises(DomainError) as info:
+                call(e.exponential(), arg)
+            assert str(info.value) == f"{name} must lie in the open interval (0, 1)"
+
+
 def test_tail_quantile_refuses_a_non_finite_value():
     # 1e-5**(-100) overflows: the first such eps and the law are named
     eps = np.array([0.5, 1e-2, 1e-5, 1e-7])

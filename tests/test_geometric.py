@@ -401,6 +401,14 @@ def test_cluster_limit_is_zero_where_p_to_the_q_overflows():
         assert cluster_limit(gp, q, 0.0) == math.exp(-(0.5 ** (q + 1)))
 
 
+def test_cluster_limit_for_a_q_beyond_the_doubles():
+    # q + 1 - c has no double here; the limit is exp(-0) or exp(-inf)
+    gp = GeometricParams(0.5)
+    assert cluster_limit(gp, 10**400, 0.5) == 1.0
+    assert cluster_limit(gp, -(10**400), 0.5) == 0.0
+    assert cluster_limit(gp, 10**300, 0.5) == math.exp(-(0.5 ** (10**300 + 1 - 0.5)))
+
+
 def test_cluster_limit_values():
     gp = GeometricParams(0.5)
     assert cluster_limit(gp, 0, 0.0) == pytest.approx(math.exp(-0.5), rel=1e-15)

@@ -1,6 +1,7 @@
 """Max laws, both samplers, and the three h_n evaluation forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,25 @@ def test_h_n_domain_errors_name_the_variant():
         e.h_n_eval(lambda t: t, e.uniform(), 5, 0.0, HnVariant.LINEAR_FORM)
 
 
+def test_h_n_args_take_a_column_of_n():
+    # row j of the n-major grid is the tail masses at the j-th n, bit for bit
+    xs = np.geomspace(0.01, 9.0, 7)
+    ns = [10, 1000, 2**60 + 1]
+    col = np.array(ns, dtype=object)[:, None]
+    for variant in HnVariant:
+        grid = maxima._h_n_args(col, xs, variant)
+        assert grid.shape == (3, 7)
+        for j, n in enumerate(ns):
+            assert grid[j].tolist() == maxima._h_n_args(n, xs, variant).tolist()
+    # the first mass outside (0, 1) in n-major order is named, with its exact n
+    col = np.array([10, 2**80 + 1, 2**81], dtype=object)[:, None]
+    message = f"exp_form: 1 - exp(-x/n) = 0.0 left (0, 1) for x=1e-300, n={2**80 + 1}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        maxima._h_n_args(col, np.array([1.0, 1e-300]), HnVariant.EXP_FORM)
+    with pytest.raises(DomainError, match="n must be a positive integer, got 0"):
+        maxima._h_n_args(np.array([5, 0], dtype=object)[:, None], xs, HnVariant.LINEAR_FORM)
+
+
 # ---------------------------------------------------------------- floor_reciprocal
 
 def test_floor_reciprocal_round_trip():
@@ -265,6 +285,13 @@ def test_floor_reciprocal_validation():
 
 
 # ---------------------------------------------------------------- monotone spot check
+
+def test_spot_check_fractions_are_drawn_once_and_read_only():
+    u = maxima._spot_check_fractions()
+    assert u is maxima._spot_check_fractions()
+    assert np.array_equal(u, e.make_rng(maxima._SPOT_CHECK_SEED).random(200))
+    assert not u.flags.writeable
+
 
 def test_spot_check_monotone_accepts_and_rejects():
     e.spot_check_monotone(lambda x: np.asarray(x) ** 3, -2.0, 2.0)

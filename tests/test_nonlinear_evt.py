@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 import evtlab as e
+from evtlab.dist import CONTINUOUS, Distribution
 from evtlab.errors import (
+    ContractViolationError,
     DegenerateNormalizationError,
     DomainError,
     UnsupportedBaseError,
 )
 from evtlab.maxima import HnVariant
+from evtlab.nonlinear_evt import NormalizerSequence
 
 
 # ---------------------------------------------------------------- g_n builders
@@ -161,11 +164,54 @@ def test_diagnostic_affine_geometric_fails():
     assert not report.verdict
 
 
+@pytest.mark.filterwarnings("error")
 def test_diagnostic_affine_geometric_degenerate_constants():
-    # p = 0.2 at n = 100 has a_n = 0; the builder itself must refuse
+    # p = 0.2 at n = 100 has a_n = 0; the builder itself must refuse, before
+    # any division by a_n (which would warn, and warnings are errors here)
     seq = e.NormalizerSequence.affine(e.geometric(0.2))
-    with pytest.raises(DegenerateNormalizationError):
+    with pytest.raises(DegenerateNormalizationError, match="a_n = 0 at n = 100 for geometric"):
         e.convergence_diagnostic(seq, n_grid=(100, 1000, 10_000))
+
+
+@pytest.mark.filterwarnings("error")
+def test_diagnostic_affine_refuses_a_positive_a_n_before_dividing():
+    # a tail quantile that decreases below the mass 1/8 gives a_n > 0 from
+    # n = 8 on; the first such n of the column is named
+    def tail(eps):
+        eps = np.asarray(eps, dtype=float)
+        return np.where(eps > 0.125, -np.log(eps), np.log(eps))
+
+    law = e.exponential()
+    bad = Distribution("bent", law.cdf, law.sf, law.quantile, tail, CONTINUOUS)
+    seq = e.NormalizerSequence.affine(bad)
+    with pytest.raises(ContractViolationError, match="a_n = .* > 0 at n = 8$"):
+        e.convergence_diagnostic(seq, [0.5, 1.0], n_grid=(4, 8, 16, 32))
+
+
+def test_diagnostic_builds_g_once_for_the_n_column():
+    # one builder call for the whole grid, and the two scalar spot-check calls
+    seen = []
+    target, base = e.exponential(), e.pareto(2.0)
+
+    def builder(n):
+        seen.append(n)
+        return e.build_g_n_general(target, base, n)
+
+    ns = (20, 100, 1000, 10_000)
+    e.convergence_diagnostic(NormalizerSequence(base, builder), n_grid=ns)
+    column, *scalars = seen
+    assert column.shape == (4, 1) and column.ravel().tolist() == list(ns)
+    assert scalars == [20, 10_000]
+
+
+def test_diagnostic_saturation_names_the_exact_n():
+    # uniform base: 1 - x/n rounds to 1 at n = 2**60 + 1 for every x <= 16, so
+    # the level saturates there alone; the message names n itself, not the
+    # double 2**60 it rounds to
+    seq = e.NormalizerSequence.from_target(e.normal(), e.uniform())
+    message = "n = 1152921504606846977: the level exp(-n(1 - F(x))) rounds to 1 at x = 1.0"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        e.convergence_diagnostic(seq, n_grid=(10**3, 10**6, 10**9, 2**60 + 1))
 
 
 def test_diagnostic_limit_matches_law_of_h_omega():

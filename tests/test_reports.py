@@ -53,6 +53,7 @@ def test_build_report_per_point_and_overall():
     assert not rep.converged
     assert not rep.verdict
     assert rep.limit_table == ((0.5, 1.0), (2.0, 4.0))
+    assert all(type(limit) is float for _, limit in rep.limit_table)
     assert rep.window == CAUCHY_WINDOW
 
 

@@ -441,3 +441,7 @@ def run(argv) -> int:
 
 def main() -> int:
     return run(sys.argv[1:])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import geometric as _geom
 from .errors import BracketingError, ContractViolationError, DomainError
-from .stats import _scalar_or_array, uniform_open
+from .stats import _integer, _scalar_or_array, uniform_open
 
 __all__ = [
     "Distribution",
@@ -79,9 +79,9 @@ def _validate_u(u, name="quantile argument u"):
 
 
 def quantile(dist: Distribution, u):
-    """Q(u) = inf{x : F(x) > u} for u in (0, 1); endpoints are rejected."""
-    arr = _validate_u(u)
-    return _scalar_or_array(u, dist.quantile(arr))
+    """Q(u) = inf{x : F(x) > u} for u in (0, 1); endpoints are rejected, and a
+    non-finite value is a ``DomainError`` naming the first such u and the law."""
+    return _scalar_or_array(u, _finite_quantiles(dist, _validate_u(u)))
 
 
 def _finite_quantiles(dist: Distribution, arg, tail: bool = False):
@@ -307,9 +307,7 @@ def sample_quantile_transform(dist: Distribution, rng, count: int):
     For uniform(0, 1) the output is bit-identical to the raw uniform stream;
     discrete laws are sampled exactly through the same route.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    return _finite_quantiles(dist, uniform_open(rng, int(count)))
+    return _finite_quantiles(dist, uniform_open(rng, _integer(count, "count")))
 
 
 _FAMILIES = {

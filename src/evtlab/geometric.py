@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, SearchHorizonError
-from .stats import _scalar_or_array
+from .stats import _integer, _scalar_or_array
 
 __all__ = [
     "GeometricParams",
@@ -131,10 +131,9 @@ def floor_theta_log_n(params: GeometricParams, n: int) -> int:
     rational arithmetic when the float product sits within 1e-9 of k.  This
     is the one-point form of the levels ``oscillation_scan`` probes.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = _integer(n, "n")
     t = params.theta * np.array([math.log(n)])
-    return int(_floor_log_ratio(params.p, t, lambda i: Fraction(1, int(n)))[0])
+    return int(_floor_log_ratio(params.p, t, lambda i: Fraction(1, n))[0])
 
 
 _SEARCH_CHUNK = 1 << 16
@@ -235,8 +234,7 @@ def frac_log_search(theta: float, x: float, y: float, n_max: int):
         raise DomainError(f"theta must be positive and finite, got {theta!r}")
     if not 0.0 <= x < y <= 1.0:
         raise DomainError(f"need 0 <= x < y <= 1, got x={x}, y={y}")
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+    n_max = _integer(n_max, "n_max")
     horizon = sufficient_horizon(theta, x, y)
     if n_max < horizon:
         warnings.warn(
@@ -244,7 +242,7 @@ def frac_log_search(theta: float, x: float, y: float, n_max: int):
             "the search may fail",
             stacklevel=2,
         )
-    cap = min(int(n_max), _SEARCH_CEILING)
+    cap = min(n_max, _SEARCH_CEILING)
     last_block = int(np.floor(theta * np.log(np.array([cap], dtype=np.int64)))[0])
     # every n below n_next misses, and so does every n in a block below q_next
     n_next, q_next = 1, 0

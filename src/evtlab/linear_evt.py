@@ -36,7 +36,7 @@ from .errors import (
     DomainError,
     InconsistentTailError,
 )
-from .maxima import _n_entries, _refuse_huge_n
+from .maxima import _indices
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
 from .stats import _scalar_or_array
 
@@ -226,11 +226,7 @@ def _norming_arrays(dist: Distribution, n):
     float arrays of n's shape, from one tail-quantile call at the masses 1/n
     and 2/n.  Every n is checked before any constant is formed, and the
     first n whose a_n is not negative is refused."""
-    ns = _n_entries(n)
-    for m in ns:
-        if not isinstance(m, (int, np.integer)) or m < 3:
-            raise DomainError(f"n must be an integer >= 3, got {m!r}")
-        _refuse_huge_n(m)
+    ns = np.ravel(_indices(n, least=3)).tolist()
     q = tail_quantile(dist, np.array([[1.0 / m for m in ns], [2.0 / m for m in ns]]))
     b, a = q[0], q[1] - q[0]
     negative = a < 0.0

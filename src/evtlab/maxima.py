@@ -36,7 +36,7 @@ import numpy as np
 from .dist import Distribution, _finite_quantiles, tail_quantile
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
-from .stats import _scalar_or_array, make_rng, standard_exponential, uniform_open
+from .stats import _integer, _scalar_or_array, make_rng, standard_exponential, uniform_open
 
 __all__ = [
     "MaxLaw",
@@ -54,12 +54,20 @@ __all__ = [
 _N_MAX = 2**960
 
 
-def _refuse_huge_n(n) -> None:
+def _indices(n, least: int = 1):
+    """The index n of a law of maxima, an int or an array of them, checked entry
+    by entry as an integer (``stats._integer``) from ``least`` to 2**960; an
+    array comes back in n's shape as Python ints, which keep each n exact."""
+    if isinstance(n, np.ndarray):
+        checked = [_indices(m, least) for m in n.ravel().tolist()]
+        return np.array(checked, dtype=object).reshape(n.shape)
+    n = _integer(n, "n", least)
     if n > _N_MAX:
         raise DomainError(
             f"n = {n} is too large: the tail masses 2/n and omega/n stay normal "
             "doubles only up to n = 2**960"
         )
+    return n
 
 
 # Most uniforms ``sample_max_direct`` holds at once (32 MB).
@@ -74,9 +82,7 @@ class MaxLaw:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        _refuse_huge_n(self.n)
+        object.__setattr__(self, "n", _indices(_integer(self.n, "n")))  # one n, not a column
 
 
 def max_cdf(law: MaxLaw, x):
@@ -95,9 +101,7 @@ def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
     row-major blocks of at most 2**22, so memory stays bounded, but time is
     O(count * n); use the exponential representation for large n.
     """
-    size = 1 if count is None else int(count)
-    if size < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
+    size = 1 if count is None else _integer(count, "count")
     # row-major blocks keep the stream order of one (size, n) draw
     width = min(law.n, _DIRECT_BLOCK)
     rows = _DIRECT_BLOCK // width
@@ -119,9 +123,7 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int | None = None):
     uniform stream gives omega in [2**-53, 36.8], so eps lies in (0, 1) for
     every n the law accepts and no draw is ever redrawn.
     """
-    size = 1 if count is None else int(count)
-    if size < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
+    size = 1 if count is None else _integer(count, "count")
     omega = standard_exponential(rng, size)
     x = _finite_quantiles(law.base, -np.expm1(-omega / law.n), tail=True)
     return float(x[0]) if count is None else x
@@ -150,21 +152,6 @@ def floor_reciprocal(eps: float) -> int:
     return n
 
 
-def _n_entries(n) -> list:
-    """The entries of an index n given as an int or as an array of them
-    (a column of Python ints keeps each n exact up to 2**960)."""
-    return n.ravel().tolist() if isinstance(n, np.ndarray) else [n]
-
-
-def _positive_n(n):
-    """float(n) for a positive integer n, or per entry for an array of them;
-    the first entry that is no positive integer is a ``DomainError``."""
-    for m in _n_entries(n):
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise DomainError(f"n must be a positive integer, got {m!r}")
-    return np.asarray(n, dtype=float) if isinstance(n, np.ndarray) else float(n)
-
-
 def _entry(values, shape, i):
     """Entry i, in flat order, of the array ``values`` broadcast to
     ``shape``; a scalar is its own entry."""
@@ -180,7 +167,7 @@ def _h_n_args(n, x, variant: HnVariant, eps: float | None = None):
     ``n`` is an int or a column of them, broadcast against x; the first
     mass outside (0, 1) in flat (n-major) order is the one named.
     """
-    nf = _positive_n(n)
+    nf = np.asarray(_indices(n), dtype=float)
     variant = HnVariant(variant)
     if variant is HnVariant.EXP_FORM:
         args = -np.expm1(-x / nf)
@@ -193,7 +180,7 @@ def _h_n_args(n, x, variant: HnVariant, eps: float | None = None):
             args = x / nf
         else:
             idx = floor_reciprocal(eps)
-            for m in _n_entries(n):
+            for m in np.ravel(n).tolist():
                 if idx != m:
                     raise DomainError(
                         f"epsilon_form: floor(1/eps) = {idx} does not match n = {m}"

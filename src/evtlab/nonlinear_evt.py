@@ -24,7 +24,7 @@ import numpy as np
 from .dist import CONTINUOUS, Distribution, tail_quantile
 from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import _norming_arrays
-from .maxima import HnVariant, _entry, _h_n_args, _positive_n, spot_check_monotone
+from .maxima import HnVariant, _entry, _h_n_args, _indices, spot_check_monotone
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
 from .stats import _scalar_or_array
 
@@ -53,14 +53,14 @@ def default_x_grid(count: int = 32):
 def _g_n(target: Distribution, n, survival):
     """g_n(x) = G_inv(exp(-n S(x))) for the base survival function S.
 
-    ``n`` is a positive integer, or a column of them that the returned g
-    broadcasts against its argument (each n taken as float(n)).  A level
+    ``n`` is an integer from 1 to 2**960, or a column of them that the
+    returned g broadcasts against its argument (each n taken as float(n)).  A level
     exp(-n S(x)) that underflows to 0 is floored at the smallest positive
     double, so the map stays total and monotone; one that rounds to 1 is a
     ``DomainError`` naming the first such (n, x) in flat order, as G_inv(1)
     is no value of g_n.
     """
-    nf = _positive_n(n)
+    nf = np.asarray(_indices(n), dtype=float)
 
     def g(x):
         arr = np.asarray(x, dtype=float)
@@ -108,9 +108,9 @@ class NormalizerSequence:
     ``builder(n)`` takes an int n or a column of them (an (k, 1) array of
     Python ints), and the g it returns broadcasts against its argument:
     built for the column, g maps a (k, m) array row by row, row j through
-    g_n at the j-th n.  ``convergence_diagnostic`` builds g once for its
-    whole n grid, and once more at the scalar first and last n to
-    spot-check monotonicity.
+    g_n at the j-th n.  ``convergence_diagnostic`` checks each n of its grid
+    (an integer from 1 to 2**960), builds g once for the whole grid, and
+    once more at the scalar first and last n to spot-check monotonicity.
     """
 
     base: Distribution
@@ -168,8 +168,8 @@ def convergence_diagnostic(
     the first stage that fails: the builder, the tail masses, the tail
     quantiles, g, then the spot checks.
     """
+    ns = [_indices(n) for n in n_grid]
     xs = np.asarray(default_x_grid() if x_grid is None else x_grid, dtype=float)
-    ns = [int(n) for n in n_grid]
     if xs.size == 0 or len(ns) == 0:
         raise DomainError("x_grid and n_grid must be nonempty")
     if np.any(np.isnan(xs)) or np.any(xs <= 0.0):

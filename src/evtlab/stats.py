@@ -43,17 +43,24 @@ def _scalar_or_array(x, out):
     return np.asarray(out, dtype=float)
 
 
+def _integer(value, name: str, least: int = 1) -> int:
+    """``value`` as an int, for an int or numpy integer of at least ``least``; a
+    bool, a float or a string is a ``DomainError``, never truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kinds = {0: "a non-negative integer", 1: "a positive integer"}
+        kind = kinds.get(least, f"an integer >= {least}")
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream): same pair, same sequence.
 
     Sub-streams with distinct ids are the only sanctioned way to run
-    samplers in parallel under one seed.  Both must be non-negative.
+    samplers in parallel under one seed.  Both must be integers, both
+    non-negative.
     """
-    seed, stream = int(seed), int(stream)
-    if seed < 0 or stream < 0:
-        raise DomainError(
-            f"seed and stream must be non-negative, got seed={seed}, stream={stream}"
-        )
+    seed, stream = _integer(seed, "seed", 0), _integer(stream, "stream", 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -133,33 +140,29 @@ def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:
     statistic is overstated by up to the atom's mass; the exact statistic
     would make the threshold conservative there (Conover, JASA 1972).
     """
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = EmpiricalCdf.from_samples(samples).sorted_samples
     n = s.size
     if n < _MIN_KS_SAMPLES:
         raise DomainError(f"one-sample KS requires >= {_MIN_KS_SAMPLES} samples, got {n}")
     f = np.asarray(cdf(s), dtype=float)
-    if np.any(np.isnan(f)) or np.any(f < 0.0) or np.any(f > 1.0):
+    if not ((f >= 0.0) & (f <= 1.0)).all():  # NaN fails both
         raise ContractViolationError("cdf returned values outside [0, 1]")
-    i = np.arange(n)
-    d_minus = np.max(f - i / n)
-    d_plus = np.max((i + 1) / n - f)
-    stat = float(max(d_plus, d_minus, 0.0))
+    # D+ = max((i + 1)/n - f) = 1/n - min(f - i/n) and D- = max(f - i/n)
+    d = f - np.arange(n) / n
+    stat = float(max(d.max(), 1.0 / n - d.min(), 0.0))
     thr = float(_threshold(alpha, n))
     return KsResult(stat, float(n), thr, stat < thr)
 
 
 def ks_two_sample(a, b, alpha: float = 0.05) -> KsResult:
     """Sup-distance between two sample ECDFs, with verdict at ``alpha``."""
-    sa = np.sort(np.asarray(a, dtype=float))
-    sb = np.sort(np.asarray(b, dtype=float))
-    if sa.size < _MIN_KS_SAMPLES or sb.size < _MIN_KS_SAMPLES:
+    ea, eb = EmpiricalCdf.from_samples(a), EmpiricalCdf.from_samples(b)
+    if ea.size < _MIN_KS_SAMPLES or eb.size < _MIN_KS_SAMPLES:
         raise DomainError(
             f"two-sample KS requires >= {_MIN_KS_SAMPLES} samples on each side"
         )
-    grid = np.concatenate([sa, sb])
-    fa = np.searchsorted(sa, grid, side="right") / sa.size
-    fb = np.searchsorted(sb, grid, side="right") / sb.size
-    stat = float(np.max(np.abs(fa - fb)))
-    n_eff = sa.size * sb.size / (sa.size + sb.size)
+    grid = np.concatenate([ea.sorted_samples, eb.sorted_samples])
+    stat = float(np.max(np.abs(ecdf_eval(ea, grid) - ecdf_eval(eb, grid))))
+    n_eff = ea.size * eb.size / (ea.size + eb.size)
     thr = float(_threshold(alpha, n_eff))
     return KsResult(stat, float(n_eff), thr, stat < thr)

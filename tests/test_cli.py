@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import evtlab
 from evtlab import cli
 
 # Everything here must appear verbatim (prefixed with "evtlab ") in README.md;
@@ -507,3 +511,24 @@ def test_main_entry_point(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["evtlab", "limit-law", "--rho", "1", "--x", "0.5"])
     assert cli.main() == 0
     assert capsys.readouterr().out != ""
+
+
+@pytest.mark.parametrize("module", ["evtlab", "evtlab.cli"])
+@pytest.mark.parametrize(
+    "argv,golden",
+    [("norming --dist geometric:p=0.5 --n 100", "05-norming.csv"),
+     ("sample --dist cauchy:x=1", "27-sample.csv")],
+)
+def test_python_dash_m_runs_the_command_line(module, argv, golden):
+    # python -m evtlab[.cli] ARGS writes the golden bytes of evtlab ARGS and
+    # exits with its code
+    goldens = Path(__file__).parent / "golden"
+    env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV_VAR}
+    src = str(Path(evtlab.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, *shlex.split(argv)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert done.stdout == (goldens / golden).read_bytes()
+    assert done.returncode == json.loads((goldens / "exit_codes.json").read_text())[golden]

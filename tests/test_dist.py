@@ -87,6 +87,15 @@ def test_tail_quantile_refuses_a_non_finite_value():
         e.tail_quantile(e.pareto(0.01), eps)
 
 
+def test_quantile_refuses_a_non_finite_value():
+    # (1 - u)**(-100) overflows at u = 0.99999, as Q(1 - eps) does at eps = 1e-5
+    message = r"Q\(u\) = inf is not finite at u = 0.99999 for pareto:alpha=0.01"
+    with pytest.raises(DomainError, match=message):
+        e.quantile(e.pareto(0.01), 0.99999)
+    with pytest.raises(DomainError, match=message):
+        e.quantile(e.pareto(0.01), np.array([0.5, 0.99999, 0.9999999]))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.sampled_from(range(len(ALL_FAMILIES))),

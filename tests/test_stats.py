@@ -163,6 +163,20 @@ def test_ks_one_sample_validation():
         e.ks_one_sample(np.linspace(0.01, 0.99, 100), lambda x: 2.0 * np.asarray(x))
 
 
+def test_ks_refuses_a_nan_sample():
+    # the samples are at fault, not the cdf, and no statistic is returned
+    x = np.linspace(0.01, 0.99, 100)
+    x[7] = np.nan
+    y = np.linspace(0.01, 0.99, 50)
+    for call in (
+        lambda: e.ks_one_sample(x, e.uniform().cdf),
+        lambda: e.ks_two_sample(x, y),
+        lambda: e.ks_two_sample(y, x),
+    ):
+        with pytest.raises(DomainError, match="samples must not contain NaN"):
+            call()
+
+
 # ---------------------------------------------------------------- two-sample KS
 
 def test_ks_two_sample_identical_and_disjoint():

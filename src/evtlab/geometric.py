@@ -11,8 +11,8 @@ steps, the law of a maximum exp(n log1p(-S)) from a survival function S,
 a hardened floor of theta*log n, a constructive search for fractional
 parts, the oscillation scan itself, and the geometrically spaced
 subsequences along which the probe does converge.  Integer grids (the n of
-a scan, the k of a subsequence) are refused, not truncated or overflowed,
-when an entry is not an integer below 2**63 in magnitude.
+a scan, the k of a subsequence) take ints below 2**63 in magnitude, and
+refuse a float, integral or not, rather than truncate it (``stats._grid``).
 
 Floor hardening: whenever theta*log n (or log u / log p) lands within 1e-9
 of an integer k, the ambiguity is resolved by exact rational comparison of
@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, SearchHorizonError
-from .stats import _integer, _scalar_or_array
+from .stats import _grid, _integer, _scalar_or_array
 
 __all__ = [
     "GeometricParams",
@@ -312,17 +312,6 @@ def cluster_limit(params: GeometricParams, q: int, c: float) -> float:
     return math.exp(-params.p**exponent)
 
 
-def _int64_array(values, name: str) -> np.ndarray:
-    """``values`` as int64.  An entry that is not an integer of magnitude
-    below 2**63 is a ``DomainError``, where the cast would truncate or overflow."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "bi":
-        for v in arr.flat:
-            if not (v % 1 == 0 and -(2**63) < v < 2**63):  # NaN fails too
-                raise DomainError(f"{name} must be integers of magnitude below 2**63, got {v}")
-    return arr.astype(np.int64)
-
-
 def oscillation_scan(
     params: GeometricParams,
     q: int,
@@ -335,18 +324,13 @@ def oscillation_scan(
     level m, exp(n * log1p(-p**(m+1))), to keep large-n values exact to
     machine precision; a level below zero has S = 1 and probability 0.
     """
-    ns = _int64_array(n_values, "n_values")
-    if ns.size == 0:
-        raise DomainError("n_values must be nonempty")
-    if np.any(ns < 1):
-        raise DomainError("n_values must be positive integers")
-    if np.any(np.diff(ns) <= 0):
-        raise DomainError("n_values must be strictly increasing")
+    ns = _grid(n_values, "n_values", order=1, least=1)
+    q = _integer(q, "q", least=None)
     t = params.theta * np.log(ns)
     levels = _floor_log_ratio(params.p, t, lambda i: Fraction(1, int(ns[i]))).astype(np.int64)
     # checked in Python ints, as int64 arithmetic would wrap or overflow; the
     # shift through the lowest level stays in int64 whenever the result does
-    q, low = int(q), int(levels.min())
+    low = int(levels.min())
     if not -(2**63) <= low + q <= int(levels.max()) + q < 2**63:
         raise DomainError(f"q = {q} takes the levels floor(theta log n) + q out of int64")
     levels = (levels - low) + (low + q)
@@ -374,16 +358,12 @@ def subsequence_generator(params: GeometricParams, c: float, k_range) -> np.ndar
     """
     if not 0.0 <= c < 1.0:
         raise DomainError(f"c must lie in [0, 1), got {c}")
-    ks = _int64_array(k_range, "k_range")
-    if ks.size == 0:
-        raise DomainError("k_range must be nonempty")
+    ks = _grid(k_range, "k_range", least=0)
     log_inv_p = math.log(1.0 / params.p)
     # an exponent past log(2**62) + 1 is refused below whatever its value;
     # capping it there keeps math.exp from overflowing first
     cap = math.log(2.0**62) + 1.0
     vals = np.array([math.exp(min((int(k) + c) * log_inv_p, cap)) for k in ks])
-    if np.any(vals < 1.0):
-        raise DomainError("k_range entries must satisfy (k + c)/theta >= 0")
     if np.any(vals > 2**62):
         raise DomainError("k_range entries overflow the integer range")
     ns = np.rint(vals).astype(np.int64)

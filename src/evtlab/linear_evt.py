@@ -38,7 +38,7 @@ from .errors import (
 )
 from .maxima import _indices
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
-from .stats import _scalar_or_array
+from .stats import _grid, _scalar_or_array
 
 __all__ = [
     "RHO_SERIES_BAND",
@@ -113,8 +113,7 @@ def _dehaan_grid(dist: Distribution, pairs, scales, locate: bool = True):
                 raise DomainError(f"{name} must be positive, got {val!r}")
         if v == 1.0:
             raise DomainError("v = 1 makes the denominator identically zero")
-        if len(scales):
-            _validate_eps(scales[0], max(u, v, 1.0))
+        _validate_eps(scales[0], max(u, v, 1.0))
     eps = np.asarray(scales, dtype=float)
     factors = np.array([(1.0, u, v) for u, v in pairs], dtype=float).T
     q = tail_quantile(dist, factors[:, :, None] * eps)
@@ -149,14 +148,12 @@ def dehaan_test(
     """Evaluate the attraction criterion on a scale sweep.
 
     Ratios are tabulated per (u, v) pair across the strictly decreasing
-    ``eps_grid``; a pair converges when its last three values sit within
-    ``tol`` of each other, and the report's limit table holds the value at
-    the smallest scale.  A degenerate tail raises with the first offending
-    (u, v, eps) attached.
+    ``eps_grid``; a pair converges when its values over the report's window
+    (``build_report``) sit within ``tol`` of each other, and the limit table
+    holds the value at the smallest scale.  A degenerate tail raises with the
+    first offending (u, v, eps) attached.
     """
-    scales = np.asarray(eps_grid, dtype=float)
-    if np.any(np.diff(scales) >= 0.0) or np.any(scales <= 0.0):
-        raise DomainError("eps_grid must be strictly decreasing and positive")
+    scales = _grid(eps_grid, "eps_grid", order=-1)
     pairs = [(float(u), float(v)) for u, v in uv_grid]
     if not pairs:
         raise DomainError("uv_grid must be nonempty")
@@ -185,11 +182,7 @@ def estimate_rho(
     """
     if not isinstance(w, (int, float)) or math.isnan(w) or w <= 1.0:
         raise DomainError(f"w must exceed 1, got {w!r}")
-    scales = np.asarray(eps_grid, dtype=float)
-    if scales.size < 1:
-        raise DomainError("eps_grid must be nonempty")
-    if np.any(np.diff(scales) >= 0.0) or np.any(scales <= 0.0):
-        raise DomainError("eps_grid must be strictly decreasing and positive")
+    scales = _grid(eps_grid, "eps_grid", order=-1)
     _validate_eps(float(scales[0]), 2.0 * w)
     # q[j, i, k] = Q(1 - m_k*e_i) at e = (eps_j, eps_j*w) and m = (1, 2)
     masses = scales[:, None, None] * np.array([1.0, w])[:, None] * np.array([1.0, 2.0])

@@ -26,7 +26,7 @@ from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import _norming_arrays
 from .maxima import HnVariant, _entry, _h_n_args, _indices, spot_check_monotone
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
-from .stats import _scalar_or_array
+from .stats import _grid, _integer, _scalar_or_array
 
 __all__ = [
     "DEFAULT_NONDEG_TOL",
@@ -46,8 +46,8 @@ _TINY = np.nextafter(0.0, 1.0)
 
 
 def default_x_grid(count: int = 32):
-    """Geometric grid on [1/16, 16], the scale window the diagnostics use."""
-    return np.geomspace(1.0 / 16.0, 16.0, count)
+    """Geometric grid of ``count`` points on [1/16, 16], the diagnostics' window."""
+    return np.geomspace(1.0 / 16.0, 16.0, _integer(count, "count"))
 
 
 def _g_n(target: Distribution, n, survival):
@@ -158,24 +158,19 @@ def convergence_diagnostic(
 ) -> ConvergenceReport:
     """Tabulate h_n(x) = g_n(Q_base(1 - .)) over (x, n) and judge convergence.
 
-    Each x row gets the Cauchy verdict over the last three n; the limit
-    estimate is the value at the largest n, and the limit profile must be
-    nondegenerate at ``nondeg_tol``.  The grid is one pass: the builder is
-    called once with the n column, and its g once on every tail quantile.
-    The g_n at the smallest and largest n, built at the scalar n, are then
-    monotonicity spot-checked on their actual evaluation range.  Where
-    several (n, x) fail, the first failure in n-major order is named within
-    the first stage that fails: the builder, the tail masses, the tail
-    quantiles, g, then the spot checks.
+    Each x row gets the Cauchy verdict over the report's window of n
+    (``build_report``); the limit estimate is the value at the largest n, and
+    the limit profile must be nondegenerate at ``nondeg_tol``.  The grid is
+    one pass: the builder is called once with the n column, and its g once on
+    every tail quantile.  The g_n at the smallest and largest n, built at the
+    scalar n, are then monotonicity spot-checked on their actual evaluation
+    range.  Where several (n, x) fail, the first failure in n-major order is
+    named within the first stage that fails: the builder, the tail masses,
+    the tail quantiles, g, then the spot checks.
     """
-    ns = [_indices(n) for n in n_grid]
-    xs = np.asarray(default_x_grid() if x_grid is None else x_grid, dtype=float)
-    if xs.size == 0 or len(ns) == 0:
-        raise DomainError("x_grid and n_grid must be nonempty")
-    if np.any(np.isnan(xs)) or np.any(xs <= 0.0):
-        raise DomainError("x_grid must be positive")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise DomainError("n_grid must be strictly increasing")
+    ns = _indices(np.asarray(n_grid, dtype=object))
+    ns = _grid(ns, "n_grid", order=1, least=1, int64=False).tolist()
+    xs = _grid(default_x_grid() if x_grid is None else x_grid, "x_grid")
     variant = HnVariant(variant)
     # one pass over the n-major (n, x) grid; the report wants (x, n)
     n_col = np.array(ns, dtype=object)[:, None]

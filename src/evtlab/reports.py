@@ -1,10 +1,13 @@
 """Cauchy-convergence reports over scale grids.
 
 A report records function values on a (point x scale) grid, a per-point
-Cauchy verdict over the last three scales (finite, and mutually within
+Cauchy verdict over a window of the last scales (finite, and mutually within
 ``tol``), per-point limit estimates (the value at the final scale), and an
-overall verdict.  A grid needs at least four scales, so the verdict never
-covers the whole sweep (on a single scale it would pass trivially).
+overall verdict.  The window holds the scales within half a decade (10**0.5)
+of the final one, at least three and never the first, so a grid needs four
+(on a single scale the verdict would pass trivially).  A denser grid cannot
+narrow it, and as the geometric ratio is periodic in log eps with a period
+of log10(1/p) decades, it covers a full period for every p >= 10**-0.5.
 Diagnostics that additionally require a nondegenerate limit set
 ``nondegenerate``; the overall ``verdict`` is then
 converged-and-nondegenerate.
@@ -19,8 +22,10 @@ from .errors import DomainError
 
 __all__ = ["ConvergenceReport", "build_report", "DEFAULT_CAUCHY_TOL"]
 
-# the scales a Cauchy verdict compares, and the spread it allows by default
+# the fewest scales a Cauchy verdict compares, the factor in scale it spans,
+# and the spread it allows by default
 CAUCHY_WINDOW = 3
+CAUCHY_SPAN = 10**0.5
 DEFAULT_CAUCHY_TOL = 1e-3
 
 
@@ -71,7 +76,13 @@ def build_report(
             f"need at least {CAUCHY_WINDOW + 1} scales for a Cauchy window of "
             f"{CAUCHY_WINDOW}, got {len(scales)}"
         )
-    tail = values[:, -CAUCHY_WINDOW:]
+    near = 0  # the scales within the span of the last, a suffix of a monotone grid
+    for s in reversed(scales):
+        if not 1.0 / CAUCHY_SPAN <= s / scales[-1] <= CAUCHY_SPAN:
+            break
+        near += 1
+    window = min(len(scales) - 1, max(CAUCHY_WINDOW, near))
+    tail = values[:, -window:]
     with np.errstate(invalid="ignore"):  # inf - inf; such a row fails anyway
         spread = np.ptp(tail, axis=1)
     per_point = tuple((np.isfinite(tail).all(axis=1) & (spread <= tol)).tolist())
@@ -83,7 +94,7 @@ def build_report(
         points=tuple(points),
         values=values,
         tol=tol,
-        window=CAUCHY_WINDOW,
+        window=window,
         converged_per_point=per_point,
         converged=all(per_point),
         limit_table=limits,

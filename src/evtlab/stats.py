@@ -43,14 +43,55 @@ def _scalar_or_array(x, out):
     return np.asarray(out, dtype=float)
 
 
-def _integer(value, name: str, least: int = 1) -> int:
-    """``value`` as an int, for an int or numpy integer of at least ``least``; a
-    bool, a float or a string is a ``DomainError``, never truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        kinds = {0: "a non-negative integer", 1: "a positive integer"}
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(value, name: str, least: int | None = 1) -> int:
+    """``value`` as an int, for an int or numpy integer of at least ``least`` (None:
+    any); a bool, a float or a string is a ``DomainError``, never truncated or parsed."""
+    if not _is_int(value) or (least is not None and value < least):
+        kinds = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
         kind = kinds.get(least, f"an integer >= {least}")
         raise DomainError(f"{name} must be {kind}, got {value!r}")
     return int(value)
+
+
+def _grid(values, name: str, order: int = 0, least: int | None = None, int64: bool = True):
+    """``values`` as a nonempty 1-d grid, strictly increasing (``order`` 1) or
+    decreasing (-1) if asked: a float grid of positive finite reals, or with
+    ``least`` an int64 grid of integers >= ``least``, taken as ``_integer``
+    takes one (a float, integral or not, a bool or a string is refused, never
+    truncated).  ``int64`` False keeps Python ints past int64 exact in an
+    object array.  Anything else is a ``DomainError`` that names the grid."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError(f"{name} must be a nonempty 1-d grid, got shape {arr.shape}")
+    kind = arr.dtype.kind
+    if least is None:
+        if kind not in "iuf":
+            raise DomainError(f"{name} must be real numbers, got {arr.dtype} entries")
+        grid = np.asarray(arr, dtype=float)
+        if not (grid.min() > 0.0 and grid.max() < np.inf):  # NaN fails both
+            i = np.argmin(np.isfinite(grid) & (grid > 0.0))
+            raise DomainError(f"{name} must be positive finite reals, got {arr.tolist()[i]!r}")
+    else:  # a numpy integer array is checked whole, anything else entry by entry
+        top = 2**63 if int64 else np.inf
+        if kind != "i" and not (kind == "u" and arr.max() < top):
+            bad = [v for v in arr.tolist() if not (_is_int(v) and -top <= v < top)]
+            if bad:
+                fit = " of magnitude below 2**63" if int64 else ""
+                raise DomainError(f"{name} must be integers{fit}, got {bad[0]!r}")
+        grid = arr if kind == "O" and not int64 else arr.astype(np.int64)
+        if grid.min() < least:
+            i = np.argmax(grid < least)
+            raise DomainError(f"{name} must be integers >= {least}, got {arr.tolist()[i]!r}")
+    if order:
+        steps = grid[1:] > grid[:-1] if order > 0 else grid[1:] < grid[:-1]
+        if not steps.all():
+            way, i = ("increasing" if order > 0 else "decreasing"), steps.argmin()
+            raise DomainError(f"{name} must be strictly {way}, got {grid.tolist()[i : i + 2]}")
+    return grid
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

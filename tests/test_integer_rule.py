@@ -45,6 +45,7 @@ SITES = {
     ),
     "floor_theta_log_n": (lambda v: floor_theta_log_n(PARAMS, v), "n", 1, False),
     "frac_log_search": (lambda v: e.frac_log_search(1.0, 0.0, 0.5, v), "n_max", 1, False),
+    "default_x_grid": (lambda v: e.default_x_grid(v), "count", 1, False),
     "make_rng seed": (lambda v: e.make_rng(v), "seed", 0, False),
     "make_rng stream": (lambda v: e.make_rng(0, v), "stream", 0, False),
 }

@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+import evtlab as e
 from evtlab.cli import _table
 from evtlab.errors import DomainError
+from evtlab.linear_evt import DEFAULT_UV_GRID
 from evtlab.reports import CAUCHY_WINDOW, build_report
 
 
@@ -109,3 +111,33 @@ def test_json_round_trip_keys():
     _, _, d2 = _table(build_report("n", (1, 2, 3, 4), "x", (0.25,), values, 0.5,
                                    nondegenerate=False))
     assert d2["nondegenerate"] is False and d2["verdict"] is False
+
+
+@pytest.mark.parametrize("count,window", [(16, 3), (64, 8), (256, 32), (1024, 128)])
+def test_the_verdict_does_not_flip_with_grid_density(count, window):
+    # the window holds the scales within half a decade of the last, so a
+    # denser grid widens it in points, not narrows it in scale; the geometric
+    # ratio (period log10(2) = 0.3 decade) and the normal one (second-order
+    # bias) are never converged at tol 1e-3
+    grid = np.geomspace(1e-2, 1e-6, count)
+    for law, uv in ((e.geometric(0.5), ((3.0, 4.0),)), (e.normal(), DEFAULT_UV_GRID)):
+        report = e.dehaan_test(law, grid, uv)
+        assert report.window == window
+        assert not report.converged
+
+
+def test_a_grid_shorter_than_the_span_is_judged_on_all_but_its_first_scale():
+    values = np.array([[100.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 1.0]])
+    report = build_report("n", (1000, 1001, 1002, 1003), "x", (0.5, 2.0), values, 0.5)
+    assert report.window == 3
+    assert report.converged_per_point == (True, False)
+    dense = build_report("eps", tuple(np.geomspace(1e-3, 1e-3 / 3, 10)), "x", (0.5,),
+                         np.r_[9.0, np.ones(9)][None, :], 0.0)
+    assert dense.window == 9 and dense.converged
+
+
+def test_the_n_window_spans_half_a_decade_too():
+    # 15 811 < 50 000 / 10**0.5 < 20 000: the last four n are within the span
+    seq = e.NormalizerSequence.from_target(e.exponential(), e.uniform())
+    ns = (100, 1000, 10_000, 20_000, 30_000, 40_000, 50_000)
+    assert e.convergence_diagnostic(seq, n_grid=ns).window == 4

@@ -297,6 +297,7 @@ class OscillationReport:
 
 def cluster_limit(params: GeometricParams, q: int, c: float) -> float:
     """Limit of the probe along subsequences with frac(theta log n) -> c."""
+    q = _integer(q, "q", least=None)
     if not 0.0 <= c < 1.0:
         raise DomainError(f"c must lie in [0, 1), got {c}")
     # past 2**1000 in size q alone decides the limit, before q + 1 - c is

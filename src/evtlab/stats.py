@@ -141,7 +141,7 @@ class EmpiricalCdf:
         arr = np.sort(np.asarray(samples, dtype=float))
         if arr.size == 0:
             raise DomainError("empirical cdf requires at least one sample")
-        if np.any(np.isnan(arr)):
+        if np.isnan(arr[-1]):  # NaN sorts last
             raise DomainError("samples must not contain NaN")
         return cls(arr)
 
@@ -153,7 +153,7 @@ class EmpiricalCdf:
 def ecdf_eval(ecdf: EmpiricalCdf, x):
     """Fraction of samples <= x; right-continuous in x."""
     idx = np.searchsorted(ecdf.sorted_samples, x, side="right")
-    return _scalar_or_array(x, idx / ecdf.size)
+    return _scalar_or_array(x, np.divide(idx, ecdf.size, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:
     if not ((f >= 0.0) & (f <= 1.0)).all():  # NaN fails both
         raise ContractViolationError("cdf returned values outside [0, 1]")
     # D+ = max((i + 1)/n - f) = 1/n - min(f - i/n) and D- = max(f - i/n)
-    d = f - np.arange(n) / n
+    d = f - np.arange(n, dtype=float) / n
     stat = float(max(d.max(), 1.0 / n - d.min(), 0.0))
     thr = float(_threshold(alpha, n))
     return KsResult(stat, float(n), thr, stat < thr)

@@ -1,4 +1,4 @@
-"""One rule for every integer argument: n, count, n_max, seed and stream.
+"""One rule for every integer argument: n, count, n_max, seed, stream and q.
 
 Each is an int or a numpy integer at or above its least value; a bool, a
 float (integral or not) or a numeric string is refused, never truncated or
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import evtlab as e
 from evtlab.errors import DomainError
-from evtlab.geometric import floor_theta_log_n
+from evtlab.geometric import cluster_limit, floor_theta_log_n
 
 HUGE = 2**1100  # past 2**1024, where float(n) overflows
 SEQ = e.NormalizerSequence.from_target(e.exponential(), e.uniform())
@@ -93,3 +93,10 @@ def test_a_numpy_integer_gives_the_bits_of_its_int(n, seed, small):
         ]
 
     assert outputs(np.int64) == outputs(int)
+
+
+@pytest.mark.parametrize("q", [2.5, True, "3"], ids=["2.5", "True", "'3'"])
+def test_cluster_limit_refuses_a_q_that_is_no_integer(q):
+    # 2.5 gave 0.8825 and True ran as q = 1 (0.7022); "3" raised a bare TypeError
+    with pytest.raises(DomainError, match="^q must be an integer"):
+        cluster_limit(PARAMS, q, 0.5)

@@ -35,8 +35,8 @@ from .maxima import HnVariant, MaxLaw, sample_max_direct, sample_max_exponential
 from .nonlinear_evt import (
     DEFAULT_N_GRID, DEFAULT_NONDEG_TOL, NormalizerSequence, convergence_diagnostic, default_x_grid
 )
-from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol
-from .stats import make_rng
+from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport
+from .stats import _real, make_rng
 
 __all__ = ["main", "run"]
 
@@ -295,10 +295,10 @@ def _nonlinear(args):
 
 
 def _geom_oscillate(args):
-    _check_tol(args.tol)
+    tol = _real(args.tol, "tol", "[0, inf]")
     report = oscillation_scan(GeometricParams(args.p), args.q, args.n, args.cluster_c)
     spread = report.lim_sup_est - report.lim_inf_est
-    converged = spread <= args.tol
+    converged = spread <= tol
     header, rows, body = _table(report)
     body |= {"spread": spread, "converged": converged}
     return (header, rows, body), 0 if converged else 3

@@ -13,6 +13,8 @@ where the level 1 - eps would round: for eps below 2**-54 the level is
 1.0, and well above that it has already lost the low bits of eps.  The
 two forms agree wherever 1 - u is exact, as on the samplers' 2**-53 grid.
 
+A family's parameters are real arguments (``stats._real``): an int, a
+float or a numpy real in the family's range, kept in ``params`` as floats.
 Distribution values are immutable; their callables are pure,
 numpy-vectorized, and safe to share across threads.  Built-in families use
 closed forms (the normal law delegates to scipy's ndtr/ndtri, importing
@@ -21,7 +23,6 @@ scipy.special on its first evaluation, so ``import evtlab`` never loads it);
 monotone cdfs, from the fixed bracket [-1, 1] doubled outward.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import geometric as _geom
 from .errors import BracketingError, ContractViolationError, DomainError
-from .stats import _integer, _scalar_or_array, uniform_open
+from .stats import _integer, _real, _scalar_or_array, _unit, uniform_open
 
 __all__ = [
     "Distribution",
@@ -71,17 +72,10 @@ class Distribution:
         return f"Distribution({spec_string(self)!r})"
 
 
-def _validate_u(u, name="quantile argument u"):
-    arr = np.asarray(u, dtype=float)
-    if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both
-        raise DomainError(f"{name} must lie in the open interval (0, 1)")
-    return arr
-
-
 def quantile(dist: Distribution, u):
     """Q(u) = inf{x : F(x) > u} for u in (0, 1); endpoints are rejected, and a
     non-finite value is a ``DomainError`` naming the first such u and the law."""
-    return _scalar_or_array(u, _finite_quantiles(dist, _validate_u(u)))
+    return _scalar_or_array(u, _finite_quantiles(dist, _unit(u, "quantile argument u")))
 
 
 def _finite_quantiles(dist: Distribution, arg, tail: bool = False):
@@ -105,12 +99,13 @@ def tail_quantile(dist: Distribution, eps):
 
     A non-finite value is a ``DomainError`` naming the first such eps and
     the law."""
-    arr = _validate_u(eps, "tail mass eps")
+    arr = _unit(eps, "tail mass eps")
     return _scalar_or_array(eps, _finite_quantiles(dist, arr, tail=True))
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
-    if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
+    a, b = _real(a, "a"), _real(b, "b")
+    if b <= a:
         raise DomainError(f"uniform requires a < b, got a={a}, b={b}")
     width = b - a
 
@@ -130,8 +125,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
 
 
 def exponential(rate: float = 1.0) -> Distribution:
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise DomainError(f"exponential requires rate > 0, got {rate}")
+    rate = _real(rate, "rate", "(0, inf)")
 
     def cdf(x):
         arr = np.asarray(x, dtype=float)
@@ -150,8 +144,7 @@ def exponential(rate: float = 1.0) -> Distribution:
 
 
 def pareto(alpha: float = 1.0) -> Distribution:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"pareto requires alpha > 0, got {alpha}")
+    alpha = _real(alpha, "alpha", "(0, inf)")
 
     def cdf(x):
         arr = np.asarray(x, dtype=float)
@@ -170,8 +163,7 @@ def pareto(alpha: float = 1.0) -> Distribution:
 
 
 def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
-    if not math.isfinite(mu) or not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"normal requires finite mu and sigma > 0, got {mu}, {sigma}")
+    mu, sigma = _real(mu, "mu"), _real(sigma, "sigma", "(0, inf)")
 
     # scipy.special is imported on first use, so that no other law pays for it
     def cdf(x):
@@ -198,8 +190,7 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
 
 
 def degenerate(c: float = 0.0) -> Distribution:
-    if not math.isfinite(c):
-        raise DomainError(f"degenerate requires finite c, got {c}")
+    c = _real(c, "c")
 
     def cdf(x):
         return np.where(np.asarray(x, dtype=float) >= c, 1.0, 0.0)
@@ -223,7 +214,7 @@ def geometric(p: float = 0.5) -> Distribution:
     def q(u):
         return tail(1.0 - np.asarray(u, dtype=float))
 
-    return Distribution("geometric", cdf, sf, q, tail, DISCRETE, {"p": p})
+    return Distribution("geometric", cdf, sf, q, tail, DISCRETE, {"p": params.p})
 
 
 _PROB_TOL = 1e-12
@@ -235,7 +226,7 @@ _MAX_EXPANSIONS = 1100
 
 def _checked_cdf(cdf, x: float) -> float:
     v = float(cdf(x))
-    if math.isnan(v) or v < 0.0 or v > 1.0:
+    if not 0.0 <= v <= 1.0:  # NaN fails too
         raise ContractViolationError(f"cdf({x}) = {v} is outside [0, 1]")
     return v
 
@@ -250,9 +241,7 @@ def numeric_quantile(cdf, u: float) -> float:
     it converges to the jump location from above.  A cdf value that breaks
     monotonicity along the way raises ``ContractViolationError``.
     """
-    u = float(u)
-    if math.isnan(u) or not 0.0 < u < 1.0:
-        raise DomainError("quantile argument u must lie in the open interval (0, 1)")
+    u = _real(u, "quantile argument u", "(0, 1)")
     lo, hi = -1.0, 1.0
     f_lo, f_hi = _checked_cdf(cdf, lo), _checked_cdf(cdf, hi)
     step = hi - lo

@@ -13,6 +13,8 @@ parts, the oscillation scan itself, and the geometrically spaced
 subsequences along which the probe does converge.  Integer grids (the n of
 a scan, the k of a subsequence) take ints below 2**63 in magnitude, and
 refuse a float, integral or not, rather than truncate it (``stats._grid``).
+The real arguments p, theta, x, y and c take an int, a float or a numpy
+real in their interval, and refuse a bool or a string (``stats._real``).
 
 Floor hardening: whenever theta*log n (or log u / log p) lands within 1e-9
 of an integer k, the ambiguity is resolved by exact rational comparison of
@@ -30,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, SearchHorizonError
-from .stats import _grid, _integer, _scalar_or_array
+from .stats import _grid, _integer, _real, _scalar_or_array, _unit
 
 __all__ = [
     "GeometricParams",
@@ -60,10 +62,7 @@ class GeometricParams:
     p: float
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, float)) or math.isnan(self.p):
-            raise DomainError(f"p must be a real number in (0, 1), got {self.p!r}")
-        if not 0.0 < self.p < 1.0:
-            raise DomainError(f"p must lie in (0, 1), got {self.p}")
+        object.__setattr__(self, "p", _real(self.p, "p", "(0, 1)"))
 
     @property
     def theta(self) -> float:
@@ -114,9 +113,7 @@ def geom_quantile(params: GeometricParams, u):
     floor(log u / log p).  Ratios within 1e-9 of an integer are resolved by
     exact comparison of u against p**k.
     """
-    arr = np.asarray(u, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("tail mass u must lie in (0, 1)")
+    arr = _unit(u, "tail mass u")
     flat = arr.ravel()
     out = _floor_log_ratio(
         params.p, np.log(flat) / math.log(params.p), lambda i: Fraction(float(flat[i]))
@@ -230,9 +227,9 @@ def frac_log_search(theta: float, x: float, y: float, n_max: int):
     ``n`` and ``frac_value`` are those of a plain scan of
     ``theta*np.log(n)`` over 1..n_max, bit for bit.
     """
-    if not (isinstance(theta, (int, float)) and theta > 0.0) or not math.isfinite(theta):
-        raise DomainError(f"theta must be positive and finite, got {theta!r}")
-    if not 0.0 <= x < y <= 1.0:
+    theta = _real(theta, "theta", "(0, inf)")
+    x, y = _real(x, "x", "[0, 1]"), _real(y, "y", "[0, 1]")
+    if not x < y:
         raise DomainError(f"need 0 <= x < y <= 1, got x={x}, y={y}")
     n_max = _integer(n_max, "n_max")
     horizon = sufficient_horizon(theta, x, y)
@@ -297,9 +294,7 @@ class OscillationReport:
 
 def cluster_limit(params: GeometricParams, q: int, c: float) -> float:
     """Limit of the probe along subsequences with frac(theta log n) -> c."""
-    q = _integer(q, "q", least=None)
-    if not 0.0 <= c < 1.0:
-        raise DomainError(f"c must lie in [0, 1), got {c}")
+    q, c = _integer(q, "q", least=None), _real(c, "c", "[0, 1)")
     # past 2**1000 in size q alone decides the limit, before q + 1 - c is
     # formed in floats (which may overflow): p**(q + 1 - c) is 0 or infinite
     # there for every p in (0, 1), as |log p| exceeds 2**-53
@@ -337,7 +332,8 @@ def oscillation_scan(
     levels = (levels - low) + (low + q)
     probs = _cdf_of_max(ns, geom_sf(params, levels))
     tail = probs[probs.size // 2 :]
-    cluster = tuple((float(c), cluster_limit(params, q, float(c))) for c in cluster_cs)
+    cs = [_real(c, "c", "[0, 1)") for c in cluster_cs]
+    cluster = tuple((c, cluster_limit(params, q, c)) for c in cs)
     return OscillationReport(
         params=params,
         q=q,
@@ -357,8 +353,7 @@ def subsequence_generator(params: GeometricParams, c: float, k_range) -> np.ndar
     grow geometrically.  Rounding collisions (two k mapping to one n) are
     reported via a warning and deduplicated.
     """
-    if not 0.0 <= c < 1.0:
-        raise DomainError(f"c must lie in [0, 1), got {c}")
+    c = _real(c, "c", "[0, 1)")
     ks = _grid(k_range, "k_range", least=0)
     log_inv_p = math.log(1.0 / params.p)
     # an exponent past log(2**62) + 1 is refused below whatever its value;

@@ -37,8 +37,8 @@ from .errors import (
     InconsistentTailError,
 )
 from .maxima import _indices
-from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
-from .stats import _grid, _scalar_or_array
+from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
+from .stats import _grid, _real, _scalar_or_array
 
 __all__ = [
     "RHO_SERIES_BAND",
@@ -77,8 +77,7 @@ DEFAULT_RHO_W = 2.0
 
 def k_rho(rho: float, u):
     """k_rho(u) = (u**rho - 1)/rho, continuously extended through rho = 0."""
-    if not math.isfinite(rho):
-        raise DomainError(f"rho must be a finite real number, got {rho!r}")
+    rho = _real(rho, "rho")
     arr = np.asarray(u, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr <= 0.0):
         raise DomainError("u must be positive")
@@ -93,27 +92,22 @@ def k_rho(rho: float, u):
     return _scalar_or_array(u, out)
 
 
-def _validate_eps(eps: float, factor: float):
-    if not isinstance(eps, (int, float)) or math.isnan(eps) or eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
+def _validate_eps(eps, factor: float):
+    eps = _real(eps, "eps", "(0, inf)")
     if eps * factor >= 1.0:
         raise DomainError(f"eps * {factor} must stay below 1, got eps={eps}")
 
 
-def _dehaan_grid(dist: Distribution, pairs, scales, locate: bool = True):
-    """The ratio for every (u, v) pair (rows) at every scale (columns).
-
-    ``scales`` is strictly decreasing.  One tail-quantile call covers the
-    (3, pairs, scales) tail masses eps*{1, u, v}.  ``locate`` appends the
-    offending (u, v, eps) to a degenerate-tail error.
-    """
-    for u, v in pairs:
-        for name, val in (("u", u), ("v", v)):
-            if not isinstance(val, (int, float)) or math.isnan(val) or val <= 0.0:
-                raise DomainError(f"{name} must be positive, got {val!r}")
-        if v == 1.0:
-            raise DomainError("v = 1 makes the denominator identically zero")
-        _validate_eps(scales[0], max(u, v, 1.0))
+def _dehaan_grid(dist: Distribution, uv_grid, scales):
+    """The (u, v) pairs as floats, and the ratio for every pair (rows) at
+    every strictly decreasing scale (columns), from one tail-quantile call at
+    the (3, pairs, scales) tail masses eps*{1, u, v}."""
+    pairs = [(_real(u, "u", "(0, inf)"), _real(v, "v", "(0, inf)")) for u, v in uv_grid]
+    if not pairs:
+        raise DomainError("uv_grid must be nonempty")
+    if any(v == 1.0 for _, v in pairs):
+        raise DomainError("v = 1 makes the denominator identically zero")
+    _validate_eps(scales[0], max(1.0, max(map(max, pairs))))
     eps = np.asarray(scales, dtype=float)
     factors = np.array([(1.0, u, v) for u, v in pairs], dtype=float).T
     q = tail_quantile(dist, factors[:, :, None] * eps)
@@ -122,11 +116,11 @@ def _dehaan_grid(dist: Distribution, pairs, scales, locate: bool = True):
     if flat.size:
         i, j = flat[0]
         (u, v), e = pairs[i], float(eps[j])
-        msg = f"flat upper quantile: Q(1-{e}*{v}) == Q(1-{e}) for {dist.name}"
-        if locate:
-            msg += f" at (u, v, eps) = ({u}, {v}, {e})"
-        raise DegenerateTailError(msg)
-    return num / den
+        raise DegenerateTailError(
+            f"flat upper quantile: Q(1-{e}*{v}) == Q(1-{e}) for {dist.name} "
+            f"at (u, v, eps) = ({u}, {v}, {e})"
+        )
+    return pairs, num / den
 
 
 def dehaan_ratio(dist: Distribution, u: float, v: float, eps: float) -> float:
@@ -136,7 +130,7 @@ def dehaan_ratio(dist: Distribution, u: float, v: float, eps: float) -> float:
     masses) raises ``DegenerateTailError``.  This is the one-point grid of
     ``dehaan_test``, so the two agree bit for bit.
     """
-    return float(_dehaan_grid(dist, [(u, v)], [eps], locate=False)[0, 0])
+    return float(_dehaan_grid(dist, [(u, v)], [eps])[1][0, 0])
 
 
 def dehaan_test(
@@ -154,10 +148,7 @@ def dehaan_test(
     first offending (u, v, eps) attached.
     """
     scales = _grid(eps_grid, "eps_grid", order=-1)
-    pairs = [(float(u), float(v)) for u, v in uv_grid]
-    if not pairs:
-        raise DomainError("uv_grid must be nonempty")
-    values = _dehaan_grid(dist, pairs, scales)
+    pairs, values = _dehaan_grid(dist, uv_grid, scales)
     return build_report("eps", scales.tolist(), "uv", pairs, values, tol)
 
 
@@ -180,10 +171,9 @@ def estimate_rho(
     r raises ``DegenerateTailError``; r changing sign across scales raises
     ``InconsistentTailError`` (it cannot for a true quantile).
     """
-    if not isinstance(w, (int, float)) or math.isnan(w) or w <= 1.0:
-        raise DomainError(f"w must exceed 1, got {w!r}")
+    w = _real(w, "w", "(1, inf)")
     scales = _grid(eps_grid, "eps_grid", order=-1)
-    _validate_eps(float(scales[0]), 2.0 * w)
+    _validate_eps(scales[0], 2.0 * w)
     # q[j, i, k] = Q(1 - m_k*e_i) at e = (eps_j, eps_j*w) and m = (1, 2)
     masses = scales[:, None, None] * np.array([1.0, w])[:, None] * np.array([1.0, 2.0])
     q = tail_quantile(dist, masses)
@@ -250,8 +240,9 @@ def limit_cdf(rho: float, x):
 
     G_rho(x) = 1 - exp(-k_rho^{-1}(x * k_rho(2))); outside the inverse's
     range the value clamps to 0 (rho > 0) or 1 (rho < 0).  G_rho(0) equals
-    1 - 1/e for every rho; ``k_rho`` refuses a rho that is not finite.
+    1 - 1/e for every rho, and rho must be finite.
     """
+    rho = _real(rho, "rho")
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("x must not be NaN")
@@ -287,13 +278,11 @@ class TypeClass:
 
 def classify_type(rho: float, tol: float = DEFAULT_CLASSIFY_TOL) -> TypeClass:
     """rho < -tol: frechet; |rho| <= tol: gumbel; rho > tol: weibull."""
-    if math.isnan(rho):
-        raise DomainError("rho must be a real number")
-    _check_tol(tol)
+    rho, tol = _real(rho, "rho"), _real(tol, "tol", "[0, inf]")
     if rho < -tol:
         kind = "frechet"
     elif rho > tol:
         kind = "weibull"
     else:
         kind = "gumbel"
-    return TypeClass(kind=kind, rho=float(rho))
+    return TypeClass(kind=kind, rho=rho)

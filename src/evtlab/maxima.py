@@ -26,7 +26,6 @@ column of n values; ``h_n_eval`` is its one-point form and
 """
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,7 +35,7 @@ import numpy as np
 from .dist import Distribution, _finite_quantiles, tail_quantile
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
-from .stats import _integer, _scalar_or_array, make_rng, standard_exponential, uniform_open
+from .stats import _integer, _real, _scalar_or_array, make_rng, standard_exponential, uniform_open
 
 __all__ = [
     "MaxLaw",
@@ -149,9 +148,7 @@ def floor_reciprocal(eps: float) -> int:
     within 1e-9 below the next integer (eps entered as a rounded 1/n), that
     integer is returned instead.
     """
-    if not isinstance(eps, (int, float)) or math.isnan(eps) or not 0.0 < eps <= 1.0:
-        raise DomainError(f"eps must lie in (0, 1], got {eps!r}")
-    r = 1 / Fraction(eps)
+    r = 1 / Fraction(_real(eps, "eps", "(0, 1]"))
     n = int(r)  # exact floor for positive rationals
     if (n + 1) - r < Fraction(1, 10**9):
         return n + 1
@@ -219,9 +216,7 @@ def h_n_eval(
     index.  This is the one-point form of ``convergence_diagnostic``'s grid,
     and agrees with it bit for bit.
     """
-    if not isinstance(x, (int, float)) or math.isnan(x) or x <= 0.0:
-        raise DomainError(f"x must be a positive real, got {x!r}")
-    args = _h_n_args(n, np.array([x]), variant, eps)
+    args = _h_n_args(n, np.array([_real(x, "x", "(0, inf)")]), variant, eps)
     return float(np.asarray(g(tail_quantile(base, args)), dtype=float)[0])
 
 
@@ -247,7 +242,8 @@ def spot_check_monotone(g, lo: float, hi: float, direction: str = "nondecreasing
     """
     if direction not in ("nondecreasing", "nonincreasing"):
         raise DomainError(f"unknown direction {direction!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+    lo, hi = _real(lo, "lo"), _real(hi, "hi")
+    if not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
     pts = np.sort(lo + (hi - lo) * _spot_check_fractions())
     vals = np.asarray(g(pts), dtype=float)

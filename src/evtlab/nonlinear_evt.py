@@ -25,8 +25,8 @@ from .dist import CONTINUOUS, Distribution, tail_quantile
 from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import _norming_arrays
 from .maxima import HnVariant, _entry, _h_n_args, _indices, spot_check_monotone
-from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, _check_tol, build_report
-from .stats import _grid, _integer, _scalar_or_array
+from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
+from .stats import _grid, _integer, _real, _scalar_or_array
 
 __all__ = [
     "DEFAULT_NONDEG_TOL",
@@ -140,7 +140,7 @@ def nondegeneracy_check(values, tol: float) -> bool:
 
     Needs at least two points with distinct x to be meaningful.
     """
-    _check_tol(tol, "nondegeneracy tol")
+    tol = _real(tol, "nondegeneracy tol", "[0, inf]")
     pts = [(float(x), float(h)) for x, h in values]
     if len({x for x, _ in pts}) < 2:
         raise DomainError("nondegeneracy check needs >= 2 distinct x values")

@@ -13,12 +13,12 @@ Diagnostics that additionally require a nondegenerate limit set
 converged-and-nondegenerate.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .stats import _real
 
 __all__ = ["ConvergenceReport", "build_report", "DEFAULT_CAUCHY_TOL"]
 
@@ -27,13 +27,6 @@ __all__ = ["ConvergenceReport", "build_report", "DEFAULT_CAUCHY_TOL"]
 CAUCHY_WINDOW = 3
 CAUCHY_SPAN = 10**0.5
 DEFAULT_CAUCHY_TOL = 1e-3
-
-
-def _check_tol(tol: float, name: str = "tol") -> None:
-    """Refuse a tolerance that is NaN or negative: either makes every verdict
-    negative whatever the values."""
-    if math.isnan(tol) or tol < 0.0:
-        raise DomainError(f"{name} must be >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,7 @@ def build_report(
     tol: float,
     nondegenerate: bool | None = None,
 ) -> ConvergenceReport:
-    _check_tol(tol)
+    tol = _real(tol, "tol", "[0, inf]")  # NaN or < 0 would fail every verdict
     values = np.asarray(values, dtype=float)
     if values.shape != (len(points), len(scales)):
         raise DomainError(

@@ -9,8 +9,13 @@ coupled experiments are reproducible per seed.
 
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
 at the two supported levels; no p-values are computed.
+
+The package checks its integer, grid and real arguments here (``_integer``,
+``_grid``, ``_real``): none takes a bool or parses a string, and each
+refusal is a ``DomainError`` that names the argument.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +60,40 @@ def _integer(value, name: str, least: int | None = 1) -> int:
         kind = kinds.get(least, f"an integer >= {least}")
         raise DomainError(f"{name} must be {kind}, got {value!r}")
     return int(value)
+
+
+_REALS = (float, int, np.floating, np.integer)
+
+
+@functools.cache
+def _bounds(interval: str):
+    """``interval``, written as "(0, 1]" and the like, as (lo, hi, lo in, hi in);
+    cached, as each call site passes one literal interval."""
+    lo, hi = interval[1:-1].split(",")
+    return float(lo), float(hi), interval[0] == "[", interval[-1] == "]"
+
+
+def _real(value, name: str, interval: str = "(-inf, inf)") -> float:
+    """``value`` as a float, for an int, a float or a numpy real in ``interval``;
+    a bool, a string, None, NaN or an int past the largest double is a
+    ``DomainError`` that names the argument and the interval, never parsed."""
+    lo, hi, lo_in, hi_in = _bounds(interval)
+    if isinstance(value, _REALS) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the largest double
+            x = np.nan
+        if (lo < x or lo_in and lo == x) and (x < hi or hi_in and x == hi):  # NaN fails
+            return x
+    raise DomainError(f"{name} must be a real number in {interval}, got {value!r}")
+
+
+def _unit(values, name: str):
+    """``values`` as a float array of entries in the open interval (0, 1)."""
+    arr = np.asarray(values, dtype=float)
+    if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both
+        raise DomainError(f"{name} must lie in the open interval (0, 1)")
+    return arr
 
 
 def _grid(values, name: str, order: int = 0, least: int | None = None, int64: bool = True):
@@ -165,13 +204,10 @@ class KsResult:
 
 
 def _threshold(alpha: float, n_effective: float) -> float:
-    try:
-        c = KS_CRITICAL[alpha]
-    except KeyError:
-        raise DomainError(
-            f"alpha must be one of {sorted(KS_CRITICAL)}, got {alpha}"
-        ) from None
-    return c / np.sqrt(n_effective)
+    alpha = _real(alpha, "alpha", "(0, 1)")
+    if alpha not in KS_CRITICAL:
+        raise DomainError(f"alpha must be one of {sorted(KS_CRITICAL)}, got {alpha!r}")
+    return KS_CRITICAL[alpha] / np.sqrt(n_effective)
 
 
 def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:

@@ -55,6 +55,13 @@ def test_readme_documents_the_examples():
         assert f"evtlab {cmdline}" in readme, cmdline
 
 
+def test_readme_library_use_runs_as_written():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})  # its asserts are the checks
+
+
 @pytest.mark.parametrize("cmdline,expected", EXAMPLES, ids=[c for c, _ in EXAMPLES])
 def test_examples_exit_codes(cmdline, expected, capsys):
     assert cli.run(shlex.split(cmdline)) == expected
@@ -357,7 +364,7 @@ def test_nan_or_negative_tolerance_is_a_domain_error(argv, name, capsys):
     # writing "converged": false, dehaan and nonlinear to exit 3
     assert cli.run(shlex.split(argv + " --format json")) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"{name} must be >= 0" in err
+    assert out == "" and f"{name} must be a real number in [0, inf]" in err
 
 
 @pytest.mark.parametrize("tol", ["0.5", "0", "1e-9"])
@@ -375,7 +382,7 @@ def test_limit_law_refuses_a_non_finite_rho(rho, capsys):
         warnings.simplefilter("error")
         assert cli.run(shlex.split(f"limit-law --rho={rho} --x 0.5")) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "rho must be a finite real number" in err
+    assert out == "" and "rho must be a real number in (-inf, inf)" in err
 
 
 def test_limit_law_beyond_the_overflow_of_2_to_the_rho(capsys):

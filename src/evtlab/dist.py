@@ -15,6 +15,8 @@ two forms agree wherever 1 - u is exact, as on the samplers' 2**-53 grid.
 
 A family's parameters are real arguments (``stats._real``): an int, a
 float or a numpy real in the family's range, kept in ``params`` as floats.
+The u and eps of ``quantile`` and ``tail_quantile`` are real arrays in (0, 1)
+(``stats._reals``); a law's own callables are unchecked kernels behind them.
 Distribution values are immutable; their callables are pure,
 numpy-vectorized, and safe to share across threads.  Built-in families use
 closed forms (the normal law delegates to scipy's ndtr/ndtri, importing
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import geometric as _geom
 from .errors import BracketingError, ContractViolationError, DomainError
-from .stats import _integer, _real, _scalar_or_array, _unit, uniform_open
+from .stats import _integer, _real, _reals, _scalar_or_array, uniform_open
 
 __all__ = [
     "Distribution",
@@ -75,7 +77,7 @@ class Distribution:
 def quantile(dist: Distribution, u):
     """Q(u) = inf{x : F(x) > u} for u in (0, 1); endpoints are rejected, and a
     non-finite value is a ``DomainError`` naming the first such u and the law."""
-    return _scalar_or_array(u, _finite_quantiles(dist, _unit(u, "quantile argument u")))
+    return _scalar_or_array(u, _finite_quantiles(dist, _reals(u, "quantile argument u", "(0, 1)")))
 
 
 def _finite_quantiles(dist: Distribution, arg, tail: bool = False):
@@ -99,7 +101,7 @@ def tail_quantile(dist: Distribution, eps):
 
     A non-finite value is a ``DomainError`` naming the first such eps and
     the law."""
-    arr = _unit(eps, "tail mass eps")
+    arr = _reals(eps, "tail mass eps", "(0, 1)")
     return _scalar_or_array(eps, _finite_quantiles(dist, arr, tail=True))
 
 

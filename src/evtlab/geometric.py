@@ -14,7 +14,8 @@ subsequences along which the probe does converge.  Integer grids (the n of
 a scan, the k of a subsequence) take ints below 2**63 in magnitude, and
 refuse a float, integral or not, rather than truncate it (``stats._grid``).
 The real arguments p, theta, x, y and c take an int, a float or a numpy
-real in their interval, and refuse a bool or a string (``stats._real``).
+real in their interval (``stats._real``), and the arrays t and u of the
+sf, cdf and quantile any array-like of them (``stats._reals``).
 
 Floor hardening: whenever theta*log n (or log u / log p) lands within 1e-9
 of an integer k, the ambiguity is resolved by exact rational comparison of
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, SearchHorizonError
-from .stats import _grid, _integer, _real, _scalar_or_array, _unit
+from .stats import _grid, _integer, _real, _reals, _scalar_or_array
 
 __all__ = [
     "GeometricParams",
@@ -71,9 +72,7 @@ class GeometricParams:
 
 def geom_sf(params: GeometricParams, t):
     """S(t) = p**(floor(t)+1) for t >= 0, and 1 for t < 0."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(arr)):
-        raise DomainError("t must not be NaN")
+    arr = _reals(t, "t", "[-inf, inf]")
     out = np.where(arr < 0.0, 1.0, params.p ** (np.floor(np.maximum(arr, 0.0)) + 1.0))
     return _scalar_or_array(t, out)
 
@@ -113,7 +112,7 @@ def geom_quantile(params: GeometricParams, u):
     floor(log u / log p).  Ratios within 1e-9 of an integer are resolved by
     exact comparison of u against p**k.
     """
-    arr = _unit(u, "tail mass u")
+    arr = _reals(u, "tail mass u", "(0, 1)")
     flat = arr.ravel()
     out = _floor_log_ratio(
         params.p, np.log(flat) / math.log(params.p), lambda i: Fraction(float(flat[i]))
@@ -147,10 +146,14 @@ def sufficient_horizon(theta: float, x: float, y: float) -> int:
     Once q >= theta*log(1/(exp((y-x)/theta) - 1)) - x, the real interval
     [exp((q+x)/theta), exp((q+y)/theta)] has length >= 1 and so contains an
     integer witness; the bound is the right endpoint of the first such
-    interval.  A theta for which that bound is not a finite float (an
-    infinite theta, or one so small that exp((q+y)/theta) overflows) is a
-    ``DomainError``.
+    interval.  A theta, x or y outside theta > 0 and 0 <= x < y <= 1, or a
+    theta so small or so large that the bound is not a finite float, is a
+    ``DomainError``; ``frac_log_search`` makes this one check too.
     """
+    theta = _real(theta, "theta", "(0, inf)")
+    x, y = _real(x, "x", "[0, 1]"), _real(y, "y", "[0, 1]")
+    if not x < y:
+        raise DomainError(f"x must be below y, got x={x}, y={y}")
     try:
         growth = math.expm1((y - x) / theta)
         q_star = theta * math.log(1.0 / growth) - x
@@ -227,12 +230,8 @@ def frac_log_search(theta: float, x: float, y: float, n_max: int):
     ``n`` and ``frac_value`` are those of a plain scan of
     ``theta*np.log(n)`` over 1..n_max, bit for bit.
     """
-    theta = _real(theta, "theta", "(0, inf)")
-    x, y = _real(x, "x", "[0, 1]"), _real(y, "y", "[0, 1]")
-    if not x < y:
-        raise DomainError(f"need 0 <= x < y <= 1, got x={x}, y={y}")
-    n_max = _integer(n_max, "n_max")
-    horizon = sufficient_horizon(theta, x, y)
+    horizon = sufficient_horizon(theta, x, y)  # checks theta, x and y as reals
+    theta, x, y, n_max = float(theta), float(x), float(y), _integer(n_max, "n_max")
     if n_max < horizon:
         warnings.warn(
             f"n_max={n_max} is below the sufficient horizon {horizon}; "

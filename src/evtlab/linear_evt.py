@@ -38,7 +38,7 @@ from .errors import (
 )
 from .maxima import _indices
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
-from .stats import _grid, _real, _scalar_or_array
+from .stats import _grid, _real, _reals, _scalar_or_array
 
 __all__ = [
     "RHO_SERIES_BAND",
@@ -78,9 +78,7 @@ DEFAULT_RHO_W = 2.0
 def k_rho(rho: float, u):
     """k_rho(u) = (u**rho - 1)/rho, continuously extended through rho = 0."""
     rho = _real(rho, "rho")
-    arr = np.asarray(u, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr <= 0.0):
-        raise DomainError("u must be positive")
+    arr = _reals(u, "u", "(0, inf]")
     log_u = np.log(arr)
     if rho == 0.0:
         out = log_u
@@ -243,9 +241,7 @@ def limit_cdf(rho: float, x):
     1 - 1/e for every rho, and rho must be finite.
     """
     rho = _real(rho, "rho")
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)):
-        raise DomainError("x must not be NaN")
+    arr = _reals(x, "x", "[-inf, inf]")
     with np.errstate(over="ignore"):
         k2 = k_rho(rho, 2.0)
     if rho == 0.0:

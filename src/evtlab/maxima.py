@@ -35,7 +35,9 @@ import numpy as np
 from .dist import Distribution, _finite_quantiles, tail_quantile
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
-from .stats import _integer, _real, _scalar_or_array, make_rng, standard_exponential, uniform_open
+from .stats import (
+    _integer, _real, _reals, _scalar_or_array, make_rng, standard_exponential, uniform_open
+)
 
 __all__ = [
     "MaxLaw",
@@ -91,9 +93,7 @@ class MaxLaw:
 
 def max_cdf(law: MaxLaw, x):
     """P{M_n <= x} = F(x)**n, computed as exp(n log1p(-S(x)))."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)):
-        raise DomainError("x must not be NaN")
+    arr = _reals(x, "x", "[-inf, inf]")
     return _scalar_or_array(x, _cdf_of_max(float(law.n), law.base.sf(arr)))
 
 
@@ -155,14 +155,6 @@ def floor_reciprocal(eps: float) -> int:
     return n
 
 
-def _entry(values, shape, i):
-    """Entry i, in flat order, of the array ``values`` broadcast to
-    ``shape``; a scalar is its own entry."""
-    if isinstance(values, np.ndarray):
-        return np.broadcast_to(values, shape).flat[i]
-    return values
-
-
 def _h_n_args(n, x, variant: HnVariant, eps: float | None = None):
     """The base tail masses of h_n at the positive reals in array x,
     checked to lie in (0, 1): 1 - exp(-x/n), x/n, or eps*x.
@@ -172,6 +164,8 @@ def _h_n_args(n, x, variant: HnVariant, eps: float | None = None):
     """
     nf = np.asarray(_indices(n), dtype=float)
     variant = HnVariant(variant)
+    if eps is not None and variant is not HnVariant.EPSILON_FORM:
+        raise DomainError(f"eps is for epsilon_form alone, got eps={eps!r} with {variant.value}")
     if variant is HnVariant.EXP_FORM:
         args = -np.expm1(-x / nf)
         msg = "exp_form: 1 - exp(-x/n) = {arg} left (0, 1) for x={x}, n={n}"
@@ -193,9 +187,8 @@ def _h_n_args(n, x, variant: HnVariant, eps: float | None = None):
     inside = (args > 0.0) & (args < 1.0)
     if not inside.all():
         i = np.argmin(inside)  # the first mass outside, in flat order
-        raise DomainError(
-            msg.format(arg=args.flat[i], x=_entry(x, args.shape, i), n=_entry(n, args.shape, i))
-        )
+        x, n = (np.broadcast_to(v, args.shape).flat[i] for v in (x, n))
+        raise DomainError(msg.format(arg=args.flat[i], x=x, n=n))
     return args
 
 
@@ -210,11 +203,11 @@ def h_n_eval(
     """Evaluate the normalized maximum profile h_n(x) = g(Q(1 - .)) at one point.
 
     ``g`` must be monotone on the base quantile's range (use
-    ``spot_check_monotone`` to validate a candidate) and accept arrays.  For
-    ``epsilon_form``, omit ``eps`` to use the exact rational 1/n; a supplied
-    eps must satisfy floor(1/eps) == n so that g is evaluated at its own
-    index.  This is the one-point form of ``convergence_diagnostic``'s grid,
-    and agrees with it bit for bit.
+    ``spot_check_monotone`` to validate a candidate) and accept arrays.  Only
+    ``epsilon_form`` takes ``eps``: omit it to use the exact rational 1/n; a
+    supplied eps must satisfy floor(1/eps) == n so that g is evaluated at its
+    own index.  This is the one-point form of ``convergence_diagnostic``'s
+    grid, and agrees with it bit for bit.
     """
     args = _h_n_args(n, np.array([_real(x, "x", "(0, inf)")]), variant, eps)
     return float(np.asarray(g(tail_quantile(base, args)), dtype=float)[0])

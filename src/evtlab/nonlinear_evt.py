@@ -16,7 +16,6 @@ and checks that the limit profile is nondegenerate; the overall verdict is
 the conjunction.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,9 @@ import numpy as np
 from .dist import CONTINUOUS, Distribution, tail_quantile
 from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import _norming_arrays
-from .maxima import HnVariant, _entry, _h_n_args, _indices, spot_check_monotone
+from .maxima import HnVariant, _h_n_args, _indices, spot_check_monotone
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
-from .stats import _grid, _integer, _real, _scalar_or_array
+from .stats import _grid, _integer, _real, _reals, _scalar_or_array
 
 __all__ = [
     "DEFAULT_NONDEG_TOL",
@@ -63,19 +62,15 @@ def _g_n(target: Distribution, n, survival):
     nf = np.asarray(_indices(n), dtype=float)
 
     def g(x):
-        arr = np.asarray(x, dtype=float)
-        nan = np.isnan(arr)
-        if nan.any():
-            shape = np.broadcast_shapes(arr.shape, np.shape(nf))
-            i = np.argmax(np.broadcast_to(nan, shape))  # the first, in flat order
-            raise DomainError(f"g_{_entry(n, shape, i)}: x must not be NaN")
+        arr = _reals(x, "x", "[-inf, inf]")
         level = np.exp(-nf * survival(arr))
         saturated = level >= 1.0
         if saturated.any():
-            i = np.argmax(saturated)
+            i = np.argmax(saturated)  # the first, in flat order
+            n_i, x_i = (np.broadcast_to(v, level.shape).flat[i] for v in (n, arr))
             raise DomainError(
-                f"n = {_entry(n, level.shape, i)}: the level exp(-n(1 - F(x))) rounds to 1 at "
-                f"x = {float(_entry(arr, level.shape, i))!r}, where G_inv(1) is no value of g_n"
+                f"n = {n_i}: the level exp(-n(1 - F(x))) rounds to 1 at "
+                f"x = {float(x_i)!r}, where G_inv(1) is no value of g_n"
             )
         return _scalar_or_array(x, target.quantile(np.maximum(level, _TINY)))
 
@@ -127,7 +122,7 @@ class NormalizerSequence:
             a, b = _norming_arrays(base, n)
 
             def g(x):
-                return (np.asarray(x, dtype=float) - b) / a
+                return (_reals(x, "x", "[-inf, inf]") - b) / a
 
             return g
 
@@ -138,14 +133,20 @@ class NormalizerSequence:
 def nondegeneracy_check(values, tol: float) -> bool:
     """True iff the profile {(x, h(x))} varies by more than ``tol``.
 
-    Needs at least two points with distinct x to be meaningful.
+    Needs two distinct x; x and h are reals, inf but not NaN (``stats._reals``).
     """
+    pts = list(values)
+    return _varies([x for x, _ in pts], [h for _, h in pts], tol)
+
+
+def _varies(xs, hs, tol) -> bool:
+    """``nondegeneracy_check`` of the x and h columns, taken as arrays."""
     tol = _real(tol, "nondegeneracy tol", "[0, inf]")
-    pts = [(float(x), float(h)) for x, h in values]
-    if len({x for x, _ in pts}) < 2:
+    xs = _reals(xs, "nondegeneracy x", "[-inf, inf]")
+    hs = _reals(hs, "nondegeneracy h", "[-inf, inf]")
+    if np.unique(xs).size < 2:
         raise DomainError("nondegeneracy check needs >= 2 distinct x values")
-    hs = [h for _, h in pts]
-    return (max(hs) - min(hs)) > tol
+    return float(hs.max()) - float(hs.min()) > tol  # in Python floats: inf - inf is nan, no warning
 
 
 def convergence_diagnostic(
@@ -178,11 +179,10 @@ def convergence_diagnostic(
     qs = tail_quantile(normalizer.base, _h_n_args(n_col, xs, variant))
     values = np.asarray(g(qs), dtype=float).T
     for j in sorted({0, len(ns) - 1}):
-        lo, hi = float(np.min(qs[j])), float(np.max(qs[j]))
-        if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
+        lo, hi = float(np.min(qs[j])), float(np.max(qs[j]))  # finite, as tail quantiles are
+        if lo < hi:
             spot_check_monotone(normalizer.builder(ns[j]), lo, hi, normalizer.direction)
-    limits = values[:, -1]
-    nondeg = nondegeneracy_check(zip(xs, limits), nondeg_tol)
+    nondeg = _varies(xs, values[:, -1], nondeg_tol)
     return build_report(
         "n", ns, "x", [float(x) for x in xs], values, tol, nondegenerate=nondeg
     )

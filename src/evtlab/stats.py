@@ -10,9 +10,9 @@ coupled experiments are reproducible per seed.
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
 at the two supported levels; no p-values are computed.
 
-The package checks its integer, grid and real arguments here (``_integer``,
-``_grid``, ``_real``): none takes a bool or parses a string, and each
-refusal is a ``DomainError`` that names the argument.
+The package checks its integer, grid, real and real-array arguments here
+(``_integer``, ``_grid``, ``_real``, ``_reals``): none takes a bool, parses a
+string or reads NaN, and each refusal is a ``DomainError`` naming it.
 """
 
 import functools
@@ -88,34 +88,46 @@ def _real(value, name: str, interval: str = "(-inf, inf)") -> float:
     raise DomainError(f"{name} must be a real number in {interval}, got {value!r}")
 
 
-def _unit(values, name: str):
-    """``values`` as a float array of entries in the open interval (0, 1)."""
-    arr = np.asarray(values, dtype=float)
-    if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both
-        raise DomainError(f"{name} must lie in the open interval (0, 1)")
+def _reals(values, name: str, interval: str) -> np.ndarray:
+    """``values`` as a float array of their shape, for an array-like of ints or
+    floats in ``interval``; a bool (in a list too), string or object entry, or
+    an entry outside the interval (NaN too), is a ``DomainError`` that names
+    the argument and the dtype, or the interval and the first bad entry."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real numbers, got {raw.dtype} entries")
+    # numpy reads a bool among numbers as 0 or 1, so a sequence is checked entry by entry
+    if raw.ndim and not isinstance(values, np.ndarray):
+        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
+            raise DomainError(f"{name} must be real numbers, got bool entries")
+    arr = raw.astype(float, copy=False)
+    lo, hi, lo_in, hi_in = _bounds(interval)
+    if arr.size:
+        # NaN carries through min, so "[-inf, inf]" costs one min, and a 0-d array none
+        low = float(arr.min()) if arr.ndim else float(arr)
+        high = float(arr.max()) if arr.ndim and (hi < np.inf or not hi_in) else low
+        if not ((lo < low or lo_in and lo == low) and (high < hi or hi_in and high == hi)):
+            inside = ((lo < arr) | lo_in & (lo == arr)) & ((arr < hi) | hi_in & (arr == hi))
+            bad = raw.flat[np.argmin(inside)].item()  # the first, in flat order
+            raise DomainError(f"{name} must be real numbers in {interval}, got {bad!r}")
     return arr
 
 
 def _grid(values, name: str, order: int = 0, least: int | None = None, int64: bool = True):
     """``values`` as a nonempty 1-d grid, strictly increasing (``order`` 1) or
-    decreasing (-1) if asked: a float grid of positive finite reals, or with
-    ``least`` an int64 grid of integers >= ``least``, taken as ``_integer``
-    takes one (a float, integral or not, a bool or a string is refused, never
-    truncated).  ``int64`` False keeps Python ints past int64 exact in an
-    object array.  Anything else is a ``DomainError`` that names the grid."""
+    decreasing (-1) if asked: a float grid of positive finite reals (``_reals``
+    in (0, inf)), or with ``least`` an int64 grid of integers >= ``least``,
+    taken as ``_integer`` takes one (a float, integral or not, a bool or a
+    string is refused, never truncated).  ``int64`` False keeps Python ints
+    past int64 exact in an object array.  Anything else is a ``DomainError``
+    that names the grid."""
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must be a nonempty 1-d grid, got shape {arr.shape}")
-    kind = arr.dtype.kind
     if least is None:
-        if kind not in "iuf":
-            raise DomainError(f"{name} must be real numbers, got {arr.dtype} entries")
-        grid = np.asarray(arr, dtype=float)
-        if not (grid.min() > 0.0 and grid.max() < np.inf):  # NaN fails both
-            i = np.argmin(np.isfinite(grid) & (grid > 0.0))
-            raise DomainError(f"{name} must be positive finite reals, got {arr.tolist()[i]!r}")
+        grid = _reals(values, name, "(0, inf)")
     else:  # a numpy integer array is checked whole, anything else entry by entry
-        top = 2**63 if int64 else np.inf
+        kind, top = arr.dtype.kind, 2**63 if int64 else np.inf
         if kind != "i" and not (kind == "u" and arr.max() < top):
             bad = [v for v in arr.tolist() if not (_is_int(v) and -top <= v < top)]
             if bad:
@@ -177,11 +189,9 @@ class EmpiricalCdf:
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalCdf":
-        arr = np.sort(np.asarray(samples, dtype=float))
+        arr = np.sort(_reals(samples, "samples", "[-inf, inf]"))
         if arr.size == 0:
             raise DomainError("empirical cdf requires at least one sample")
-        if np.isnan(arr[-1]):  # NaN sorts last
-            raise DomainError("samples must not contain NaN")
         return cls(arr)
 
     @property
@@ -191,7 +201,7 @@ class EmpiricalCdf:
 
 def ecdf_eval(ecdf: EmpiricalCdf, x):
     """Fraction of samples <= x; right-continuous in x."""
-    idx = np.searchsorted(ecdf.sorted_samples, x, side="right")
+    idx = np.searchsorted(ecdf.sorted_samples, _reals(x, "x", "[-inf, inf]"), side="right")
     return _scalar_or_array(x, np.divide(idx, ecdf.size, dtype=float))
 
 

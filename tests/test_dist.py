@@ -71,12 +71,12 @@ def test_tail_quantile_domain_errors():
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.0, 1.0, math.inf, -math.inf])
 def test_unit_interval_refusals_keep_their_message(bad):
-    # one comparison pass refuses NaN too; an array is refused for one bad entry
+    # NaN is refused too; an array is refused for one bad entry, which is named
     for call, name in ((e.quantile, "quantile argument u"), (e.tail_quantile, "tail mass eps")):
         for arg in (bad, np.array([0.5, bad, 0.25])):
             with pytest.raises(DomainError) as info:
                 call(e.exponential(), arg)
-            assert str(info.value) == f"{name} must lie in the open interval (0, 1)"
+            assert str(info.value) == f"{name} must be real numbers in (0, 1), got {bad!r}"
 
 
 def test_tail_quantile_refuses_a_non_finite_value():

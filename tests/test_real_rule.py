@@ -5,6 +5,14 @@ Each is an int, a float or a numpy real inside its interval, taken as a
 float; a bool, a string, None, NaN, an int past the largest double or a
 value outside the interval is a ``DomainError`` that names the argument and
 its interval, never parsed or run as a number.
+
+Real arrays (the u, eps, x and t a law or a limit law is evaluated at, KS
+samples, a normalizer's argument, a profile's x and h) follow the same rule
+entry by entry: any array-like of ints or floats inside the interval, taken
+as a float array of its shape.  A bool, string or object entry (None, an int
+past int64) is refused with the dtype named, a bool among numbers in a list
+or tuple too, and an entry outside the interval, NaN included, with the
+first such entry named.
 """
 
 import math
@@ -17,7 +25,7 @@ from hypothesis import strategies as st
 
 import evtlab as e
 from evtlab.errors import DomainError
-from evtlab.geometric import cluster_limit
+from evtlab.geometric import cluster_limit, sufficient_horizon
 from evtlab.reports import build_report
 
 PARAMS = e.GeometricParams(0.5)
@@ -60,6 +68,15 @@ SITES = {
     ),
     "frac_log_search y": (
         lambda v: e.frac_log_search(1.0, 0.0, v, 10**6), "y", "[0, 1]", (0.125, 1.0)
+    ),
+    "sufficient_horizon theta": (
+        lambda v: sufficient_horizon(v, 0.6, 0.7), "theta", "(0, inf)", (1.0, 4.0)
+    ),
+    "sufficient_horizon x": (
+        lambda v: sufficient_horizon(1.0, v, 0.96875), "x", "[0, 1]", (0.0, 0.875)
+    ),
+    "sufficient_horizon y": (
+        lambda v: sufficient_horizon(1.0, 0.0, v), "y", "[0, 1]", (0.125, 1.0)
     ),
     "cluster_limit": (lambda v: cluster_limit(PARAMS, 0, v), "c", "[0, 1)", (0.0, 0.96875)),
     "oscillation_scan": (
@@ -195,3 +212,196 @@ def test_a_real_gives_the_bits_of_its_float(site, data):
     expected = _bits(call(value))
     for cast in casts:
         assert _bits(call(cast(value))) == expected, cast
+
+
+# -------------------------------------------------------------- real arrays
+
+ECDF = e.EmpiricalCdf.from_samples(np.arange(5.0))
+UNIFORM50 = np.linspace(0.01, 0.99, 50)
+SPREAD = [(-1e3, 0.0), (1e3, 1.0)]  # two distinct x with distinct h
+
+
+def _profile_x(v):
+    return e.nondegeneracy_check([*zip(v, range(len(v))), *SPREAD], 0.5)
+
+
+def _profile_h(v):
+    return e.nondegeneracy_check([*zip(range(len(v)), v), *SPREAD], 0.5)
+
+
+# name: (call, the argument's name, its interval, a float32-exact range of
+# good entries and the fewest entries a good array needs, or None)
+ARRAY_SITES = {
+    "quantile": (
+        lambda v: e.quantile(e.exponential(), v), "quantile argument u", "(0, 1)",
+        ((2.0**-6, 1.0 - 2.0**-6), 1),
+    ),
+    "tail_quantile": (
+        lambda v: e.tail_quantile(PARETO, v), "tail mass eps", "(0, 1)",
+        ((2.0**-20, 1.0 - 2.0**-6), 1),
+    ),
+    "geom_quantile": (
+        lambda v: e.geom_quantile(PARAMS, v), "tail mass u", "(0, 1)",
+        ((2.0**-20, 1.0 - 2.0**-6), 1),
+    ),
+    "max_cdf": (
+        lambda v: e.max_cdf(e.MaxLaw(e.pareto(1.0), 3), v), "x", "[-inf, inf]", ((-4.0, 64.0), 1)
+    ),
+    "limit_cdf": (lambda v: e.limit_cdf(0.5, v), "x", "[-inf, inf]", ((-4.0, 4.0), 1)),
+    "k_rho": (lambda v: e.k_rho(0.5, v), "u", "(0, inf]", ((2.0**-8, 64.0), 1)),
+    "geom_sf": (lambda v: e.geom_sf(PARAMS, v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
+    "geom_cdf": (lambda v: e.geom_cdf(PARAMS, v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
+    "geometric cdf": (lambda v: e.geometric(0.5).cdf(v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
+    "geometric sf": (lambda v: e.geometric(0.5).sf(v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
+    "ecdf_eval": (lambda v: e.ecdf_eval(ECDF, v), "x", "[-inf, inf]", ((-4.0, 8.0), 1)),
+    "EmpiricalCdf.from_samples": (
+        lambda v: e.EmpiricalCdf.from_samples(v).sorted_samples, "samples", "[-inf, inf]",
+        ((-4.0, 8.0), 1),
+    ),
+    "ks_one_sample": (
+        lambda v: e.ks_one_sample(v, e.uniform().cdf), "samples", "[-inf, inf]",
+        ((2.0**-6, 1.0 - 2.0**-6), 20),
+    ),
+    "ks_two_sample a": (
+        lambda v: e.ks_two_sample(v, UNIFORM50), "samples", "[-inf, inf]", ((0.0, 1.0), 20)
+    ),
+    "ks_two_sample b": (
+        lambda v: e.ks_two_sample(UNIFORM50, v), "samples", "[-inf, inf]", ((0.0, 1.0), 20)
+    ),
+    "build_g_n g": (
+        lambda v: e.build_g_n(e.exponential(), 10)(v), "x", "[-inf, inf]", ((-4.0, 0.875), 1)
+    ),
+    "build_g_n_general g": (
+        lambda v: e.build_g_n_general(e.exponential(), e.pareto(2.0), 10)(v), "x", "[-inf, inf]",
+        ((-4.0, 64.0), 1),
+    ),
+    "NormalizerSequence.affine g": (
+        lambda v: e.NormalizerSequence.affine(PARETO).builder(10)(v), "x", "[-inf, inf]",
+        ((-64.0, 64.0), 1),
+    ),
+    "nondegeneracy_check x": (_profile_x, "nondegeneracy x", "[-inf, inf]", ((-64.0, 64.0), 1)),
+    "nondegeneracy_check h": (_profile_h, "nondegeneracy h", "[-inf, inf]", ((-64.0, 64.0), 1)),
+    # the float branch of the grid rule; ordered grids are no range for the property
+    "dehaan_test eps_grid": (
+        lambda v: e.dehaan_test(PARETO, v), "eps_grid", "(0, inf)", None
+    ),
+    "estimate_rho eps_grid": (
+        lambda v: e.estimate_rho(PARETO, v), "eps_grid", "(0, inf)", None
+    ),
+    "convergence_diagnostic x_grid": (
+        lambda v: e.convergence_diagnostic(SEQ, v), "x_grid", "(0, inf)", None
+    ),
+}
+
+
+def _bad_arrays(interval):
+    """label: (a bad array, the first bad entry it holds, or None for a dtype refusal)."""
+    bad = {
+        "strings": (np.array(["0.5", "0.25"]), None),
+        "string list": (["0.5", 0.25], None),
+        "bools": (np.array([True, False]), None),
+        "bool among floats": ([0.5, True], None),
+        "None": ([None], None),
+        "past int64": ([2**70], None),
+        "nan in the middle": (np.array([0.5, math.nan, 0.25]), math.nan),
+    }
+    if interval != "[-inf, inf]":  # only NaN leaves that one
+        outside = float(_just_outside(interval))
+        bad["outside"] = ([0.5, 0.25, outside, math.nan], outside)
+    return bad
+
+
+ARRAY_CASES = [
+    (site, label, *case)
+    for site, (_, _, interval, _) in ARRAY_SITES.items()
+    for label, case in _bad_arrays(interval).items()
+]
+
+
+@pytest.mark.parametrize(
+    "site,values,first",
+    [(s, v, f) for s, _, v, f in ARRAY_CASES],
+    ids=[f"{s}-{label}" for s, label, _, _ in ARRAY_CASES],
+)
+def test_a_bad_real_array_is_a_domain_error_that_names_it(site, values, first):
+    call, name, interval, _ = ARRAY_SITES[site]
+    message = rf"^{re.escape(name)} must be real numbers"
+    if first is None:
+        message += r", got \S+ entries$"
+    else:
+        message += rf" in {re.escape(interval)}, got {first!r}$"
+    with pytest.raises(DomainError, match=message):
+        call(values)
+
+
+def test_the_nondegeneracy_columns_refuse_nan_in_the_middle():
+    pairs = [(0.0, 1.0), (math.nan, 2.0), (2.0, math.nan)]
+    with pytest.raises(DomainError, match="^nondegeneracy x must be real numbers in .*, got nan$"):
+        e.nondegeneracy_check(pairs, 0.5)
+    with pytest.raises(DomainError, match="^nondegeneracy h must be real numbers in .*, got nan$"):
+        e.nondegeneracy_check([(x, h) for x, h in pairs if x == x], 0.5)
+
+
+def test_the_first_bad_entry_is_named_in_flat_order():
+    message = r"^tail mass eps must be real numbers in \(0, 1\), got 1.5$"
+    with pytest.raises(DomainError, match=message):
+        e.tail_quantile(PARETO, np.array([[0.5, 0.25], [1.5, math.nan]]))
+    with pytest.raises(DomainError, match=r"got -1$"):  # an int entry is named as given
+        e.k_rho(0.5, np.array([[3, 2], [-1, 0]]))
+
+
+def test_an_empty_real_array_passes():
+    assert e.quantile(e.exponential(), []).shape == (0,)
+    assert e.max_cdf(e.MaxLaw(e.uniform(), 3), np.empty((2, 0))).shape == (2, 0)
+
+
+@pytest.mark.parametrize("site", sorted(s for s, (*_, good) in ARRAY_SITES.items() if good))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_real_array_gives_the_bits_of_its_float64_array(site, data):
+    call, _, _, ((lo, hi), least) = ARRAY_SITES[site]
+    integral = math.ceil(lo) < math.floor(hi) and data.draw(st.booleans())
+    entries = st.integers(math.ceil(lo), math.floor(hi)).map(float) if integral else (
+        st.floats(lo, hi, width=32)
+    )
+    values = data.draw(st.lists(entries, min_size=least, max_size=least + 4))
+    expected = _bits(call(np.array(values, dtype=np.float64)))
+    casts = [list, tuple, lambda v: np.array(v, dtype=np.float32)]
+    if integral:
+        casts.append(lambda v: np.array(v, dtype=np.int64))
+    for cast in casts:
+        assert _bits(call(cast(values))) == expected, cast
+
+
+# the examples that ran as numbers before the array rule, with how each refusal begins
+MOTIVATION = [
+    (lambda: e.quantile(e.exponential(), "0.5"), "quantile argument u must be "),
+    (lambda: e.tail_quantile(e.pareto(2.0), ["0.25", 0.01]), "tail mass eps must be "),
+    (lambda: e.limit_cdf(0.0, "0.5"), "x must be "),
+    (lambda: e.geom_sf(PARAMS, "2"), "t must be "),
+    (lambda: e.max_cdf(e.MaxLaw(e.pareto(1.0), 3), True), "x must be "),
+    (lambda: e.max_cdf(e.MaxLaw(e.pareto(1.0), 3), [True, 2.0]), "x must be "),
+    (lambda: e.limit_cdf(0.0, [True, 0.5]), "x must be "),
+    (lambda: e.ecdf_eval(ECDF, math.nan), "x must be "),
+    (lambda: e.ecdf_eval(ECDF, np.array(["3", "10"])), "x must be "),
+    (lambda: e.ks_one_sample([str(v) for v in UNIFORM50], e.uniform().cdf), "samples must be "),
+    (lambda: e.nondegeneracy_check([(0.0, 1.0), (1.0, math.nan)], 0.5), "nondegeneracy h must "),
+    (lambda: e.nondegeneracy_check([(0.0, 1.0), (math.nan, 1.0)], 0.5), "nondegeneracy x must "),
+    (lambda: sufficient_horizon(True, 0.1, 0.2), "theta must be "),
+    (lambda: sufficient_horizon(1.0, 0.5, 0.2), "x must be below y, got x=0.5, y=0.2"),
+    (lambda: e.h_n_eval(_identity, e.uniform(), 10, 0.5, "exp_form", "junk"), "eps is for "),
+]
+
+
+@pytest.mark.parametrize("call,start", MOTIVATION, ids=[str(i) for i in range(len(MOTIVATION))])
+def test_what_ran_as_a_number_is_a_domain_error_that_names_it(call, start):
+    with pytest.raises(DomainError, match=f"^{re.escape(start)}"):
+        call()
+
+
+@pytest.mark.parametrize("variant", ["exp_form", "linear_form"])
+@pytest.mark.parametrize("eps", [0.1, "junk", math.nan])
+def test_h_n_eval_refuses_an_eps_it_would_ignore(variant, eps):
+    message = f"^eps is for epsilon_form alone, got eps={eps!r} with {variant}$"
+    with pytest.raises(DomainError, match=message):
+        e.h_n_eval(_identity, e.uniform(), 10, 0.5, variant, eps)

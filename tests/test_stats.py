@@ -173,7 +173,7 @@ def test_ks_refuses_a_nan_sample():
         lambda: e.ks_two_sample(x, y),
         lambda: e.ks_two_sample(y, x),
     ):
-        with pytest.raises(DomainError, match="samples must not contain NaN"):
+        with pytest.raises(DomainError, match=r"^samples must be real numbers in \[-inf, inf\]"):
             call()
 
 

@@ -84,9 +84,13 @@ def geom_cdf(params: GeometricParams, t):
 
 def _cdf_of_max(n, sf):
     """P{M_n <= x} = F(x)**n as exp(n log1p(-S(x))): exact in the survival
-    function S at any n, where F**n loses what 1 - S rounds away."""
+    function S at any n, where F**n loses what 1 - S rounds away.  Formed
+    in one array of its own, never in the law's ``sf`` output."""
+    out = np.negative(sf, out=np.empty(np.shape(sf)))  # an ndarray for a 0-d sf too
     with np.errstate(divide="ignore"):
-        return np.exp(n * np.log1p(-sf))
+        np.log1p(out, out=out)
+    np.multiply(n, out, out=out)
+    return np.exp(out, out=out)
 
 
 def _floor_log_ratio(p: float, ratio, exact_u):

@@ -236,32 +236,49 @@ def norming_constants(dist: Distribution, n: int) -> NormingConstants:
 def limit_cdf(rho: float, x):
     """cdf of k_rho(omega)/k_rho(2), omega standard exponential.
 
-    G_rho(x) = 1 - exp(-k_rho^{-1}(x * k_rho(2))); outside the inverse's
-    range the value clamps to 0 (rho > 0) or 1 (rho < 0).  G_rho(0) equals
-    1 - 1/e for every rho, and rho must be finite.
+    G_rho(x) = 1 - exp(-v) with v = k_rho^{-1}(x * k_rho(2)) (2**x at
+    rho = 0), taken in the one form -expm1(-v), which keeps the relative
+    precision of v in the lower tail, where v is small; outside the
+    inverse's range the value clamps to 0 (rho > 0) or 1 (rho < 0).
+    G_rho(0) equals 1 - 1/e for every rho, and rho must be finite.
     """
     rho = _real(rho, "rho")
     arr = _reals(x, "x", "[-inf, inf]")
-    with np.errstate(over="ignore"):
-        k2 = k_rho(rho, 2.0)
-    if rho == 0.0:
-        return _scalar_or_array(x, 1.0 - np.exp(-np.exp(arr * k2)))
-    # the inverse k_rho^{-1}(x k_rho(2)) = (1 + t)**(1/rho), on its range
-    # 1 + t > 0, with t = x(2**rho - 1), which is 0 at x = 0 whatever rho
+    v = np.empty(arr.shape)  # an ndarray for a 0-d x too
+    # a subnormal rho would lose t's bits below, and G_rho is G_0 there: the
+    # two differ by about rho x**2, far below an ulp wherever G is not 0 or 1
+    gumbel = abs(rho) < 2.0**-1022
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = rho * np.where(arr == 0.0, 0.0, arr * k2)
-        inside = 1.0 + t > 0.0
-        inverse = np.exp(np.log1p(np.where(inside, t, 0.0)) / rho)
-        far = np.isinf(t) & np.isfinite(arr)
-        if far.any():
-            # t overflows (so rho > 0): log(1 + t) is taken as
-            # rho log 2 + log(x(1 - 2**-rho) + 2**-rho)
-            s = 2.0**-rho
-            shifted = arr * (1.0 - s) + s
-            inside = np.where(far, shifted > 0.0, inside)
-            inverse = np.where(far, np.exp(math.log(2.0) + np.log(shifted) / rho), inverse)
-    out = np.where(inside, 1.0 - np.exp(-inverse), 0.0 if rho > 0.0 else 1.0)
-    return _scalar_or_array(x, out)
+        if gumbel:
+            np.exp2(arr, out=v)
+        else:
+            # v = (1 + t)**(1/rho) on the inverse's range t > -1, with
+            # t = x(2**rho - 1), which is 0 at x = 0 whatever rho
+            try:
+                slope = math.expm1(rho * math.log(2.0))
+            except OverflowError:  # 2**rho past the largest double
+                slope = math.inf
+            t = np.multiply(arr, slope, out=v)
+            if slope == math.inf:
+                t[arr == 0.0] = 0.0
+            outside = t <= -1.0
+            # only 2**rho - 1 > 0 takes a finite x to t = inf (x = inf comes
+            # out of either branch as v = inf)
+            far = t == math.inf if rho > 0.0 else False
+            np.log1p(t, out=v)
+            np.divide(v, rho, out=v)
+            np.exp(v, out=v)
+            if np.any(far):
+                # t overflows: log(1 + t) is taken as
+                # rho log 2 + log(x(1 - 2**-rho) + 2**-rho)
+                s = 2.0**-rho
+                v[far] = np.exp(math.log(2.0) + np.log(arr[far] * (1.0 - s) + s) / rho)
+    np.negative(v, out=v)
+    np.expm1(v, out=v)
+    np.negative(v, out=v)
+    if not gumbel:
+        np.copyto(v, 0.0 if rho > 0.0 else 1.0, where=outside)
+    return _scalar_or_array(x, v)
 
 
 @dataclass(frozen=True)

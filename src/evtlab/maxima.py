@@ -71,13 +71,24 @@ def _indices(n, least: int = 1):
     return n
 
 
-# Most uniforms ``sample_max_direct`` holds at once (4 MB).  Not smaller:
-# a freed 4 MB block raises glibc's mmap threshold to 4 MB and its trim
-# threshold to 8 MB, so the 800 kB arrays of 1e5 points made next are
-# served from the heap without page faults.  With blocks of 2**16 to 2**18,
-# a pass of the benchmark's sampling cases took 6k to 19k minor faults and
-# up to 1.4x the time, against 31 faults at 2**19.
+# Most uniforms ``sample_max_direct`` holds at once (4 MB, as doubles or as
+# raw words).  Not smaller: a freed 4 MB block raises glibc's mmap threshold
+# to 4 MB and its trim threshold to 8 MB, so the 800 kB arrays of 1e5 points
+# made next are served from the heap without page faults.  With blocks of
+# 2**16 to 2**18, a pass of the benchmark's sampling cases took 6k to 19k
+# minor faults and up to 1.4x the time, against 31 faults at 2**19.
 _DIRECT_BLOCK = 2**19
+
+# the words below this one give the double 0.0, which ``uniform_open`` redraws
+_ZERO_WORDS = 2**11
+
+
+@functools.cache
+def _word_generators():
+    """The bit generators whose ``Generator.random`` double is the raw 64-bit
+    word w as (w >> 11) * 2**-53 (MT19937 builds its doubles from two 32-bit
+    words); looked up on first use, so that no import loads numpy.random."""
+    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
 @dataclass(frozen=True)
@@ -97,25 +108,44 @@ def max_cdf(law: MaxLaw, x):
     return _scalar_or_array(x, _cdf_of_max(float(law.n), law.base.sf(arr)))
 
 
+def _open_words(bitgen, shape):
+    """Raw words of ``bitgen`` in ``shape``, none of which gives the double
+    0.0: such a word is redrawn in stream order, as ``uniform_open`` redraws
+    a zero."""
+    words = bitgen.random_raw(shape)
+    while not words.min() >= _ZERO_WORDS:  # one reduction; a zero is all but never there
+        zero = words < _ZERO_WORDS
+        words[zero] = bitgen.random_raw(int(zero.sum()))
+    return words
+
+
 def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
     """Maximum of n quantile-transform draws, ``count`` times.
 
     Q is nondecreasing, so Q(max U_i) is pointwise identical to the maximum
     of the per-draw transforms.  The (count, n) uniforms are drawn in
     row-major blocks of at most 2**19, so memory stays bounded, but time is
-    O(count * n); use the exponential representation for large n.
+    O(count * n); use the exponential representation for large n.  Where
+    the generator's doubles are its raw words shifted (``_word_generators``),
+    the maxima are taken on the words and only the maxima become doubles: the
+    same uniforms, and the same stream position, as ``uniform_open`` gives.
     """
     size = 1 if count is None else _integer(count, "count")
     # row-major blocks keep the stream order of one (size, n) draw
     width = min(law.n, _DIRECT_BLOCK)
     rows = _DIRECT_BLOCK // width
-    u = np.zeros(size)
+    bitgen = getattr(rng, "bit_generator", None)
+    on_words = type(bitgen) in _word_generators()
+    u = np.zeros(size, dtype=np.uint64 if on_words else float)
     for r in range(0, size, rows):
         block = u[r : r + rows]
         for c in range(0, law.n, width):
-            part = uniform_open(rng, (block.size, min(width, law.n - c)))
+            shape = (block.size, min(width, law.n - c))
+            part = _open_words(bitgen, shape) if on_words else uniform_open(rng, shape)
             np.maximum(block, part.max(axis=1), out=block)
             del part  # not held while the next block is drawn
+    if on_words:
+        u = np.multiply(u >> np.uint64(11), 2.0**-53)
     x = _finite_quantiles(law.base, u)
     return float(x[0]) if count is None else x
 
@@ -124,13 +154,16 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int | None = None):
     """M_n sampled as Q(exp(-omega/n)), omega = -log(1 - U).
 
     The base law's tail quantile is taken at the tail mass
-    eps = -expm1(-omega/n), which keeps every bit of omega/n at any n.  The
-    uniform stream gives omega in [2**-53, 36.8], so eps lies in (0, 1) for
-    every n the law accepts and no draw is ever redrawn.
+    eps = -expm1(-omega/n), formed in omega's array, which keeps every bit
+    of omega/n at any n.  The uniform stream gives omega in [2**-53, 36.8],
+    so eps lies in (0, 1) for every n the law accepts and no draw is ever
+    redrawn.
     """
     size = 1 if count is None else _integer(count, "count")
-    omega = standard_exponential(rng, size)
-    x = _finite_quantiles(law.base, -np.expm1(-omega / law.n), tail=True)
+    eps = standard_exponential(rng, size)
+    np.divide(eps, -float(law.n), out=eps)  # -omega/n: the sign of a quotient is exact
+    np.expm1(eps, out=eps)
+    x = _finite_quantiles(law.base, np.negative(eps, out=eps), tail=True)
     return float(x[0]) if count is None else x
 
 
@@ -138,6 +171,12 @@ class HnVariant(str, Enum):
     EXP_FORM = "exp_form"
     LINEAR_FORM = "linear_form"
     EPSILON_FORM = "epsilon_form"
+
+    @classmethod
+    def _missing_(cls, value):
+        # Enum re-raises this, a ValueError, in place of its own bare one
+        choices = [v.value for v in cls]
+        raise DomainError(f"variant must be one of {choices}, got {value!r}")
 
 
 def floor_reciprocal(eps: float) -> int:

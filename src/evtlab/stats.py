@@ -3,16 +3,23 @@
 Random streams follow a counter-based contract: ``make_rng(seed, stream)``
 yields a platform-independent sequence determined by the pair alone, and
 distinct stream ids derived from one seed never overlap.  Every sampler in
-the package draws its uniforms from such a stream, and exponential variates
-are always derived as ``-log(1 - U)`` from the same uniform source, so
-coupled experiments are reproducible per seed.
+the package draws its uniforms from such a stream through ``uniform_open``,
+which redraws an exact zero in stream order, and exponential variates are
+always derived as ``-log(1 - U)`` from the same uniform source, so coupled
+experiments are reproducible per seed.  The direct maxima sampler
+(``maxima.sample_max_direct``) alone reads the generator's raw words, and
+gets the same uniforms from them.  A bulk draw is checked with one ``min``
+reduction and transformed in its own array.
 
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
-at the two supported levels; no p-values are computed.
+at the two supported levels; no p-values are computed.  The one-sample
+statistic checks the cdf's values with one ``min`` and one ``max`` and never
+writes into them, as a law may return an array of its own.
 
 The package checks its integer, grid, real and real-array arguments here
-(``_integer``, ``_grid``, ``_real``, ``_reals``): none takes a bool, parses a
-string or reads NaN, and each refusal is a ``DomainError`` naming it.
+(``_integer``, ``_grid``, ``_real``, ``_reals``; a draw's ``size`` through
+``_integer`` too): none takes a bool, parses a string or reads NaN, and each
+refusal is a ``DomainError`` naming it.
 """
 
 import functools
@@ -157,28 +164,41 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _size(size):
+    """``size`` as numpy's shape argument, for an int or a tuple of ints, each
+    non-negative, taken as ``_integer`` takes one."""
+    if isinstance(size, tuple):
+        return tuple(_integer(m, "size", 0) for m in size)
+    return _integer(size, "size", 0)
+
+
 def uniform_open(rng: np.random.Generator, size=None):
     """Uniform draws in the open interval (0, 1).
 
-    Exact zeros (probability 2**-53 per draw) are redrawn so quantile
-    transforms never see an endpoint.
+    Exact zeros (probability 2**-53 per draw) are redrawn in stream order,
+    so quantile transforms never see an endpoint.
     """
     if size is None:
         u = rng.random()
         while u == 0.0:
             u = rng.random()
         return u
-    u = rng.random(size)
-    mask = u == 0.0
-    while np.any(mask):
-        u[mask] = rng.random(int(mask.sum()))
-        mask = u == 0.0
+    u = rng.random(_size(size))
+    while u.size and not u.min() > 0.0:  # one reduction; a zero is all but never there
+        zero = u == 0.0
+        u[zero] = rng.random(int(zero.sum()))
     return u
 
 
 def standard_exponential(rng: np.random.Generator, size=None):
-    """omega = -log(1 - U) with U from the shared uniform source."""
-    return -np.log1p(-uniform_open(rng, size))
+    """omega = -log(1 - U) with U from the shared uniform source, formed in
+    U's own array."""
+    u = uniform_open(rng, size)
+    if size is None:
+        return -np.log1p(-u)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -232,10 +252,13 @@ def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:
     if n < _MIN_KS_SAMPLES:
         raise DomainError(f"one-sample KS requires >= {_MIN_KS_SAMPLES} samples, got {n}")
     f = np.asarray(cdf(s), dtype=float)
-    if not ((f >= 0.0) & (f <= 1.0)).all():  # NaN fails both
+    if not (f.min() >= 0.0 and f.max() <= 1.0):  # NaN carries through min
         raise ContractViolationError("cdf returned values outside [0, 1]")
-    # D+ = max((i + 1)/n - f) = 1/n - min(f - i/n) and D- = max(f - i/n)
-    d = f - np.arange(n, dtype=float) / n
+    # D+ = max((i + 1)/n - f) = 1/n - min(f - i/n) and D- = max(f - i/n),
+    # with d = f - i/n built in the ramp's array, as f may be the law's own
+    d = np.arange(n, dtype=float)
+    np.divide(d, n, out=d)
+    np.subtract(f, d, out=d)
     stat = float(max(d.max(), 1.0 / n - d.min(), 0.0))
     thr = float(_threshold(alpha, n))
     return KsResult(stat, float(n), thr, stat < thr)

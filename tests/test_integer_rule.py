@@ -1,4 +1,4 @@
-"""One rule for every integer argument: n, count, n_max, seed, stream and q.
+"""One rule for every integer argument: n, count, n_max, size, seed, stream and q.
 
 Each is an int or a numpy integer at or above its least value; a bool, a
 float (integral or not) or a numeric string is refused, never truncated or
@@ -46,6 +46,8 @@ SITES = {
     "floor_theta_log_n": (lambda v: floor_theta_log_n(PARAMS, v), "n", 1, False),
     "frac_log_search": (lambda v: e.frac_log_search(1.0, 0.0, 0.5, v), "n_max", 1, False),
     "default_x_grid": (lambda v: e.default_x_grid(v), "count", 1, False),
+    "uniform_open": (lambda v: e.uniform_open(e.make_rng(0), v), "size", 0, False),
+    "standard_exponential": (lambda v: e.standard_exponential(e.make_rng(0), v), "size", 0, False),
     "make_rng seed": (lambda v: e.make_rng(v), "seed", 0, False),
     "make_rng stream": (lambda v: e.make_rng(0, v), "stream", 0, False),
 }
@@ -93,6 +95,17 @@ def test_a_numpy_integer_gives_the_bits_of_its_int(n, seed, small):
         ]
 
     assert outputs(np.int64) == outputs(int)
+
+
+@pytest.mark.parametrize("draw", [e.uniform_open, e.standard_exponential])
+def test_a_size_is_an_integer_or_a_tuple_of_them(draw):
+    # 2.5, True and "3" reached numpy, which raised a bare TypeError or drew one value
+    for size in [(2, 2.5), (True, 3), ("3",), (-1,), [2, 3]]:
+        with pytest.raises(DomainError, match="^size must be "):
+            draw(e.make_rng(0), size)
+    for size, shape in [((2, 3), (2, 3)), ((), ()), (np.int64(4), (4,)), (0, (0,))]:
+        assert draw(e.make_rng(0), size).shape == shape
+    assert np.array_equal(draw(e.make_rng(0), (np.int64(2), 3)), draw(e.make_rng(0), (2, 3)))
 
 
 @pytest.mark.parametrize("q", [2.5, True, "3"], ids=["2.5", "True", "'3'"])

@@ -314,6 +314,39 @@ def _limit_cdf_reference(rho: float, x: float) -> float:
 
 
 @pytest.mark.parametrize(
+    "rho,x,ref",
+    [
+        # 1 - exp(-2**x) is 2**x to within 2**(x - 1) relative
+        (0.0, -60.0, 2.0**-60),
+        (0.0, -1000.0, 2.0**-1000),  # 9.33e-302; 1 - exp(-v) gave 0.0
+        (-0.5, -1e6, _limit_cdf_reference(-0.5, -1e6)),  # 1 - exp(-v) was 1.0e-6 off
+    ],
+)
+def test_limit_cdf_keeps_its_lower_tail(rho, x, ref):
+    assert abs(e.limit_cdf(rho, x) - ref) <= 1e-15 * ref
+    assert abs(e.limit_cdf(rho, np.array([x, 0.0]))[0] - ref) <= 1e-15 * ref
+
+
+def test_limit_cdf_at_a_subnormal_rho_is_the_gumbel_law():
+    # t = x(2**rho - 1) is subnormal there, and log1p(t)/rho kept none of
+    # its bits: limit_cdf(5e-324, -3) gave 0.0486 (0.1266 before) for 0.1175
+    x = np.array([-1e3, -3.0, 0.0, 1.0, 40.0])
+    for rho in (5e-324, -5e-324, 2.0**-1023):
+        assert np.array_equal(e.limit_cdf(rho, x), e.limit_cdf(0.0, x))
+    assert e.limit_cdf(2.0**-1022, -3.0) == pytest.approx(e.limit_cdf(0.0, -3.0), rel=1e-15)
+
+
+def test_limit_cdf_takes_0d_input_and_leaves_x_alone():
+    x = np.linspace(-3.0, 3.0, 13)
+    for rho in (-1.0, 0.0, 0.5, 2000.0):
+        got = e.limit_cdf(rho, x)
+        assert np.array_equal(x, np.linspace(-3.0, 3.0, 13))
+        at_0d = [e.limit_cdf(rho, np.array(v)) for v in x]
+        assert all(type(g) is float for g in at_0d)
+        assert at_0d == pytest.approx(got.tolist(), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
     "rho,xs",
     [
         # 2**rho itself overflows

@@ -1,14 +1,18 @@
 """Max laws, both samplers, and the three h_n evaluation forms."""
 
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evtlab as e
 from evtlab import maxima
 from evtlab.errors import ContractViolationError, DomainError
+from evtlab.geometric import _cdf_of_max
 from evtlab.maxima import HnVariant
 
 
@@ -57,6 +61,16 @@ def test_max_cdf_monotonicity():
     f1 = e.max_cdf(e.MaxLaw(e.exponential(), 2), x)
     f2 = e.max_cdf(e.MaxLaw(e.exponential(), 8), x)
     assert np.all(f2 < f1)
+
+
+def test_cdf_of_max_leaves_the_survival_function_alone():
+    sf = np.array([0.5, 0.25, 0.0, 1.0])
+    got = _cdf_of_max(3.0, sf)
+    assert got.tolist() == pytest.approx([0.125, 0.421875, 1.0, 0.0], rel=2.0**-50)
+    assert sf.tolist() == [0.5, 0.25, 0.0, 1.0]
+    for scalar in (0.5, np.array(0.5), np.float64(0.5)):
+        assert float(_cdf_of_max(3.0, scalar)) == got[0]
+    assert e.max_cdf(e.MaxLaw(e.uniform(), 3), np.array(0.5)) == got[0]
 
 
 def test_max_cdf_rejects_nan_and_bad_n():
@@ -116,6 +130,116 @@ def test_direct_sampler_blocks_match_the_one_shot_draw(count, n, monkeypatch):
     got = e.sample_max_direct(law, e.make_rng(5), count)
     u = e.uniform_open(e.make_rng(5), (count, n)).max(axis=1)
     assert np.array_equal(got, law.base.quantile(u))
+
+
+def _direct_on_doubles(law, rng, count):
+    """The direct sampler as ``uniform_open`` blocks of doubles, the route it
+    takes for every generator whose doubles are not its shifted raw words."""
+    size = 1 if count is None else count
+    width = min(law.n, maxima._DIRECT_BLOCK)
+    rows = maxima._DIRECT_BLOCK // width
+    u = np.zeros(size)
+    for r in range(0, size, rows):
+        block = u[r : r + rows]
+        for c in range(0, law.n, width):
+            part = e.uniform_open(rng, (block.size, min(width, law.n - c)))
+            np.maximum(block, part.max(axis=1), out=block)
+    x = law.base.quantile(u)
+    return float(x[0]) if count is None else x
+
+
+BIT_GENERATORS = (
+    np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.MT19937
+)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+@pytest.mark.parametrize("n", [1, 7, 2**19, 2**19 + 3], ids=["1", "7", "2**19", "2**19+3"])
+@pytest.mark.parametrize("count", [None, 1])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), drawn=st.integers(0, 5))
+def test_word_maxima_are_the_maxima_of_uniform_open(bit_generator, n, count, seed, drawn):
+    # the same maxima, and the same next draw, from a stream that may sit
+    # inside a generator's buffered block
+    streams = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    for rng in streams:
+        rng.random(drawn)
+    law = e.MaxLaw(e.uniform(), n)
+    got = e.sample_max_direct(law, streams[0], count)
+    want = _direct_on_doubles(law, streams[1], count)
+    assert np.array_equal(got, want) and type(got) is type(want)
+    assert streams[0].random() == streams[1].random()
+
+
+class _Words:
+    """A bit generator that hands out fixed raw words, in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size):
+        k = int(np.prod(size))
+        out, self.words = self.words[:k], self.words[k:]
+        return np.array(out, dtype=np.uint64).reshape(size)
+
+
+class _WordStream:
+    """A generator whose doubles are its raw words as (w >> 11) * 2**-53."""
+
+    def __init__(self, words):
+        self.bit_generator = _Words(words)
+
+    def random(self, size):
+        return (self.bit_generator.random_raw(size) >> np.uint64(11)) * 2.0**-53
+
+
+def test_zero_words_are_redrawn_in_stream_order():
+    # words below 2**11 are the double 0.0; each is redrawn in flat order,
+    # and a redraw that is again below 2**11 is redrawn in the next round
+    bitgen = _Words([0, 2**63, 2**11 - 1, 2**11, 5, 2**12, 2**13, 2**14])
+    got = maxima._open_words(bitgen, (2, 2))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [[2**13, 2**63], [2**12, 2**11]]
+    assert bitgen.words == [2**14]
+
+
+def test_direct_sampler_redraws_a_zero_word_as_uniform_open_redraws_a_zero(monkeypatch):
+    # no seed is known to reach a zero word, so the words are set by hand:
+    # one zero in each row, and one of their two redraws is a zero again
+    words = [2**40, 2**10, 2**20, 2**30, 2**50, 0, 2**60, 5, 2**61, 2**62]
+    law = e.MaxLaw(e.uniform(), 3)
+    monkeypatch.setattr(maxima, "_word_generators", lambda: (_Words,))
+    on_words = _WordStream(words)
+    got = e.sample_max_direct(law, on_words, 2)
+    monkeypatch.setattr(maxima, "_word_generators", lambda: ())
+    on_doubles = _WordStream(words)
+    assert np.array_equal(got, e.sample_max_direct(law, on_doubles, 2))
+    assert got.tolist() == [2.0**-4, 2.0**-3]
+    assert on_words.bit_generator.words == on_doubles.bit_generator.words == [2**62]
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(np.asarray(a, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "base,sample,cdf,statistic",
+    [
+        (e.pareto(1.0), "052d7405b06dc21b", "1786a2ed302620fc", "0x1.6b4aa123c2069p-9"),
+        (e.normal(), "2d79a30bf9820b58", "8ce7656349fd7a07", "0x1.6b4aa123c1369p-9"),
+    ],
+    ids=["pareto1", "normal"],
+)
+def test_sampling_path_keeps_its_bits(base, sample, cdf, statistic):
+    # sampler, exact law and KS statistic at 1e5 points, pinned bit for bit:
+    # formed in place or in fewer passes, each gives the bits it gave
+    law = e.MaxLaw(base, 10**6)
+    m = e.sample_max_exponential_rep(law, e.make_rng(1, 2), 10**5)
+    assert _digest(m) == sample
+    assert _digest(e.max_cdf(law, m)) == cdf
+    assert e.ks_one_sample(m, lambda x: e.max_cdf(law, x)).statistic.hex() == statistic
+    direct = e.sample_max_direct(e.MaxLaw(e.normal(), 5000), e.make_rng(1, 3), 200)
+    assert _digest(direct) == "ef32d3b5d00f7f60"
 
 
 def test_direct_sampler_scalar_mode():

@@ -163,6 +163,18 @@ def test_ks_one_sample_validation():
         e.ks_one_sample(np.linspace(0.01, 0.99, 100), lambda x: 2.0 * np.asarray(x))
 
 
+def test_ks_one_sample_refuses_a_nan_cdf_and_leaves_its_output_alone():
+    x = np.linspace(0.01, 0.99, 100)
+    f = np.linspace(0.01, 0.99, 100)
+    for bad in (np.nan, -1e-300, 1.0 + 2.0**-52):
+        g = f.copy()
+        g[7] = bad
+        with pytest.raises(ContractViolationError, match="outside"):
+            e.ks_one_sample(x, lambda s, g=g: g)
+    e.ks_one_sample(x, lambda s: f)
+    assert np.array_equal(f, np.linspace(0.01, 0.99, 100))
+
+
 def test_ks_refuses_a_nan_sample():
     # the samples are at fault, not the cdf, and no statistic is returned
     x = np.linspace(0.01, 0.99, 100)

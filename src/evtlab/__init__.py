@@ -57,7 +57,6 @@ from .linear_evt import (
 from .maxima import (
     HnVariant,
     MaxLaw,
-    floor_reciprocal,
     h_n_eval,
     max_cdf,
     sample_max_direct,

@@ -52,7 +52,8 @@ _RUN_ARGS = ("command", "seed", "format", "out")
 _VARIANTS = {
     "exp": HnVariant.EXP_FORM,
     "linear": HnVariant.LINEAR_FORM,
-    "epsilon": HnVariant.EPSILON_FORM,
+    # kept so that existing command lines run: without an eps it always had linear's mass x/n
+    "epsilon": HnVariant.LINEAR_FORM,
 }
 
 
@@ -387,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None)
     p.add_argument("--normalizer", choices=("construction", "affine"),
                    default="construction")
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="linear")
+    p.add_argument("--variant", choices=sorted(_VARIANTS), default="linear",
+                   help="tail mass 1 - exp(-x/n) (exp) or x/n (linear); "
+                   "epsilon: an alias of linear")
     p.add_argument("--x", type=_geometric_range, default=_frozen(default_x_grid()),
                    help="geometric grid (default: 32 points on [1/16, 16])")
     p.add_argument("--n", type=_int_range, default=DEFAULT_N_GRID)

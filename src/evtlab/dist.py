@@ -150,7 +150,8 @@ def pareto(alpha: float = 1.0) -> Distribution:
 
     def cdf(x):
         arr = np.asarray(x, dtype=float)
-        return np.where(arr < 1.0, 0.0, 1.0 - np.maximum(arr, 1.0) ** (-alpha))
+        # 1 - x**-alpha would cancel near x = 1; expm1 keeps the small cdf there
+        return np.where(arr < 1.0, 0.0, -np.expm1(-alpha * np.log(np.maximum(arr, 1.0))))
 
     def sf(x):
         return np.maximum(np.asarray(x, dtype=float), 1.0) ** (-alpha)

@@ -11,14 +11,12 @@ seed-for-seed; the exponential-representation route is the one that stays
 cheap at large n.
 
 ``h_n_eval`` evaluates a monotone normalizer g against the base tail
-quantile in three algebraically equivalent forms that differ in how the
-tail mass is parametrized:
+quantile in two forms that differ in how the tail mass is parametrized:
 
 * ``exp_form``       g(Q(1 - eps)) at eps = 1 - exp(-x/n)
 * ``linear_form``    g(Q(1 - eps)) at eps = x/n
-* ``epsilon_form``   g(Q(1 - eps)) at eps*x, with the index n = floor(1/eps)
 
-The two parametrizations agree as n grows (exp_form >= linear_form for
+The two forms agree as n grows (exp_form >= linear_form for
 nondecreasing g); the gap at fixed x shrinks like x**2/(2n).  One helper
 builds and checks these tail masses over a whole x grid, at one n or at a
 column of n values; ``h_n_eval`` is its one-point form and
@@ -28,7 +26,6 @@ column of n values; ``h_n_eval`` is its one-point form and
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,7 +43,6 @@ __all__ = [
     "sample_max_exponential_rep",
     "HnVariant",
     "h_n_eval",
-    "floor_reciprocal",
     "spot_check_monotone",
 ]
 
@@ -170,7 +166,6 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int | None = None):
 class HnVariant(str, Enum):
     EXP_FORM = "exp_form"
     LINEAR_FORM = "linear_form"
-    EPSILON_FORM = "epsilon_form"
 
     @classmethod
     def _missing_(cls, value):
@@ -179,50 +174,21 @@ class HnVariant(str, Enum):
         raise DomainError(f"variant must be one of {choices}, got {value!r}")
 
 
-def floor_reciprocal(eps: float) -> int:
-    """floor(1/eps) on the exact binary value of eps, with intent guard.
-
-    Computed in exact rational arithmetic, so the sandwich
-    1/(n+1) < eps <= 1/n holds for the value returned.  When 1/eps lands
-    within 1e-9 below the next integer (eps entered as a rounded 1/n), that
-    integer is returned instead.
-    """
-    r = 1 / Fraction(_real(eps, "eps", "(0, 1]"))
-    n = int(r)  # exact floor for positive rationals
-    if (n + 1) - r < Fraction(1, 10**9):
-        return n + 1
-    return n
-
-
-def _h_n_args(n, x, variant: HnVariant, eps: float | None = None):
+def _h_n_args(n, x, variant: HnVariant):
     """The base tail masses of h_n at the positive reals in array x,
-    checked to lie in (0, 1): 1 - exp(-x/n), x/n, or eps*x.
+    checked to lie in (0, 1): 1 - exp(-x/n) or x/n.
 
     ``n`` is an int or a column of them, broadcast against x; the first
     mass outside (0, 1) in flat (n-major) order is the one named.
     """
     nf = np.asarray(_indices(n), dtype=float)
     variant = HnVariant(variant)
-    if eps is not None and variant is not HnVariant.EPSILON_FORM:
-        raise DomainError(f"eps is for epsilon_form alone, got eps={eps!r} with {variant.value}")
     if variant is HnVariant.EXP_FORM:
         args = -np.expm1(-x / nf)
         msg = "exp_form: 1 - exp(-x/n) = {arg} left (0, 1) for x={x}, n={n}"
-    elif variant is HnVariant.LINEAR_FORM:
+    else:
         args = x / nf
         msg = "linear_form: x must lie in (0, n), got x={x}, n={n}"
-    else:
-        if eps is None:
-            args = x / nf
-        else:
-            idx = floor_reciprocal(eps)
-            for m in np.ravel(n).tolist():
-                if idx != m:
-                    raise DomainError(
-                        f"epsilon_form: floor(1/eps) = {idx} does not match n = {m}"
-                    )
-            args = np.broadcast_to(eps * x, np.broadcast_shapes(np.shape(nf), x.shape))
-        msg = "epsilon_form: eps*x = {arg} left (0, 1) for x={x}, n={n}"
     inside = (args > 0.0) & (args < 1.0)
     if not inside.all():
         i = np.argmin(inside)  # the first mass outside, in flat order
@@ -237,18 +203,16 @@ def h_n_eval(
     n: int,
     x: float,
     variant: HnVariant = HnVariant.EXP_FORM,
-    eps: float | None = None,
 ) -> float:
-    """Evaluate the normalized maximum profile h_n(x) = g(Q(1 - .)) at one point.
+    """Evaluate the normalized maximum profile h_n(x) = g(Q(1 - .)) at one point,
+    at the tail mass 1 - exp(-x/n) (``exp_form``) or x/n (``linear_form``).
 
     ``g`` must be monotone on the base quantile's range (use
-    ``spot_check_monotone`` to validate a candidate) and accept arrays.  Only
-    ``epsilon_form`` takes ``eps``: omit it to use the exact rational 1/n; a
-    supplied eps must satisfy floor(1/eps) == n so that g is evaluated at its
-    own index.  This is the one-point form of ``convergence_diagnostic``'s
-    grid, and agrees with it bit for bit.
+    ``spot_check_monotone`` to validate a candidate) and accept arrays.  This
+    is the one-point form of ``convergence_diagnostic``'s grid, and agrees
+    with it bit for bit.
     """
-    args = _h_n_args(n, np.array([_real(x, "x", "(0, inf)")]), variant, eps)
+    args = _h_n_args(n, np.array([_real(x, "x", "(0, inf)")]), variant)
     return float(np.asarray(g(tail_quantile(base, args)), dtype=float)[0])
 
 

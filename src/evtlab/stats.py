@@ -22,6 +22,9 @@ The package checks its integer, grid, real and real-array arguments here
 refusal is a ``DomainError`` naming it.
 """
 
+# the np.random.Generator annotations stay text, so importing loads no numpy.random
+from __future__ import annotations
+
 import functools
 from dataclasses import dataclass
 

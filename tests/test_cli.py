@@ -311,6 +311,29 @@ def test_nonlinear_json_verdicts(capsys):
     assert doc["converged"] is False
 
 
+@pytest.mark.parametrize(
+    "fmt,entry",
+    [("csv", "\n# variant={}\n"), ("json", '\n    "variant": "{}",\n')],
+    ids=["csv", "json"],
+)
+@pytest.mark.parametrize(
+    "law",
+    [
+        "--base pareto:alpha=2 --target normal",
+        "--base uniform:a=0,b=1 --target exponential:rate=1 --n 100:1e5:4",
+        "--base geometric:p=0.5 --normalizer affine",  # exit 3: not converged
+    ],
+    ids=["pareto", "uniform", "geometric"],
+)
+def test_nonlinear_variant_epsilon_is_an_alias_of_linear(law, fmt, entry, capsys):
+    # the same bytes as linear but for the variant config entry, which keeps its name
+    argv = f"nonlinear {law} --format {fmt} --variant "
+    code, out = cli.run(shlex.split(argv + "linear")), capsys.readouterr().out
+    alias = cli.run(shlex.split(argv + "epsilon")), capsys.readouterr().out
+    assert entry.format("linear") in out
+    assert alias == (code, out.replace(entry.format("linear"), entry.format("epsilon")))
+
+
 def test_geom_oscillate_spread_keys(capsys):
     argv = "geom-oscillate --p 0.5 --q 0 --n 1e3:1e6:64 --format json"
     assert cli.run(shlex.split(argv)) == 3
@@ -518,6 +541,27 @@ def test_main_entry_point(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["evtlab", "limit-law", "--rho", "1", "--x", "0.5"])
     assert cli.main() == 0
     assert capsys.readouterr().out != ""
+
+
+def test_numpy_random_is_imported_on_the_first_command_that_draws():
+    # a fresh interpreter: this one has numpy.random loaded by the tests
+    script = """
+import contextlib, io, sys
+import evtlab, evtlab.cli
+seen = ["numpy.random" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in ("norming --dist geometric:p=0.5 --n 100", "sample --dist exponential:rate=1"):
+        assert evtlab.cli.run(argv.split()) == 0, argv
+        seen.append("numpy.random" in sys.modules)
+print(*seen)
+"""
+    src = str(Path(evtlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["False", "False", "True"]
 
 
 @pytest.mark.parametrize("module", ["evtlab", "evtlab.cli"])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -118,12 +119,34 @@ def test_quantile_and_tail_agree_on_the_sampling_grid(family, k):
 )
 def test_cdf_and_survival_function_agree(family, x):
     # cdf + sf = 1 up to the rounding of each, counted exactly; where the
-    # cdf is written as 1 - S it is that bit for bit
+    # cdf is written as 1 - S it is that bit for bit, and pareto's, written
+    # as -expm1(-alpha ln x), is held to its 40-digit value instead
     dist = ALL_FAMILIES[family]
     f, s = float(dist.cdf(np.array([x]))[0]), float(dist.sf(np.array([x]))[0])
     assert abs(Fraction(f) + Fraction(s) - 1) <= Fraction(2) ** -52
-    if dist.name in ("pareto", "degenerate", "geometric"):
+    if dist.name in ("degenerate", "geometric"):
         assert f == 1.0 - s
+    if dist.name == "pareto":
+        ref = _pareto_cdf_40_digits(2.0, x)
+        assert abs(Decimal(f) - ref) <= ref * Decimal(2.0**-52)
+
+
+def _pareto_cdf_40_digits(alpha, x):
+    # 1 - x**-alpha = 1 - exp(-alpha ln x) at the exact doubles, in 40 digits
+    if x <= 1.0:
+        return Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return 1 - (-Decimal(alpha) * Decimal(x).ln()).exp()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.7])
+def test_pareto_cdf_keeps_its_small_values_near_one(alpha):
+    # 1 - x**-alpha cancels there: 5.4e-2 relative off at alpha 3.7, x = 1 + 2**-52
+    x = 1.0 + 2.0 ** -np.arange(1.0, 53.0)
+    for xi, fi in zip(x.tolist(), e.pareto(alpha).cdf(x).tolist()):
+        ref = _pareto_cdf_40_digits(alpha, xi)
+        assert abs(Decimal(fi) - ref) <= ref * Decimal(2.0**-52), xi
 
 
 def test_quantile_vectorized_and_monotone():

@@ -340,30 +340,24 @@ def test_exp_form_dominates_linear_form_and_gap_shrinks():
         assert gaps[1] < gaps[0]
 
 
-def test_epsilon_form_matches_linear_form_at_exact_rational():
-    for n in (5, 64, 1000):
-        for x in (0.5, 2.0):
-            a = e.h_n_eval(lambda t: t, e.uniform(), n, x, HnVariant.EPSILON_FORM)
-            b = e.h_n_eval(lambda t: t, e.uniform(), n, x, HnVariant.LINEAR_FORM)
-            assert a == b
-
-
-def test_epsilon_form_index_validation():
-    # eps = 1/8 indexes g_8; any other n is a contract break
-    e.h_n_eval(lambda t: t, e.uniform(), 8, 0.5, HnVariant.EPSILON_FORM, eps=0.125)
-    with pytest.raises(DomainError, match="epsilon_form"):
-        e.h_n_eval(lambda t: t, e.uniform(), 9, 0.5, HnVariant.EPSILON_FORM, eps=0.125)
-
-
-def test_h_n_domain_errors_name_the_variant():
-    with pytest.raises(DomainError, match="linear_form"):
-        e.h_n_eval(lambda t: t, e.uniform(), 5, 5.0, HnVariant.LINEAR_FORM)
-    with pytest.raises(DomainError, match="epsilon_form"):
-        e.h_n_eval(lambda t: t, e.uniform(), 5, 6.0, HnVariant.EPSILON_FORM)
-    with pytest.raises(DomainError):
-        e.h_n_eval(lambda t: t, e.uniform(), 5, -1.0, HnVariant.EXP_FORM)
-    with pytest.raises(DomainError):
-        e.h_n_eval(lambda t: t, e.uniform(), 5, 0.0, HnVariant.LINEAR_FORM)
+@pytest.mark.parametrize(
+    "variant,n,x,message",
+    [
+        ("linear_form", 5, 5.0, "linear_form: x must lie in (0, n), got x=5.0, n=5"),
+        ("linear_form", 5, 6.0, "linear_form: x must lie in (0, n), got x=6.0, n=5"),
+        ("linear_form", 2**960, 1e300, f"got x=1e+300, n={2**960}"),
+        # the mass rounds to 1 from x/n = 40 on, and to 0 below the least subnormal
+        ("exp_form", 1, 40.0, "exp_form: 1 - exp(-x/n) = 1.0 left (0, 1) for x=40.0, n=1"),
+        ("exp_form", 5, 1e300, "= 1.0 left (0, 1) for x=1e+300, n=5"),
+        ("exp_form", 2**960, 1e-300, f"= 0.0 left (0, 1) for x=1e-300, n={2**960}"),
+        # an x outside (0, inf) is refused before either variant reads it
+        ("exp_form", 5, -1.0, "x must be a real number in (0, inf), got -1.0"),
+        ("linear_form", 5, 0.0, "x must be a real number in (0, inf), got 0.0"),
+    ],
+)
+def test_h_n_domain_errors_name_the_variant(variant, n, x, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        e.h_n_eval(lambda t: t, e.uniform(), n, x, variant)
 
 
 def test_h_n_args_take_a_column_of_n():
@@ -383,29 +377,6 @@ def test_h_n_args_take_a_column_of_n():
         maxima._h_n_args(col, np.array([1.0, 1e-300]), HnVariant.EXP_FORM)
     with pytest.raises(DomainError, match="n must be a positive integer, got 0"):
         maxima._h_n_args(np.array([5, 0], dtype=object)[:, None], xs, HnVariant.LINEAR_FORM)
-
-
-# ---------------------------------------------------------------- floor_reciprocal
-
-def test_floor_reciprocal_round_trip():
-    # eps entered as the rounded 1/n must index g_n itself
-    for n in range(1, 1001):
-        assert e.floor_reciprocal(1.0 / n) == n
-
-
-def test_floor_reciprocal_sandwich_cases():
-    assert e.floor_reciprocal(1.0) == 1
-    assert e.floor_reciprocal(0.3) == 3
-    assert e.floor_reciprocal(0.2) == 5
-    assert e.floor_reciprocal(1e-6) == 1_000_000
-    # strictly between two reciprocals: plain floor
-    assert e.floor_reciprocal(0.15) == 6
-
-
-def test_floor_reciprocal_validation():
-    for bad in (0.0, -0.5, 1.5, math.nan):
-        with pytest.raises(DomainError):
-            e.floor_reciprocal(bad)
 
 
 # ---------------------------------------------------------------- monotone spot check

@@ -109,13 +109,8 @@ SITES = {
     ),
     "dehaan_test tol": (lambda v: e.dehaan_test(PARETO, tol=v), "tol", "[0, inf]", (0.0, 2.0)),
     "estimate_rho w": (lambda v: e.estimate_rho(PARETO, w=v), "w", "(1, inf)", (1.125, 16.0)),
-    "floor_reciprocal": (e.floor_reciprocal, "eps", "(0, 1]", (2.0**-20, 1.0)),
     "h_n_eval x": (
         lambda v: e.h_n_eval(_identity, e.uniform(), 10, v), "x", "(0, inf)", (2.0**-8, 8.0)
-    ),
-    "h_n_eval eps": (
-        lambda v: e.h_n_eval(_identity, e.uniform(), 1, 0.5, "epsilon_form", v),
-        "eps", "(0, 1]", (0.5078125, 1.0),
     ),
     "spot_check_monotone lo": (
         lambda v: _spot_points(v, 100.0), "lo", "(-inf, inf)", (-64.0, 64.0)
@@ -167,7 +162,6 @@ CASES = [
     (site, label, value)
     for site, (_, _, interval, _) in SITES.items()
     for label, value in _bad_values(interval).items()
-    if not (site == "h_n_eval eps" and value is None)  # None there asks for the exact 1/n
 ]
 
 
@@ -389,7 +383,6 @@ MOTIVATION = [
     (lambda: e.nondegeneracy_check([(0.0, 1.0), (math.nan, 1.0)], 0.5), "nondegeneracy x must "),
     (lambda: sufficient_horizon(True, 0.1, 0.2), "theta must be "),
     (lambda: sufficient_horizon(1.0, 0.5, 0.2), "x must be below y, got x=0.5, y=0.2"),
-    (lambda: e.h_n_eval(_identity, e.uniform(), 10, 0.5, "exp_form", "junk"), "eps is for "),
 ]
 
 
@@ -398,10 +391,3 @@ def test_what_ran_as_a_number_is_a_domain_error_that_names_it(call, start):
     with pytest.raises(DomainError, match=f"^{re.escape(start)}"):
         call()
 
-
-@pytest.mark.parametrize("variant", ["exp_form", "linear_form"])
-@pytest.mark.parametrize("eps", [0.1, "junk", math.nan])
-def test_h_n_eval_refuses_an_eps_it_would_ignore(variant, eps):
-    message = f"^eps is for epsilon_form alone, got eps={eps!r} with {variant}$"
-    with pytest.raises(DomainError, match=message):
-        e.h_n_eval(_identity, e.uniform(), 10, 0.5, variant, eps)

@@ -25,7 +25,7 @@ CHOICE_SITES = {
         "variant",
     ),
 }
-CHOICES = r"\['exp_form', 'linear_form', 'epsilon_form'\]"
+CHOICES = r"\['exp_form', 'linear_form'\]"
 
 
 @pytest.mark.parametrize("site", CHOICE_SITES)

@@ -145,7 +145,7 @@ def _config_value(value):
         return ""
     if isinstance(value, tuple):
         if isinstance(value[0], tuple):
-            return ";".join(f"{u:g},{v:g}" for u, v in value)
+            return ";".join(map(_config_value, value))
         return ",".join(_fmt(v) for v in value)
     return value
 

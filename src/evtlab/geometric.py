@@ -78,8 +78,16 @@ def geom_sf(params: GeometricParams, t):
 
 
 def geom_cdf(params: GeometricParams, t):
-    """F(t) = 1 - S(t) = 1 - p**(floor(t)+1) for t >= 0, and 0 for t < 0."""
-    return 1.0 - geom_sf(params, t)
+    """F(t) = 1 - S(t) = 1 - p**(floor(t)+1) for t >= 0, and 0 for t < 0.
+    Where S > 1/2, 1 - S would cancel (p near 1), so F is taken there as
+    -expm1((floor(t)+1) log p)."""
+    arr = _reals(t, "t", "[-inf, inf]")
+    k = np.floor(np.maximum(arr, 0.0)).ravel() + 1.0
+    out = 1.0 - params.p**k
+    near = out < 0.5  # exactly where S > 1/2
+    out[near] = -np.expm1(k[near] * math.log(params.p))
+    out[arr.ravel() < 0.0] = 0.0
+    return _scalar_or_array(t, out.reshape(arr.shape))
 
 
 def _cdf_of_max(n, sf):
@@ -289,10 +297,6 @@ class OscillationReport:
     lim_inf_est: float
     lim_sup_est: float
     cluster_points: tuple
-
-    @property
-    def probe(self) -> list:
-        return list(zip(self.n_values.tolist(), self.probs.tolist()))
 
 
 def cluster_limit(params: GeometricParams, q: int, c: float) -> float:

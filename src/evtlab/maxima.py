@@ -33,7 +33,7 @@ from .dist import Distribution, _finite_quantiles, tail_quantile
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
 from .stats import (
-    _integer, _real, _reals, _scalar_or_array, make_rng, standard_exponential, uniform_open
+    _integer, _real, _reals, _scalar_or_array, standard_exponential, uniform_open
 )
 
 __all__ = [
@@ -216,32 +216,22 @@ def h_n_eval(
     return float(np.asarray(g(tail_quantile(base, args)), dtype=float)[0])
 
 
-_SPOT_CHECK_SEED = 0x6D6F6E6F  # fixed: the check must not perturb caller streams
 _SPOT_CHECK_POINTS = 200
 
 
-@functools.cache
-def _spot_check_fractions() -> np.ndarray:
-    """The spot check's 200 fixed fractions of [lo, hi], drawn once per
-    process and read-only, as every check shares them."""
-    u = make_rng(_SPOT_CHECK_SEED).random(_SPOT_CHECK_POINTS)
-    u.setflags(write=False)
-    return u
-
-
 def spot_check_monotone(g, lo: float, hi: float, direction: str = "nondecreasing") -> None:
-    """Spot-check monotonicity of ``g`` on [lo, hi] at 200 random points.
+    """Spot-check monotonicity of ``g`` on [lo, hi] at 200 evenly spaced
+    points, both ends included.
 
     Raises ``ContractViolationError`` on a violation beyond float slack.
-    The points come from a fixed-seed generator of their own, so results
-    are deterministic and no caller's stream moves.
+    The points are fixed, so results are deterministic and draw from no stream.
     """
     if direction not in ("nondecreasing", "nonincreasing"):
         raise DomainError(f"unknown direction {direction!r}")
     lo, hi = _real(lo, "lo"), _real(hi, "hi")
     if not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
-    pts = np.sort(lo + (hi - lo) * _spot_check_fractions())
+    pts = np.linspace(lo, hi, _SPOT_CHECK_POINTS)
     vals = np.asarray(g(pts), dtype=float)
     diffs = np.diff(vals)
     tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))

@@ -266,6 +266,16 @@ def test_dehaan_json_limit_table(capsys):
     assert doc["config"]["uv"] == "2,4"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dehaan_config_keeps_every_digit_of_uv(fmt, capsys):
+    # the config's uv round-trips at 17 digits, as the table's u and v do
+    argv = f"dehaan --dist pareto:alpha=2 --uv 0.1234567891,2 --format {fmt}"
+    assert cli.run(shlex.split(argv)) == 0
+    out = capsys.readouterr().out
+    config = json.loads(out)["config"] if fmt == "json" else _parse_csv(out)[0]
+    assert config["uv"] == "0.12345678910000001,2"
+
+
 def test_dehaan_flipping_ratios_exit_3(capsys):
     argv = "dehaan --dist geometric:p=0.5 --uv 3,4 --format json"
     assert cli.run(shlex.split(argv)) == 3
@@ -544,14 +554,17 @@ def test_main_entry_point(monkeypatch, capsys):
 
 
 def test_numpy_random_is_imported_on_the_first_command_that_draws():
-    # a fresh interpreter: this one has numpy.random loaded by the tests
-    script = """
-import contextlib, io, sys
+    # a fresh interpreter: this one has numpy.random loaded by the tests; the
+    # README command lines that draw nothing run first, each at its exit code
+    runs = [(c, code) for c, code in EXAMPLES if c.split()[0] not in ("sample", "max")]
+    runs.append(("sample --dist exponential:rate=1", 0))
+    script = f"""
+import contextlib, io, shlex, sys
 import evtlab, evtlab.cli
 seen = ["numpy.random" in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in ("norming --dist geometric:p=0.5 --n 100", "sample --dist exponential:rate=1"):
-        assert evtlab.cli.run(argv.split()) == 0, argv
+    for argv, code in {runs!r}:
+        assert evtlab.cli.run(shlex.split(argv)) == code, argv
         seen.append("numpy.random" in sys.modules)
 print(*seen)
 """
@@ -561,7 +574,7 @@ print(*seen)
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.split() == ["False", "False", "True"]
+    assert len(runs) == 12 and done.stdout.split() == ["False"] * 12 + ["True"]
 
 
 @pytest.mark.parametrize("module", ["evtlab", "evtlab.cli"])

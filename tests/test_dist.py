@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from decimal import Decimal, localcontext
+from decimal import MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -147,6 +147,22 @@ def test_pareto_cdf_keeps_its_small_values_near_one(alpha):
     for xi, fi in zip(x.tolist(), e.pareto(alpha).cdf(x).tolist()):
         ref = _pareto_cdf_40_digits(alpha, xi)
         assert abs(Decimal(fi) - ref) <= ref * Decimal(2.0**-52), xi
+
+
+GEOMETRIC_P = [1e-100, 1e-10, 1e-3, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999,
+               1 - 1e-4, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10]
+GEOMETRIC_K = [0, 1, 2, 3, 4, 5, 7, 10, 20, 50, 100, 300, 1000, 10**4, 10**5, 3 * 10**5, 10**6]
+
+
+@pytest.mark.parametrize("p", GEOMETRIC_P)
+def test_geometric_cdf_keeps_its_small_values_near_p_one(p):
+    # 1 - p**(k+1) cancels there: 1.0e-10 relative off at p = 1 - 1e-10, k = 2
+    cdf = e.geometric(p).cdf(np.array(GEOMETRIC_K, dtype=float))
+    for k, fk in zip(GEOMETRIC_K, cdf.tolist()):
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emin = 40, MIN_EMIN  # p**(k+1) reaches 1e-100000100
+            ref = 1 - Decimal(p) ** (k + 1)
+        assert abs(Decimal(fk) - ref) <= ref * Decimal(2.0**-52), k
 
 
 def test_quantile_vectorized_and_monotone():

@@ -502,4 +502,4 @@ def test_oscillation_report_serialization():
     assert d["p"] == 0.5 and d["q"] == 0
     assert len(d["probability"]) == 3
     assert [c for c, _ in d["cluster_points"]] == [0.0, 0.5, 0.9]
-    assert report.probe == list(zip(d["n"], d["probability"]))
+    assert (report.n_values.tolist(), report.probs.tolist()) == (d["n"], d["probability"])

@@ -381,13 +381,6 @@ def test_h_n_args_take_a_column_of_n():
 
 # ---------------------------------------------------------------- monotone spot check
 
-def test_spot_check_fractions_are_drawn_once_and_read_only():
-    u = maxima._spot_check_fractions()
-    assert u is maxima._spot_check_fractions()
-    assert np.array_equal(u, e.make_rng(maxima._SPOT_CHECK_SEED).random(200))
-    assert not u.flags.writeable
-
-
 def test_spot_check_monotone_accepts_and_rejects():
     e.spot_check_monotone(lambda x: np.asarray(x) ** 3, -2.0, 2.0)
     e.spot_check_monotone(lambda x: -np.asarray(x), 0.0, 1.0, direction="nonincreasing")

@@ -74,25 +74,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _number(part: str, text: str, kind=float):
+    # argparse prints an ArgumentTypeError's message, but for a ValueError only
+    # the name of the type function, which here is private
+    try:
+        return kind(part)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise argparse.ArgumentTypeError(f"{part!r} in {text!r} is not {noun}") from None
+
+
 def _parse_range(text: str, count: int = DEFAULT_RANGE_POINTS, spacing: str = "geometric"):
     """``start:stop[:count]`` grids; geometric spacing unless told otherwise."""
     parts = text.split(":")
     if len(parts) == 1:
-        return np.array([float(parts[0])])
+        return np.array([_number(parts[0], text)])
     if len(parts) == 3:
-        count = int(parts[2])
+        count = _number(parts[2], text, int)
     elif len(parts) != 2:
-        raise ValueError(f"bad range {text!r}; expected start:stop[:count]")
-    start, stop = float(parts[0]), float(parts[1])
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected start:stop[:count]")
+    start, stop = _number(parts[0], text), _number(parts[1], text)
     if count < 2:
-        raise ValueError("range needs at least 2 points")
+        raise argparse.ArgumentTypeError(f"range {text!r} needs at least 2 points")
     if count > MAX_RANGE_POINTS:
         raise argparse.ArgumentTypeError(
             f"range {text!r} asks for {count} points; at most 2**20 = {MAX_RANGE_POINTS}"
         )
     if spacing == "geometric":
         if start <= 0.0 or stop <= 0.0:
-            raise ValueError("geometric range endpoints must be positive")
+            raise argparse.ArgumentTypeError(
+                f"geometric range endpoints must be positive, got {text!r}"
+            )
         return np.geomspace(start, stop, count)
     return np.linspace(start, stop, count)
 
@@ -118,12 +130,12 @@ def _int_range(text: str):
 def _uv_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"bad pair {text!r}; expected u,v")
-    return float(parts[0]), float(parts[1])
+        raise argparse.ArgumentTypeError(f"bad pair {text!r}; expected u,v")
+    return _number(parts[0], text), _number(parts[1], text)
 
 
 def _float_list(text: str):
-    return tuple(float(v) for v in text.split(","))
+    return tuple(_number(v, text) for v in text.split(","))
 
 
 def _fmt(v) -> str:
@@ -133,7 +145,7 @@ def _fmt(v) -> str:
 
 
 def _range_str(values) -> str:
-    return ",".join(_fmt(float(v)) for v in np.asarray(values).ravel())
+    return ",".join(map(_fmt, np.asarray(values, dtype=float).ravel().tolist()))
 
 
 def _config_value(value):
@@ -165,7 +177,8 @@ def _emit(path: str, fmt: str, config: dict, header, rows, json_body: dict) -> N
     else:
         lines = [f"# {k}={_fmt(v)}" for k, v in config.items()]
         lines.append(",".join(header))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        # a row is a tuple of cells or, already joined, the line itself
+        lines.extend(row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -191,10 +204,31 @@ def _point(p):
     return list(p) if isinstance(p, tuple) else float(p)
 
 
+def _convergence_lines(result, values):
+    """The CSV lines of a convergence report, made only when they are written.
+
+    Its rows repeat each scale once per point and each point once per scale,
+    so each scale, point and value is formatted once per report and the lines
+    are joined from those strings.
+    """
+    if result.point_name == "uv":
+        scales = [_fmt(float(s)) for s in result.scales]
+        points = [f"{_fmt(float(u))},{_fmt(float(v))}" for u, v in result.points]
+    else:
+        scales = [_fmt(s) for s in result.scales]
+        points = [_fmt(float(p)) for p in result.points]
+    yield from [
+        f"{s},{p},{_fmt(v)}" for p, row in zip(points, values) for s, v in zip(scales, row)
+    ]
+
+
 def _table(result):
     """The CSV header and rows and the JSON body of a diagnostic's result.
 
     This is the one place that knows how each result type is written out.
+    A row is a tuple of cells, except that a convergence report's rows are
+    its CSV lines (``_convergence_lines``), in which each axis value is
+    formatted once per report.
     """
     if isinstance(result, RhoEstimate):
         per_scale = [[float(e), float(r)] for e, r in result.per_scale]
@@ -219,17 +253,11 @@ def _table(result):
         return ["n", "m", "probability"], list(zip(ns, ms, probs)), body
     if isinstance(result, ConvergenceReport):
         values = result.values.tolist()
-        cells = [
-            (s, p, v)
-            for p, row in zip(result.points, values)
-            for s, v in zip(result.scales, row)
-        ]
         if result.point_name == "uv":
             header = [result.scale_name, "u", "v", "ratio"]
-            rows = [(float(s), float(u), float(v), r) for s, (u, v), r in cells]
         else:
             header = [result.scale_name, result.point_name, "value"]
-            rows = [(s, float(p), v) for s, p, v in cells]
+        rows = _convergence_lines(result, values)
         body = {
             "scale": result.scale_name,
             "grid": list(result.scales),

@@ -24,6 +24,7 @@ column of n values; ``h_n_eval`` is its one-point form and
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -223,16 +224,29 @@ def spot_check_monotone(g, lo: float, hi: float, direction: str = "nondecreasing
     """Spot-check monotonicity of ``g`` on [lo, hi] at 200 evenly spaced
     points, both ends included.
 
-    Raises ``ContractViolationError`` on a violation beyond float slack.
-    The points are fixed, so results are deterministic and draw from no stream.
+    Raises ``ContractViolationError`` on a violation beyond float slack, and
+    on a NaN value of g, naming the first such point: a monotone g has an
+    ordered value at every point.  Values of +-inf are compared like others.
+    The points are ``np.linspace(lo, hi, 200)`` wherever hi - lo is finite;
+    on a wider range they are the points of [lo/2, hi/2] doubled, so they stay
+    finite.  They are fixed, so results are deterministic and draw from no
+    stream.
     """
     if direction not in ("nondecreasing", "nonincreasing"):
         raise DomainError(f"unknown direction {direction!r}")
     lo, hi = _real(lo, "lo"), _real(hi, "hi")
     if not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
-    pts = np.linspace(lo, hi, _SPOT_CHECK_POINTS)
+    if math.isfinite(hi - lo):
+        pts = np.linspace(lo, hi, _SPOT_CHECK_POINTS)
+    else:  # the span overflows only with both ends beyond 2**970, where halving is exact
+        pts = np.linspace(lo / 2, hi / 2, _SPOT_CHECK_POINTS) * 2
     vals = np.asarray(g(pts), dtype=float)
+    if math.isnan(vals.min()):  # the min is nan if any value is
+        i = int(np.flatnonzero(np.isnan(vals))[0])
+        raise ContractViolationError(
+            f"g({pts[i]}) = nan: a {direction} g has a value at every point"
+        )
     diffs = np.diff(vals)
     tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))
     bad = diffs < -tol if direction == "nondecreasing" else diffs > tol

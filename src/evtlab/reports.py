@@ -76,7 +76,7 @@ def build_report(
         near += 1
     window = min(len(scales) - 1, max(CAUCHY_WINDOW, near))
     tail = values[:, -window:]
-    with np.errstate(invalid="ignore"):  # inf - inf; such a row fails anyway
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf or overflow: the row fails
         spread = np.ptp(tail, axis=1)
     per_point = tuple((np.isfinite(tail).all(axis=1) & (spread <= tol)).tolist())
     limits = tuple(zip(points, values[:, -1].tolist()))

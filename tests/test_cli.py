@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, output layout, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -12,10 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import evtlab
 from evtlab import cli
+from evtlab.reports import build_report
 
 # Everything here must appear verbatim (prefixed with "evtlab ") in README.md;
 # test_readme_documents_the_examples keeps the two in sync.
@@ -534,6 +540,126 @@ def test_usage_errors_exit_1(capsys):
     ):
         assert cli.run(shlex.split(argv)) == 1, argv
         assert capsys.readouterr().err != ""
+
+
+# cells that a 17-digit writer must keep apart from their neighbours: signed
+# zeros, subnormals, infinities, nan, and integral floats of 1e17 and up,
+# which a str of an int would write out in full
+_SPECIAL = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.0**-1070, 2.0**-1022, math.inf, -math.inf, math.nan, 1e17, 2.0**60]
+)
+_CELLS = st.one_of(_SPECIAL, st.floats(), st.floats(1e17, 1e308), st.floats(-1e308, -1e17))
+
+
+def _reference_csv(report) -> str:
+    # the rule applied to every cell on its own: a float to 17 significant
+    # digits, anything else through str
+    def cell(v):
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    values = report.values.tolist()
+    if report.point_name == "uv":
+        header = [report.scale_name, "u", "v", "ratio"]
+        rows = [
+            (float(s), float(u), float(v), r)
+            for (u, v), row in zip(report.points, values)
+            for s, r in zip(report.scales, row)
+        ]
+    else:
+        header = [report.scale_name, report.point_name, "value"]
+        rows = [
+            (s, float(p), r)
+            for p, row in zip(report.points, values)
+            for s, r in zip(report.scales, row)
+        ]
+    return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n"
+
+
+@st.composite
+def _reports(draw):
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.floats(5e-324, 1e308), min_size=4, max_size=6))
+        points = draw(st.lists(st.tuples(_CELLS, _CELLS), min_size=1, max_size=4))
+        layout = ("eps", "uv")
+    else:
+        scales = draw(st.lists(st.integers(1, 2**960), min_size=4, max_size=6))
+        points = draw(st.lists(_CELLS, min_size=1, max_size=4))
+        layout = ("n", "x")
+    values = draw(st.lists(
+        st.lists(_CELLS, min_size=len(scales), max_size=len(scales)),
+        min_size=len(points), max_size=len(points),
+    ))
+    return build_report(layout[0], scales, layout[1], points, np.array(values), 1e-3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_reports())
+def test_convergence_csv_writes_every_cell_by_the_float_rule(report):
+    # _table formats each scale, point and value once per report; the bytes
+    # must be those of formatting every cell of every row
+    header, rows, body = cli._table(report)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit("-", "csv", {}, header, rows, body)
+    assert out.getvalue() == _reference_csv(report)
+
+
+def test_json_output_formats_no_csv_line(monkeypatch):
+    # a convergence report's CSV lines are made only when they are written
+    report = evtlab.dehaan_test(evtlab.pareto(2.0))
+    monkeypatch.setattr(cli, "_fmt", None)  # a call would raise
+    header, rows, body = cli._table(report)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit("-", "json", {}, header, rows, body)
+    assert json.loads(out.getvalue())["values"] == body["values"]
+
+
+BAD_RANGE = "needs at least 2 points"
+TOO_MANY = "expected start:stop[:count]"
+NOT_POSITIVE = "geometric range endpoints must be positive"
+DEHAAN = "dehaan --dist pareto:alpha=2"
+NONLINEAR = "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1"
+
+
+@pytest.mark.parametrize(
+    "command,option,value,reason",
+    [
+        (DEHAAN, "--eps", "1e-2:1e-6:1", BAD_RANGE),
+        (DEHAAN, "--eps", "1e-2:1e-6:x", "'x' in '1e-2:1e-6:x' is not an integer"),
+        (DEHAAN, "--eps", "1e-2:1e-6:4:5", TOO_MANY),
+        (DEHAAN, "--eps", "a:1e-6", "'a' in 'a:1e-6' is not a number"),
+        (DEHAAN, "--eps", "0:1", f"{NOT_POSITIVE}, got '0:1'"),
+        (NONLINEAR, "--n", "10:1e4:1", BAD_RANGE),
+        (NONLINEAR, "--n", "10:1e4:2.5", "'2.5' in '10:1e4:2.5' is not an integer"),
+        (NONLINEAR, "--n", "10:1e4:8:2", TOO_MANY),
+        (NONLINEAR, "--n", "10:ten", "'ten' in '10:ten' is not a number"),
+        (NONLINEAR, "--n", "-10:1e4", NOT_POSITIVE),
+        ("geom-oscillate", "--n", "1:1:1", BAD_RANGE),
+        ("geom-oscillate", "--n", "1e3:1e6:64:1", TOO_MANY),
+        ("geom-oscillate", "--n", "1e3:many", "'many' in '1e3:many' is not a number"),
+        ("geom-oscillate", "--n", "0:1e6", NOT_POSITIVE),
+        (NONLINEAR, "--x", "1:2:0", BAD_RANGE),
+        (NONLINEAR, "--x", "1:2:3:4", TOO_MANY),
+        (NONLINEAR, "--x", "1:two", "'two' in '1:two' is not a number"),
+        (NONLINEAR, "--x", "0:2", NOT_POSITIVE),
+        ("limit-law --rho 0", "--x", "-2:6:1", BAD_RANGE),
+        ("limit-law --rho 0", "--x", "-2:6:,", "',' in '-2:6:,' is not an integer"),
+        ("limit-law --rho 0", "--x", "-2:6:3:4", TOO_MANY),
+        ("limit-law --rho 0", "--x", "-2:six", "'six' in '-2:six' is not a number"),
+        (DEHAAN, "--uv", "1", "bad pair '1'; expected u,v"),
+        (DEHAAN, "--uv", "1,2,3", "bad pair '1,2,3'; expected u,v"),
+        (DEHAAN, "--uv", "1,b", "'b' in '1,b' is not a number"),
+        ("geom-oscillate", "--cluster-c", "x,y", "'x' in 'x,y' is not a number"),
+        ("geom-oscillate", "--cluster-c", "0.5,", "'' in '0.5,' is not a number"),
+        ("geom-oscillate", "--cluster-c", "0.5;0.7", "'0.5;0.7' in '0.5;0.7' is not a number"),
+    ],
+)
+def test_malformed_option_values_say_why(command, option, value, reason, capsys):
+    # argparse prints an ArgumentTypeError's own message after the option's
+    # name; a ValueError would show only the name of the private type function
+    assert cli.run(shlex.split(command) + [f"{option}={value}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {option}: " in err and reason in err
+    assert not re.search(r"\b_\w", err), err
 
 
 def test_unknown_family_exit_2(capsys):

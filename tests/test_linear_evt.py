@@ -445,7 +445,7 @@ def test_three_types_monte_carlo():
 def test_report_serialization_fields():
     header, rows, d = _table(e.dehaan_test(e.uniform()))
     assert header == ["eps", "u", "v", "ratio"]
-    assert len(rows) == 12 * 16
+    assert len(list(rows)) == 12 * 16
     for key in ("grid", "values", "verdict", "limit_table"):
         assert key in d
     header, rows, _ = _table(e.estimate_rho(e.uniform()))

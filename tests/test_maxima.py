@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -390,3 +391,30 @@ def test_spot_check_monotone_accepts_and_rejects():
         e.spot_check_monotone(lambda x: x, 0.0, 1.0, direction="sideways")
     with pytest.raises(DomainError):
         e.spot_check_monotone(lambda x: x, 1.0, 1.0)
+
+
+def test_spot_check_monotone_refuses_g_on_the_widest_ranges_and_at_nan():
+    # where hi - lo overflows, np.linspace(lo, hi) gives inf and nan points,
+    # past which any g would pass; a nan difference exceeds no slack
+    with pytest.raises(ContractViolationError, match=r"not nondecreasing: g\(-1e\+308\)"):
+        e.spot_check_monotone(lambda t: -t, -1e308, 1e308)
+    with pytest.raises(ContractViolationError, match="not nondecreasing"):
+        e.spot_check_monotone(np.sin, -1e308, 1e308)
+    nan_above_half = lambda t: np.where(t > 0.5, np.nan, t)  # noqa: E731
+    with pytest.raises(ContractViolationError, match=r"g\(0\.50251256281407\d*\) = nan"):
+        e.spot_check_monotone(nan_above_half, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(-1e308, 1e308), (-sys.float_info.max, sys.float_info.max), (-1.5e308, 2.0**1023),
+     (-1e308, 7e307), (0.0, 1.0)],
+)
+def test_spot_check_points_are_finite_and_linspace_where_the_span_is(lo, hi):
+    seen = []
+    e.spot_check_monotone(lambda t: seen.append(t) or t, lo, hi)
+    pts = seen[0]
+    assert np.isfinite(pts).all() and pts[0] == lo and pts[-1] == hi
+    assert np.all(np.diff(pts) > 0)
+    if math.isfinite(hi - lo):
+        assert pts.tobytes() == np.linspace(lo, hi, 200).tobytes()

@@ -81,20 +81,28 @@ def test_verdict_folds_in_nondegeneracy():
     assert not build_report(**base, nondegenerate=False).verdict
 
 
+def test_a_spread_beyond_the_largest_double_fails_its_point_without_a_warning():
+    values = np.array([[0.0, 0.0, -1e308, 1e308], [1.0, 1.0, 1.0, 1.0]])
+    rep = build_report("n", (1, 2, 3, 4), "x", (1.0, 2.0), values, 1.0)
+    assert rep.converged_per_point == (False, True)
+
+
 def test_csv_layout_for_uv_and_plain_points():
     values = np.array([[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
     scales = (0.1, 0.01, 0.001, 0.0001)
     rep = build_report("eps", scales, "uv", ((2.0, 4.0), (0.5, 4.0)), values, 1.0)
     header, rows, _ = _table(rep)
     assert header == ["eps", "u", "v", "ratio"]
-    assert rows[0] == (0.1, 2.0, 4.0, 1.0)
-    assert rows[5] == (0.01, 0.5, 4.0, 4.0)
+    # the rows are the CSV lines, floats to 17 significant digits
+    rows = list(rows)
+    assert rows[0] == "0.10000000000000001,2,4,1"
+    assert rows[5] == "0.01,0.5,4,4"
 
     values = np.array([[7.0, 8.0, 9.0, 10.0]])
     rep = build_report("n", (10, 100, 1000, 10_000), "x", (1.5,), values, 1.0)
     header, rows, _ = _table(rep)
     assert header == ["n", "x", "value"]
-    assert rows == [(10, 1.5, 7.0), (100, 1.5, 8.0), (1000, 1.5, 9.0), (10_000, 1.5, 10.0)]
+    assert list(rows) == ["10,1.5,7", "100,1.5,8", "1000,1.5,9", "10000,1.5,10"]
 
 
 def test_json_round_trip_keys():

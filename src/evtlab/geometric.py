@@ -18,9 +18,10 @@ real in their interval (``stats._real``), and the arrays t and u of the
 sf, cdf and quantile any array-like of them (``stats._reals``).
 
 Floor hardening: whenever theta*log n (or log u / log p) lands within 1e-9
-of an integer k, the ambiguity is resolved by exact rational comparison of
-n * p**k against 1 (respectively u against p**k) using the exact binary
-values of p and u, so dyadic cases such as p = 1/2, n = 2**k come out exact.
+of an integer k, the ambiguity is resolved by comparing n * p**k against 1
+(respectively u against p**k) in integers, from the exact binary values of
+p and u as integer ratios, so dyadic cases such as p = 1/2, n = 2**k come
+out exact.
 The floors are taken over whole arrays; only the entries inside the band
 are resolved one at a time.
 """
@@ -28,7 +29,6 @@ are resolved one at a time.
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,7 +51,7 @@ __all__ = [
 NEAR_INTEGER_BAND = 1e-9
 # the fractional-part values c whose cluster limits a scan reports by default
 DEFAULT_CLUSTER_CS = (0.0, 0.5, 0.9)
-# Beyond this exponent the exact rational comparison is pointless (and slow);
+# Beyond this exponent the exact integer comparison is pointless (and slow);
 # the float floor is unambiguous anyway at such scales.
 _EXACT_POW_LIMIT = 200_000
 
@@ -106,14 +106,17 @@ def _floor_log_ratio(p: float, ratio, exact_u):
 
     Entries within ``NEAR_INTEGER_BAND`` of an integer k are settled exactly:
     log u <= k log p  <=>  u <= p**k  (log p < 0), with ``exact_u(i)`` the
-    exact rational u of entry i and p its binary value.
+    exact u of entry i as an integer ratio (num, den) and p its binary value
+    p_num / p_den, compared in integers as u_num * p_den**k <= u_den * p_num**k.
     """
     out = np.floor(ratio)
     nearest = np.rint(ratio)
+    p_num, p_den = p.as_integer_ratio()
     for i in np.flatnonzero(np.abs(ratio - nearest) < NEAR_INTEGER_BAND):
         k = int(nearest[i])
         if 0 <= k <= _EXACT_POW_LIMIT:
-            out[i] = k if exact_u(i) <= Fraction(p) ** k else k - 1
+            u_num, u_den = exact_u(i)
+            out[i] = k if u_num * p_den**k <= u_den * p_num**k else k - 1
     return out
 
 
@@ -127,7 +130,7 @@ def geom_quantile(params: GeometricParams, u):
     arr = _reals(u, "tail mass u", "(0, 1)")
     flat = arr.ravel()
     out = _floor_log_ratio(
-        params.p, np.log(flat) / math.log(params.p), lambda i: Fraction(float(flat[i]))
+        params.p, np.log(flat) / math.log(params.p), lambda i: float(flat[i]).as_integer_ratio()
     )
     return _scalar_or_array(u, out.reshape(arr.shape))
 
@@ -135,13 +138,13 @@ def geom_quantile(params: GeometricParams, u):
 def floor_theta_log_n(params: GeometricParams, n: int) -> int:
     """floor(theta * log n) with the near-integer guard resolved exactly.
 
-    theta * log n >= k  <=>  n * p**k >= 1, which is decided in exact
-    rational arithmetic when the float product sits within 1e-9 of k.  This
-    is the one-point form of the levels ``oscillation_scan`` probes.
+    theta * log n >= k  <=>  n * p**k >= 1, which is decided in integers
+    when the float product sits within 1e-9 of k.  This is the one-point
+    form of the levels ``oscillation_scan`` probes.
     """
     n = _integer(n, "n")
     t = params.theta * np.array([math.log(n)])
-    return int(_floor_log_ratio(params.p, t, lambda i: Fraction(1, n))[0])
+    return int(_floor_log_ratio(params.p, t, lambda i: (1, n))[0])
 
 
 _SEARCH_CHUNK = 1 << 16
@@ -330,7 +333,7 @@ def oscillation_scan(
     ns = _grid(n_values, "n_values", order=1, least=1)
     q = _integer(q, "q", least=None)
     t = params.theta * np.log(ns)
-    levels = _floor_log_ratio(params.p, t, lambda i: Fraction(1, int(ns[i]))).astype(np.int64)
+    levels = _floor_log_ratio(params.p, t, lambda i: (1, int(ns[i]))).astype(np.int64)
     # checked in Python ints, as int64 arithmetic would wrap or overflow; the
     # shift through the lowest level stays in int64 whenever the result does
     low = int(levels.min())

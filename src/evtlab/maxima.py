@@ -53,12 +53,16 @@ _N_MAX = 2**960
 
 
 def _indices(n, least: int = 1):
-    """The index n of a law of maxima, an int or an array of them, checked entry
-    by entry as an integer (``stats._integer``) from ``least`` to 2**960; an
-    array comes back in n's shape as Python ints, which keep each n exact."""
+    """The index n of a law of maxima, an int or an array of them, checked as an
+    integer (``stats._integer``) from ``least`` to 2**960; an array comes back in
+    n's shape as Python ints, which keep each n exact.  An array of Python ints
+    is checked in one pass; it is walked entry by entry only to name a bad one."""
     if isinstance(n, np.ndarray):
-        checked = [_indices(m, least) for m in n.ravel().tolist()]
-        return np.array(checked, dtype=object).reshape(n.shape)
+        ms = n.ravel().tolist()
+        ints = all(type(m) is int for m in ms)
+        if not (ints and (not ms or least <= min(ms) and max(ms) <= _N_MAX)):
+            ms = [_indices(m, least) for m in ms]
+        return np.array(ms, dtype=object).reshape(n.shape)
     n = _integer(n, "n", least)
     if n > _N_MAX:
         raise DomainError(
@@ -218,6 +222,8 @@ def h_n_eval(
 
 
 _SPOT_CHECK_POINTS = 200
+# the points of a spot check are _RAMP * step + lo, as np.linspace forms them
+_RAMP = np.arange(float(_SPOT_CHECK_POINTS))
 
 
 def spot_check_monotone(g, lo: float, hi: float, direction: str = "nondecreasing") -> None:
@@ -226,33 +232,67 @@ def spot_check_monotone(g, lo: float, hi: float, direction: str = "nondecreasing
 
     Raises ``ContractViolationError`` on a violation beyond float slack, and
     on a NaN value of g, naming the first such point: a monotone g has an
-    ordered value at every point.  Values of +-inf are compared like others.
-    The points are ``np.linspace(lo, hi, 200)`` wherever hi - lo is finite;
-    on a wider range they are the points of [lo/2, hi/2] doubled, so they stay
-    finite.  They are fixed, so results are deterministic and draw from no
-    stream.
+    ordered value at every point.  Values of +-inf are ordered like others;
+    the slack comes from the finite values alone, and inf next to the same
+    inf is no step.  The points are ``np.linspace(lo, hi, 200)`` wherever
+    hi - lo is finite; on a wider range they are the points of [lo/2, hi/2]
+    doubled, so they stay finite.  They are fixed, so results are
+    deterministic and draw from no stream.  ``g`` gets them as one 1-d array.
     """
     if direction not in ("nondecreasing", "nonincreasing"):
         raise DomainError(f"unknown direction {direction!r}")
     lo, hi = _real(lo, "lo"), _real(hi, "hi")
     if not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
-    if math.isfinite(hi - lo):
-        pts = np.linspace(lo, hi, _SPOT_CHECK_POINTS)
-    else:  # the span overflows only with both ends beyond 2**970, where halving is exact
-        pts = np.linspace(lo / 2, hi / 2, _SPOT_CHECK_POINTS) * 2
+    _spot_check(g, np.float64(lo), np.float64(hi), direction)
+
+
+def _spot_check(g, lo, hi, direction: str) -> None:
+    """``spot_check_monotone`` of each row: lo and hi are float arrays of one
+    shape, () or (k,), with lo < hi in every entry, and ``g`` is called once
+    on the 200 points of every row, an array of shape lo.shape + (200,).
+    The rows are checked in order, and within a row a NaN value before the
+    order of the values, so the failure named is the first of the one-row
+    checks in turn.
+    """
+    lo, hi = lo[..., None], hi[..., None]
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    wide = not np.isfinite(span).all()
+    if wide:  # the span overflows only with both ends beyond 2**970, where halving is exact
+        scale = np.where(np.isfinite(span), 1.0, 2.0)
+        lo, hi = lo / scale, hi / scale
+        span = hi - lo
+    step = span / (_SPOT_CHECK_POINTS - 1)
+    if (step == 0.0).any():  # a subnormal span: np.linspace scales the ramp first
+        pts = np.where(step == 0.0, _RAMP / (_SPOT_CHECK_POINTS - 1) * span, _RAMP * step)
+    else:
+        pts = _RAMP * step
+    pts += lo
+    pts[..., -1:] = hi
+    if wide:
+        pts *= scale
     vals = np.asarray(g(pts), dtype=float)
-    if math.isnan(vals.min()):  # the min is nan if any value is
-        i = int(np.flatnonzero(np.isnan(vals))[0])
-        raise ContractViolationError(
-            f"g({pts[i]}) = nan: a {direction} g has a value at every point"
-        )
-    diffs = np.diff(vals)
-    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))
-    bad = diffs < -tol if direction == "nondecreasing" else diffs > tol
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ContractViolationError(
-            f"g is not {direction}: g({pts[i]}) = {vals[i]} vs "
-            f"g({pts[i + 1]}) = {vals[i + 1]}"
-        )
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, no step
+        steps = vals[..., 1:] - vals[..., :-1]
+    size = np.abs(vals)
+    tol = 1e-9 * np.maximum(1.0, np.maximum(size[..., :-1], size[..., 1:]))
+    # a step to or from +-inf is judged by its sign alone, not by an infinite slack
+    if direction == "nondecreasing":
+        bad = (steps < -tol) | (steps == -np.inf)
+    else:
+        bad = (steps > tol) | (steps == np.inf)
+    if not (bad.any() or math.isnan(vals.min())):  # the min is nan if any value is
+        return
+    rows = (np.reshape(a, (-1, a.shape[-1])) for a in (pts, vals, np.isnan(vals), bad))
+    for p, v, at_nan, at_bad in zip(*rows):
+        if at_nan.any():
+            i = int(np.argmax(at_nan))
+            raise ContractViolationError(
+                f"g({p[i]}) = nan: a {direction} g has a value at every point"
+            )
+        if at_bad.any():
+            i = int(np.argmax(at_bad))
+            raise ContractViolationError(
+                f"g is not {direction}: g({p[i]}) = {v[i]} vs g({p[i + 1]}) = {v[i + 1]}"
+            )

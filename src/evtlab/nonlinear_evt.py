@@ -23,7 +23,7 @@ import numpy as np
 from .dist import CONTINUOUS, Distribution, tail_quantile
 from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import _norming_arrays
-from .maxima import HnVariant, _h_n_args, _indices, spot_check_monotone
+from .maxima import HnVariant, _h_n_args, _indices, _spot_check
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
 from .stats import _grid, _integer, _real, _reals, _scalar_or_array
 
@@ -105,7 +105,8 @@ class NormalizerSequence:
     built for the column, g maps a (k, m) array row by row, row j through
     g_n at the j-th n.  ``convergence_diagnostic`` checks each n of its grid
     (an integer from 1 to 2**960), builds g once for the whole grid, and
-    once more at the scalar first and last n to spot-check monotonicity.
+    once more for the column of the first and last n, whose g it
+    spot-checks for monotonicity in one call on both rows of points.
     """
 
     base: Distribution
@@ -144,7 +145,7 @@ def _varies(xs, hs, tol) -> bool:
     tol = _real(tol, "nondegeneracy tol", "[0, inf]")
     xs = _reals(xs, "nondegeneracy x", "[-inf, inf]")
     hs = _reals(hs, "nondegeneracy h", "[-inf, inf]")
-    if np.unique(xs).size < 2:
+    if not xs.min() < xs.max():  # xs holds no NaN
         raise DomainError("nondegeneracy check needs >= 2 distinct x values")
     return float(hs.max()) - float(hs.min()) > tol  # in Python floats: inf - inf is nan, no warning
 
@@ -163,11 +164,14 @@ def convergence_diagnostic(
     (``build_report``); the limit estimate is the value at the largest n, and
     the limit profile must be nondegenerate at ``nondeg_tol``.  The grid is
     one pass: the builder is called once with the n column, and its g once on
-    every tail quantile.  The g_n at the smallest and largest n, built at the
-    scalar n, are then monotonicity spot-checked on their actual evaluation
-    range.  Where several (n, x) fail, the first failure in n-major order is
-    named within the first stage that fails: the builder, the tail masses,
-    the tail quantiles, g, then the spot checks.
+    every tail quantile.  The g_n at the smallest and largest n are then
+    monotonicity spot-checked on their actual evaluation range, as
+    ``spot_check_monotone`` checks one: the builder is called once more with
+    the column of those two n, and its g once on both rows of points (a row
+    whose range is one point is left out).  Where several (n, x) fail, the
+    first failure in n-major order is named within the first stage that
+    fails: the builder, the tail masses, the tail quantiles, g, then the
+    spot checks, the smallest n first.
     """
     ns = _indices(np.asarray(n_grid, dtype=object))
     ns = _grid(ns, "n_grid", order=1, least=1, int64=False).tolist()
@@ -178,12 +182,12 @@ def convergence_diagnostic(
     g = normalizer.builder(n_col)
     qs = tail_quantile(normalizer.base, _h_n_args(n_col, xs, variant))
     values = np.asarray(g(qs), dtype=float).T
-    for j in sorted({0, len(ns) - 1}):
-        lo, hi = float(np.min(qs[j])), float(np.max(qs[j]))  # finite, as tail quantiles are
-        if lo < hi:
-            spot_check_monotone(normalizer.builder(ns[j]), lo, hi, normalizer.direction)
+    ends = sorted({0, len(ns) - 1})
+    lo, hi = qs[ends].min(axis=1), qs[ends].max(axis=1)  # finite, as tail quantiles are
+    checked = lo < hi
+    if checked.any():
+        g = normalizer.builder(n_col[ends][checked])
+        _spot_check(g, lo[checked], hi[checked], normalizer.direction)
     nondeg = _varies(xs, values[:, -1], nondeg_tol)
-    return build_report(
-        "n", ns, "x", [float(x) for x in xs], values, tol, nondegenerate=nondeg
-    )
+    return build_report("n", ns, "x", xs.tolist(), values, tol, nondegenerate=nondeg)
 

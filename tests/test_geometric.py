@@ -4,6 +4,7 @@ import importlib
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,28 @@ def test_floor_theta_log_n_exact_powers():
             assert floor_theta_log_n(gp, 2**k - 1) == k - 1
     with pytest.raises(DomainError):
         floor_theta_log_n(gp, 0)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.2, 0.1, 1 - 2**-30])
+def test_floor_log_ratio_matches_a_fraction_reference(p):
+    # tail masses u and indices n = 1/u at and next to p**k, k up to 200,
+    # where log u / log p lands within the band of k; the integer comparison
+    # gives the floors that rational arithmetic gives
+    ks = range(201)
+    us = [u for k in ks for u in np.nextafter(p**k, [0.0, p**k, 1.0]) if 0.0 < u < 1.0]
+    ns = [round(p**-k) + d for k in ks if p**-k < 2**62 for d in (-1, 0, 1)]
+    ns = [n for n in ns if n >= 1]
+    cases = [(math.log(u), Fraction(u), u.as_integer_ratio()) for u in us]
+    cases += [(-math.log(n), Fraction(1, n), (1, n)) for n in ns]
+    ratio = np.array([log_u for log_u, _, _ in cases]) / math.log(p)
+    banded = np.abs(ratio - np.rint(ratio)) < geometric.NEAR_INTEGER_BAND
+    assert banded.sum() >= 100
+    expected = np.floor(ratio)
+    for i in np.flatnonzero(banded):
+        k = int(np.rint(ratio[i]))
+        expected[i] = k if cases[i][1] <= Fraction(p) ** k else k - 1
+    got = geometric._floor_log_ratio(p, ratio, lambda i: cases[i][2])
+    assert got.tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------- frac search

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,25 @@ def test_h_n_args_take_a_column_of_n():
         maxima._h_n_args(np.array([5, 0], dtype=object)[:, None], xs, HnVariant.LINEAR_FORM)
 
 
+def test_indices_check_an_array_in_one_pass_and_name_a_bad_entry():
+    ns = maxima._indices(np.array([[3], [2**960], [7]], dtype=object))
+    assert ns.shape == (3, 1) and ns.ravel().tolist() == [3, 2**960, 7]
+    # a numpy integer leaves the one-pass check, and is taken as an int
+    ns = maxima._indices(np.array([3, np.int64(5)], dtype=object))
+    assert ns.tolist() == [3, 5] and all(type(n) is int for n in ns)
+    assert maxima._indices(np.array([], dtype=object)).shape == (0,)
+    for bad, message in [
+        (True, "n must be a positive integer, got True"),
+        (np.int64(0), "n must be a positive integer, got np.int64(0)"),
+        (2.0, "n must be a positive integer, got 2.0"),
+        (2**960 + 1, f"n = {2**960 + 1} is too large"),
+    ]:
+        with pytest.raises(DomainError, match=re.escape(message)):
+            maxima._indices(np.array([3, bad, 0], dtype=object))
+    with pytest.raises(DomainError, match=re.escape("n must be an integer >= 3, got 2")):
+        maxima._indices(np.array([4, 2, 1]), least=3)
+
+
 # ---------------------------------------------------------------- monotone spot check
 
 def test_spot_check_monotone_accepts_and_rejects():
@@ -418,3 +438,76 @@ def test_spot_check_points_are_finite_and_linspace_where_the_span_is(lo, hi):
     assert np.all(np.diff(pts) > 0)
     if math.isfinite(hi - lo):
         assert pts.tobytes() == np.linspace(lo, hi, 200).tobytes()
+
+
+@pytest.mark.parametrize(
+    "g,refused",
+    [
+        (lambda t: np.where(t < 0.5, np.inf, -np.inf), "g(0.49748743718592964) = inf vs"),
+        (lambda t: np.where(t < 0.5, 1e300, -np.inf), "g(0.49748743718592964) = 1e+300 vs"),
+        (lambda t: np.where(t < 0.5, np.inf, 0.0), "g(0.49748743718592964) = inf vs"),
+        # a finite drop past the largest double is a step of -inf
+        (lambda t: np.where(t < 0.5, 1.7e308, -1.7e308), "g(0.49748743718592964) = 1.7e+308 vs"),
+        (lambda t: np.where(t < 0.5, 0.0, np.inf), None),
+        (lambda t: np.where(t < 0.5, -np.inf, np.inf), None),
+    ],
+)
+def test_spot_check_orders_infinite_values_by_their_sign(g, refused):
+    # the slack comes from finite values, so a step to or from +-inf is never
+    # inside it; inf next to the same inf is no step; and none warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused is None:
+            e.spot_check_monotone(g, 0.0, 1.0)
+        else:
+            with pytest.raises(ContractViolationError, match=re.escape(refused)):
+                e.spot_check_monotone(g, 0.0, 1.0)
+
+
+def test_spot_check_rows_are_the_one_row_checks_in_one_call():
+    # each row's points are np.linspace's (halved and doubled where the span
+    # overflows), g is called once on all rows, and the failure named is the
+    # first the one-row checks name in turn
+    rng = np.random.default_rng(7)
+    ends = np.sort(rng.normal(size=(300, 2)) * 10.0 ** rng.integers(-300, 300, (300, 1)), axis=1)
+    ends = np.concatenate([ends, [[-1e308, 1e308], [-1.5e308, 2.0**1023], [0.0, 5e-323]]])
+    lo, hi = ends[ends[:, 0] < ends[:, 1]].T
+    seen = []
+    maxima._spot_check(lambda t: seen.append(t) or t, lo, hi, "nondecreasing")
+    (pts,) = seen
+    assert pts.shape == (lo.size, 200)
+    for row, a, b in zip(pts, lo.tolist(), hi.tolist()):
+        if math.isfinite(b - a):
+            assert row.tobytes() == np.linspace(a, b, 200).tobytes()
+        else:
+            assert row.tobytes() == (np.linspace(a / 2, b / 2, 200) * 2).tobytes()
+
+    def one_row_failure(g, a, b, direction):
+        try:
+            e.spot_check_monotone(g, a, b, direction)
+        except ContractViolationError as exc:
+            return str(exc)
+
+    drop_above = lambda c: lambda t: np.where(t > c, t - 1.0, t)  # noqa: E731
+    nan_above = lambda c: lambda t: np.where(t > c, np.nan, t)  # noqa: E731
+    rows = [
+        # a step down in both rows: the first row's is named
+        ((drop_above(0.5), drop_above(1.5)), (0.0, 1.0), (1.0, 2.0)),
+        # a step down in the first row and a NaN in the second: the step down
+        ((drop_above(0.5), nan_above(1.5)), (0.0, 1.0), (1.0, 2.0)),
+        # a NaN after a step down in one row: the NaN
+        ((lambda t: np.where(t > 0.7, np.nan, np.where(t > 0.3, t - 1.0, t)),) * 2,
+         (0.0, 1.0), (0.0, 1.0)),
+        # only the second row fails
+        ((lambda t: t, drop_above(1.5)), (0.0, 1.0), (1.0, 2.0)),
+    ]
+    for (g0, g1), (lo0, hi0), (lo1, hi1) in rows:
+        def g(t):
+            assert t.shape == (2, 200)
+            return np.stack([g0(t[0]), g1(t[1])])
+
+        expected = one_row_failure(g0, lo0, hi0, "nondecreasing")
+        expected = expected or one_row_failure(g1, lo1, hi1, "nondecreasing")
+        with pytest.raises(ContractViolationError) as info:
+            maxima._spot_check(g, np.array([lo0, lo1]), np.array([hi0, hi1]), "nondecreasing")
+        assert str(info.value) == expected

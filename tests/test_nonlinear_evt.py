@@ -189,7 +189,8 @@ def test_diagnostic_affine_refuses_a_positive_a_n_before_dividing():
 
 
 def test_diagnostic_builds_g_once_for_the_n_column():
-    # one builder call for the whole grid, and the two scalar spot-check calls
+    # one builder call for the whole grid, and one for the spot checks' column
+    # of the first and last n
     seen = []
     target, base = e.exponential(), e.pareto(2.0)
 
@@ -199,9 +200,53 @@ def test_diagnostic_builds_g_once_for_the_n_column():
 
     ns = (20, 100, 1000, 10_000)
     e.convergence_diagnostic(NormalizerSequence(base, builder), n_grid=ns)
-    column, *scalars = seen
+    column, ends = seen
     assert column.shape == (4, 1) and column.ravel().tolist() == list(ns)
-    assert scalars == [20, 10_000]
+    assert ends.shape == (2, 1) and ends.tolist() == [[20], [10_000]]
+
+
+def _defective_builder(defects):
+    """A builder of g(x) = x with, at each n in ``defects``, a step down by 1
+    past x = c ("drop") or a NaN past x = c ("nan")."""
+
+    def builder(n):
+        col = np.asarray(n, dtype=float)
+
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            out = x
+            for m, kind, c in defects:
+                out = np.where((col == m) & (x > c), np.nan if kind == "nan" else out - 1.0, out)
+            return out
+
+        return g
+
+    return builder
+
+
+@pytest.mark.parametrize(
+    "defects,named,kind",
+    [
+        # both ends fail: the first n is named before the last
+        ([(100, "drop", 0.9), (10_000, "drop", 0.999)], 100, "not nondecreasing"),
+        ([(100, "drop", 0.9), (10_000, "nan", 0.999)], 100, "not nondecreasing"),
+        # in one row a NaN is named before a step down that comes first
+        ([(10_000, "drop", 0.999), (10_000, "nan", 0.9999)], 10_000, "= nan"),
+        ([(100, "drop", 0.9), (100, "nan", 0.95), (10_000, "drop", 0.999)], 100, "= nan"),
+    ],
+)
+def test_diagnostic_spot_checks_name_the_first_failure_of_the_one_row_checks(
+    defects, named, kind
+):
+    base, ns = e.uniform(), (100, 1000, 10_000)
+    builder = _defective_builder(defects)
+    xs = e.default_x_grid()
+    qs = e.tail_quantile(base, xs / named)
+    with pytest.raises(ContractViolationError) as one_row:
+        e.spot_check_monotone(builder(named), qs.min(), qs.max())
+    with pytest.raises(ContractViolationError) as info:
+        e.convergence_diagnostic(NormalizerSequence(base, builder), n_grid=ns)
+    assert str(info.value) == str(one_row.value) and kind in str(info.value)
 
 
 def test_diagnostic_saturation_names_the_exact_n():

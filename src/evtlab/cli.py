@@ -171,9 +171,10 @@ def _config(args) -> dict:
     return config
 
 
-def _emit(path: str, fmt: str, config: dict, header, rows, json_body: dict) -> None:
+def _emit(path: str, fmt: str, config: dict, header, rows, json_body) -> None:
+    # json_body is the function that builds the JSON body, called for JSON alone
     if fmt == "json":
-        text = json.dumps({"config": config, **json_body}, indent=2) + "\n"
+        text = json.dumps({"config": config, **json_body()}, indent=2) + "\n"
     else:
         lines = [f"# {k}={_fmt(v)}" for k, v in config.items()]
         lines.append(",".join(header))
@@ -223,7 +224,8 @@ def _convergence_lines(result, values):
 
 
 def _table(result):
-    """The CSV header and rows and the JSON body of a diagnostic's result.
+    """The CSV header and rows of a diagnostic's result, and a function that
+    builds its JSON body, called only when JSON is written.
 
     This is the one place that knows how each result type is written out.
     A row is a tuple of cells, except that a convergence report's rows are
@@ -231,15 +233,16 @@ def _table(result):
     formatted once per report.
     """
     if isinstance(result, RhoEstimate):
-        per_scale = [[float(e), float(r)] for e, r in result.per_scale]
-        body = {"rho": result.rho, "spread": result.spread, "per_scale": per_scale}
-        return ["eps", "rho_hat"], [tuple(pair) for pair in per_scale], body
+        rows = [(float(e), float(r)) for e, r in result.per_scale]
+        return ["eps", "rho_hat"], rows, lambda: {
+            "rho": result.rho, "spread": result.spread, "per_scale": [list(row) for row in rows]
+        }
     if isinstance(result, NormingConstants):
         body = {"n": result.n, "a_n": result.a_n, "b_n": result.b_n}
-        return list(body), [tuple(body.values())], body
+        return list(body), [tuple(body.values())], lambda: body
     if isinstance(result, OscillationReport):
         ns, ms, probs = result.n_values.tolist(), result.levels.tolist(), result.probs.tolist()
-        body = {
+        return ["n", "m", "probability"], list(zip(ns, ms, probs)), lambda: {
             "p": result.params.p,
             "theta": result.params.theta,
             "q": result.q,
@@ -250,15 +253,14 @@ def _table(result):
             "lim_sup_est": result.lim_sup_est,
             "cluster_points": [[float(c), float(v)] for c, v in result.cluster_points],
         }
-        return ["n", "m", "probability"], list(zip(ns, ms, probs)), body
     if isinstance(result, ConvergenceReport):
         values = result.values.tolist()
         if result.point_name == "uv":
             header = [result.scale_name, "u", "v", "ratio"]
         else:
             header = [result.scale_name, result.point_name, "value"]
-        rows = _convergence_lines(result, values)
-        body = {
+        nondeg = {} if result.nondegenerate is None else {"nondegenerate": result.nondegenerate}
+        return header, _convergence_lines(result, values), lambda: {
             "scale": result.scale_name,
             "grid": list(result.scales),
             "point": result.point_name,
@@ -270,16 +272,14 @@ def _table(result):
             "converged": result.converged,
             "verdict": result.verdict,
             "limit_table": [[_point(p), float(v)] for p, v in result.limit_table],
+            **nondeg,
         }
-        if result.nondegenerate is not None:
-            body["nondegenerate"] = result.nondegenerate
-        return header, rows, body
     raise TypeError(f"no output layout for {type(result).__name__}")
 
 
 def _samples(xs):
     values = [float(x) for x in xs]
-    return ["index", "value"], list(enumerate(values)), {"samples": values}
+    return ["index", "value"], list(enumerate(values)), lambda: {"samples": values}
 
 
 def _sample(args):
@@ -307,7 +307,7 @@ def _norming(args):
 
 def _limit_law(args):
     xs, gs = args.x.tolist(), limit_cdf(args.rho, args.x).tolist()
-    return (["x", "G"], list(zip(xs, gs)), {"rho": args.rho, "x": xs, "G": gs}), 0
+    return (["x", "G"], list(zip(xs, gs)), lambda: {"rho": args.rho, "x": xs, "G": gs}), 0
 
 
 def _nonlinear(args):
@@ -329,19 +329,19 @@ def _geom_oscillate(args):
     spread = report.lim_sup_est - report.lim_inf_est
     converged = spread <= tol
     header, rows, body = _table(report)
-    body |= {"spread": spread, "converged": converged}
-    return (header, rows, body), 0 if converged else 3
+    code = 0 if converged else 3
+    return (header, rows, lambda: body() | {"spread": spread, "converged": converged}), code
 
 
 def _geom_density(args):
     n, frac, horizon = frac_log_search(args.theta, args.x, args.y, args.n_max)
     body = {"n": n, "frac": frac, "sufficient_horizon": horizon}
-    return (list(body), [(n, frac, horizon)], body), 0
+    return (list(body), [(n, frac, horizon)], lambda: body), 0
 
 
 # Each subcommand computes ((header, rows, body), exit code) from the parsed
-# arguments; run resolves the seed and the law specs before and writes the
-# output after.
+# arguments, with body the function that builds the JSON body; run resolves
+# the seed and the law specs before and writes the output after.
 _COMMANDS = {
     "sample": _sample,
     "max": _max,

@@ -16,7 +16,9 @@ two forms agree wherever 1 - u is exact, as on the samplers' 2**-53 grid.
 A family's parameters are real arguments (``stats._real``): an int, a
 float or a numpy real in the family's range, kept in ``params`` as floats.
 The u and eps of ``quantile`` and ``tail_quantile`` are real arrays in (0, 1)
-(``stats._reals``); a law's own callables are unchecked kernels behind them.
+(``stats._reals``); a law's own callables are unchecked kernels behind them,
+but for the geometric law's ``cdf`` and ``sf``, the checked ``geom_cdf`` and
+``geom_sf``.
 Distribution values are immutable; their callables are pure,
 numpy-vectorized, and safe to share across threads.  Built-in families use
 closed forms (the normal law delegates to scipy's ndtr/ndtri, importing
@@ -212,7 +214,7 @@ def geometric(p: float = 0.5) -> Distribution:
 
     cdf = partial(_geom.geom_cdf, params)
     sf = partial(_geom.geom_sf, params)
-    tail = partial(_geom.geom_quantile, params)
+    tail = partial(_geom._geom_quantile, params)
 
     def q(u):
         return tail(1.0 - np.asarray(u, dtype=float))

@@ -72,9 +72,12 @@ class GeometricParams:
 
 def geom_sf(params: GeometricParams, t):
     """S(t) = p**(floor(t)+1) for t >= 0, and 1 for t < 0."""
-    arr = _reals(t, "t", "[-inf, inf]")
-    out = np.where(arr < 0.0, 1.0, params.p ** (np.floor(np.maximum(arr, 0.0)) + 1.0))
-    return _scalar_or_array(t, out)
+    return _scalar_or_array(t, _geom_sf(params, _reals(t, "t", "[-inf, inf]")))
+
+
+def _geom_sf(params: GeometricParams, arr):
+    """``geom_sf`` at a checked array of reals or integers, as a float array."""
+    return np.where(arr < 0.0, 1.0, params.p ** (np.floor(np.maximum(arr, 0.0)) + 1.0))
 
 
 def geom_cdf(params: GeometricParams, t):
@@ -127,12 +130,19 @@ def geom_quantile(params: GeometricParams, u):
     floor(log u / log p).  Ratios within 1e-9 of an integer are resolved by
     exact comparison of u against p**k.
     """
-    arr = _reals(u, "tail mass u", "(0, 1)")
+    return _scalar_or_array(u, _geom_quantile(params, _reals(u, "tail mass u", "(0, 1)")))
+
+
+def _geom_quantile(params: GeometricParams, u):
+    """``geom_quantile`` at the tail masses u in (0, 1], as a float array of
+    u's shape.  This is the geometric law's ``tail``, and its ``quantile``
+    at 1 - u: a tiny u makes that mass 1.0, where the value is 0, as Q(u) is."""
+    arr = np.asarray(u, dtype=float)
     flat = arr.ravel()
     out = _floor_log_ratio(
         params.p, np.log(flat) / math.log(params.p), lambda i: float(flat[i]).as_integer_ratio()
     )
-    return _scalar_or_array(u, out.reshape(arr.shape))
+    return out.reshape(arr.shape)
 
 
 def floor_theta_log_n(params: GeometricParams, n: int) -> int:
@@ -304,7 +314,11 @@ class OscillationReport:
 
 def cluster_limit(params: GeometricParams, q: int, c: float) -> float:
     """Limit of the probe along subsequences with frac(theta log n) -> c."""
-    q, c = _integer(q, "q", least=None), _real(c, "c", "[0, 1)")
+    return _cluster_limit(params, _integer(q, "q", least=None), _real(c, "c", "[0, 1)"))
+
+
+def _cluster_limit(params: GeometricParams, q: int, c: float) -> float:
+    """``cluster_limit`` at a checked int q and float c in [0, 1)."""
     # past 2**1000 in size q alone decides the limit, before q + 1 - c is
     # formed in floats (which may overflow): p**(q + 1 - c) is 0 or infinite
     # there for every p in (0, 1), as |log p| exceeds 2**-53
@@ -340,10 +354,10 @@ def oscillation_scan(
     if not -(2**63) <= low + q <= int(levels.max()) + q < 2**63:
         raise DomainError(f"q = {q} takes the levels floor(theta log n) + q out of int64")
     levels = (levels - low) + (low + q)
-    probs = _cdf_of_max(ns, geom_sf(params, levels))
+    probs = _cdf_of_max(ns, _geom_sf(params, levels))
     tail = probs[probs.size // 2 :]
     cs = [_real(c, "c", "[0, 1)") for c in cluster_cs]
-    cluster = tuple((c, cluster_limit(params, q, c)) for c in cs)
+    cluster = tuple((c, _cluster_limit(params, q, c)) for c in cs)
     return OscillationReport(
         params=params,
         q=q,

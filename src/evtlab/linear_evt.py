@@ -13,8 +13,8 @@ converges as eps -> 0, in which case the limit is k_rho(u)/k_rho(v) and the
 tail increment r(eps) = Q(1-eps) - Q(1-2eps) is regularly varying of index
 rho, which is how ``estimate_rho`` reads rho off a scale sweep.  Each sweep
 builds its tail masses (eps*u, 2*eps, 1/n, ...) and takes all their tail
-quantiles Q(1 - mass) in one ``tail_quantile`` call, so no level 1 - mass
-is ever rounded; ``dehaan_ratio`` is the one-point sweep of
+quantiles Q(1 - mass) in one call of the law's ``tail``, so no level
+1 - mass is ever rounded; ``dehaan_ratio`` is the one-point sweep of
 ``dehaan_test``.  With the
 canonical constants b_n = Q(1-1/n) and a_n = Q(1-2/n) - b_n (note a_n <= 0),
 (M_n - b_n)/a_n converges in law to k_rho(omega)/k_rho(2) with omega
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution, tail_quantile
+from .dist import Distribution, _finite_quantiles, tail_quantile
 from .errors import (
     ContractViolationError,
     DegenerateNormalizationError,
@@ -108,6 +108,7 @@ def _dehaan_grid(dist: Distribution, uv_grid, scales):
     _validate_eps(scales[0], max(1.0, max(map(max, pairs))))
     eps = np.asarray(scales, dtype=float)
     factors = np.array([(1.0, u, v) for u, v in pairs], dtype=float).T
+    # checked: eps*u with u < 1 underflows to 0 at a subnormal eps
     q = tail_quantile(dist, factors[:, :, None] * eps)
     num, den = q[1] - q[0], q[2] - q[0]
     flat = np.argwhere(den == 0.0)
@@ -174,7 +175,8 @@ def estimate_rho(
     _validate_eps(scales[0], 2.0 * w)
     # q[j, i, k] = Q(1 - m_k*e_i) at e = (eps_j, eps_j*w) and m = (1, 2)
     masses = scales[:, None, None] * np.array([1.0, w])[:, None] * np.array([1.0, 2.0])
-    q = tail_quantile(dist, masses)
+    # every factor is >= 1 and scales[0] * 2w < 1, so each mass lies in (0, 1)
+    q = _finite_quantiles(dist, masses, tail=True)
     r = q[..., 0] - q[..., 1]
     zero = np.argwhere(r == 0.0)
     if zero.size:
@@ -205,10 +207,10 @@ class NormingConstants:
 def _norming_arrays(dist: Distribution, n):
     """a_n and b_n at the int n, or at each entry of an array of ints, as
     float arrays of n's shape, from one tail-quantile call at the masses 1/n
-    and 2/n.  Every n is checked before any constant is formed, and the
-    first n whose a_n is not negative is refused."""
-    ns = np.ravel(_indices(n, least=3)).tolist()
-    q = tail_quantile(dist, np.array([[1.0 / m for m in ns], [2.0 / m for m in ns]]))
+    and 2/n.  Each n is a checked index from 3 on (``_indices``), so every
+    mass lies in (0, 1); the first n whose a_n is not negative is refused."""
+    ns = np.ravel(n).tolist()
+    q = _finite_quantiles(dist, np.array([[1.0 / m for m in ns], [2.0 / m for m in ns]]), tail=True)
     b, a = q[0], q[1] - q[0]
     negative = a < 0.0
     if not negative.all():
@@ -229,8 +231,9 @@ def norming_constants(dist: Distribution, n: int) -> NormingConstants:
     2/n (requires 3 <= n <= 2**960, so 2/n < 1 is a normal double); the
     one-point form of the constants the affine normalizer takes at a whole
     n column."""
+    n = _indices(n, least=3)
     a, b = _norming_arrays(dist, n)
-    return NormingConstants(n=int(n), a_n=float(a), b_n=float(b))
+    return NormingConstants(n=n, a_n=float(a), b_n=float(b))
 
 
 def limit_cdf(rho: float, x):

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import Distribution, _finite_quantiles, tail_quantile
+from .dist import Distribution, _finite_quantiles
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
 from .stats import (
@@ -183,11 +183,11 @@ def _h_n_args(n, x, variant: HnVariant):
     """The base tail masses of h_n at the positive reals in array x,
     checked to lie in (0, 1): 1 - exp(-x/n) or x/n.
 
-    ``n`` is an int or a column of them, broadcast against x; the first
-    mass outside (0, 1) in flat (n-major) order is the one named.
+    ``n`` is a checked index (``_indices``), an int or a column of them,
+    broadcast against x; the first mass outside (0, 1) in flat (n-major)
+    order is the one named.
     """
-    nf = np.asarray(_indices(n), dtype=float)
-    variant = HnVariant(variant)
+    nf = np.asarray(n, dtype=float)
     if variant is HnVariant.EXP_FORM:
         args = -np.expm1(-x / nf)
         msg = "exp_form: 1 - exp(-x/n) = {arg} left (0, 1) for x={x}, n={n}"
@@ -217,8 +217,9 @@ def h_n_eval(
     is the one-point form of ``convergence_diagnostic``'s grid, and agrees
     with it bit for bit.
     """
-    args = _h_n_args(n, np.array([_real(x, "x", "(0, inf)")]), variant)
-    return float(np.asarray(g(tail_quantile(base, args)), dtype=float)[0])
+    x = _real(x, "x", "(0, inf)")
+    args = _h_n_args(_indices(n), np.array([x]), HnVariant(variant))
+    return float(np.asarray(g(_finite_quantiles(base, args, tail=True)), dtype=float)[0])
 
 
 _SPOT_CHECK_POINTS = 200

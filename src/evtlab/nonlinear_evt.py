@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import CONTINUOUS, Distribution, tail_quantile
+from .dist import CONTINUOUS, Distribution, _finite_quantiles
 from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import _norming_arrays
 from .maxima import HnVariant, _h_n_args, _indices, _spot_check
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
-from .stats import _grid, _integer, _real, _reals, _scalar_or_array
+from .stats import _grid, _integer, _ordered, _real, _reals, _scalar_or_array, _vector
 
 __all__ = [
     "DEFAULT_NONDEG_TOL",
@@ -52,14 +52,14 @@ def default_x_grid(count: int = 32):
 def _g_n(target: Distribution, n, survival):
     """g_n(x) = G_inv(exp(-n S(x))) for the base survival function S.
 
-    ``n`` is an integer from 1 to 2**960, or a column of them that the
+    ``n`` is a checked integer from 1 to 2**960, or a column of them that the
     returned g broadcasts against its argument (each n taken as float(n)).  A level
     exp(-n S(x)) that underflows to 0 is floored at the smallest positive
     double, so the map stays total and monotone; one that rounds to 1 is a
     ``DomainError`` naming the first such (n, x) in flat order, as G_inv(1)
     is no value of g_n.
     """
-    nf = np.asarray(_indices(n), dtype=float)
+    nf = np.asarray(n, dtype=float)
 
     def g(x):
         arr = _reals(x, "x", "[-inf, inf]")
@@ -79,7 +79,17 @@ def _g_n(target: Distribution, n, survival):
 
 def build_g_n(target: Distribution, n):
     """g_n(x) = G_inv(exp(-n(1-x))) for a uniform base; nondecreasing in x."""
-    return _g_n(target, n, lambda x: 1.0 - x)
+    return _g_n(target, _indices(n), lambda x: 1.0 - x)
+
+
+def _continuous_sf(base: Distribution):
+    """The survival function of a continuous base; a discrete base is refused."""
+    if base.kind != CONTINUOUS:
+        raise UnsupportedBaseError(
+            f"base {base.name!r} is {base.kind}; the construction needs a "
+            "continuous cdf"
+        )
+    return base.sf
 
 
 def build_g_n_general(target: Distribution, base: Distribution, n):
@@ -88,25 +98,24 @@ def build_g_n_general(target: Distribution, base: Distribution, n):
     Refuses a discrete base: a step cdf skips the levels the construction
     must pass through, so no such g_n can work.
     """
-    if base.kind != CONTINUOUS:
-        raise UnsupportedBaseError(
-            f"base {base.name!r} is {base.kind}; the construction needs a "
-            "continuous cdf"
-        )
-    return _g_n(target, n, base.sf)
+    sf = _continuous_sf(base)
+    return _g_n(target, _indices(n), sf)
 
 
 @dataclass(frozen=True)
 class NormalizerSequence:
     """A base law plus a builder n -> g_n of monotone normalizers.
 
-    ``builder(n)`` takes an int n or a column of them (an (k, 1) array of
-    Python ints), and the g it returns broadcasts against its argument:
-    built for the column, g maps a (k, m) array row by row, row j through
-    g_n at the j-th n.  ``convergence_diagnostic`` checks each n of its grid
-    (an integer from 1 to 2**960), builds g once for the whole grid, and
-    once more for the column of the first and last n, whose g it
-    spot-checks for monotonicity in one call on both rows of points.
+    The builder contract: ``builder(n)`` gets n already checked, an int from
+    1 to 2**960 or a column of them (a (k, 1) object array of Python ints),
+    and does not check it again (``affine``'s refuses an n below 3, which
+    its mass 2/n needs); ``build_g_n`` and ``build_g_n_general`` check an n
+    from outside.  The g it returns checks its own argument and broadcasts
+    against it: built for the column, g maps a (k, m) array row by row, row
+    j through g_n at the j-th n.  ``convergence_diagnostic`` checks each n
+    of its grid once, builds g once for the whole grid, and once more for
+    the column of the first and last n, whose g it spot-checks for
+    monotonicity in one call on both rows of points.
     """
 
     base: Distribution
@@ -115,11 +124,13 @@ class NormalizerSequence:
 
     @classmethod
     def from_target(cls, target: Distribution, base: Distribution) -> "NormalizerSequence":
-        return cls(base=base, builder=lambda n: build_g_n_general(target, base, n))
+        return cls(base=base, builder=lambda n: _g_n(target, n, _continuous_sf(base)))
 
     @classmethod
     def affine(cls, base: Distribution) -> "NormalizerSequence":
         def builder(n):
+            if np.min(n) < 3:
+                _indices(n, least=3)  # refuses, naming the first n below 3
             a, b = _norming_arrays(base, n)
 
             def g(x):
@@ -137,13 +148,13 @@ def nondegeneracy_check(values, tol: float) -> bool:
     Needs two distinct x; x and h are reals, inf but not NaN (``stats._reals``).
     """
     pts = list(values)
-    return _varies([x for x, _ in pts], [h for _, h in pts], tol)
-
-
-def _varies(xs, hs, tol) -> bool:
-    """``nondegeneracy_check`` of the x and h columns, taken as arrays."""
     tol = _real(tol, "nondegeneracy tol", "[0, inf]")
-    xs = _reals(xs, "nondegeneracy x", "[-inf, inf]")
+    xs = _reals([x for x, _ in pts], "nondegeneracy x", "[-inf, inf]")
+    return _varies(xs, [h for _, h in pts], tol)
+
+
+def _varies(xs, hs, tol: float) -> bool:
+    """``nondegeneracy_check`` at the checked x array and tol; h is checked here."""
     hs = _reals(hs, "nondegeneracy h", "[-inf, inf]")
     if not xs.min() < xs.max():  # xs holds no NaN
         raise DomainError("nondegeneracy check needs >= 2 distinct x values")
@@ -173,21 +184,22 @@ def convergence_diagnostic(
     fails: the builder, the tail masses, the tail quantiles, g, then the
     spot checks, the smallest n first.
     """
+    # Python ints, so the order of n past 2**53 is decided exactly
     ns = _indices(np.asarray(n_grid, dtype=object))
-    ns = _grid(ns, "n_grid", order=1, least=1, int64=False).tolist()
+    ns = _ordered(_vector(ns, "n_grid"), "n_grid", 1)
     xs = _grid(default_x_grid() if x_grid is None else x_grid, "x_grid")
     variant = HnVariant(variant)
     # one pass over the n-major (n, x) grid; the report wants (x, n)
-    n_col = np.array(ns, dtype=object)[:, None]
+    n_col = ns[:, None]
     g = normalizer.builder(n_col)
-    qs = tail_quantile(normalizer.base, _h_n_args(n_col, xs, variant))
+    qs = _finite_quantiles(normalizer.base, _h_n_args(n_col, xs, variant), tail=True)
     values = np.asarray(g(qs), dtype=float).T
-    ends = sorted({0, len(ns) - 1})
+    ends = sorted({0, ns.size - 1})
     lo, hi = qs[ends].min(axis=1), qs[ends].max(axis=1)  # finite, as tail quantiles are
     checked = lo < hi
     if checked.any():
         g = normalizer.builder(n_col[ends][checked])
         _spot_check(g, lo[checked], hi[checked], normalizer.direction)
-    nondeg = _varies(xs, values[:, -1], nondeg_tol)
-    return build_report("n", ns, "x", xs.tolist(), values, tol, nondegenerate=nondeg)
+    nondeg = _varies(xs, values[:, -1], _real(nondeg_tol, "nondegeneracy tol", "[0, inf]"))
+    return build_report("n", ns.tolist(), "x", xs.tolist(), values, tol, nondegenerate=nondeg)
 

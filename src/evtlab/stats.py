@@ -19,7 +19,10 @@ writes into them, as a law may return an array of its own.
 The package checks its integer, grid, real and real-array arguments here
 (``_integer``, ``_grid``, ``_real``, ``_reals``; a draw's ``size`` through
 ``_integer`` too): none takes a bool, parses a string or reads NaN, and each
-refusal is a ``DomainError`` naming it.
+refusal is a ``DomainError`` naming it.  Each argument is checked once: a
+public function is its checks plus a private kernel that takes checked
+values, and an internal caller, whose values are checked or built inside
+the kernel's domain, calls the kernel, not the public function.
 """
 
 # the np.random.Generator annotations stay text, so importing loads no numpy.random
@@ -123,36 +126,45 @@ def _reals(values, name: str, interval: str) -> np.ndarray:
     return arr
 
 
-def _grid(values, name: str, order: int = 0, least: int | None = None, int64: bool = True):
-    """``values`` as a nonempty 1-d grid, strictly increasing (``order`` 1) or
-    decreasing (-1) if asked: a float grid of positive finite reals (``_reals``
-    in (0, inf)), or with ``least`` an int64 grid of integers >= ``least``,
-    taken as ``_integer`` takes one (a float, integral or not, a bool or a
-    string is refused, never truncated).  ``int64`` False keeps Python ints
-    past int64 exact in an object array.  Anything else is a ``DomainError``
-    that names the grid."""
-    arr = np.asarray(values)
+def _vector(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, refused unless it is a nonempty 1-d array."""
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must be a nonempty 1-d grid, got shape {arr.shape}")
+    return arr
+
+
+def _ordered(grid: np.ndarray, name: str, order: int) -> np.ndarray:
+    """``grid``, refused unless strictly increasing (``order`` 1) or decreasing (-1)."""
+    steps = grid[1:] > grid[:-1] if order > 0 else grid[1:] < grid[:-1]
+    if not steps.all():
+        way, i = ("increasing" if order > 0 else "decreasing"), steps.argmin()
+        raise DomainError(f"{name} must be strictly {way}, got {grid.tolist()[i : i + 2]}")
+    return grid
+
+
+def _grid(values, name: str, order: int = 0, least: int | None = None):
+    """``values`` as a nonempty 1-d grid (``_vector``), strictly ordered if
+    asked (``_ordered``): a float grid of positive finite reals (``_reals``
+    in (0, inf)), or with ``least`` an int64 grid of integers >= ``least``,
+    taken as ``_integer`` takes one (a float, integral or not, a bool or a
+    string is refused, never truncated).  Anything else is a ``DomainError``
+    that names the grid."""
+    arr = _vector(np.asarray(values), name)
     if least is None:
         grid = _reals(values, name, "(0, inf)")
     else:  # a numpy integer array is checked whole, anything else entry by entry
-        kind, top = arr.dtype.kind, 2**63 if int64 else np.inf
-        if kind != "i" and not (kind == "u" and arr.max() < top):
-            bad = [v for v in arr.tolist() if not (_is_int(v) and -top <= v < top)]
+        kind = arr.dtype.kind
+        if kind != "i" and not (kind == "u" and arr.max() < 2**63):
+            bad = [v for v in arr.tolist() if not (_is_int(v) and -(2**63) <= v < 2**63)]
             if bad:
-                fit = " of magnitude below 2**63" if int64 else ""
-                raise DomainError(f"{name} must be integers{fit}, got {bad[0]!r}")
-        grid = arr if kind == "O" and not int64 else arr.astype(np.int64)
+                raise DomainError(
+                    f"{name} must be integers of magnitude below 2**63, got {bad[0]!r}"
+                )
+        grid = arr.astype(np.int64)
         if grid.min() < least:
             i = np.argmax(grid < least)
             raise DomainError(f"{name} must be integers >= {least}, got {arr.tolist()[i]!r}")
-    if order:
-        steps = grid[1:] > grid[:-1] if order > 0 else grid[1:] < grid[:-1]
-        if not steps.all():
-            way, i = ("increasing" if order > 0 else "decreasing"), steps.argmin()
-            raise DomainError(f"{name} must be strictly {way}, got {grid.tolist()[i : i + 2]}")
-    return grid
+    return _ordered(grid, name, order) if order else grid
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

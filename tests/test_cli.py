@@ -610,7 +610,16 @@ def test_json_output_formats_no_csv_line(monkeypatch):
     header, rows, body = cli._table(report)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         cli._emit("-", "json", {}, header, rows, body)
-    assert json.loads(out.getvalue())["values"] == body["values"]
+    assert json.loads(out.getvalue())["values"] == body()["values"]
+
+
+def test_csv_output_builds_no_json_body(monkeypatch):
+    # a convergence report's JSON body, whose points _point makes, is built
+    # only when it is written
+    monkeypatch.setattr(cli, "_point", None)  # a call would raise
+    for argv, code in (("dehaan --dist geometric:p=0.5 --uv 3,4", 3), (NONLINEAR, 0)):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(argv.split()) == code
 
 
 BAD_RANGE = "needs at least 2 points"

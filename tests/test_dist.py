@@ -40,6 +40,23 @@ def test_geometric_quantile_matches_brute_force_scan():
         assert e.quantile(dist, float(u)) == float(t)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.2])
+def test_geometric_quantile_takes_a_tiny_u(p):
+    # the law's quantile is its tail at 1 - u, which rounds to 1.0 below
+    # u = 2**-54; the tail mass 1.0 was refused there, naming a value nobody
+    # passed, though Q(u) = 0 as F(0) = 1 - p > u
+    law = e.geometric(p)
+    for u in (1e-20, 2.0**-54, 5e-324):
+        assert math.copysign(1.0, e.quantile(law, u)) == 1.0 and e.quantile(law, u) == 0.0
+    assert e.quantile(law, [1e-20, 2.0**-53]).tolist() == [0.0, 0.0]
+    # a tail mass of 1 is still refused where a caller passes it
+    refusal = r"^tail mass {} must be real numbers in \(0, 1\), got 1.0$"
+    with pytest.raises(DomainError, match=refusal.format("eps")):
+        e.tail_quantile(law, 1.0)
+    with pytest.raises(DomainError, match=refusal.format("u")):
+        e.geom_quantile(e.GeometricParams(p), 1.0)
+
+
 def test_quantile_domain_errors():
     for bad in (0.0, 1.0, -0.2, 1.2, math.nan):
         with pytest.raises(DomainError):

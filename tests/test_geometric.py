@@ -519,7 +519,8 @@ def test_subsequence_keeps_every_accepted_k():
 def test_oscillation_report_serialization():
     gp = GeometricParams(0.5)
     report = e.oscillation_scan(gp, 0, np.array([100, 1000, 10_000]))
-    header, rows, d = _table(report)
+    header, rows, body = _table(report)
+    d = body()
     assert header == ["n", "m", "probability"]
     assert len(rows) == 3
     assert d["p"] == 0.5 and d["q"] == 0

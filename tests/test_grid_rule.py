@@ -8,12 +8,13 @@ increasing.  Anything else is a ``DomainError`` that names the grid, never a
 bare numpy error.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 import evtlab as e
 from evtlab.errors import DomainError
-from evtlab.stats import _grid
 
 SEQ = e.NormalizerSequence.from_target(e.exponential(), e.uniform())
 PARAMS = e.GeometricParams(0.5)
@@ -98,13 +99,15 @@ def test_an_integer_grid_comes_back_as_int64():
 
 
 def test_an_n_grid_past_int64_is_ordered_exactly():
-    # 2**70 and 2**70 + 1 are one double; the order is decided in Python ints
-    ns = np.array([2**70, 2**70 + 1], dtype=object)
-    assert _grid(ns, "n_grid", order=1, least=1, int64=False).tolist() == ns.tolist()
-    with pytest.raises(DomainError, match="^n_grid must be strictly increasing"):
-        _grid(ns[::-1], "n_grid", order=1, least=1, int64=False)
+    # 2**70 + k for k < 4 are one double; the order is decided in Python ints
+    ns = [2**70 + k for k in range(4)]
+    seq = e.NormalizerSequence.from_target(e.exponential(), e.pareto(2.0))
+    assert e.convergence_diagnostic(seq, (0.5, 1.0), ns).scales == tuple(ns)
+    message = f"n_grid must be strictly increasing, got {ns[:1:-1]}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        e.convergence_diagnostic(seq, (0.5, 1.0), ns[::-1])
     with pytest.raises(DomainError, match="^n_values must be integers of magnitude below 2"):
-        _grid(ns, "n_values", order=1, least=1)
+        e.oscillation_scan(PARAMS, 0, ns)
 
 
 @pytest.mark.parametrize("q", [2.5, True, "3", np.float64(1.0)])

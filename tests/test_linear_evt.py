@@ -443,7 +443,8 @@ def test_three_types_monte_carlo():
 # ---------------------------------------------------------------- serialization
 
 def test_report_serialization_fields():
-    header, rows, d = _table(e.dehaan_test(e.uniform()))
+    header, rows, body = _table(e.dehaan_test(e.uniform()))
+    d = body()
     assert header == ["eps", "u", "v", "ratio"]
     assert len(list(rows)) == 12 * 16
     for key in ("grid", "values", "verdict", "limit_table"):
@@ -452,4 +453,4 @@ def test_report_serialization_fields():
     assert header == ["eps", "rho_hat"]
     assert len(rows) == 16
     nc = e.norming_constants(e.exponential(), 100)
-    assert _table(nc)[2] == {"n": 100, "a_n": nc.a_n, "b_n": nc.b_n}
+    assert _table(nc)[2]() == {"n": 100, "a_n": nc.a_n, "b_n": nc.b_n}

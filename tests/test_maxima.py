@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtlab as e
-from evtlab import maxima
+from evtlab import dist, geometric, linear_evt, maxima, nonlinear_evt, stats
 from evtlab.errors import ContractViolationError, DomainError
 from evtlab.geometric import _cdf_of_max
 from evtlab.maxima import HnVariant
@@ -377,8 +377,14 @@ def test_h_n_args_take_a_column_of_n():
     message = f"exp_form: 1 - exp(-x/n) = 0.0 left (0, 1) for x=1e-300, n={2**80 + 1}"
     with pytest.raises(DomainError, match=re.escape(message)):
         maxima._h_n_args(col, np.array([1.0, 1e-300]), HnVariant.EXP_FORM)
-    with pytest.raises(DomainError, match="n must be a positive integer, got 0"):
-        maxima._h_n_args(np.array([5, 0], dtype=object)[:, None], xs, HnVariant.LINEAR_FORM)
+    # the helper takes n checked; the entry points check it, once
+    seq = e.NormalizerSequence.from_target(e.exponential(), e.uniform())
+    for call in (
+        lambda: e.h_n_eval(lambda t: t, e.uniform(), 0, 1.0, HnVariant.LINEAR_FORM),
+        lambda: e.convergence_diagnostic(seq, xs, (5, 0), HnVariant.LINEAR_FORM),
+    ):
+        with pytest.raises(DomainError, match="n must be a positive integer, got 0"):
+            call()
 
 
 def test_indices_check_an_array_in_one_pass_and_name_a_bad_entry():
@@ -398,6 +404,34 @@ def test_indices_check_an_array_in_one_pass_and_name_a_bad_entry():
             maxima._indices(np.array([3, bad, 0], dtype=object))
     with pytest.raises(DomainError, match=re.escape("n must be an integer >= 3, got 2")):
         maxima._indices(np.array([4, 2, 1]), least=3)
+
+
+def _count_calls(monkeypatch, check):
+    """The list of the name arguments (None for ``_indices``) of every call of
+    the check ``check`` made through any module's binding of it."""
+    calls = []
+    for mod in (stats, dist, geometric, maxima, linear_evt, nonlinear_evt):
+        if hasattr(mod, check):
+
+            def counted(value, *args, fn=getattr(mod, check), **kwargs):
+                calls.append(args[0] if args and isinstance(args[0], str) else None)
+                return fn(value, *args, **kwargs)
+
+            monkeypatch.setattr(mod, check, counted)
+    return calls
+
+
+def test_each_argument_is_checked_once(monkeypatch):
+    indices, reals = _count_calls(monkeypatch, "_indices"), _count_calls(monkeypatch, "_reals")
+    seq = e.NormalizerSequence.from_target(e.exponential(), e.pareto(2.0))
+    e.convergence_diagnostic(seq, n_grid=(100, 1000, 10_000, 100_000))
+    assert len(indices) == 1
+    del indices[:], reals[:]
+    e.norming_constants(e.geometric(0.5), 100)
+    assert (len(indices), reals) == (1, [])
+    del reals[:]
+    e.dehaan_test(e.geometric(0.5), uv_grid=((3.0, 4.0),))
+    assert [name for name in reals if "mass" in name] == ["tail mass eps"]
 
 
 # ---------------------------------------------------------------- monotone spot check

@@ -108,7 +108,7 @@ def test_csv_layout_for_uv_and_plain_points():
 def test_json_round_trip_keys():
     values = np.array([[0.0, 1.0, 2.0, 3.0]])
     rep = build_report("n", (1, 2, 3, 4), "x", (0.25,), values, tol=0.5)
-    _, _, d = _table(rep)
+    d = _table(rep)[2]()
     assert d["scale"] == "n" and d["point"] == "x"
     assert d["grid"] == [1, 2, 3, 4]
     assert d["points"] == [0.25]
@@ -116,8 +116,8 @@ def test_json_round_trip_keys():
     assert d["converged_per_point"] == [False]
     assert d["limit_table"] == [[0.25, 3.0]]
     assert "nondegenerate" not in d
-    _, _, d2 = _table(build_report("n", (1, 2, 3, 4), "x", (0.25,), values, 0.5,
-                                   nondegenerate=False))
+    d2 = _table(build_report("n", (1, 2, 3, 4), "x", (0.25,), values, 0.5,
+                             nondegenerate=False))[2]()
     assert d2["nondegenerate"] is False and d2["verdict"] is False
 
 

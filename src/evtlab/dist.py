@@ -20,11 +20,10 @@ The u and eps of ``quantile`` and ``tail_quantile`` are real arrays in (0, 1)
 but for the geometric law's ``cdf`` and ``sf``, the checked ``geom_cdf`` and
 ``geom_sf``.
 Distribution values are immutable; their callables are pure,
-numpy-vectorized, and safe to share across threads.  Built-in families use
-closed forms (the normal law delegates to scipy's ndtr/ndtri, importing
-scipy.special on its first evaluation, so ``import evtlab`` never loads it);
-``numeric_quantile`` provides an independent bisection route for arbitrary
-monotone cdfs, from the fixed bracket [-1, 1] doubled outward.
+numpy-vectorized, and safe to share across threads.  Every family's Q and
+tail quantile are closed forms (the normal law delegates to scipy's
+ndtr/ndtri, importing scipy.special on its first evaluation, so
+``import evtlab`` never loads it).
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import geometric as _geom
-from .errors import BracketingError, ContractViolationError, DomainError
+from .errors import DomainError
 from .stats import _integer, _real, _reals, _scalar_or_array, uniform_open
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "geometric",
     "quantile",
     "tail_quantile",
-    "numeric_quantile",
     "sample_quantile_transform",
     "parse_distribution",
     "spec_string",
@@ -220,79 +218,6 @@ def geometric(p: float = 0.5) -> Distribution:
         return tail(1.0 - np.asarray(u, dtype=float))
 
     return Distribution("geometric", cdf, sf, q, tail, DISCRETE, {"p": params.p})
-
-
-_PROB_TOL = 1e-12
-_X_RTOL = 1e-12
-_MONOTONE_SLACK = 1e-12
-# doublings of the bracket [-1, 1]: 1100 carry it past every finite double
-_MAX_EXPANSIONS = 1100
-
-
-def _checked_cdf(cdf, x: float) -> float:
-    v = float(cdf(x))
-    if not 0.0 <= v <= 1.0:  # NaN fails too
-        raise ContractViolationError(f"cdf({x}) = {v} is outside [0, 1]")
-    return v
-
-
-def numeric_quantile(cdf, u: float) -> float:
-    """Invert a monotone cdf by bisection: the infimum-side root of F(x) > u.
-
-    The bracket [-1, 1] is expanded outward, doubling its step, until it
-    straddles level u, then bisected until either the probability gap
-    across the bracket is below 1e-12 or the bracket width is below 1e-12
-    relative.  The returned point always satisfies F(x) > u, so at a jump
-    it converges to the jump location from above.  A cdf value that breaks
-    monotonicity along the way raises ``ContractViolationError``.
-    """
-    u = _real(u, "quantile argument u", "(0, 1)")
-    lo, hi = -1.0, 1.0
-    f_lo, f_hi = _checked_cdf(cdf, lo), _checked_cdf(cdf, hi)
-    step = hi - lo
-    for _ in range(_MAX_EXPANSIONS):
-        if f_hi > u:
-            break
-        lo, f_lo = hi, f_hi
-        step *= 2.0
-        hi = hi + step
-        f_hi = _checked_cdf(cdf, hi)
-    else:
-        raise BracketingError(
-            f"cdf never exceeded u={u} after {_MAX_EXPANSIONS} expansions"
-        )
-    step = hi - lo
-    for _ in range(_MAX_EXPANSIONS):
-        if f_lo <= u:
-            break
-        hi, f_hi = lo, f_lo
-        step *= 2.0
-        lo = lo - step
-        f_lo = _checked_cdf(cdf, lo)
-    else:
-        raise BracketingError(
-            f"cdf never fell to u={u} after {_MAX_EXPANSIONS} expansions"
-        )
-    # invariant: f_lo <= u < f_hi
-    for _ in range(20000):
-        if f_hi - f_lo <= _PROB_TOL:
-            return hi
-        if hi - lo <= _X_RTOL * max(1.0, abs(lo), abs(hi)):
-            return hi
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # bracket exhausted float resolution
-            return hi
-        f_mid = _checked_cdf(cdf, mid)
-        if f_mid < f_lo - _MONOTONE_SLACK or f_mid > f_hi + _MONOTONE_SLACK:
-            raise ContractViolationError(
-                f"cdf is not monotone: F({mid}) = {f_mid} outside "
-                f"[F({lo}) = {f_lo}, F({hi}) = {f_hi}]"
-            )
-        if f_mid <= u:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    raise BracketingError("bisection failed to converge")
 
 
 def sample_quantile_transform(dist: Distribution, rng, count: int):

@@ -8,7 +8,6 @@ without parsing messages.
 __all__ = [
     "EvtLabError",
     "DomainError",
-    "BracketingError",
     "ContractViolationError",
     "DegenerateTailError",
     "InconsistentTailError",
@@ -24,10 +23,6 @@ class EvtLabError(Exception):
 
 class DomainError(EvtLabError, ValueError):
     """An argument violates a documented precondition."""
-
-
-class BracketingError(EvtLabError):
-    """Bracket expansion exhausted without straddling the target level."""
 
 
 class ContractViolationError(EvtLabError):

@@ -34,7 +34,6 @@ __all__ = [
     "build_g_n",
     "build_g_n_general",
     "NormalizerSequence",
-    "nondegeneracy_check",
     "convergence_diagnostic",
 ]
 
@@ -142,19 +141,11 @@ class NormalizerSequence:
         return cls(base=base, builder=builder, direction="nonincreasing")
 
 
-def nondegeneracy_check(values, tol: float) -> bool:
-    """True iff the profile {(x, h(x))} varies by more than ``tol``.
-
-    Needs two distinct x; x and h are reals, inf but not NaN (``stats._reals``).
-    """
-    pts = list(values)
-    tol = _real(tol, "nondegeneracy tol", "[0, inf]")
-    xs = _reals([x for x, _ in pts], "nondegeneracy x", "[-inf, inf]")
-    return _varies(xs, [h for _, h in pts], tol)
-
-
 def _varies(xs, hs, tol: float) -> bool:
-    """``nondegeneracy_check`` at the checked x array and tol; h is checked here."""
+    """True iff the profile {(x, h(x))} varies by more than ``tol``: the
+    nondegeneracy check of a limit profile.  ``xs`` and ``tol`` come checked,
+    and ``xs`` must hold two distinct x; h, made by user code, is checked
+    here as reals, inf but not NaN (``stats._reals``)."""
     hs = _reals(hs, "nondegeneracy h", "[-inf, inf]")
     if not xs.min() < xs.max():  # xs holds no NaN
         raise DomainError("nondegeneracy check needs >= 2 distinct x values")

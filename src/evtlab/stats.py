@@ -1,4 +1,4 @@
-"""Seeded random streams, empirical CDFs, and Kolmogorov-Smirnov distances.
+"""Seeded random streams and Kolmogorov-Smirnov distances.
 
 Random streams follow a counter-based contract: ``make_rng(seed, stream)``
 yields a platform-independent sequence determined by the pair alone, and
@@ -12,9 +12,11 @@ gets the same uniforms from them.  A bulk draw is checked with one ``min``
 reduction and transformed in its own array.
 
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
-at the two supported levels; no p-values are computed.  The one-sample
-statistic checks the cdf's values with one ``min`` and one ``max`` and never
-writes into them, as a law may return an array of its own.
+at the two supported levels; no p-values are computed.  Each sample is
+checked and sorted once, and its empirical cdf is read off the sorted copy
+(``_sorted_sample``).  The one-sample statistic checks the cdf's values
+with one ``min`` and one ``max`` and never writes into them, as a law may
+return an array of its own.
 
 The package checks its integer, grid, real and real-array arguments here
 (``_integer``, ``_grid``, ``_real``, ``_reals``; a draw's ``size`` through
@@ -40,8 +42,6 @@ __all__ = [
     "make_rng",
     "uniform_open",
     "standard_exponential",
-    "EmpiricalCdf",
-    "ecdf_eval",
     "KsResult",
     "ks_one_sample",
     "ks_two_sample",
@@ -216,28 +216,10 @@ def standard_exponential(rng: np.random.Generator, size=None):
     return np.negative(u, out=u)
 
 
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical distribution of a sample."""
-
-    sorted_samples: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalCdf":
-        arr = np.sort(_reals(samples, "samples", "[-inf, inf]"))
-        if arr.size == 0:
-            raise DomainError("empirical cdf requires at least one sample")
-        return cls(arr)
-
-    @property
-    def size(self) -> int:
-        return int(self.sorted_samples.size)
-
-
-def ecdf_eval(ecdf: EmpiricalCdf, x):
-    """Fraction of samples <= x; right-continuous in x."""
-    idx = np.searchsorted(ecdf.sorted_samples, _reals(x, "x", "[-inf, inf]"), side="right")
-    return _scalar_or_array(x, np.divide(idx, ecdf.size, dtype=float))
+def _sorted_sample(samples) -> np.ndarray:
+    """``samples`` checked as reals (inf but not NaN) and sorted: the sample's
+    right-continuous empirical cdf at x is the count of entries <= x over n."""
+    return np.sort(_reals(samples, "samples", "[-inf, inf]"))
 
 
 @dataclass(frozen=True)
@@ -262,7 +244,7 @@ def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:
     statistic is overstated by up to the atom's mass; the exact statistic
     would make the threshold conservative there (Conover, JASA 1972).
     """
-    s = EmpiricalCdf.from_samples(samples).sorted_samples
+    s = _sorted_sample(samples)
     n = s.size
     if n < _MIN_KS_SAMPLES:
         raise DomainError(f"one-sample KS requires >= {_MIN_KS_SAMPLES} samples, got {n}")
@@ -281,13 +263,16 @@ def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:
 
 def ks_two_sample(a, b, alpha: float = 0.05) -> KsResult:
     """Sup-distance between two sample ECDFs, with verdict at ``alpha``."""
-    ea, eb = EmpiricalCdf.from_samples(a), EmpiricalCdf.from_samples(b)
-    if ea.size < _MIN_KS_SAMPLES or eb.size < _MIN_KS_SAMPLES:
+    sa, sb = _sorted_sample(a), _sorted_sample(b)
+    na, nb = sa.size, sb.size
+    if na < _MIN_KS_SAMPLES or nb < _MIN_KS_SAMPLES:
         raise DomainError(
             f"two-sample KS requires >= {_MIN_KS_SAMPLES} samples on each side"
         )
-    grid = np.concatenate([ea.sorted_samples, eb.sorted_samples])
-    stat = float(np.max(np.abs(ecdf_eval(ea, grid) - ecdf_eval(eb, grid))))
-    n_eff = ea.size * eb.size / (ea.size + eb.size)
+    grid = np.concatenate([sa, sb])
+    # each sample's right-continuous empirical cdf at every point of both
+    fa, fb = (np.searchsorted(s, grid, side="right") / s.size for s in (sa, sb))
+    stat = float(np.max(np.abs(fa - fb)))
+    n_eff = na * nb / (na + nb)
     thr = float(_threshold(alpha, n_eff))
     return KsResult(stat, float(n_eff), thr, stat < thr)

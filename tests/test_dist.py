@@ -1,4 +1,4 @@
-"""Distribution families, the strict generalized inverse, numeric inversion."""
+"""Distribution families and the strict generalized inverse."""
 
 import math
 import os
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import evtlab as e
 from evtlab.dist import CONTINUOUS, DISCRETE
-from evtlab.errors import BracketingError, ContractViolationError, DomainError
+from evtlab.errors import DomainError
 
 CONTINUOUS_FAMILIES = [e.uniform(), e.exponential(), e.pareto(2.0), e.normal()]
 ALL_FAMILIES = CONTINUOUS_FAMILIES + [e.degenerate(1.5), e.geometric(0.5)]
@@ -211,6 +211,79 @@ def test_quantile_roundtrip_continuous():
         assert np.max(np.abs(back - u)) <= 1e-10, dist.name
 
 
+# ------------------------------------------- the closed forms against bisection
+
+def _infimum(holds):
+    """The least double x at which the monotone predicate ``holds`` is true,
+    found by doubling a bracket and bisecting it down to adjacent doubles: an
+    oracle that knows nothing of any law's closed form."""
+    lo, hi = -1.0, 1.0
+    while holds(lo):
+        lo *= 2.0
+    while not holds(hi):
+        hi *= 2.0
+    while True:
+        mid = 0.5 * lo + 0.5 * hi  # halves first: no overflow near the largest doubles
+        if not lo < mid < hi:
+            return hi
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+FAMILY_IDS = [dist.name for dist in ALL_FAMILIES]
+
+
+@pytest.mark.parametrize("dist", ALL_FAMILIES, ids=FAMILY_IDS)
+def test_quantile_is_the_bisection_inverse_of_the_cdf(dist):
+    # Q(u) = inf{x : F(x) > u}
+    rng = e.make_rng(41)
+    for u in rng.random(50) * 0.98 + 0.01:
+        want = _infimum(lambda x, u=float(u): float(dist.cdf(x)) > u)
+        got = e.quantile(dist, float(u))
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (dist.name, u)
+
+
+@pytest.mark.parametrize("dist", ALL_FAMILIES, ids=FAMILY_IDS)
+def test_tail_quantile_is_the_bisection_inverse_of_the_sf(dist):
+    # Q(1 - eps) = inf{x : S(x) < eps}, down to tail masses 1 - u cannot hold
+    for eps in np.geomspace(1e-12, 0.5, 30):
+        want = _infimum(lambda x, eps=float(eps): float(dist.sf(x)) < eps)
+        got = e.tail_quantile(dist, float(eps))
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (dist.name, eps)
+
+
+# geometric(0.5) has atoms at 0, 1, 2, ... with F(k) = 1 - 2**-(k + 1)
+@pytest.mark.parametrize(
+    "dist,u,atom",
+    [
+        (e.geometric(0.5), 0.25, 0.0),
+        (e.geometric(0.5), 0.5, 1.0),
+        (e.geometric(0.5), 0.7, 1.0),
+        (e.geometric(0.5), 0.75, 2.0),
+        (e.geometric(0.5), 0.99, 6.0),
+        (e.degenerate(2.0), 0.5, 2.0),
+        (e.degenerate(2.0), 0.99, 2.0),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_quantile_lands_on_the_infimum_side_of_a_flat_region(dist, u, atom):
+    q = e.quantile(dist, u)
+    assert q == atom
+    assert float(dist.cdf(q)) > u
+    assert float(dist.cdf(np.nextafter(q, -np.inf))) <= u
+
+
+@pytest.mark.parametrize("c", [1e300, -1e300, 1.5e-300, -1.5e-300])
+def test_quantile_reaches_the_extreme_doubles(c):
+    law = e.degenerate(c)
+    assert e.quantile(law, 0.5) == c
+    assert e.tail_quantile(law, 0.5) == c
+    oracle = _infimum(lambda x: float(law.cdf(x)) > 0.5)
+    assert oracle >= c and oracle - c <= 1e-12 * abs(c)
+
+
 def test_cdf_right_continuity():
     for dist in CONTINUOUS_FAMILIES:
         xs = e.quantile(dist, np.linspace(0.05, 0.95, 50))
@@ -279,78 +352,6 @@ def test_normal_is_scipy_special_bit_for_bit(mu, sigma):
     assert np.array_equal(law.sf(x), ndtr((mu - x) / sigma))
     assert np.array_equal(law.quantile(u), mu + sigma * ndtri(u))
     assert np.array_equal(law.tail(u), mu - sigma * ndtri(u))
-
-
-# ---------------------------------------------------------------- numeric inversion
-
-def test_numeric_quantile_trivial_examples():
-    assert e.numeric_quantile(e.uniform().cdf, 0.7) == pytest.approx(0.7, abs=1e-10)
-    assert e.numeric_quantile(e.normal().cdf, 0.5) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_numeric_quantile_against_independent_bisection_oracle():
-    # plain bisection on the cdf, driven to 1e-15 on the x axis
-    cdf = e.normal().cdf
-    lo, hi = -10.0, 10.0
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if float(cdf(mid)) > 0.975:
-            hi = mid
-        else:
-            lo = mid
-    assert e.numeric_quantile(cdf, 0.975) == pytest.approx(hi, abs=1e-9)
-
-
-def test_numeric_quantile_agrees_with_analytic_quantiles():
-    rng = e.make_rng(41)
-    u_vals = rng.random(50) * 0.98 + 0.01
-    for dist in ALL_FAMILIES:
-        for u in u_vals:
-            got = e.numeric_quantile(dist.cdf, float(u))
-            want = e.quantile(dist, float(u))
-            assert abs(got - want) <= 1e-9, (dist.name, u)
-
-
-def test_numeric_quantile_lands_on_infimum_side_of_flat_regions():
-    # step cdf: the strict inverse of any u in [0.5, 1) is the atom at 2
-    step = lambda x: 0.5 if x < 2.0 else 1.0
-    for u in (0.5, 0.7, 0.99):
-        got = e.numeric_quantile(step, u)
-        assert abs(got - 2.0) <= 1e-9
-        assert step(got) > u
-
-
-def test_numeric_quantile_detects_non_monotone_cdf():
-    def dip(x):
-        x = float(x)
-        v = 0.9 - x if 0.2 <= x < 0.55 else x
-        return min(1.0, max(0.0, v))
-
-    with pytest.raises(ContractViolationError):
-        e.numeric_quantile(dip, 0.5)
-
-
-def test_numeric_quantile_bracketing_error():
-    # the bracket doubles past every finite double, then gives up
-    capped = lambda x: min(0.4, max(0.0, float(x)))
-    with pytest.raises(BracketingError, match="never exceeded u=0.7 after 1100 expansions"):
-        e.numeric_quantile(capped, 0.7)
-    floored = lambda x: max(0.6, min(1.0, float(x)))
-    with pytest.raises(BracketingError, match="never fell to u=0.3 after 1100 expansions"):
-        e.numeric_quantile(floored, 0.3)
-
-
-def test_numeric_quantile_reaches_the_extreme_doubles():
-    # the fixed bracket [-1, 1] reaches jumps near either end of the doubles
-    for jump in (1e300, -1e300, 1.5e-300):
-        q = e.numeric_quantile(lambda x, j=jump: 1.0 if x >= j else 0.0, 0.5)
-        assert q >= jump and q - jump <= 1e-12 * max(1.0, abs(jump))
-
-
-def test_numeric_quantile_rejects_cdf_range_violations():
-    # F(-1) = -1 at the bracket's first end
-    with pytest.raises(ContractViolationError):
-        e.numeric_quantile(lambda x: float(x), 0.5)
 
 
 # ---------------------------------------------------------------- sampling

@@ -432,6 +432,9 @@ def test_each_argument_is_checked_once(monkeypatch):
     del reals[:]
     e.dehaan_test(e.geometric(0.5), uv_grid=((3.0, 4.0),))
     assert [name for name in reals if "mass" in name] == ["tail mass eps"]
+    del reals[:]
+    e.ks_two_sample(np.linspace(0.0, 1.0, 50), np.linspace(0.0, 1.0, 60))
+    assert reals == ["samples", "samples"]
 
 
 # ---------------------------------------------------------------- monotone spot check

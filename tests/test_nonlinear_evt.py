@@ -113,16 +113,61 @@ def test_g_n_of_max_general_base():
 
 # ---------------------------------------------------------------- nondegeneracy
 
-def test_nondegeneracy_check_examples():
-    xs = np.geomspace(0.1, 10.0, 20)
-    assert not e.nondegeneracy_check([(x, 1.0) for x in xs], 1e-6)
-    assert e.nondegeneracy_check([(x, -math.log(x)) for x in xs], 1e-6)
-    step = [(0.5, 1.0), (0.9, 1.0), (1.0, 0.0), (2.0, 0.0)]
-    assert e.nondegeneracy_check(step, 0.5)
-    with pytest.raises(DomainError):
-        e.nondegeneracy_check([(1.0, 2.0)], 1e-6)
-    with pytest.raises(DomainError):
-        e.nondegeneracy_check([(1.0, 2.0), (1.0, 3.0)], 1e-6)
+def test_diagnostic_nondegeneracy_needs_two_distinct_x():
+    seq = e.NormalizerSequence.from_target(e.exponential(), e.uniform())
+    for x_grid in ([1.0], [1.0, 1.0]):
+        with pytest.raises(DomainError, match="needs >= 2 distinct x values"):
+            e.convergence_diagnostic(seq, x_grid=x_grid)
+
+
+def test_diagnostic_constant_g_is_degenerate():
+    seq = NormalizerSequence(e.uniform(), lambda n: lambda x: np.zeros(np.shape(x)))
+    report = e.convergence_diagnostic(seq)
+    assert report.converged and report.nondegenerate is False and not report.verdict
+
+
+# g(q) as a function of (n, q); with a uniform base, the linear form's tail
+# quantile is q = 1 - x/n, so the limit profile is h(x) = g(n, 1 - x/n) at
+# the largest n.  Each g is nondecreasing in q, as the spot check asks.
+PROFILES = {
+    "-x": lambda n, q: n * (q - 1.0),
+    "1e-9 (-x)": lambda n, q: 1e-9 * n * (q - 1.0),
+    "step at x = 1": lambda n, q: np.where(n * (1.0 - q) <= 1.0, 1.0, 0.0),
+    "-log x": lambda n, q: -np.log(n * (1.0 - q)),
+    "-inf past x = 1": lambda n, q: np.where(n * (1.0 - q) <= 1.0, 0.0, -np.inf),
+}
+
+
+@pytest.mark.parametrize(
+    "profile,nondeg_tol,nondegenerate",
+    [
+        ("-x", 1e-6, True),
+        ("1e-9 (-x)", 1e-6, False),
+        ("1e-9 (-x)", 0.0, True),
+        ("step at x = 1", 0.5, True),
+        ("step at x = 1", 1.0, False),  # a range of 1 does not exceed 1
+        ("-log x", 1e-6, True),
+        ("-inf past x = 1", 1e300, True),
+    ],
+)
+def test_diagnostic_nondegeneracy_examples(profile, nondeg_tol, nondegenerate):
+    g = PROFILES[profile]
+    seq = NormalizerSequence(e.uniform(), lambda n: lambda q: g(np.asarray(n, dtype=float), q))
+    report = e.convergence_diagnostic(
+        seq, np.geomspace(0.1, 10.0, 20), (1024, 2048, 4096, 8192), nondeg_tol=nondeg_tol
+    )
+    assert report.nondegenerate is nondegenerate
+
+
+def test_diagnostic_refuses_a_nan_limit_profile_that_passed_the_spot_check():
+    # g is NaN only next to the middle tail quantile at the largest n,
+    # 1 - 1/10_000, which falls between two of the spot check's 200 points
+    q = 1.0 - 1.0 / 10_000
+    seq = NormalizerSequence(
+        e.uniform(), lambda n: lambda x: np.where(np.abs(x - q) < 1e-12, np.nan, x)
+    )
+    with pytest.raises(DomainError, match=r"^nondegeneracy h must be real numbers in .*, got nan$"):
+        e.convergence_diagnostic(seq, [0.5, 1.0, 2.0], (100, 1000, 10_000))
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -7,7 +7,7 @@ value outside the interval is a ``DomainError`` that names the argument and
 its interval, never parsed or run as a number.
 
 Real arrays (the u, eps, x and t a law or a limit law is evaluated at, KS
-samples, a normalizer's argument, a profile's x and h) follow the same rule
+samples, a normalizer's argument) follow the same rule
 entry by entry: any array-like of ints or floats inside the interval, taken
 as a float array of its shape.  A bool, string or object entry (None, an int
 past int64) is refused with the dtype named, a bool among numbers in a list
@@ -56,10 +56,6 @@ SITES = {
     "degenerate": (e.degenerate, "c", "(-inf, inf)", (-64.0, 64.0)),
     "geometric": (e.geometric, "p", "(0, 1)", (2.0**-6, 1.0 - 2.0**-6)),
     "GeometricParams": (e.GeometricParams, "p", "(0, 1)", (2.0**-6, 1.0 - 2.0**-6)),
-    "numeric_quantile": (
-        lambda v: e.numeric_quantile(e.exponential().cdf, v),
-        "quantile argument u", "(0, 1)", (2.0**-6, 1.0 - 2.0**-6),
-    ),
     "frac_log_search theta": (
         lambda v: e.frac_log_search(v, 0.6, 0.7, 10**6), "theta", "(0, inf)", (1.0, 4.0)
     ),
@@ -118,10 +114,6 @@ SITES = {
     "spot_check_monotone hi": (
         lambda v: _spot_points(-100.0, v), "hi", "(-inf, inf)", (-64.0, 64.0)
     ),
-    "nondegeneracy_check": (
-        lambda v: e.nondegeneracy_check([(0.0, 1.0), (1.0, 2.0)], v),
-        "nondegeneracy tol", "[0, inf]", (0.0, 2.0),
-    ),
     "build_report": (
         lambda v: build_report("n", (1, 2, 3, 4), "x", (0.5,), [[1.0, 1.0, 1.25, 1.5]], v),
         "tol", "[0, inf]", (0.0, 2.0),
@@ -136,6 +128,10 @@ SITES = {
     # the two levels with a KS threshold are no range for the property
     "ks_one_sample alpha": (
         lambda v: e.ks_one_sample(np.linspace(0.01, 0.99, 50), _identity, v),
+        "alpha", "(0, 1)", None,
+    ),
+    "ks_two_sample alpha": (
+        lambda v: e.ks_two_sample(np.linspace(0.01, 0.99, 50), np.linspace(0.0, 1.0, 60), v),
         "alpha", "(0, 1)", None,
     ),
 }
@@ -210,17 +206,7 @@ def test_a_real_gives_the_bits_of_its_float(site, data):
 
 # -------------------------------------------------------------- real arrays
 
-ECDF = e.EmpiricalCdf.from_samples(np.arange(5.0))
 UNIFORM50 = np.linspace(0.01, 0.99, 50)
-SPREAD = [(-1e3, 0.0), (1e3, 1.0)]  # two distinct x with distinct h
-
-
-def _profile_x(v):
-    return e.nondegeneracy_check([*zip(v, range(len(v))), *SPREAD], 0.5)
-
-
-def _profile_h(v):
-    return e.nondegeneracy_check([*zip(range(len(v)), v), *SPREAD], 0.5)
 
 
 # name: (call, the argument's name, its interval, a float32-exact range of
@@ -247,11 +233,6 @@ ARRAY_SITES = {
     "geom_cdf": (lambda v: e.geom_cdf(PARAMS, v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
     "geometric cdf": (lambda v: e.geometric(0.5).cdf(v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
     "geometric sf": (lambda v: e.geometric(0.5).sf(v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
-    "ecdf_eval": (lambda v: e.ecdf_eval(ECDF, v), "x", "[-inf, inf]", ((-4.0, 8.0), 1)),
-    "EmpiricalCdf.from_samples": (
-        lambda v: e.EmpiricalCdf.from_samples(v).sorted_samples, "samples", "[-inf, inf]",
-        ((-4.0, 8.0), 1),
-    ),
     "ks_one_sample": (
         lambda v: e.ks_one_sample(v, e.uniform().cdf), "samples", "[-inf, inf]",
         ((2.0**-6, 1.0 - 2.0**-6), 20),
@@ -273,8 +254,6 @@ ARRAY_SITES = {
         lambda v: e.NormalizerSequence.affine(PARETO).builder(10)(v), "x", "[-inf, inf]",
         ((-64.0, 64.0), 1),
     ),
-    "nondegeneracy_check x": (_profile_x, "nondegeneracy x", "[-inf, inf]", ((-64.0, 64.0), 1)),
-    "nondegeneracy_check h": (_profile_h, "nondegeneracy h", "[-inf, inf]", ((-64.0, 64.0), 1)),
     # the float branch of the grid rule; ordered grids are no range for the property
     "dehaan_test eps_grid": (
         lambda v: e.dehaan_test(PARETO, v), "eps_grid", "(0, inf)", None
@@ -328,14 +307,6 @@ def test_a_bad_real_array_is_a_domain_error_that_names_it(site, values, first):
         call(values)
 
 
-def test_the_nondegeneracy_columns_refuse_nan_in_the_middle():
-    pairs = [(0.0, 1.0), (math.nan, 2.0), (2.0, math.nan)]
-    with pytest.raises(DomainError, match="^nondegeneracy x must be real numbers in .*, got nan$"):
-        e.nondegeneracy_check(pairs, 0.5)
-    with pytest.raises(DomainError, match="^nondegeneracy h must be real numbers in .*, got nan$"):
-        e.nondegeneracy_check([(x, h) for x, h in pairs if x == x], 0.5)
-
-
 def test_the_first_bad_entry_is_named_in_flat_order():
     message = r"^tail mass eps must be real numbers in \(0, 1\), got 1.5$"
     with pytest.raises(DomainError, match=message):
@@ -376,11 +347,11 @@ MOTIVATION = [
     (lambda: e.max_cdf(e.MaxLaw(e.pareto(1.0), 3), True), "x must be "),
     (lambda: e.max_cdf(e.MaxLaw(e.pareto(1.0), 3), [True, 2.0]), "x must be "),
     (lambda: e.limit_cdf(0.0, [True, 0.5]), "x must be "),
-    (lambda: e.ecdf_eval(ECDF, math.nan), "x must be "),
-    (lambda: e.ecdf_eval(ECDF, np.array(["3", "10"])), "x must be "),
     (lambda: e.ks_one_sample([str(v) for v in UNIFORM50], e.uniform().cdf), "samples must be "),
-    (lambda: e.nondegeneracy_check([(0.0, 1.0), (1.0, math.nan)], 0.5), "nondegeneracy h must "),
-    (lambda: e.nondegeneracy_check([(0.0, 1.0), (math.nan, 1.0)], 0.5), "nondegeneracy x must "),
+    (lambda: e.ks_one_sample([*UNIFORM50, math.nan], e.uniform().cdf), "samples must be "),
+    (lambda: e.ks_two_sample([str(v) for v in UNIFORM50], UNIFORM50), "samples must be "),
+    (lambda: e.ks_two_sample(UNIFORM50, [*UNIFORM50, True]), "samples must be "),
+    (lambda: e.ks_two_sample(UNIFORM50, [*UNIFORM50, math.nan]), "samples must be "),
     (lambda: sufficient_horizon(True, 0.1, 0.2), "theta must be "),
     (lambda: sufficient_horizon(1.0, 0.5, 0.2), "x must be below y, got x=0.5, y=0.2"),
 ]

@@ -71,7 +71,7 @@ def _sites():
         CHOICE_SITES,
     )
     # a site is named by its entry point, then what it checks: "dehaan_test u",
-    # "EmpiricalCdf.from_samples", "geometric cdf"
+    # "NormalizerSequence.affine g", "geometric cdf"
     return {key.split()[0].split(".")[0] for table in tables for key in table}
 
 

@@ -1,4 +1,4 @@
-"""Stream contract, empirical CDFs, and KS distances."""
+"""Stream contract and KS distances."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import scipy.stats
 
 import evtlab as e
 from evtlab.errors import ContractViolationError, DomainError
+from evtlab.stats import _sorted_sample
 
 
 # ---------------------------------------------------------------- streams
@@ -68,41 +69,57 @@ def test_standard_exponential_coupled_to_uniform_source():
     assert np.all(w > 0.0)
 
 
-# ---------------------------------------------------------------- ecdf
+# ------------------------------------------------- the KS sample's empirical cdf
 
-def test_ecdf_examples():
-    ec = e.EmpiricalCdf.from_samples([1.0, 2.0, 3.0])
-    assert e.ecdf_eval(ec, 2.0) == pytest.approx(2.0 / 3.0)
-    assert e.ecdf_eval(ec, 0.5) == 0.0
-    assert e.ecdf_eval(ec, 3.5) == 1.0
+def _ecdf(samples, x):
+    """The empirical cdf the KS statistics read off a checked, sorted sample."""
+    s = _sorted_sample(samples)
+    return np.searchsorted(s, x, side="right") / s.size
 
 
-def test_ecdf_matches_brute_force_count():
-    rng = e.make_rng(3)
+@pytest.mark.parametrize(
+    "samples,x,want",
+    [
+        ([1.0, 2.0, 3.0], 2.0, 2.0 / 3.0),
+        ([1.0, 2.0, 3.0], 0.5, 0.0),
+        ([1.0, 2.0, 3.0], 3.5, 1.0),
+        # at a jump the value equals the value just above, not just below
+        ([0.0, 1.0, 1.0, 2.0], 1.0, 0.75),
+        ([0.0, 1.0, 1.0, 2.0], np.nextafter(1.0, 2.0), 0.75),
+        ([0.0, 1.0, 1.0, 2.0], np.nextafter(1.0, 0.0), 0.25),
+    ],
+)
+def test_the_sorted_sample_gives_the_right_continuous_ecdf(samples, x, want):
+    assert _ecdf(samples, x) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_sorted_sample_ecdf_matches_a_brute_force_count(seed):
+    rng = e.make_rng(3, seed)
     samples = rng.normal(size=500)
-    ec = e.EmpiricalCdf.from_samples(samples)
-    queries = rng.normal(size=200)
-    for x in queries:
-        brute = np.sum(samples <= x) / samples.size
-        assert e.ecdf_eval(ec, float(x)) == brute
+    for x in rng.normal(size=200):
+        assert _ecdf(samples, x) == np.sum(samples <= x) / samples.size
 
 
-def test_ecdf_right_continuous_at_jumps():
-    ec = e.EmpiricalCdf.from_samples([0.0, 1.0, 1.0, 2.0])
-    # value at the jump equals the value just above, not just below
-    assert e.ecdf_eval(ec, 1.0) == 0.75
-    assert e.ecdf_eval(ec, np.nextafter(1.0, 2.0)) == 0.75
-    assert e.ecdf_eval(ec, np.nextafter(1.0, 0.0)) == 0.25
-
-
-def test_ecdf_rejects_bad_input():
-    with pytest.raises(DomainError):
-        e.EmpiricalCdf.from_samples([])
-    with pytest.raises(DomainError):
-        e.EmpiricalCdf.from_samples([1.0, np.nan])
+def test_the_sorted_sample_refuses_nan():
+    message = r"^samples must be real numbers in \[-inf, inf\], got nan$"
+    with pytest.raises(DomainError, match=message):
+        _sorted_sample([1.0, np.nan])
 
 
 # ---------------------------------------------------------------- one-sample KS
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ks_one_sample_matches_a_brute_force_count(seed):
+    # D = sup |F_n - F| over the sample, from both sides of each jump of F_n
+    rng = e.make_rng(5, seed)
+    x = rng.normal(size=40 + 7 * seed)
+    f = e.normal().cdf(x)
+    below = np.array([np.mean(x < s) for s in x])
+    at = np.array([np.mean(x <= s) for s in x])
+    brute = max(np.max(at - f), np.max(f - below))
+    assert e.ks_one_sample(x, e.normal().cdf).statistic == pytest.approx(brute, abs=1e-15)
+
 
 def test_ks_one_sample_matches_scipy():
     rng = e.make_rng(11)
@@ -208,6 +225,37 @@ def test_ks_two_sample_matches_scipy():
     ref = scipy.stats.ks_2samp(a, b, method="asymp")
     assert ours.statistic == pytest.approx(ref.statistic, abs=1e-14)
     assert ours.n_effective == pytest.approx(300 * 400 / 700)
+
+
+def test_ks_two_sample_empirical_cdfs_are_right_continuous_at_ties():
+    # integer samples tie within and across the two sides; each side's
+    # empirical cdf at a tie counts every entry equal to it, as scipy's does
+    rng = e.make_rng(19)
+    for na, nb, top in [(50, 60, 3), (200, 150, 10), (20, 20, 1)]:
+        a, b = rng.integers(0, top + 1, na).astype(float), rng.integers(0, top + 1, nb)
+        ours = e.ks_two_sample(a, b).statistic
+        assert ours == scipy.stats.ks_2samp(a, b, method="asymp").statistic
+        brute = max(abs(np.mean(a <= t) - np.mean(b <= t)) for t in np.union1d(a, b))
+        assert ours == brute
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ks_two_sample_matches_a_brute_force_count(seed):
+    rng = e.make_rng(7, seed)
+    a, b = rng.normal(size=30 + 7 * seed), rng.normal(size=45) + 0.2
+    brute = max(abs(np.mean(a <= t) - np.mean(b <= t)) for t in np.concatenate([a, b]))
+    assert e.ks_two_sample(a, b).statistic == brute
+
+
+def test_ks_refuses_an_empty_sample():
+    x = np.linspace(0.01, 0.99, 50)
+    for call in (
+        lambda: e.ks_one_sample([], e.uniform().cdf),
+        lambda: e.ks_two_sample([], x),
+        lambda: e.ks_two_sample(x, []),
+    ):
+        with pytest.raises(DomainError, match=">= 20 samples"):
+            call()
 
 
 def test_ks_two_sample_sampler_equivalence():

@@ -7,15 +7,17 @@ frac(theta * log n) is dense in [0, 1] but never settles, the probability
 P{M_n <= floor(theta log n) + q} oscillates persistently between
 exp(-p**(q+1)) and exp(-p**q); no choice of constants removes the
 oscillation.  This module provides the closed-form sf/cdf/quantile
-steps, the law of a maximum exp(n log1p(-S)) from a survival function S,
-a hardened floor of theta*log n, a constructive search for fractional
-parts, the oscillation scan itself, and the geometrically spaced
-subsequences along which the probe does converge.  Integer grids (the n of
+steps (the quantile is the law's ``tail``, reached through
+``dist.tail_quantile``), the law of a maximum exp(n log1p(-S)) from a
+survival function S, the hardened floor of theta*log n that gives a scan's
+levels, a constructive search for fractional parts, the oscillation scan
+itself, and the geometrically spaced subsequences along which the probe
+does converge.  Integer grids (the n of
 a scan, the k of a subsequence) take ints below 2**63 in magnitude, and
 refuse a float, integral or not, rather than truncate it (``stats._grid``).
 The real arguments p, theta, x, y and c take an int, a float or a numpy
-real in their interval (``stats._real``), and the arrays t and u of the
-sf, cdf and quantile any array-like of them (``stats._reals``).
+real in their interval (``stats._real``), and the arrays t of the sf and
+cdf any array-like of them (``stats._reals``).
 
 Floor hardening: whenever theta*log n (or log u / log p) lands within 1e-9
 of an integer k, the ambiguity is resolved by comparing n * p**k against 1
@@ -39,8 +41,6 @@ __all__ = [
     "GeometricParams",
     "geom_sf",
     "geom_cdf",
-    "geom_quantile",
-    "floor_theta_log_n",
     "frac_log_search",
     "OscillationReport",
     "oscillation_scan",
@@ -123,38 +123,17 @@ def _floor_log_ratio(p: float, ratio, exact_u):
     return out
 
 
-def geom_quantile(params: GeometricParams, u):
-    """Upper quantile at tail mass u: the smallest t with p**floor(t+1) < u.
-
-    Note the argument is the tail mass, not the cdf level; the value equals
-    floor(log u / log p).  Ratios within 1e-9 of an integer are resolved by
-    exact comparison of u against p**k.
-    """
-    return _scalar_or_array(u, _geom_quantile(params, _reals(u, "tail mass u", "(0, 1)")))
-
-
 def _geom_quantile(params: GeometricParams, u):
-    """``geom_quantile`` at the tail masses u in (0, 1], as a float array of
-    u's shape.  This is the geometric law's ``tail``, and its ``quantile``
-    at 1 - u: a tiny u makes that mass 1.0, where the value is 0, as Q(u) is."""
+    """The upper quantile floor(log u / log p), the smallest t with
+    p**floor(t+1) < u, at the tail masses u in (0, 1], as a float array of u's
+    shape.  This is the geometric law's ``tail``, and its ``quantile`` at 1 - u:
+    a tiny u makes that mass 1.0, where the value is 0, as Q(u) is."""
     arr = np.asarray(u, dtype=float)
     flat = arr.ravel()
     out = _floor_log_ratio(
         params.p, np.log(flat) / math.log(params.p), lambda i: float(flat[i]).as_integer_ratio()
     )
     return out.reshape(arr.shape)
-
-
-def floor_theta_log_n(params: GeometricParams, n: int) -> int:
-    """floor(theta * log n) with the near-integer guard resolved exactly.
-
-    theta * log n >= k  <=>  n * p**k >= 1, which is decided in integers
-    when the float product sits within 1e-9 of k.  This is the one-point
-    form of the levels ``oscillation_scan`` probes.
-    """
-    n = _integer(n, "n")
-    t = params.theta * np.array([math.log(n)])
-    return int(_floor_log_ratio(params.p, t, lambda i: (1, n))[0])
 
 
 _SEARCH_CHUNK = 1 << 16
@@ -312,18 +291,10 @@ class OscillationReport:
     cluster_points: tuple
 
 
-def cluster_limit(params: GeometricParams, q: int, c: float) -> float:
-    """Limit of the probe along subsequences with frac(theta log n) -> c."""
-    return _cluster_limit(params, _integer(q, "q", least=None), _real(c, "c", "[0, 1)"))
-
-
 def _cluster_limit(params: GeometricParams, q: int, c: float) -> float:
-    """``cluster_limit`` at a checked int q and float c in [0, 1)."""
-    # past 2**1000 in size q alone decides the limit, before q + 1 - c is
-    # formed in floats (which may overflow): p**(q + 1 - c) is 0 or infinite
-    # there for every p in (0, 1), as |log p| exceeds 2**-53
-    if abs(q) > 2**1000:
-        return 1.0 if q > 0 else 0.0
+    """The limit exp(-p**(q+1-c)) of the probe along subsequences with
+    frac(theta log n) -> c, at a checked int q that keeps the levels of
+    ``oscillation_scan`` in int64, and a float c in [0, 1)."""
     exponent = q + 1 - c
     # the limit exp(-p**exponent) is 0.0 once p**exponent passes e**7, well
     # before p**exponent itself overflows (a very negative q)

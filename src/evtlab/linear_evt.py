@@ -14,11 +14,11 @@ tail increment r(eps) = Q(1-eps) - Q(1-2eps) is regularly varying of index
 rho, which is how ``estimate_rho`` reads rho off a scale sweep.  Each sweep
 builds its tail masses (eps*u, 2*eps, 1/n, ...) and takes all their tail
 quantiles Q(1 - mass) in one call of the law's ``tail``, so no level
-1 - mass is ever rounded; ``dehaan_ratio`` is the one-point sweep of
-``dehaan_test``.  With the
-canonical constants b_n = Q(1-1/n) and a_n = Q(1-2/n) - b_n (note a_n <= 0),
-(M_n - b_n)/a_n converges in law to k_rho(omega)/k_rho(2) with omega
-standard exponential; ``limit_cdf`` is that limit law.  The sign of rho
+1 - mass is ever rounded; ``dehaan_test`` tabulates the ratio for every
+(u, v) pair at every scale of its sweep.  With the canonical constants
+b_n = Q(1-1/n) and a_n = Q(1-2/n) - b_n (note a_n <= 0), (M_n - b_n)/a_n
+converges in law to k_rho(omega)/k_rho(2) with omega standard
+exponential; ``limit_cdf`` is that limit law.  The sign of rho
 separates the three classical types: rho < 0 heavy tail (frechet), rho = 0
 (gumbel), rho > 0 bounded tail (weibull).
 """
@@ -48,7 +48,6 @@ __all__ = [
     "DEFAULT_EPS_GRID",
     "DEFAULT_RHO_W",
     "k_rho",
-    "dehaan_ratio",
     "dehaan_test",
     "RhoEstimate",
     "estimate_rho",
@@ -90,8 +89,8 @@ def k_rho(rho: float, u):
     return _scalar_or_array(u, out)
 
 
-def _validate_eps(eps, factor: float):
-    eps = _real(eps, "eps", "(0, inf)")
+def _validate_eps(eps: float, factor: float):
+    """Refuse a coarsest scale ``eps``, checked by the grid rule, with eps * factor >= 1."""
     if eps * factor >= 1.0:
         raise DomainError(f"eps * {factor} must stay below 1, got eps={eps}")
 
@@ -122,16 +121,6 @@ def _dehaan_grid(dist: Distribution, uv_grid, scales):
     return pairs, num / den
 
 
-def dehaan_ratio(dist: Distribution, u: float, v: float, eps: float) -> float:
-    """[Q(1-eps*u) - Q(1-eps)] / [Q(1-eps*v) - Q(1-eps)] at scale eps.
-
-    The denominator vanishing (flat upper quantile between the two tail
-    masses) raises ``DegenerateTailError``.  This is the one-point grid of
-    ``dehaan_test``, so the two agree bit for bit.
-    """
-    return float(_dehaan_grid(dist, [(u, v)], [eps])[1][0, 0])
-
-
 def dehaan_test(
     dist: Distribution,
     eps_grid=DEFAULT_EPS_GRID,
@@ -140,10 +129,12 @@ def dehaan_test(
 ) -> ConvergenceReport:
     """Evaluate the attraction criterion on a scale sweep.
 
-    Ratios are tabulated per (u, v) pair across the strictly decreasing
-    ``eps_grid``; a pair converges when its values over the report's window
-    (``build_report``) sit within ``tol`` of each other, and the limit table
-    holds the value at the smallest scale.  A degenerate tail raises with the
+    The ratio [Q(1-eps*u) - Q(1-eps)] / [Q(1-eps*v) - Q(1-eps)] is tabulated
+    per (u, v) pair across the strictly decreasing ``eps_grid``; a pair
+    converges when its values over the report's window (``build_report``)
+    sit within ``tol`` of each other, and the limit table holds the value at
+    the smallest scale.  A vanishing denominator (a flat upper quantile
+    between the two tail masses) raises ``DegenerateTailError`` with the
     first offending (u, v, eps) attached.
     """
     scales = _grid(eps_grid, "eps_grid", order=-1)

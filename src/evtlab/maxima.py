@@ -10,17 +10,18 @@ consume uniforms from the same stream contract, so they can be compared
 seed-for-seed; the exponential-representation route is the one that stays
 cheap at large n.
 
-``h_n_eval`` evaluates a monotone normalizer g against the base tail
-quantile in two forms that differ in how the tail mass is parametrized:
+The normalized maximum profile h_n(x) = g(Q(1 - eps)) of a monotone
+normalizer g is taken at the base tail quantile in two forms that differ in
+how the tail mass is parametrized (``HnVariant``):
 
-* ``exp_form``       g(Q(1 - eps)) at eps = 1 - exp(-x/n)
-* ``linear_form``    g(Q(1 - eps)) at eps = x/n
+* ``exp_form``       eps = 1 - exp(-x/n)
+* ``linear_form``    eps = x/n
 
 The two forms agree as n grows (exp_form >= linear_form for
 nondecreasing g); the gap at fixed x shrinks like x**2/(2n).  One helper
 builds and checks these tail masses over a whole x grid, at one n or at a
-column of n values; ``h_n_eval`` is its one-point form and
-``convergence_diagnostic`` calls it once, with its whole n column.
+column of n values; ``nonlinear_evt.convergence_diagnostic`` calls it once,
+with its whole n column, and spot-checks the monotonicity of g here too.
 """
 
 import functools
@@ -34,7 +35,7 @@ from .dist import Distribution, _finite_quantiles
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
 from .stats import (
-    _integer, _real, _reals, _scalar_or_array, standard_exponential, uniform_open
+    _integer, _reals, _scalar_or_array, standard_exponential, uniform_open
 )
 
 __all__ = [
@@ -43,8 +44,6 @@ __all__ = [
     "sample_max_direct",
     "sample_max_exponential_rep",
     "HnVariant",
-    "h_n_eval",
-    "spot_check_monotone",
 ]
 
 # Largest n a law of maxima accepts.  Up to here the tail masses 2/n and
@@ -120,8 +119,8 @@ def _open_words(bitgen, shape):
     return words
 
 
-def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
-    """Maximum of n quantile-transform draws, ``count`` times.
+def sample_max_direct(law: MaxLaw, rng, count: int):
+    """An array of ``count`` maxima of n quantile-transform draws each.
 
     Q is nondecreasing, so Q(max U_i) is pointwise identical to the maximum
     of the per-draw transforms.  The (count, n) uniforms are drawn in
@@ -131,7 +130,7 @@ def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
     the maxima are taken on the words and only the maxima become doubles: the
     same uniforms, and the same stream position, as ``uniform_open`` gives.
     """
-    size = 1 if count is None else _integer(count, "count")
+    size = _integer(count, "count")
     # row-major blocks keep the stream order of one (size, n) draw
     width = min(law.n, _DIRECT_BLOCK)
     rows = _DIRECT_BLOCK // width
@@ -147,12 +146,12 @@ def sample_max_direct(law: MaxLaw, rng, count: int | None = None):
             del part  # not held while the next block is drawn
     if on_words:
         u = np.multiply(u >> np.uint64(11), 2.0**-53)
-    x = _finite_quantiles(law.base, u)
-    return float(x[0]) if count is None else x
+    return _finite_quantiles(law.base, u)
 
 
-def sample_max_exponential_rep(law: MaxLaw, rng, count: int | None = None):
-    """M_n sampled as Q(exp(-omega/n)), omega = -log(1 - U).
+def sample_max_exponential_rep(law: MaxLaw, rng, count: int):
+    """An array of ``count`` draws of M_n, each Q(exp(-omega/n)) with
+    omega = -log(1 - U).
 
     The base law's tail quantile is taken at the tail mass
     eps = -expm1(-omega/n), formed in omega's array, which keeps every bit
@@ -160,12 +159,10 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int | None = None):
     so eps lies in (0, 1) for every n the law accepts and no draw is ever
     redrawn.
     """
-    size = 1 if count is None else _integer(count, "count")
-    eps = standard_exponential(rng, size)
+    eps = standard_exponential(rng, _integer(count, "count"))
     np.divide(eps, -float(law.n), out=eps)  # -omega/n: the sign of a quotient is exact
     np.expm1(eps, out=eps)
-    x = _finite_quantiles(law.base, np.negative(eps, out=eps), tail=True)
-    return float(x[0]) if count is None else x
+    return _finite_quantiles(law.base, np.negative(eps, out=eps), tail=True)
 
 
 class HnVariant(str, Enum):
@@ -202,59 +199,25 @@ def _h_n_args(n, x, variant: HnVariant):
     return args
 
 
-def h_n_eval(
-    g,
-    base: Distribution,
-    n: int,
-    x: float,
-    variant: HnVariant = HnVariant.EXP_FORM,
-) -> float:
-    """Evaluate the normalized maximum profile h_n(x) = g(Q(1 - .)) at one point,
-    at the tail mass 1 - exp(-x/n) (``exp_form``) or x/n (``linear_form``).
-
-    ``g`` must be monotone on the base quantile's range (use
-    ``spot_check_monotone`` to validate a candidate) and accept arrays.  This
-    is the one-point form of ``convergence_diagnostic``'s grid, and agrees
-    with it bit for bit.
-    """
-    x = _real(x, "x", "(0, inf)")
-    args = _h_n_args(_indices(n), np.array([x]), HnVariant(variant))
-    return float(np.asarray(g(_finite_quantiles(base, args, tail=True)), dtype=float)[0])
-
-
 _SPOT_CHECK_POINTS = 200
 # the points of a spot check are _RAMP * step + lo, as np.linspace forms them
 _RAMP = np.arange(float(_SPOT_CHECK_POINTS))
 
 
-def spot_check_monotone(g, lo: float, hi: float, direction: str = "nondecreasing") -> None:
-    """Spot-check monotonicity of ``g`` on [lo, hi] at 200 evenly spaced
-    points, both ends included.
+def _spot_check(g, lo, hi, direction: str) -> None:
+    """Spot-check that ``g`` is ``direction`` ("nondecreasing", else
+    nonincreasing) on each row [lo, hi]: lo and hi are float arrays of one
+    shape, () or (k,), with lo < hi in every entry, and ``g`` is called once
+    on an array of shape lo.shape + (200,), each row's points
+    ``np.linspace(lo, hi, 200)``, or where hi - lo overflows the points of
+    [lo/2, hi/2] doubled, so they stay finite.  No stream is drawn from.
 
     Raises ``ContractViolationError`` on a violation beyond float slack, and
     on a NaN value of g, naming the first such point: a monotone g has an
     ordered value at every point.  Values of +-inf are ordered like others;
     the slack comes from the finite values alone, and inf next to the same
-    inf is no step.  The points are ``np.linspace(lo, hi, 200)`` wherever
-    hi - lo is finite; on a wider range they are the points of [lo/2, hi/2]
-    doubled, so they stay finite.  They are fixed, so results are
-    deterministic and draw from no stream.  ``g`` gets them as one 1-d array.
-    """
-    if direction not in ("nondecreasing", "nonincreasing"):
-        raise DomainError(f"unknown direction {direction!r}")
-    lo, hi = _real(lo, "lo"), _real(hi, "hi")
-    if not lo < hi:
-        raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
-    _spot_check(g, np.float64(lo), np.float64(hi), direction)
-
-
-def _spot_check(g, lo, hi, direction: str) -> None:
-    """``spot_check_monotone`` of each row: lo and hi are float arrays of one
-    shape, () or (k,), with lo < hi in every entry, and ``g`` is called once
-    on the 200 points of every row, an array of shape lo.shape + (200,).
-    The rows are checked in order, and within a row a NaN value before the
-    order of the values, so the failure named is the first of the one-row
-    checks in turn.
+    inf is no step.  The rows are checked in order, and within a row a NaN
+    value before the order of the values.
     """
     lo, hi = lo[..., None], hi[..., None]
     with np.errstate(over="ignore"):

@@ -1,9 +1,9 @@
 """Nonlinear normalization: g_n(M_n) can converge to any prescribed law.
 
-For a uniform base, g_n(x) = G_inv(exp(-n(1-x))) maps the maximum of n
-uniforms into a sample whose law converges to the target G; for a general
-continuous base the same works through its survival function S = 1 - F,
-g_n(x) = G_inv(exp(-n S(x))), which keeps the mass 1 - F(x) would cancel.
+``build_g_n_general`` builds g_n(x) = G_inv(exp(-n S(x))) from a continuous
+base's survival function S = 1 - F (S(x) = 1 - x for a uniform base), which
+keeps the mass 1 - F(x) would cancel; g_n maps the maximum of n draws from
+the base into a sample whose law converges to the target G.
 Discrete bases are refused: their cdf never takes the intermediate values
 the construction needs, which is exactly the obstruction the geometric law
 exhibits.
@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_NONDEG_TOL",
     "DEFAULT_N_GRID",
     "default_x_grid",
-    "build_g_n",
     "build_g_n_general",
     "NormalizerSequence",
     "convergence_diagnostic",
@@ -41,6 +40,7 @@ DEFAULT_NONDEG_TOL = 1e-6
 DEFAULT_N_GRID = (100, 1000, 10000, 100000)
 
 _TINY = np.nextafter(0.0, 1.0)
+_DIRECTIONS = ("nondecreasing", "nonincreasing")
 
 
 def default_x_grid(count: int = 32):
@@ -76,11 +76,6 @@ def _g_n(target: Distribution, n, survival):
     return g
 
 
-def build_g_n(target: Distribution, n):
-    """g_n(x) = G_inv(exp(-n(1-x))) for a uniform base; nondecreasing in x."""
-    return _g_n(target, _indices(n), lambda x: 1.0 - x)
-
-
 def _continuous_sf(base: Distribution):
     """The survival function of a continuous base; a discrete base is refused."""
     if base.kind != CONTINUOUS:
@@ -108,18 +103,25 @@ class NormalizerSequence:
     The builder contract: ``builder(n)`` gets n already checked, an int from
     1 to 2**960 or a column of them (a (k, 1) object array of Python ints),
     and does not check it again (``affine``'s refuses an n below 3, which
-    its mass 2/n needs); ``build_g_n`` and ``build_g_n_general`` check an n
-    from outside.  The g it returns checks its own argument and broadcasts
-    against it: built for the column, g maps a (k, m) array row by row, row
-    j through g_n at the j-th n.  ``convergence_diagnostic`` checks each n
+    its mass 2/n needs); ``build_g_n_general`` checks an n from outside.
+    The g it returns checks its own argument and broadcasts against it:
+    built for the column, g maps a (k, m) array row by row, row j through
+    g_n at the j-th n.  ``convergence_diagnostic`` checks each n
     of its grid once, builds g once for the whole grid, and once more for
     the column of the first and last n, whose g it spot-checks for
-    monotonicity in one call on both rows of points.
+    monotonicity in one call on both rows of points.  ``direction`` is the
+    monotonicity of every g_n, "nondecreasing" or "nonincreasing".
     """
 
     base: Distribution
     builder: callable
     direction: str = "nondecreasing"
+
+    def __post_init__(self):
+        if self.direction not in _DIRECTIONS:
+            raise DomainError(
+                f"direction must be one of {list(_DIRECTIONS)}, got {self.direction!r}"
+            )
 
     @classmethod
     def from_target(cls, target: Distribution, base: Distribution) -> "NormalizerSequence":
@@ -167,13 +169,13 @@ def convergence_diagnostic(
     the limit profile must be nondegenerate at ``nondeg_tol``.  The grid is
     one pass: the builder is called once with the n column, and its g once on
     every tail quantile.  The g_n at the smallest and largest n are then
-    monotonicity spot-checked on their actual evaluation range, as
-    ``spot_check_monotone`` checks one: the builder is called once more with
-    the column of those two n, and its g once on both rows of points (a row
-    whose range is one point is left out).  Where several (n, x) fail, the
-    first failure in n-major order is named within the first stage that
-    fails: the builder, the tail masses, the tail quantiles, g, then the
-    spot checks, the smallest n first.
+    monotonicity spot-checked, at 200 points each, on their actual
+    evaluation range (``maxima._spot_check``): the builder is called once
+    more with the column of those two n, and its g once on both rows of
+    points (a row whose range is one point is left out).  Where several
+    (n, x) fail, the first failure in n-major order is named within the
+    first stage that fails: the builder, the tail masses, the tail
+    quantiles, g, then the spot checks, the smallest n first.
     """
     # Python ints, so the order of n past 2**53 is decided exactly
     ns = _indices(np.asarray(n_grid, dtype=object))

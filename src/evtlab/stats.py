@@ -187,17 +187,12 @@ def _size(size):
     return _integer(size, "size", 0)
 
 
-def uniform_open(rng: np.random.Generator, size=None):
-    """Uniform draws in the open interval (0, 1).
+def uniform_open(rng: np.random.Generator, size):
+    """An array of ``size`` uniform draws in the open interval (0, 1).
 
     Exact zeros (probability 2**-53 per draw) are redrawn in stream order,
     so quantile transforms never see an endpoint.
     """
-    if size is None:
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        return u
     u = rng.random(_size(size))
     while u.size and not u.min() > 0.0:  # one reduction; a zero is all but never there
         zero = u == 0.0
@@ -205,12 +200,10 @@ def uniform_open(rng: np.random.Generator, size=None):
     return u
 
 
-def standard_exponential(rng: np.random.Generator, size=None):
-    """omega = -log(1 - U) with U from the shared uniform source, formed in
-    U's own array."""
+def standard_exponential(rng: np.random.Generator, size):
+    """An array of ``size`` draws omega = -log(1 - U) with U from the shared
+    uniform source, formed in U's own array."""
     u = uniform_open(rng, size)
-    if size is None:
-        return -np.log1p(-u)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.negative(u, out=u)

@@ -73,14 +73,15 @@ def test_criterion_03_uniform_max_cdf_is_power():
 
 def test_criterion_04_dehaan_ratio_limits():
     pairs = ((2.0, 4.0), (0.25, 4.0), (0.25, 0.5))
+    scales = (1e-2, 5e-3, 2e-3, 1e-3)
+    uniform = e.dehaan_test(e.uniform(), scales, pairs).values
+    exponential = e.dehaan_test(e.exponential(), scales, pairs).values
     worst = 0.0
-    for u, v in pairs:
-        for eps in (1e-2, 1e-3):
-            got = e.dehaan_ratio(e.uniform(), u, v, eps)
-            worst = max(worst, abs(got - (1.0 - u) / (1.0 - v)))
-            got = e.dehaan_ratio(e.exponential(), u, v, eps)
-            worst = max(worst, abs(got - math.log(u) / math.log(v)))
-    pareto_gap = abs(e.dehaan_ratio(e.pareto(2.0), 2.0, 4.0, 1e-6) - 0.5857864)
+    for i, (u, v) in enumerate(pairs):
+        worst = max(worst, float(np.max(np.abs(uniform[i] - (1.0 - u) / (1.0 - v)))))
+        worst = max(worst, float(np.max(np.abs(exponential[i] - math.log(u) / math.log(v)))))
+    pareto = e.dehaan_test(e.pareto(2.0), (1e-3, 1e-4, 1e-5, 1e-6), pairs[:1]).values
+    pareto_gap = abs(pareto[0, -1] - 0.5857864)
     ok = worst <= 1e-12 and pareto_gap <= 1e-3
     detail = f"uniform/exponential max |diff| = {worst:.3g}, pareto gap = {pareto_gap:.3g}"
     _verdict(4, "scale-ratio limits", ok, detail)
@@ -119,7 +120,7 @@ def test_criterion_07_construction_normalizes_to_any_target():
     targets = [("uniform", e.uniform()), ("exponential", e.exponential()), ("normal", e.normal())]
     stats = {}
     for i, (name, target) in enumerate(targets):
-        g = e.build_g_n(target, n)
+        g = e.build_g_n_general(target, base, n)
         m = e.sample_max_exponential_rep(e.MaxLaw(base, n), e.make_rng(_SEED, stream=11 + i), reps)
         stats[name] = e.ks_one_sample(g(m), target.cdf).statistic
 
@@ -128,10 +129,8 @@ def test_criterion_07_construction_normalizes_to_any_target():
     ns = (128, 1024, 8192, 65536)
     spread = 0.0
     for _, target in targets:
-        vals = np.array(
-            [[e.h_n_eval(e.build_g_n(target, n), base, n, x, e.HnVariant.LINEAR_FORM)
-              for n in ns] for x in xs]
-        )
+        seq = e.NormalizerSequence.from_target(target, base)
+        vals = e.convergence_diagnostic(seq, xs, ns, e.HnVariant.LINEAR_FORM).values
         spread = max(spread, float(np.max(np.ptp(vals, axis=1))))
     ok = all(s <= 0.02 for s in stats.values()) and spread <= 1e-12
     detail = ", ".join(f"{k} KS {v:.4f}" for k, v in stats.items()) + f", h_n spread {spread:.3g}"

@@ -1,14 +1,13 @@
 """Property tests for the array paths of the grid diagnostics.
 
-Each diagnostic is one array expression, and each scalar function is the
-one-point grid of the same code.  Three kinds of property pin that down:
+Each diagnostic is one array expression, with no one-point form beside it.
+Three kinds of property pin that down:
 
 * the geometric floors equal an exact integer/``Fraction`` reference at
   every n in [1, 2**62] and every tail mass, including the exact powers
   ``p**k`` and their neighbours, where the float floor alone is ambiguous;
-* each scalar wrapper equals its grid entry bit for bit.  A wrapper that
-  passed a 0-d array would not: numpy's ``**`` can round a 0-d argument
-  differently from a 1-d one;
+* the geometric tail quantile at one tail mass equals its array entry bit
+  for bit, and a 2-d array gives the entries of the 1-d one;
 * each grid stays within a few ulps of the per-point loop of scalar
   ``tail_quantile`` calls it replaced.  The two round differently (numpy's
   array ``**`` and ``expm1`` against the C library's), so the bound is a few
@@ -24,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evtlab as e
-from evtlab.geometric import GeometricParams, floor_theta_log_n
+from evtlab.geometric import GeometricParams
 
 PS = (0.5, 0.25, 0.3, 0.2)
 N_MAX = 2**62
@@ -69,7 +68,6 @@ def test_oscillation_levels_equal_the_exact_floor(p_ns, q):
     report = e.oscillation_scan(params, q, ns)
     floors = (report.levels - q).tolist()
     assert floors == [exact_floor_log(Fraction(1, n), p) for n in ns]
-    assert floors == [floor_theta_log_n(params, n) for n in ns]
 
 
 @SETTINGS
@@ -103,14 +101,14 @@ def p_and_tail_masses(draw):
 @SETTINGS
 @given(p_and_tail_masses())
 @example((0.5, [0.5, 0.25, 2.0**-60, 1.0 / 3.0]))
-def test_geom_quantile_arrays_equal_the_exact_floor(p_us):
+def test_geom_tail_quantile_arrays_equal_the_exact_floor(p_us):
     p, us = p_us
-    params = GeometricParams(p)
-    got = e.geom_quantile(params, np.array(us))
+    law = e.geometric(p)
+    got = e.tail_quantile(law, np.array(us))
     assert got.tolist() == [float(exact_floor_log(Fraction(u), p)) for u in us]
-    assert [e.geom_quantile(params, u) for u in us] == got.tolist()
+    assert [e.tail_quantile(law, u) for u in us] == got.tolist()
     if len(us) % 2 == 0:  # the same entries in a 2-d layout
-        shaped = e.geom_quantile(params, np.array(us).reshape(2, -1))
+        shaped = e.tail_quantile(law, np.array(us).reshape(2, -1))
         assert shaped.ravel().tolist() == got.tolist()
 
 
@@ -132,17 +130,6 @@ uv_pairs = st.lists(
     min_size=1,
     max_size=3,
 )
-
-
-@SETTINGS
-@given(st.sampled_from(sorted(LAWS)), eps_grids, uv_pairs)
-@example("pareto2", [0.01, 1e-3, 1e-4, 1e-5], [(2.0, 4.0)])  # 1 - (1 - 0.01) != 0.01
-def test_dehaan_ratio_is_its_grid_entry(law, grid, pairs):
-    dist = LAWS[law]
-    values = e.dehaan_test(dist, grid, pairs).values
-    for i, (u, v) in enumerate(pairs):
-        for j, eps in enumerate(grid):
-            assert e.dehaan_ratio(dist, u, v, eps) == values[i, j]
 
 
 @SETTINGS
@@ -176,23 +163,6 @@ n_grids = st.lists(
     st.integers(10, 10**6), min_size=4, max_size=5, unique=True
 ).map(sorted)
 x_grids = st.lists(st.floats(1e-3, 9.0), min_size=2, max_size=6, unique=True)
-
-
-@SETTINGS
-@given(
-    st.sampled_from(sorted(SEQUENCES)),
-    st.sampled_from(list(e.HnVariant)),
-    x_grids,
-    n_grids,
-)
-def test_h_n_eval_is_its_grid_entry(name, variant, xs, ns):
-    base, target = SEQUENCES[name]
-    seq = e.NormalizerSequence.from_target(target, base)
-    values = e.convergence_diagnostic(seq, xs, ns, variant).values
-    for j, n in enumerate(ns):
-        g = seq.builder(n)
-        for i, x in enumerate(xs):
-            assert e.h_n_eval(g, base, n, x, variant) == values[i, j]
 
 
 @SETTINGS

@@ -50,11 +50,9 @@ def test_geometric_quantile_takes_a_tiny_u(p):
         assert math.copysign(1.0, e.quantile(law, u)) == 1.0 and e.quantile(law, u) == 0.0
     assert e.quantile(law, [1e-20, 2.0**-53]).tolist() == [0.0, 0.0]
     # a tail mass of 1 is still refused where a caller passes it
-    refusal = r"^tail mass {} must be real numbers in \(0, 1\), got 1.0$"
-    with pytest.raises(DomainError, match=refusal.format("eps")):
+    refusal = r"^tail mass eps must be real numbers in \(0, 1\), got 1.0$"
+    with pytest.raises(DomainError, match=refusal):
         e.tail_quantile(law, 1.0)
-    with pytest.raises(DomainError, match=refusal.format("u")):
-        e.geom_quantile(e.GeometricParams(p), 1.0)
 
 
 def test_quantile_domain_errors():

@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 import evtlab as e
 from evtlab.cli import _table
 from evtlab.errors import DomainError, SearchHorizonError
-from evtlab.geometric import (
-    GeometricParams,
-    cluster_limit,
-    floor_theta_log_n,
-    sufficient_horizon,
-)
+from evtlab.geometric import GeometricParams, sufficient_horizon
 
 # the module itself: the package's name ``geometric`` is the distribution
 geometric = importlib.import_module("evtlab.geometric")
@@ -63,36 +58,31 @@ def test_geom_cdf_just_below_an_integer(p):
         assert law.cdf(float(np.nextafter(k, 0.0))) == 1.0 - p**k
 
 
-def test_geom_quantile_examples():
+def test_geom_tail_quantile_examples():
     # the argument is the tail mass u: value = floor(log u / log p)
-    gp = GeometricParams(0.5)
-    assert e.geom_quantile(gp, 1.0 / 8.0) == 3.0
-    assert e.geom_quantile(gp, 1.0 / 7.0) == 2.0
-    assert e.geom_quantile(gp, 0.9) == 0.0
-    with pytest.raises(DomainError):
-        e.geom_quantile(gp, 0.0)
-    with pytest.raises(DomainError):
-        e.geom_quantile(gp, 1.0)
+    law = e.geometric(0.5)
+    assert e.tail_quantile(law, [1.0 / 8.0, 1.0 / 7.0, 0.9]).tolist() == [3.0, 2.0, 0.0]
+    for bad in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            e.tail_quantile(law, bad)
 
 
-def test_geom_quantile_brute_force_oracle():
+def test_geom_tail_quantile_brute_force_oracle():
     # smallest t with p^{floor(t+1)} < u, scanned on the integer support
     rng = e.make_rng(107)
     for _ in range(300):
         p = 0.05 + 0.9 * rng.random()
         u = rng.random() * 0.998 + 0.001
-        gp = GeometricParams(p)
         k = 0
         while p ** (k + 1) >= u:
             k += 1
-        assert e.geom_quantile(gp, u) == float(k), (p, u)
+        assert e.tail_quantile(e.geometric(p), u) == float(k), (p, u)
 
 
-def test_geom_quantile_exact_dyadic_hits():
+def test_geom_tail_quantile_exact_dyadic_hits():
     # u = p^k exactly: the strict convention must land on k, not k-1
-    gp = GeometricParams(0.5)
-    for k in range(1, 51):
-        assert e.geom_quantile(gp, 2.0**-k) == float(k)
+    got = e.tail_quantile(e.geometric(0.5), 2.0 ** -np.arange(1, 51))
+    assert got.tolist() == list(range(1, 51))
 
 
 def test_geom_galois_inequalities_random_pairs():
@@ -101,19 +91,17 @@ def test_geom_galois_inequalities_random_pairs():
         p = 0.05 + 0.9 * rng.random()
         gp = GeometricParams(p)
         level = rng.random() * 0.998 + 0.001  # cdf level, tail mass 1-level
-        q = e.geom_quantile(gp, 1.0 - level)
+        q = e.tail_quantile(e.geometric(p), 1.0 - level)
         assert e.geom_cdf(gp, q) >= level - 1e-12
         assert e.geom_cdf(gp, q - 1e-9) <= level + 1e-12
 
 
-def test_floor_theta_log_n_exact_powers():
+def test_oscillation_levels_at_exact_powers():
+    # theta log n = k exactly at n = 2**k (p = 1/2), and just below k at 2**k - 1
     gp = GeometricParams(0.5)
-    for k in range(1, 51):
-        assert floor_theta_log_n(gp, 2**k) == k
-        if k > 1:
-            assert floor_theta_log_n(gp, 2**k - 1) == k - 1
-    with pytest.raises(DomainError):
-        floor_theta_log_n(gp, 0)
+    ks = np.arange(1, 51)
+    assert e.oscillation_scan(gp, 0, 2**ks).levels.tolist() == ks.tolist()
+    assert e.oscillation_scan(gp, 0, 2 ** ks[1:] - 1).levels.tolist() == (ks[1:] - 1).tolist()
 
 
 @pytest.mark.parametrize("p", [0.5, 0.2, 0.1, 1 - 2**-30])
@@ -412,29 +400,30 @@ def test_oscillation_scan_accepts_a_q_at_the_int64_edges():
     assert bottom.levels.tolist() == [-(2**63), -(2**63) + 10]
     assert bottom.probs.tolist() == [0.0, 0.0]
     assert [v for _, v in bottom.cluster_points] == [0.0, 0.0, 0.0]
+    assert [v for _, v in top.cluster_points] == [1.0, 1.0, 1.0]
 
 
-def test_cluster_limit_is_zero_where_p_to_the_q_overflows():
-    gp = GeometricParams(0.5)
-    assert cluster_limit(gp, -2000, 0.5) == 0.0  # 0.5**-1999.5 overflows
-    for q in range(-12, -8):  # q = -12 is past the cut, -11 to -9 are before it
-        assert cluster_limit(gp, q, 0.0) == math.exp(-(0.5 ** (q + 1)))
+def _cluster_reference(p, q, c):
+    """exp(-p**(q + 1 - c)), which is 0 where the power overflows."""
+    try:
+        return math.exp(-(p ** (q + 1 - c)))
+    except OverflowError:
+        return 0.0
 
 
-def test_cluster_limit_for_a_q_beyond_the_doubles():
-    # q + 1 - c has no double here; the limit is exp(-0) or exp(-inf)
-    gp = GeometricParams(0.5)
-    assert cluster_limit(gp, 10**400, 0.5) == 1.0
-    assert cluster_limit(gp, -(10**400), 0.5) == 0.0
-    assert cluster_limit(gp, 10**300, 0.5) == math.exp(-(0.5 ** (10**300 + 1 - 0.5)))
-
-
-def test_cluster_limit_values():
-    gp = GeometricParams(0.5)
-    assert cluster_limit(gp, 0, 0.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
-    assert cluster_limit(gp, 0, 0.5) == pytest.approx(math.exp(-(2.0**-0.5)), rel=1e-15)
+@pytest.mark.parametrize("p", [0.5, 0.2, 0.9])
+def test_cluster_points_are_the_analytic_limits(p):
+    # q = -12 at p = 1/2 is past the cut where the limit is 0.0 without the
+    # power, -11 to -9 are before it, and p**(q + 1 - c) overflows at -2000
+    gp, cs = GeometricParams(p), (0.0, 0.25, 0.5, 0.9)
+    for q in (-2000, -12, -11, -10, -9, -1, 0, 1, 5, 60):
+        points = e.oscillation_scan(gp, q, [1000, 10**6], cs).cluster_points
+        assert points == tuple((c, _cluster_reference(p, q, c)) for c in cs), q
+    assert dict(e.oscillation_scan(gp, 0, [1000], (0.0, 0.5)).cluster_points) == {
+        0.0: math.exp(-p), 0.5: math.exp(-(p**0.5))
+    }
     with pytest.raises(DomainError):
-        cluster_limit(gp, 0, 1.0)
+        e.oscillation_scan(gp, 0, [1000], (1.0,))
 
 
 # ---------------------------------------------------------------- subsequences
@@ -465,7 +454,8 @@ def test_two_subsequences_witness_non_convergence():
     lo = e.oscillation_scan(gp, 0, e.subsequence_generator(gp, 0.9, range(12, 25)))
     hi = e.oscillation_scan(gp, 0, e.subsequence_generator(gp, 0.0, range(12, 25)))
     assert hi.probs[-1] - lo.probs[-1] > 0.15
-    assert abs(cluster_limit(gp, 0, 0.0) - cluster_limit(gp, 0, 0.9)) > 0.15
+    limits = dict(hi.cluster_points)
+    assert abs(limits[0.0] - limits[0.9]) > 0.15
 
 
 def test_subsequence_gap_ratios_approach_inverse_p():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import evtlab as e
 from evtlab.errors import DomainError
-from evtlab.geometric import cluster_limit, floor_theta_log_n
 
 HUGE = 2**1100  # past 2**1024, where float(n) overflows
 SEQ = e.NormalizerSequence.from_target(e.exponential(), e.uniform())
@@ -26,11 +25,10 @@ def _diagnostic(v):
     return e.convergence_diagnostic(SEQ, x_grid=(0.25, 0.5), n_grid=ns)
 
 
-# (entry point, the argument's name, its least value, whether 2**960 caps it)
+# (entry point, the argument's name, its least value or None for none, whether
+# 2**960 caps it)
 SITES = {
     "MaxLaw": (lambda v: e.MaxLaw(e.uniform(), v), "n", 1, True),
-    "h_n_eval": (lambda v: e.h_n_eval(lambda t: t, e.uniform(), v, 0.5), "n", 1, True),
-    "build_g_n": (lambda v: e.build_g_n(e.exponential(), v), "n", 1, True),
     "build_g_n_general": (
         lambda v: e.build_g_n_general(e.exponential(), e.uniform(), v), "n", 1, True
     ),
@@ -43,20 +41,28 @@ SITES = {
     "sample_quantile_transform": (
         lambda v: e.sample_quantile_transform(e.uniform(), e.make_rng(0), v), "count", 1, False
     ),
-    "floor_theta_log_n": (lambda v: floor_theta_log_n(PARAMS, v), "n", 1, False),
     "frac_log_search": (lambda v: e.frac_log_search(1.0, 0.0, 0.5, v), "n_max", 1, False),
     "default_x_grid": (lambda v: e.default_x_grid(v), "count", 1, False),
+    "oscillation_scan q": (
+        lambda v: e.oscillation_scan(PARAMS, v, (10, 20, 30)), "q", None, False
+    ),
     "uniform_open": (lambda v: e.uniform_open(e.make_rng(0), v), "size", 0, False),
     "standard_exponential": (lambda v: e.standard_exponential(e.make_rng(0), v), "size", 0, False),
+    # each entry of a shape tuple is one size
+    "uniform_open shape": (lambda v: e.uniform_open(e.make_rng(0), (2, v)), "size", 0, False),
+    "standard_exponential shape": (
+        lambda v: e.standard_exponential(e.make_rng(0), (2, v)), "size", 0, False
+    ),
     "make_rng seed": (lambda v: e.make_rng(v), "seed", 0, False),
     "make_rng stream": (lambda v: e.make_rng(0, v), "stream", 0, False),
 }
-BAD = {"2.5": 2.5, "100.7": 100.7, "True": True, "'3'": "3", "0": 0, "-1": -1}
+# None was the scalar mode of a draw's count or size, and is no integer either
+BAD = {"2.5": 2.5, "100.7": 100.7, "True": True, "'3'": "3", "None": None, "0": 0, "-1": -1}
 CASES = [
     (site, label, value)
     for site, (_, _, least, capped) in SITES.items()
     for label, value in [*BAD.items(), *([("2**1100", HUGE)] if capped else [])]
-    if not (least == 0 and value == 0)
+    if label not in ("0", "-1") or least is not None and value < least
 ]
 
 
@@ -81,10 +87,11 @@ def test_a_numpy_integer_gives_the_bits_of_its_int(n, seed, small):
             e.sample_max_exponential_rep(e.MaxLaw(base, cast(n)), rng, cast(small)).tolist(),
             e.sample_max_direct(e.MaxLaw(base, cast(small)), rng, cast(small)).tolist(),
             e.sample_quantile_transform(base, rng, cast(small)).tolist(),
-            e.h_n_eval(lambda t: t, base, cast(n), 0.5),
-            e.build_g_n(e.exponential(), cast(n))(np.array([0.5, 1.0 - 1e-9])).tolist(),
+            e.build_g_n_general(e.exponential(), e.uniform(), cast(n))(
+                np.array([0.5, 1.0 - 1e-9])
+            ).tolist(),
             e.norming_constants(base, cast(n)),
-            floor_theta_log_n(PARAMS, cast(n)),
+            e.oscillation_scan(PARAMS, cast(small), grid).levels.tolist(),
             e.frac_log_search(1.0, 0.25, 0.5, cast(10**6)),
             e.convergence_diagnostic(
                 e.NormalizerSequence.from_target(e.exponential(), base), n_grid=grid
@@ -106,10 +113,3 @@ def test_a_size_is_an_integer_or_a_tuple_of_them(draw):
     for size, shape in [((2, 3), (2, 3)), ((), ()), (np.int64(4), (4,)), (0, (0,))]:
         assert draw(e.make_rng(0), size).shape == shape
     assert np.array_equal(draw(e.make_rng(0), (np.int64(2), 3)), draw(e.make_rng(0), (2, 3)))
-
-
-@pytest.mark.parametrize("q", [2.5, True, "3"], ids=["2.5", "True", "'3'"])
-def test_cluster_limit_refuses_a_q_that_is_no_integer(q):
-    # 2.5 gave 0.8825 and True ran as q = 1 (0.7022); "3" raised a bare TypeError
-    with pytest.raises(DomainError, match="^q must be an integer"):
-        cluster_limit(PARAMS, q, 0.5)

@@ -65,44 +65,43 @@ def test_non_finite_rho_is_refused(rho):
 
 # ---------------------------------------------------------------- de Haan ratios
 
-def test_dehaan_ratio_uniform_exact():
-    # quantile round trips near 1 cost ~2e-16/eps, so stay at moderate eps
-    for eps in (0.01, 0.001):
-        got = e.dehaan_ratio(e.uniform(), 2.0, 4.0, eps)
-        assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
+def test_dehaan_uniform_ratios_are_exact():
+    # tail masses near 1 cost ~2e-16/eps, so stay at moderate eps
+    values = e.dehaan_test(e.uniform(), (1e-2, 5e-3, 2e-3, 1e-3), [(2.0, 4.0)]).values
+    assert values == pytest.approx(np.full((1, 4), 1.0 / 3.0), abs=1e-12)
 
 
-def test_dehaan_ratio_exponential_exact():
-    for eps in (0.01, 0.001, 1e-4):
-        for u, v in ((2.0, 4.0), (0.25, 4.0), (3.0, 0.5)):
-            got = e.dehaan_ratio(e.exponential(), u, v, eps)
-            assert got == pytest.approx(math.log(u) / math.log(v), abs=1e-11)
+def test_dehaan_exponential_ratios_are_exact():
+    pairs = ((2.0, 4.0), (0.25, 4.0), (3.0, 0.5))
+    values = e.dehaan_test(e.exponential(), (1e-2, 1e-3, 1e-4, 1e-5), pairs).values
+    for row, (u, v) in zip(values, pairs):
+        assert row == pytest.approx(np.full(4, math.log(u) / math.log(v)), abs=1e-11)
 
 
-def test_dehaan_ratio_pareto_limit():
+def test_dehaan_pareto_ratio_limit():
     limit = (2.0**-0.5 - 1.0) / (4.0**-0.5 - 1.0)
-    got = e.dehaan_ratio(e.pareto(2.0), 2.0, 4.0, 1e-6)
+    report = e.dehaan_test(e.pareto(2.0), (1e-3, 1e-4, 1e-5, 1e-6), [(2.0, 4.0)])
+    got = report.values[0, -1]
     assert got == pytest.approx(limit, abs=1e-3)
     assert got == pytest.approx(0.5857864, abs=1e-3)
 
 
-def test_dehaan_ratio_scale_free_for_analytic_families():
+def test_dehaan_ratios_are_scale_free_for_analytic_families():
     for dist in (e.uniform(), e.exponential(), e.pareto(2.0)):
-        for eps in (1e-2, 1e-3):
-            a = e.dehaan_ratio(dist, 2.0, 4.0, eps)
-            b = e.dehaan_ratio(dist, 2.0, 4.0, eps / 10.0)
-            assert abs(a - b) <= 1e-12, dist.name
+        values = e.dehaan_test(dist, (1e-2, 1e-3, 1e-4, 1e-5), [(2.0, 4.0)]).values
+        assert np.abs(np.diff(values[0, :3])).max() <= 1e-12, dist.name
 
 
-def test_dehaan_ratio_validation():
-    with pytest.raises(DomainError):
-        e.dehaan_ratio(e.uniform(), 2.0, 1.0, 0.01)
-    with pytest.raises(DomainError):
-        e.dehaan_ratio(e.uniform(), -2.0, 4.0, 0.01)
-    with pytest.raises(DomainError):
-        e.dehaan_ratio(e.uniform(), 2.0, 4.0, 0.3)  # 4*eps >= 1
+def test_dehaan_test_pair_and_scale_validation():
+    scales = (1e-2, 1e-3, 1e-4, 1e-5)
+    with pytest.raises(DomainError, match="v = 1 makes the denominator identically zero"):
+        e.dehaan_test(e.uniform(), scales, [(2.0, 1.0)])
+    with pytest.raises(DomainError, match=r"^u must be a real number in \(0, inf\)"):
+        e.dehaan_test(e.uniform(), scales, [(-2.0, 4.0)])
+    with pytest.raises(DomainError, match=r"^eps \* 4.0 must stay below 1, got eps=0.3$"):
+        e.dehaan_test(e.uniform(), (0.3, 0.1, 0.01, 0.001), [(2.0, 4.0)])
     with pytest.raises(DegenerateTailError):
-        e.dehaan_ratio(e.degenerate(0.0), 2.0, 4.0, 0.01)
+        e.dehaan_test(e.degenerate(0.0), scales, [(2.0, 4.0)])
 
 
 # ---------------------------------------------------------------- dehaan_test

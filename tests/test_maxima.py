@@ -90,9 +90,7 @@ class _FixedUniform:
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self, size=None):
-        if size is None:
-            return self.values.pop(0)
+    def random(self, size):
         if np.ndim(size) == 0:
             return np.array([self.values.pop(0) for _ in range(int(size))])
         out = np.array([self.values.pop(0) for _ in range(int(np.prod(size)))])
@@ -102,7 +100,7 @@ class _FixedUniform:
 def test_exponential_rep_formula_uniform_base():
     # u = 1 - e^{-1} gives omega = 1, so M_10 = e^{-1/10}
     rng = _FixedUniform([1.0 - math.exp(-1.0)])
-    got = e.sample_max_exponential_rep(e.MaxLaw(e.uniform(), 10), rng)
+    (got,) = e.sample_max_exponential_rep(e.MaxLaw(e.uniform(), 10), rng, 1)
     assert got == pytest.approx(math.exp(-0.1), abs=1e-15)
 
 
@@ -110,7 +108,7 @@ def test_exponential_rep_formula_exponential_base():
     omega = 0.8
     rng = _FixedUniform([1.0 - math.exp(-omega)])
     n = 7
-    got = e.sample_max_exponential_rep(e.MaxLaw(e.exponential(), n), rng)
+    (got,) = e.sample_max_exponential_rep(e.MaxLaw(e.exponential(), n), rng, 1)
     assert got == pytest.approx(-math.log(1.0 - math.exp(-omega / n)), abs=1e-12)
 
 
@@ -137,17 +135,15 @@ def test_direct_sampler_blocks_match_the_one_shot_draw(count, n, monkeypatch):
 def _direct_on_doubles(law, rng, count):
     """The direct sampler as ``uniform_open`` blocks of doubles, the route it
     takes for every generator whose doubles are not its shifted raw words."""
-    size = 1 if count is None else count
     width = min(law.n, maxima._DIRECT_BLOCK)
     rows = maxima._DIRECT_BLOCK // width
-    u = np.zeros(size)
-    for r in range(0, size, rows):
+    u = np.zeros(count)
+    for r in range(0, count, rows):
         block = u[r : r + rows]
         for c in range(0, law.n, width):
             part = e.uniform_open(rng, (block.size, min(width, law.n - c)))
             np.maximum(block, part.max(axis=1), out=block)
-    x = law.base.quantile(u)
-    return float(x[0]) if count is None else x
+    return law.base.quantile(u)
 
 
 BIT_GENERATORS = (
@@ -157,7 +153,7 @@ BIT_GENERATORS = (
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
 @pytest.mark.parametrize("n", [1, 7, 2**19, 2**19 + 3], ids=["1", "7", "2**19", "2**19+3"])
-@pytest.mark.parametrize("count", [None, 1])
+@pytest.mark.parametrize("count", [1, 2])
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**64 - 1), drawn=st.integers(0, 5))
 def test_word_maxima_are_the_maxima_of_uniform_open(bit_generator, n, count, seed, drawn):
@@ -169,7 +165,7 @@ def test_word_maxima_are_the_maxima_of_uniform_open(bit_generator, n, count, see
     law = e.MaxLaw(e.uniform(), n)
     got = e.sample_max_direct(law, streams[0], count)
     want = _direct_on_doubles(law, streams[1], count)
-    assert np.array_equal(got, want) and type(got) is type(want)
+    assert np.array_equal(got, want) and got.dtype == want.dtype
     assert streams[0].random() == streams[1].random()
 
 
@@ -244,13 +240,6 @@ def test_sampling_path_keeps_its_bits(base, sample, cdf, statistic):
     assert _digest(direct) == "ef32d3b5d00f7f60"
 
 
-def test_direct_sampler_scalar_mode():
-    a = e.sample_max_direct(e.MaxLaw(e.uniform(), 4), e.make_rng(67))
-    b = e.sample_max_direct(e.MaxLaw(e.uniform(), 4), e.make_rng(67), 1)
-    assert isinstance(a, float)
-    assert a == b[0]
-
-
 def test_direct_sampler_matches_power_law():
     samples = e.sample_max_direct(e.MaxLaw(e.uniform(), 10), e.make_rng(71), 100_000)
     assert e.ks_one_sample(samples, lambda x: np.asarray(x) ** 10, alpha=0.05).passed
@@ -286,7 +275,7 @@ def test_exponential_rep_tail_mass_is_omega_over_n():
     # u = 1 - e^{-1} gives omega = 1: M_n = Q(1 - eps) at eps = -expm1(-1/n)
     for n in (10**15, 10**21, 2**960):
         rng = _FixedUniform([1.0 - math.exp(-1.0)])
-        got = e.sample_max_exponential_rep(e.MaxLaw(e.pareto(1.0), n), rng)
+        (got,) = e.sample_max_exponential_rep(e.MaxLaw(e.pareto(1.0), n), rng, 1)
         assert got == pytest.approx(float(n), rel=1e-15)
 
 
@@ -298,68 +287,75 @@ def test_max_law_refuses_n_beyond_2_960():
 
 # ---------------------------------------------------------------- h_n forms
 
+def _h_n(g, base, ns, xs, variant, direction="nondecreasing"):
+    """h_n(x) = g_n(Q(1 - eps)) over the (x, n) grid, from one
+    ``convergence_diagnostic``, with g_n(t) = g(n, t) (n as a float)."""
+    def builder(col):
+        nf = np.asarray(col, dtype=float)
+        return lambda t: g(nf, t)
+
+    seq = e.NormalizerSequence(base, builder, direction)
+    return e.convergence_diagnostic(seq, xs, ns, variant).values
+
+
 def test_linear_form_identity_uniform():
-    for n in (3, 10, 1000):
-        for x in (0.25, 1.0, 2.5):
-            got = e.h_n_eval(lambda t: t, e.uniform(), n, x, HnVariant.LINEAR_FORM)
-            assert got == 1.0 - x / n
+    ns, xs = (3, 10, 100, 1000), (0.25, 1.0, 2.5)
+    values = _h_n(lambda n, t: t, e.uniform(), ns, xs, HnVariant.LINEAR_FORM)
+    assert values.tolist() == [[1.0 - x / n for n in ns] for x in xs]
 
 
 def test_exp_form_series_bound():
     # g_n(t) = n(1-t): n(1 - e^{-x/n}) approaches x, error at most x^2/(2n)
-    for n in (100, 10_000, 1_000_000):
-        for x in (0.5, 2.0, 5.0):
-            g = lambda t: n * (1.0 - t)
-            got = e.h_n_eval(g, e.uniform(), n, x, HnVariant.EXP_FORM)
+    ns, xs = (100, 10_000, 1_000_000, 10**7), (0.5, 2.0, 5.0)
+    g = lambda n, t: n * (1.0 - t)  # noqa: E731
+    values = _h_n(g, e.uniform(), ns, xs, HnVariant.EXP_FORM, "nonincreasing")
+    for i, x in enumerate(xs):
+        for j, n in enumerate(ns):
             # 1 - exp(-x/n) cancels at ulp(1)/2 and g multiplies that by n
-            assert abs(got - x) <= x * x / (2.0 * n) + 2e-16 * n
+            assert abs(values[i, j] - x) <= x * x / (2.0 * n) + 2e-16 * n
 
 
 def test_linear_form_cancellation():
     # g_n(t) = n(1-t) recovers x; exact for dyadic x with power-of-two n
-    for j in (7, 10, 16):
-        n = 2**j
-        for x in (0.0625, 0.5, 1.0, 8.0):
-            g = lambda t: n * (1.0 - t)
-            assert e.h_n_eval(g, e.uniform(), n, x, HnVariant.LINEAR_FORM) == x
-    for n in (3, 49, 997):
-        for x in (0.3, 1.0, 2.7):
-            g = lambda t: n * (1.0 - t)
-            got = e.h_n_eval(g, e.uniform(), n, x, HnVariant.LINEAR_FORM)
-            assert got == pytest.approx(x, rel=1e-12)
+    g = lambda n, t: n * (1.0 - t)  # noqa: E731
+    xs = (0.0625, 0.5, 1.0, 8.0)
+    values = _h_n(g, e.uniform(), (2**7, 2**10, 2**13, 2**16), xs, "linear_form", "nonincreasing")
+    assert values.tolist() == [[x] * 4 for x in xs]
+    xs = (0.3, 1.0, 2.7)
+    values = _h_n(g, e.uniform(), (3, 49, 101, 997), xs, "linear_form", "nonincreasing")
+    assert values == pytest.approx(np.array([[x] * 4 for x in xs]), rel=1e-12)
 
 
 def test_exp_form_dominates_linear_form_and_gap_shrinks():
     # for nondecreasing g: exp(-x/n) >= 1 - x/n pointwise
-    g = lambda t: np.asarray(e.exponential().quantile(np.asarray(t)), dtype=float)
-    for x in (0.5, 2.0, 6.0):
-        gaps = []
-        for n in (1_000, 1_000_000):
-            hi = e.h_n_eval(g, e.uniform(), n, x, HnVariant.EXP_FORM)
-            lo = e.h_n_eval(g, e.uniform(), n, x, HnVariant.LINEAR_FORM)
-            assert hi >= lo
-            gaps.append(hi - lo)
-        assert gaps[1] < gaps[0]
+    g = lambda n, t: e.exponential().quantile(t)  # noqa: E731
+    ns, xs = (1_000, 10_000, 100_000, 1_000_000), (0.5, 2.0, 6.0)
+    hi = _h_n(g, e.uniform(), ns, xs, HnVariant.EXP_FORM)
+    lo = _h_n(g, e.uniform(), ns, xs, HnVariant.LINEAR_FORM)
+    assert (hi >= lo).all()
+    gaps = hi - lo
+    assert (gaps[:, -1] < gaps[:, 0]).all()
 
 
 @pytest.mark.parametrize(
-    "variant,n,x,message",
+    "variant,ns,x,message",
     [
-        ("linear_form", 5, 5.0, "linear_form: x must lie in (0, n), got x=5.0, n=5"),
-        ("linear_form", 5, 6.0, "linear_form: x must lie in (0, n), got x=6.0, n=5"),
-        ("linear_form", 2**960, 1e300, f"got x=1e+300, n={2**960}"),
+        ("linear_form", (5, 6, 7, 8), 5.0, "linear_form: x must lie in (0, n), got x=5.0, n=5"),
+        ("linear_form", (5, 6, 7, 8), 6.0, "linear_form: x must lie in (0, n), got x=6.0, n=5"),
+        ("linear_form", tuple(2**960 - k for k in (3, 2, 1, 0)), 1e300,
+         f"got x=1e+300, n={2**960 - 3}"),
         # the mass rounds to 1 from x/n = 40 on, and to 0 below the least subnormal
-        ("exp_form", 1, 40.0, "exp_form: 1 - exp(-x/n) = 1.0 left (0, 1) for x=40.0, n=1"),
-        ("exp_form", 5, 1e300, "= 1.0 left (0, 1) for x=1e+300, n=5"),
-        ("exp_form", 2**960, 1e-300, f"= 0.0 left (0, 1) for x=1e-300, n={2**960}"),
-        # an x outside (0, inf) is refused before either variant reads it
-        ("exp_form", 5, -1.0, "x must be a real number in (0, inf), got -1.0"),
-        ("linear_form", 5, 0.0, "x must be a real number in (0, inf), got 0.0"),
+        ("exp_form", (1, 2, 3, 4), 40.0,
+         "exp_form: 1 - exp(-x/n) = 1.0 left (0, 1) for x=40.0, n=1"),
+        ("exp_form", (5, 6, 7, 8), 1e300, "= 1.0 left (0, 1) for x=1e+300, n=5"),
+        ("exp_form", (10, 100, 1000, 2**960), 1e-300,
+         f"= 0.0 left (0, 1) for x=1e-300, n={2**960}"),
     ],
 )
-def test_h_n_domain_errors_name_the_variant(variant, n, x, message):
+def test_h_n_domain_errors_name_the_variant(variant, ns, x, message):
+    # the first mass outside (0, 1) in n-major order is named, with its exact n
     with pytest.raises(DomainError, match=re.escape(message)):
-        e.h_n_eval(lambda t: t, e.uniform(), n, x, variant)
+        _h_n(lambda n, t: t, e.uniform(), ns, (0.5, x), variant)
 
 
 def test_h_n_args_take_a_column_of_n():
@@ -379,12 +375,8 @@ def test_h_n_args_take_a_column_of_n():
         maxima._h_n_args(col, np.array([1.0, 1e-300]), HnVariant.EXP_FORM)
     # the helper takes n checked; the entry points check it, once
     seq = e.NormalizerSequence.from_target(e.exponential(), e.uniform())
-    for call in (
-        lambda: e.h_n_eval(lambda t: t, e.uniform(), 0, 1.0, HnVariant.LINEAR_FORM),
-        lambda: e.convergence_diagnostic(seq, xs, (5, 0), HnVariant.LINEAR_FORM),
-    ):
-        with pytest.raises(DomainError, match="n must be a positive integer, got 0"):
-            call()
+    with pytest.raises(DomainError, match="n must be a positive integer, got 0"):
+        e.convergence_diagnostic(seq, xs, (5, 0), HnVariant.LINEAR_FORM)
 
 
 def test_indices_check_an_array_in_one_pass_and_name_a_bad_entry():
@@ -439,27 +431,35 @@ def test_each_argument_is_checked_once(monkeypatch):
 
 # ---------------------------------------------------------------- monotone spot check
 
-def test_spot_check_monotone_accepts_and_rejects():
-    e.spot_check_monotone(lambda x: np.asarray(x) ** 3, -2.0, 2.0)
-    e.spot_check_monotone(lambda x: -np.asarray(x), 0.0, 1.0, direction="nonincreasing")
-    with pytest.raises(ContractViolationError):
-        e.spot_check_monotone(np.sin, 0.0, 10.0)
-    with pytest.raises(DomainError):
-        e.spot_check_monotone(lambda x: x, 0.0, 1.0, direction="sideways")
-    with pytest.raises(DomainError):
-        e.spot_check_monotone(lambda x: x, 1.0, 1.0)
+def _spot_check_row(g, lo, hi, direction="nondecreasing"):
+    """``maxima._spot_check`` of the one row [lo, hi]."""
+    maxima._spot_check(g, np.float64(lo), np.float64(hi), direction)
 
 
-def test_spot_check_monotone_refuses_g_on_the_widest_ranges_and_at_nan():
+def test_spot_check_accepts_and_rejects():
+    # the diagnostic spot-checks g_n on the tail quantiles, here in about [2, 14]
+    def diagnostic(g, direction="nondecreasing"):
+        seq = e.NormalizerSequence(e.exponential(), lambda n: g, direction)
+        return e.convergence_diagnostic(seq, n_grid=(100, 1000, 10_000, 100_000))
+
+    diagnostic(lambda t: (t - 7.0) ** 3)
+    diagnostic(lambda t: -t, direction="nonincreasing")
+    with pytest.raises(ContractViolationError, match="^g is not nondecreasing: g"):
+        diagnostic(np.sin)
+    with pytest.raises(ContractViolationError, match="^g is not nonincreasing: g"):
+        diagnostic(lambda t: t, direction="nonincreasing")
+
+
+def test_spot_check_refuses_g_on_the_widest_ranges_and_at_nan():
     # where hi - lo overflows, np.linspace(lo, hi) gives inf and nan points,
     # past which any g would pass; a nan difference exceeds no slack
     with pytest.raises(ContractViolationError, match=r"not nondecreasing: g\(-1e\+308\)"):
-        e.spot_check_monotone(lambda t: -t, -1e308, 1e308)
+        _spot_check_row(lambda t: -t, -1e308, 1e308)
     with pytest.raises(ContractViolationError, match="not nondecreasing"):
-        e.spot_check_monotone(np.sin, -1e308, 1e308)
+        _spot_check_row(np.sin, -1e308, 1e308)
     nan_above_half = lambda t: np.where(t > 0.5, np.nan, t)  # noqa: E731
     with pytest.raises(ContractViolationError, match=r"g\(0\.50251256281407\d*\) = nan"):
-        e.spot_check_monotone(nan_above_half, 0.0, 1.0)
+        _spot_check_row(nan_above_half, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -469,7 +469,7 @@ def test_spot_check_monotone_refuses_g_on_the_widest_ranges_and_at_nan():
 )
 def test_spot_check_points_are_finite_and_linspace_where_the_span_is(lo, hi):
     seen = []
-    e.spot_check_monotone(lambda t: seen.append(t) or t, lo, hi)
+    _spot_check_row(lambda t: seen.append(t) or t, lo, hi)
     pts = seen[0]
     assert np.isfinite(pts).all() and pts[0] == lo and pts[-1] == hi
     assert np.all(np.diff(pts) > 0)
@@ -495,10 +495,10 @@ def test_spot_check_orders_infinite_values_by_their_sign(g, refused):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if refused is None:
-            e.spot_check_monotone(g, 0.0, 1.0)
+            _spot_check_row(g, 0.0, 1.0)
         else:
             with pytest.raises(ContractViolationError, match=re.escape(refused)):
-                e.spot_check_monotone(g, 0.0, 1.0)
+                _spot_check_row(g, 0.0, 1.0)
 
 
 def test_spot_check_rows_are_the_one_row_checks_in_one_call():
@@ -521,7 +521,7 @@ def test_spot_check_rows_are_the_one_row_checks_in_one_call():
 
     def one_row_failure(g, a, b, direction):
         try:
-            e.spot_check_monotone(g, a, b, direction)
+            _spot_check_row(g, a, b, direction)
         except ContractViolationError as exc:
             return str(exc)
 

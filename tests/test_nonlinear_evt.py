@@ -14,40 +14,42 @@ from evtlab.errors import (
     DomainError,
     UnsupportedBaseError,
 )
-from evtlab.maxima import HnVariant
+from evtlab.maxima import HnVariant, _spot_check
 from evtlab.nonlinear_evt import NormalizerSequence
 
 
 # ---------------------------------------------------------------- g_n builders
 
-def test_build_g_n_uniform_target_is_exponential_map():
-    # keep n(1-x) below the exp underflow threshold so equality is exact
-    for n, lo in ((1, -2.0), (10, -2.0), (1000, 0.3)):
+def test_uniform_base_and_target_is_the_exponential_map():
+    # S(x) = 1 - x on [0, 1]; keep n(1-x) below the exp underflow threshold
+    # so equality is exact
+    for n, lo in ((1, 0.0), (10, 0.0), (1000, 0.3)):
         x = np.linspace(lo, 0.999, 200)
-        g = e.build_g_n(e.uniform(), n)
+        g = e.build_g_n_general(e.uniform(), e.uniform(), n)
         assert np.array_equal(g(x), np.exp(-n * (1.0 - x)))
 
 
-def test_build_g_n_worked_points():
+def test_uniform_base_worked_points():
     n = 100
     x = 1.0 - math.log(2.0) / n  # n(1-x) = log 2, so the argument is 1/2
-    assert abs(e.build_g_n(e.normal(), n)(x)) <= 1e-9
-    assert e.build_g_n(e.exponential(), n)(x) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert abs(e.build_g_n_general(e.normal(), e.uniform(), n)(x)) <= 1e-9
+    got = e.build_g_n_general(e.exponential(), e.uniform(), n)(x)
+    assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_build_g_n_rejects_x_at_or_above_one():
-    g = e.build_g_n(e.uniform(), 5)
+def test_uniform_base_rejects_x_at_or_above_one():
+    g = e.build_g_n_general(e.uniform(), e.uniform(), 5)
     for bad in (1.0, 1.5):
         with pytest.raises(DomainError):
             g(bad)
 
 
-def test_build_g_n_general_reduces_to_uniform_case():
+def test_uniform_base_exponential_target_formula():
+    # G_inv(exp(-n(1-x))) = -log(1 - exp(-n(1-x))) for the exponential target
     x = np.linspace(0.001, 0.999, 200)
     for n in (2, 50):
-        a = e.build_g_n(e.exponential(), n)(x)
-        b = e.build_g_n_general(e.exponential(), e.uniform(), n)(x)
-        assert np.array_equal(a, b)
+        got = e.build_g_n_general(e.exponential(), e.uniform(), n)(x)
+        assert got == pytest.approx(-np.log1p(-np.exp(-n * (1.0 - x))), rel=1e-12)
 
 
 def test_build_g_n_general_exponential_base_formula():
@@ -80,9 +82,9 @@ def test_build_g_n_general_refuses_discrete_base():
         e.build_g_n_general(e.normal(), e.degenerate(0.0), 10)
 
 
-def test_build_g_n_validation():
+def test_build_g_n_general_validation():
     with pytest.raises(DomainError):
-        e.build_g_n(e.uniform(), 0)
+        e.build_g_n_general(e.uniform(), e.uniform(), 0)
     g = e.build_g_n_general(e.uniform(), e.exponential(), 5)
     with pytest.raises(DomainError):
         g(math.nan)
@@ -288,7 +290,7 @@ def test_diagnostic_spot_checks_name_the_first_failure_of_the_one_row_checks(
     xs = e.default_x_grid()
     qs = e.tail_quantile(base, xs / named)
     with pytest.raises(ContractViolationError) as one_row:
-        e.spot_check_monotone(builder(named), qs.min(), qs.max())
+        _spot_check(builder(named), qs.min(), qs.max(), "nondecreasing")
     with pytest.raises(ContractViolationError) as info:
         e.convergence_diagnostic(NormalizerSequence(base, builder), n_grid=ns)
     assert str(info.value) == str(one_row.value) and kind in str(info.value)

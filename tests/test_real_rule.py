@@ -1,5 +1,5 @@
 """One rule for every real argument: law parameters, eps, u, v, w, x, y,
-theta, rho, c, lo, hi, the KS alpha and every tolerance.
+theta, rho, c, the KS alpha and every tolerance.
 
 Each is an int, a float or a numpy real inside its interval, taken as a
 float; a bool, a string, None, NaN, an int past the largest double or a
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import evtlab as e
 from evtlab.errors import DomainError
-from evtlab.geometric import cluster_limit, sufficient_horizon
+from evtlab.geometric import sufficient_horizon
 from evtlab.reports import build_report
 
 PARAMS = e.GeometricParams(0.5)
@@ -35,13 +35,6 @@ SEQ = e.NormalizerSequence.from_target(e.exponential(), e.uniform())
 
 def _identity(t):
     return t
-
-
-def _spot_points(lo, hi):
-    # spot_check_monotone returns None; the points it evaluates are its output
-    seen = []
-    e.spot_check_monotone(lambda t: seen.append(t.tolist()) or t, lo, hi)
-    return seen
 
 
 # name: (call, the argument's name, its interval, a float32-exact range of
@@ -74,7 +67,6 @@ SITES = {
     "sufficient_horizon y": (
         lambda v: sufficient_horizon(1.0, 0.0, v), "y", "[0, 1]", (0.125, 1.0)
     ),
-    "cluster_limit": (lambda v: cluster_limit(PARAMS, 0, v), "c", "[0, 1)", (0.0, 0.96875)),
     "oscillation_scan": (
         lambda v: e.oscillation_scan(PARAMS, 0, (10, 20, 30), (v,)).cluster_points,
         "c", "[0, 1)", (0.0, 0.96875),
@@ -88,15 +80,6 @@ SITES = {
     ),
     "classify_type rho": (e.classify_type, "rho", "(-inf, inf)", (-4.0, 4.0)),
     "classify_type tol": (lambda v: e.classify_type(0.5, v), "tol", "[0, inf]", (0.0, 2.0)),
-    "dehaan_ratio u": (
-        lambda v: e.dehaan_ratio(PARETO, v, 4.0, 1e-3), "u", "(0, inf)", (0.125, 64.0)
-    ),
-    "dehaan_ratio v": (
-        lambda v: e.dehaan_ratio(PARETO, 2.0, v, 1e-3), "v", "(0, inf)", (2.0, 64.0)
-    ),
-    "dehaan_ratio eps": (
-        lambda v: e.dehaan_ratio(PARETO, 2.0, 4.0, v), "eps", "(0, inf)", (2.0**-20, 0.125)
-    ),
     "dehaan_test u": (
         lambda v: e.dehaan_test(PARETO, uv_grid=[(v, 4.0)]), "u", "(0, inf)", (0.125, 64.0)
     ),
@@ -105,15 +88,6 @@ SITES = {
     ),
     "dehaan_test tol": (lambda v: e.dehaan_test(PARETO, tol=v), "tol", "[0, inf]", (0.0, 2.0)),
     "estimate_rho w": (lambda v: e.estimate_rho(PARETO, w=v), "w", "(1, inf)", (1.125, 16.0)),
-    "h_n_eval x": (
-        lambda v: e.h_n_eval(_identity, e.uniform(), 10, v), "x", "(0, inf)", (2.0**-8, 8.0)
-    ),
-    "spot_check_monotone lo": (
-        lambda v: _spot_points(v, 100.0), "lo", "(-inf, inf)", (-64.0, 64.0)
-    ),
-    "spot_check_monotone hi": (
-        lambda v: _spot_points(-100.0, v), "hi", "(-inf, inf)", (-64.0, 64.0)
-    ),
     "build_report": (
         lambda v: build_report("n", (1, 2, 3, 4), "x", (0.5,), [[1.0, 1.0, 1.25, 1.5]], v),
         "tol", "[0, inf]", (0.0, 2.0),
@@ -220,15 +194,34 @@ ARRAY_SITES = {
         lambda v: e.tail_quantile(PARETO, v), "tail mass eps", "(0, 1)",
         ((2.0**-20, 1.0 - 2.0**-6), 1),
     ),
-    "geom_quantile": (
-        lambda v: e.geom_quantile(PARAMS, v), "tail mass u", "(0, 1)",
+    # a law's own quantile kernels: the geometric floor and the normal's ndtri
+    "quantile geometric": (
+        lambda v: e.quantile(e.geometric(0.5), v), "quantile argument u", "(0, 1)",
+        ((2.0**-6, 1.0 - 2.0**-6), 1),
+    ),
+    "tail_quantile geometric": (
+        lambda v: e.tail_quantile(e.geometric(0.5), v), "tail mass eps", "(0, 1)",
+        ((2.0**-20, 1.0 - 2.0**-6), 1),
+    ),
+    "quantile normal": (
+        lambda v: e.quantile(e.normal(), v), "quantile argument u", "(0, 1)",
+        ((2.0**-6, 1.0 - 2.0**-6), 1),
+    ),
+    "tail_quantile normal": (
+        lambda v: e.tail_quantile(e.normal(), v), "tail mass eps", "(0, 1)",
         ((2.0**-20, 1.0 - 2.0**-6), 1),
     ),
     "max_cdf": (
         lambda v: e.max_cdf(e.MaxLaw(e.pareto(1.0), 3), v), "x", "[-inf, inf]", ((-4.0, 64.0), 1)
     ),
     "limit_cdf": (lambda v: e.limit_cdf(0.5, v), "x", "[-inf, inf]", ((-4.0, 4.0), 1)),
+    # the rho = 0 and rho < 0 branches have kernels of their own
+    "limit_cdf rho 0": (lambda v: e.limit_cdf(0.0, v), "x", "[-inf, inf]", ((-4.0, 4.0), 1)),
+    "limit_cdf rho -0.5": (
+        lambda v: e.limit_cdf(-0.5, v), "x", "[-inf, inf]", ((-4.0, 4.0), 1)
+    ),
     "k_rho": (lambda v: e.k_rho(0.5, v), "u", "(0, inf]", ((2.0**-8, 64.0), 1)),
+    "k_rho rho 0": (lambda v: e.k_rho(0.0, v), "u", "(0, inf]", ((2.0**-8, 64.0), 1)),
     "geom_sf": (lambda v: e.geom_sf(PARAMS, v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
     "geom_cdf": (lambda v: e.geom_cdf(PARAMS, v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
     "geometric cdf": (lambda v: e.geometric(0.5).cdf(v), "t", "[-inf, inf]", ((-4.0, 64.0), 1)),
@@ -243,12 +236,14 @@ ARRAY_SITES = {
     "ks_two_sample b": (
         lambda v: e.ks_two_sample(UNIFORM50, v), "samples", "[-inf, inf]", ((0.0, 1.0), 20)
     ),
-    "build_g_n g": (
-        lambda v: e.build_g_n(e.exponential(), 10)(v), "x", "[-inf, inf]", ((-4.0, 0.875), 1)
-    ),
     "build_g_n_general g": (
         lambda v: e.build_g_n_general(e.exponential(), e.pareto(2.0), 10)(v), "x", "[-inf, inf]",
         ((-4.0, 64.0), 1),
+    ),
+    # a uniform base, whose S(x) = 1 - x clips to 1 below 0; x < 1 keeps a level below 1
+    "build_g_n_general g uniform base": (
+        lambda v: e.build_g_n_general(e.exponential(), e.uniform(), 10)(v), "x", "[-inf, inf]",
+        ((-4.0, 0.875), 1),
     ),
     "NormalizerSequence.affine g": (
         lambda v: e.NormalizerSequence.affine(PARETO).builder(10)(v), "x", "[-inf, inf]",

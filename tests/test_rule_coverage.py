@@ -3,6 +3,7 @@ the argument rules (integer, grid, real, real array, choice) or exempt with
 a stated reason, so a new public argument cannot skip the rules unnoticed."""
 
 import inspect
+import re
 
 import pytest
 import test_grid_rule
@@ -13,26 +14,41 @@ import evtlab as e
 from evtlab.errors import DomainError
 
 # The choice rule: a value outside the choices is a DomainError that names
-# the argument and every choice, never Enum's bare ValueError.
-# (entry point, the argument's name)
+# the argument and every choice, never Enum's bare ValueError or a verdict
+# that reads the value as some other choice.
+# (entry point, the argument's name, its choices)
+VARIANTS = ["exp_form", "linear_form"]
 CHOICE_SITES = {
-    "HnVariant": (lambda v: e.HnVariant(v), "variant"),
-    "h_n_eval": (lambda v: e.h_n_eval(lambda t: t, e.uniform(), 5, 0.5, v), "variant"),
+    "HnVariant": (lambda v: e.HnVariant(v), "variant", VARIANTS),
     "convergence_diagnostic": (
         lambda v: e.convergence_diagnostic(
             e.NormalizerSequence.affine(e.exponential()), n_grid=(10, 100, 1000), variant=v
         ),
         "variant",
+        VARIANTS,
+    ),
+    # "increasing" ran as nonincreasing, and a nondecreasing g failed its spot check
+    "NormalizerSequence direction": (
+        lambda v: e.NormalizerSequence(e.uniform(), lambda n: None, direction=v),
+        "direction",
+        ["nondecreasing", "nonincreasing"],
     ),
 }
-CHOICES = r"\['exp_form', 'linear_form'\]"
 
 
-@pytest.mark.parametrize("site", CHOICE_SITES)
-@pytest.mark.parametrize("value", ["exp", "EXP_FORM", True, 2, None])
+# each value is tried at every site whose choices it is not: a choice of one
+# site ("linear_form", "nondecreasing") is no choice of another
+VALUES = ["exp", "EXP_FORM", "increasing", True, 2, None, "linear_form", "nondecreasing"]
+CHOICE_CASES = [
+    (site, v) for v in VALUES for site, (*_, choices) in CHOICE_SITES.items() if v not in choices
+]
+
+
+@pytest.mark.parametrize("site,value", CHOICE_CASES, ids=[f"{v}-{s}" for s, v in CHOICE_CASES])
 def test_a_value_outside_the_choices_is_a_domain_error(site, value):
-    call, name = CHOICE_SITES[site]
-    with pytest.raises(DomainError, match=rf"^{name} must be one of {CHOICES}, got {value!r}$"):
+    call, name, choices = CHOICE_SITES[site]
+    message = f"{name} must be one of {choices}, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(value)
 
 

@@ -44,19 +44,14 @@ def test_make_rng_refuses_negative_seed_or_stream():
 
 def test_uniform_open_redraws_zeros():
     class _Stub:
-        # first scalar draw is an exact zero; the array path gets one too
+        # the first draw holds an exact zero, redrawn from the next draw
         def __init__(self):
-            self.scalar = iter([0.0, 0.25])
             self.arrays = iter([np.array([0.5, 0.0, 0.75]), np.array([0.125])])
 
-        def random(self, size=None):
-            if size is None:
-                return next(self.scalar)
-            return next(self.arrays)[:size] if np.ndim(size) == 0 else None
+        def random(self, size):
+            return next(self.arrays)[:size]
 
-    stub = _Stub()
-    assert e.uniform_open(stub) == 0.25
-    out = e.uniform_open(stub, 3)
+    out = e.uniform_open(_Stub(), 3)
     assert out.tolist() == [0.5, 0.125, 0.75]
     assert np.all(out > 0.0)
 

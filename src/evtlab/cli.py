@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -139,26 +140,26 @@ def _float_list(text: str):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    """The conversion that writes the cell ``v``: a float to 17 significant
+    digits, which read back as the same double, anything else through str."""
+    return "%.17g" if isinstance(v, float) else "%s"
 
 
 def _range_str(values) -> str:
-    return ",".join(map(_fmt, np.asarray(values, dtype=float).ravel().tolist()))
+    """A grid, or a tuple of floats or of pairs, as one config string in one
+    format operation: floats comma-joined, pairs joined by ';'."""
+    arr = np.asarray(values, dtype=float)
+    cells = ",".join(["%.17g"] * arr.shape[-1])
+    return ";".join([cells] * (arr.size // arr.shape[-1])) % tuple(arr.ravel().tolist())
 
 
 def _config_value(value):
     if isinstance(value, Distribution):
         return spec_string(value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, tuple)):
         return _range_str(value)
     if value is None:
         return ""
-    if isinstance(value, tuple):
-        if isinstance(value[0], tuple):
-            return ";".join(map(_config_value, value))
-        return ",".join(_fmt(v) for v in value)
     return value
 
 
@@ -171,16 +172,29 @@ def _config(args) -> dict:
     return config
 
 
+def _csv(config: dict, header, rows) -> str:
+    """The CSV text: a ``# key=value`` line per config entry, the header and
+    the rows, each part written by one format operation.  A row's template
+    takes each column's conversion from the column's first cell, as every
+    column holds one type, and is repeated over every cell of every row,
+    flattened into one tuple; cell text is never part of a template."""
+    head = "".join([f"# %s={_fmt(v)}\n" for v in config.values()])
+    cells = tuple(chain.from_iterable(rows))
+    line = ",".join(map(_fmt, cells[: len(header)])) + "\n"
+    return "".join([
+        head % tuple(chain.from_iterable(config.items())),
+        ",".join(header) + "\n",
+        (line * (len(cells) // len(header))) % cells,
+    ])
+
+
 def _emit(path: str, fmt: str, config: dict, header, rows, json_body) -> None:
-    # json_body is the function that builds the JSON body, called for JSON alone
+    # rows are iterated and json_body (the function that builds the JSON
+    # body) called only for the format that is written
     if fmt == "json":
         text = json.dumps({"config": config, **json_body()}, indent=2) + "\n"
     else:
-        lines = [f"# {k}={_fmt(v)}" for k, v in config.items()]
-        lines.append(",".join(header))
-        # a row is a tuple of cells or, already joined, the line itself
-        lines.extend(row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = _csv(config, header, rows)
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -205,22 +219,27 @@ def _point(p):
     return list(p) if isinstance(p, tuple) else float(p)
 
 
-def _convergence_lines(result, values):
-    """The CSV lines of a convergence report, made only when they are written.
+def _texts(values) -> list:
+    """The cell text of each of ``values``, a column of one type, made in one
+    format operation."""
+    return ("\n".join([_fmt(values[0])] * len(values)) % tuple(values)).split("\n")
 
-    Its rows repeat each scale once per point and each point once per scale,
-    so each scale, point and value is formatted once per report and the lines
-    are joined from those strings.
-    """
+
+def _convergence_rows(result, values):
+    """The CSV rows of a convergence report, point-major, made only when they
+    are written.  Its rows repeat each scale once per point and each point
+    once per scale, so each scale and point is formatted once per report
+    (``_texts``) and the rows carry that text."""
     if result.point_name == "uv":
-        scales = [_fmt(float(s)) for s in result.scales]
-        points = [f"{_fmt(float(u))},{_fmt(float(v))}" for u, v in result.points]
+        scales = _texts([float(s) for s in result.scales])
+        us = _texts([float(u) for u, _ in result.points])
+        vs = _texts([float(v) for _, v in result.points])
+        for u, v, row in zip(us, vs, values):
+            yield from zip(scales, repeat(u), repeat(v), row)
     else:
-        scales = [_fmt(s) for s in result.scales]
-        points = [_fmt(float(p)) for p in result.points]
-    yield from [
-        f"{s},{p},{_fmt(v)}" for p, row in zip(points, values) for s, v in zip(scales, row)
-    ]
+        scales = _texts(list(result.scales))
+        for p, row in zip(_texts([float(p) for p in result.points]), values):
+            yield from zip(scales, repeat(p), row)
 
 
 def _table(result):
@@ -228,9 +247,8 @@ def _table(result):
     builds its JSON body, called only when JSON is written.
 
     This is the one place that knows how each result type is written out.
-    A row is a tuple of cells, except that a convergence report's rows are
-    its CSV lines (``_convergence_lines``), in which each axis value is
-    formatted once per report.
+    A row is a tuple of cells; a convergence report's rows are made only when
+    they are written (``_convergence_rows``).
     """
     if isinstance(result, RhoEstimate):
         rows = [(float(e), float(r)) for e, r in result.per_scale]
@@ -260,7 +278,7 @@ def _table(result):
         else:
             header = [result.scale_name, result.point_name, "value"]
         nondeg = {} if result.nondegenerate is None else {"nondegenerate": result.nondegenerate}
-        return header, _convergence_lines(result, values), lambda: {
+        return header, _convergence_rows(result, values), lambda: {
             "scale": result.scale_name,
             "grid": list(result.scales),
             "point": result.point_name,
@@ -278,8 +296,8 @@ def _table(result):
 
 
 def _samples(xs):
-    values = [float(x) for x in xs]
-    return ["index", "value"], list(enumerate(values)), lambda: {"samples": values}
+    values = xs.tolist()
+    return ["index", "value"], enumerate(values), lambda: {"samples": values}
 
 
 def _sample(args):
@@ -366,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; its defaults are shared and read-only."""
     parser = _Parser(prog="evtlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # the subcommand parsers by name, which _parse calls
 
     def common(p):
         p.add_argument("--seed", type=int, default=None,
@@ -445,11 +464,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed once: by its subcommand's own parser when ``argv[0]`` names
+    one, which gives the namespace the top-level parser would give, and
+    otherwise (no argv, ``-h``, an unknown command) by the top-level parser."""
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def run(argv) -> int:
     """Parse argv (no program name) and execute; returns the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import geometric as _geom
 from .errors import DomainError
-from .stats import _integer, _real, _reals, _scalar_or_array, uniform_open
+from .stats import _count, _real, _reals, _scalar_or_array, _uniform_open
 
 __all__ = [
     "Distribution",
@@ -226,7 +226,7 @@ def sample_quantile_transform(dist: Distribution, rng, count: int):
     For uniform(0, 1) the output is bit-identical to the raw uniform stream;
     discrete laws are sampled exactly through the same route.
     """
-    return _finite_quantiles(dist, uniform_open(rng, _integer(count, "count")))
+    return _finite_quantiles(dist, _uniform_open(rng, _count(count)))
 
 
 _FAMILIES = {

@@ -35,7 +35,7 @@ from .dist import Distribution, _finite_quantiles
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
 from .stats import (
-    _integer, _reals, _scalar_or_array, standard_exponential, uniform_open
+    _count, _integer, _reals, _scalar_or_array, _standard_exponential, _uniform_open
 )
 
 __all__ = [
@@ -78,6 +78,11 @@ def _indices(n, least: int = 1):
 # 2**16 to 2**18, a pass of the benchmark's sampling cases took 6k to 19k
 # minor faults and up to 1.4x the time, against 31 faults at 2**19.
 _DIRECT_BLOCK = 2**19
+
+# Most uniforms ``sample_max_direct`` draws in one call, count * n: about 20 s
+# of draws at 5 ns each on a 2-vCPU x86-64 host.  The exponential
+# representation draws count uniforms at any n.
+_DIRECT_BUDGET = 2**32
 
 # the words below this one give the double 0.0, which ``uniform_open`` redraws
 _ZERO_WORDS = 2**11
@@ -125,12 +130,19 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
     Q is nondecreasing, so Q(max U_i) is pointwise identical to the maximum
     of the per-draw transforms.  The (count, n) uniforms are drawn in
     row-major blocks of at most 2**19, so memory stays bounded, but time is
-    O(count * n); use the exponential representation for large n.  Where
+    O(count * n): above 2**32 draws (``_DIRECT_BUDGET``) the call is a
+    ``DomainError``; use the exponential representation for large n.  Where
     the generator's doubles are its raw words shifted (``_word_generators``),
     the maxima are taken on the words and only the maxima become doubles: the
     same uniforms, and the same stream position, as ``uniform_open`` gives.
     """
-    size = _integer(count, "count")
+    size = _count(count)
+    if size * law.n > _DIRECT_BUDGET:
+        raise DomainError(
+            f"count * n = {size} * {law.n} draws is above the direct sampler's budget of "
+            f"2**32 = {_DIRECT_BUDGET}; the exponential representation "
+            "(sample_max_exponential_rep, --method exprep) draws count uniforms at any n"
+        )
     # row-major blocks keep the stream order of one (size, n) draw
     width = min(law.n, _DIRECT_BLOCK)
     rows = _DIRECT_BLOCK // width
@@ -141,7 +153,7 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
         block = u[r : r + rows]
         for c in range(0, law.n, width):
             shape = (block.size, min(width, law.n - c))
-            part = _open_words(bitgen, shape) if on_words else uniform_open(rng, shape)
+            part = _open_words(bitgen, shape) if on_words else _uniform_open(rng, shape)
             np.maximum(block, part.max(axis=1), out=block)
             del part  # not held while the next block is drawn
     if on_words:
@@ -159,7 +171,7 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int):
     so eps lies in (0, 1) for every n the law accepts and no draw is ever
     redrawn.
     """
-    eps = standard_exponential(rng, _integer(count, "count"))
+    eps = _standard_exponential(rng, _count(count))
     np.divide(eps, -float(law.n), out=eps)  # -omega/n: the sign of a quotient is exact
     np.expm1(eps, out=eps)
     return _finite_quantiles(law.base, np.negative(eps, out=eps), tail=True)

@@ -3,10 +3,12 @@
 Random streams follow a counter-based contract: ``make_rng(seed, stream)``
 yields a platform-independent sequence determined by the pair alone, and
 distinct stream ids derived from one seed never overlap.  Every sampler in
-the package draws its uniforms from such a stream through ``uniform_open``,
-which redraws an exact zero in stream order, and exponential variates are
-always derived as ``-log(1 - U)`` from the same uniform source, so coupled
-experiments are reproducible per seed.  The direct maxima sampler
+the package draws its uniforms from such a stream through ``uniform_open``'s
+kernel, which redraws an exact zero in stream order, and exponential variates
+are always derived as ``-log(1 - U)`` from the same uniform source, so coupled
+experiments are reproducible per seed.  One call draws at most 2**27 values
+(``_MAX_DRAWS``, 1 GiB of doubles): a larger ``count`` or ``size`` is a
+``DomainError`` before anything is drawn.  The direct maxima sampler
 (``maxima.sample_max_direct``) alone reads the generator's raw words, and
 gets the same uniforms from them.  A bulk draw is checked with one ``min``
 reduction and transformed in its own array.
@@ -31,6 +33,7 @@ the kernel's domain, calls the kernel, not the public function.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,9 @@ __all__ = [
 KS_CRITICAL = {0.05: 1.358, 0.01: 1.628}
 
 _MIN_KS_SAMPLES = 20
+
+# Most values one call draws: 2**27 doubles are 1 GiB
+_MAX_DRAWS = 2**27
 
 
 def _scalar_or_array(x, out):
@@ -179,12 +185,39 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _bounded(value, name: str):
+    """``value`` of the argument ``name``, a checked count or shape, refused
+    when it asks for more than ``_MAX_DRAWS`` values."""
+    draws = math.prod(value) if isinstance(value, tuple) else value
+    if draws > _MAX_DRAWS:
+        raise DomainError(
+            f"{name} = {value!r} asks for {draws} draws; one call draws at most "
+            f"2**27 = {_MAX_DRAWS} (1 GiB of doubles)"
+        )
+    return value
+
+
+def _count(count) -> int:
+    """A sampler's ``count``: a positive integer (``_integer``) of at most ``_MAX_DRAWS``."""
+    return _bounded(_integer(count, "count"), "count")
+
+
 def _size(size):
     """``size`` as numpy's shape argument, for an int or a tuple of ints, each
-    non-negative, taken as ``_integer`` takes one."""
+    non-negative, taken as ``_integer`` takes one, of at most ``_MAX_DRAWS``
+    values in all."""
     if isinstance(size, tuple):
-        return tuple(_integer(m, "size", 0) for m in size)
-    return _integer(size, "size", 0)
+        return _bounded(tuple(_integer(m, "size", 0) for m in size), "size")
+    return _bounded(_integer(size, "size", 0), "size")
+
+
+def _uniform_open(rng: np.random.Generator, size):
+    """``uniform_open``'s draw, for a ``size`` already checked."""
+    u = rng.random(size)
+    while u.size and not u.min() > 0.0:  # one reduction; a zero is all but never there
+        zero = u == 0.0
+        u[zero] = rng.random(int(zero.sum()))
+    return u
 
 
 def uniform_open(rng: np.random.Generator, size):
@@ -193,20 +226,21 @@ def uniform_open(rng: np.random.Generator, size):
     Exact zeros (probability 2**-53 per draw) are redrawn in stream order,
     so quantile transforms never see an endpoint.
     """
-    u = rng.random(_size(size))
-    while u.size and not u.min() > 0.0:  # one reduction; a zero is all but never there
-        zero = u == 0.0
-        u[zero] = rng.random(int(zero.sum()))
-    return u
+    return _uniform_open(rng, _size(size))
+
+
+def _standard_exponential(rng: np.random.Generator, size):
+    """``standard_exponential``'s draw, for a ``size`` already checked."""
+    u = _uniform_open(rng, size)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 def standard_exponential(rng: np.random.Generator, size):
     """An array of ``size`` draws omega = -log(1 - U) with U from the shared
     uniform source, formed in U's own array."""
-    u = uniform_open(rng, size)
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    return np.negative(u, out=u)
+    return _standard_exponential(rng, _size(size))
 
 
 def _sorted_sample(samples) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output layout, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,11 +11,14 @@ import shlex
 import subprocess
 import sys
 import time
+import timeit
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import test_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
@@ -525,21 +529,123 @@ def test_range_point_count_is_refused_before_allocating(argv, monkeypatch, capsy
     assert out == "" and "at most 2**20" in err
 
 
+class _NoDraws:
+    # a stream whose every use fails, with the attribute named
+    def __getattr__(self, name):
+        raise AssertionError(f"the stream was used: {name}")
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        ("sample --dist exponential:rate=1 --count 1000000000000",
+         "evtlab sample: count = 1000000000000 asks for 1000000000000 draws; "
+         "one call draws at most 2**27 = 134217728 (1 GiB of doubles)"),
+        ("max --dist uniform:a=0,b=1 --method exprep --count 1000000000000",
+         "evtlab max: count = 1000000000000 asks for 1000000000000 draws; "
+         "one call draws at most 2**27 = 134217728 (1 GiB of doubles)"),
+        ("max --dist uniform:a=0,b=1 --method direct --n 1000000000000 --count 1",
+         "evtlab max: count * n = 1 * 1000000000000 draws is above the direct sampler's budget "
+         "of 2**32 = 4294967296; the exponential representation "
+         "(sample_max_exponential_rep, --method exprep) draws count uniforms at any n"),
+    ],
+)
+def test_sampler_work_past_its_bound_exits_2_before_drawing(argv, err, monkeypatch):
+    # a count of 1e12 asked numpy for 8 TB, and a direct draw of 1e12 words
+    # ran for hours: both are refused before the stream is touched
+    monkeypatch.setattr(cli, "make_rng", lambda seed: _NoDraws())
+    argv = shlex.split(argv)
+    assert min(timeit.repeat(lambda: cli.run(argv), number=1, repeat=5)) < 1e-3
+    assert _outcome(argv) == (2, "", err + "\n")
+
+
 def test_range_point_count_ceiling_is_inclusive():
     assert cli._parse_range(f"1:2:{cli.MAX_RANGE_POINTS}").size == cli.MAX_RANGE_POINTS
 
 
+_CHOICES = (
+    "'sample', 'max', 'dehaan', 'rho', 'norming', 'limit-law', 'nonlinear', "
+    "'geom-oscillate', 'geom-density'"
+)
+
+
 def test_usage_errors_exit_1(capsys):
-    for argv in (
-        "frobnicate --dist uniform:a=0,b=1",
-        "sample --dist uniform:a=0,b=1 --bogus-flag 3",
-        "sample",
-        "dehaan --dist uniform:a=0,b=1 --eps 1e-2:1e-6:1",
-        "dehaan --dist uniform:a=0,b=1 --uv 2;4",
-        "geom-oscillate --cluster-c x,y",
+    for argv, err in (
+        ("frobnicate --dist uniform:a=0,b=1",
+         f"evtlab: argument command: invalid choice: 'frobnicate' (choose from {_CHOICES})"),
+        ("sample --dist uniform:a=0,b=1 --bogus-flag 3",
+         "evtlab: unrecognized arguments: --bogus-flag 3"),
+        ("sample", "evtlab sample: the following arguments are required: --dist"),
+        ("dehaan --dist uniform:a=0,b=1 --eps 1e-2:1e-6:1",
+         "evtlab dehaan: argument --eps: range '1e-2:1e-6:1' needs at least 2 points"),
+        ("dehaan --dist uniform:a=0,b=1 --uv 2;4",
+         "evtlab dehaan: argument --uv: bad pair '2;4'; expected u,v"),
+        ("geom-oscillate --cluster-c x,y",
+         "evtlab geom-oscillate: argument --cluster-c: 'x' in 'x,y' is not a number"),
     ):
         assert cli.run(shlex.split(argv)) == 1, argv
-        assert capsys.readouterr().err != ""
+        assert capsys.readouterr() == ("", err + "\n"), argv
+
+
+def _outcome(argv):
+    # (exit code or SystemExit code, stdout, stderr) of one run
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _same_namespace(a, b):
+    assert list(vars(a)) == list(vars(b))
+    for key, value in vars(a).items():
+        other = vars(b)[key]
+        assert type(value) is type(other), key
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and np.array_equal(value, other), key
+        else:
+            assert value == other, key
+
+
+@pytest.mark.parametrize("fmt", test_golden.FORMATS)
+@pytest.mark.parametrize("line", test_golden.COMMANDS)
+def test_a_subcommand_line_gets_the_top_level_namespace(line, fmt):
+    argv = shlex.split(line) + ["--format", fmt]
+    _same_namespace(cli._parse(argv), cli.build_parser().parse_args(argv))
+
+
+def test_a_subcommand_line_is_parsed_once(monkeypatch):
+    calls = []
+    real = cli._Parser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+    cli._parse(shlex.split("dehaan --dist pareto:alpha=2 --eps 1e-2:1e-6 --uv 2,4"))
+    assert calls == ["evtlab dehaan"]
+    calls.clear()
+    with pytest.raises(cli._UsageError, match="^evtlab: unrecognized arguments: x --y$"):
+        cli._parse(shlex.split("rho --dist pareto:alpha=2 x --y"))
+    assert calls == ["evtlab rho"]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["sample", "-h"], ["--", "sample"]])
+def test_help_and_missing_or_unknown_commands_run_as_at_the_top_level(argv, monkeypatch):
+    # help exits 0 with the text on stdout; no command or an unknown one is
+    # a usage error; each as when the top-level parser reads every argument
+    routed = _outcome(argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert routed == _outcome(argv)
+    code, out, err = routed
+    if argv[-1:] == ["-h"]:
+        usage = " ".join(["usage: evtlab", *argv[:-1]])
+        assert code == ("exit", 0) and out.startswith(usage + " [-h]") and err == ""
+    else:
+        assert code == 1 and out == "" and err.startswith("evtlab: ")
 
 
 # cells that a 17-digit writer must keep apart from their neighbours: signed
@@ -551,12 +657,14 @@ _SPECIAL = st.sampled_from(
 _CELLS = st.one_of(_SPECIAL, st.floats(), st.floats(1e17, 1e308), st.floats(-1e308, -1e17))
 
 
-def _reference_csv(report) -> str:
+def _cell(v) -> str:
     # the rule applied to every cell on its own: a float to 17 significant
     # digits, anything else through str
-    def cell(v):
-        return f"{v:.17g}" if isinstance(v, float) else str(v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
+
+def _convergence_rows(report):
+    # the raw cells of every row, point-major
     values = report.values.tolist()
     if report.point_name == "uv":
         header = [report.scale_name, "u", "v", "ratio"]
@@ -572,7 +680,7 @@ def _reference_csv(report) -> str:
             for p, row in zip(report.points, values)
             for s, r in zip(report.scales, row)
         ]
-    return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n"
+    return header, rows
 
 
 @st.composite
@@ -592,15 +700,87 @@ def _reports(draw):
     return build_report(layout[0], scales, layout[1], points, np.array(values), 1e-3)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(_reports())
-def test_convergence_csv_writes_every_cell_by_the_float_rule(report):
-    # _table formats each scale, point and value once per report; the bytes
-    # must be those of formatting every cell of every row
-    header, rows, body = cli._table(report)
+# integers past 1e17, where "%.17g" would round what str writes in full
+_INTS = st.integers(-(2**63), 2**63 - 1)
+_COLUMN = st.lists(_CELLS, min_size=1, max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    """A table of each kind the CLI writes, made by the CLI's own code from
+    drawn cells, with its header and the raw cells of its rows."""
+    kind = draw(st.sampled_from(
+        ["convergence", "samples", "oscillation", "limit-law", "rho", "norming", "geom-density"]
+    ))
+    if kind == "convergence":
+        report = draw(_reports())
+        return cli._table(report), _convergence_rows(report)
+    if kind == "samples":
+        values = draw(_COLUMN)
+        return cli._samples(np.array(values)), (["index", "value"], list(enumerate(values)))
+    if kind == "oscillation":
+        probs = draw(_COLUMN)
+        ns, ms = (draw(st.lists(_INTS, min_size=len(probs), max_size=len(probs))) for _ in "nm")
+        report = evtlab.OscillationReport(
+            evtlab.GeometricParams(0.5), 0, np.array(ns, dtype=np.int64),
+            np.array(ms, dtype=np.int64), np.array(probs), 0.0, 1.0, ((0.5, 0.25),),
+        )
+        return cli._table(report), (["n", "m", "probability"], list(zip(ns, ms, probs)))
+    if kind == "limit-law":
+        xs = draw(_COLUMN)
+        gs = draw(st.lists(_CELLS, min_size=len(xs), max_size=len(xs)))
+        args = argparse.Namespace(rho=0.0, x=np.array(xs))
+        with mock.patch.object(cli, "limit_cdf", lambda rho, x: np.array(gs)):
+            table, _ = cli._limit_law(args)
+        return table, (["x", "G"], list(zip(xs, gs)))
+    if kind == "rho":
+        pairs = draw(st.lists(st.tuples(_CELLS, _CELLS), min_size=1, max_size=6))
+        report = evtlab.RhoEstimate(0.5, tuple(pairs), 0.25)
+        return cli._table(report), (["eps", "rho_hat"], pairs)
+    if kind == "norming":
+        row = (draw(st.integers(3, 2**960)), draw(_CELLS), draw(_CELLS))
+        return cli._table(evtlab.NormingConstants(*row)), (["n", "a_n", "b_n"], [row])
+    row = (draw(st.integers(1, 2**70)), draw(_CELLS), draw(st.integers(1, 2**70)))
+    args = argparse.Namespace(theta=1.0, x=0.5, y=0.75, n_max=10)
+    with mock.patch.object(cli, "frac_log_search", lambda *a: row):
+        table, _ = cli._geom_density(args)
+    return table, (["n", "frac", "sufficient_horizon"], [row])
+
+
+@st.composite
+def _configs(draw):
+    """A parsed argument namespace holding each kind of config value, and the
+    config text the per-cell rule reads from it."""
+    grid = draw(_COLUMN)
+    pairs = draw(st.lists(st.tuples(_CELLS, _CELLS), min_size=1, max_size=4))
+    cs = draw(st.lists(_CELLS, min_size=1, max_size=4))
+    seed, tol = draw(st.integers(0, 2**70)), draw(_CELLS)
+    args = argparse.Namespace(
+        command="dehaan", seed=seed, format="csv", out="-", dist=evtlab.pareto(2.0),
+        eps=np.array(grid), uv=tuple(pairs), cluster_c=tuple(cs), tol=tol, target=None,
+    )
+    lines = [
+        "subcommand=dehaan", f"seed={seed}", "format=csv", "dist=pareto:alpha=2",
+        "eps=" + ",".join(map(_cell, grid)),
+        "uv=" + ";".join(f"{_cell(u)},{_cell(v)}" for u, v in pairs),
+        "cluster_c=" + ",".join(map(_cell, cs)),
+        f"tol={_cell(tol)}", "target=",
+    ]
+    return args, "".join(f"# {line}\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_configs(), _tables())
+def test_csv_writes_every_cell_by_the_float_rule(config, table):
+    # each table is written through one row template and each range string
+    # in one format operation; the bytes must be those of formatting every
+    # cell of every row, and every value of every range, on its own
+    (args, config_text), ((header, rows, body), (names, cells)) = config, table
+    assert header == names
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        cli._emit("-", "csv", {}, header, rows, body)
-    assert out.getvalue() == _reference_csv(report)
+        cli._emit("-", "csv", cli._config(args), header, rows, body)
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in cells]
+    assert out.getvalue() == config_text + "\n".join(lines) + "\n"
 
 
 def test_json_output_formats_no_csv_line(monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import evtlab as e
-from evtlab.cli import _table
+from evtlab.cli import _emit, _table
 from evtlab.dist import CONTINUOUS, Distribution
 from evtlab.errors import (
     ContractViolationError,
@@ -441,15 +441,20 @@ def test_three_types_monte_carlo():
 
 # ---------------------------------------------------------------- serialization
 
-def test_report_serialization_fields():
-    header, rows, body = _table(e.dehaan_test(e.uniform()))
-    d = body()
-    assert header == ["eps", "u", "v", "ratio"]
-    assert len(list(rows)) == 12 * 16
+def test_report_serialization_fields(capsys):
+    def written_csv(result):
+        _emit("-", "csv", {}, *_table(result))
+        return capsys.readouterr().out.splitlines()
+
+    report = e.dehaan_test(e.uniform())
+    lines = written_csv(report)
+    assert lines[0] == "eps,u,v,ratio"
+    assert len(lines) == 1 + 12 * 16
+    d = _table(report)[2]()
     for key in ("grid", "values", "verdict", "limit_table"):
         assert key in d
-    header, rows, _ = _table(e.estimate_rho(e.uniform()))
-    assert header == ["eps", "rho_hat"]
-    assert len(rows) == 16
+    lines = written_csv(e.estimate_rho(e.uniform()))
+    assert lines[0] == "eps,rho_hat"
+    assert len(lines) == 1 + 16
     nc = e.norming_constants(e.exponential(), 100)
     assert _table(nc)[2]() == {"n": 100, "a_n": nc.a_n, "b_n": nc.b_n}

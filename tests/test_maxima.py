@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import sys
+import timeit
 import warnings
 
 import numpy as np
@@ -258,6 +259,30 @@ def test_sampler_count_validation():
         e.sample_max_direct(e.MaxLaw(e.uniform(), 2), e.make_rng(0), 0)
     with pytest.raises(DomainError):
         e.sample_max_exponential_rep(e.MaxLaw(e.uniform(), 2), e.make_rng(0), -1)
+
+
+class _NoDraws:
+    # a stream whose every use fails, with the attribute named
+    def __getattr__(self, name):
+        raise LookupError(name)
+
+
+@pytest.mark.parametrize("count,n", [(1, 10**12), (2**12, 2**20 + 1), (2**27, 2**960)])
+def test_direct_sampler_refuses_more_than_2_32_draws_before_drawing(count, n):
+    law = e.MaxLaw(e.uniform(), n)
+    message = (
+        rf"^count \* n = {count} \* {n} draws is above the direct sampler's budget of "
+        r"2\*\*32 = 4294967296; .*--method exprep"
+    )
+
+    def refused():
+        with pytest.raises(DomainError, match=message):
+            e.sample_max_direct(law, _NoDraws(), count)
+
+    assert min(timeit.repeat(refused, number=1, repeat=5)) < 1e-3
+    # at the budget the call passes its checks and reaches the stream
+    with pytest.raises(LookupError):
+        e.sample_max_direct(e.MaxLaw(e.uniform(), 2**32 // count), _NoDraws(), count)
 
 
 @pytest.mark.parametrize("n", [2**53 + 1, 10**15, 10**21])

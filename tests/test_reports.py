@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import evtlab as e
-from evtlab.cli import _table
+from evtlab.cli import _emit, _table
 from evtlab.errors import DomainError
 from evtlab.linear_evt import DEFAULT_UV_GRID
 from evtlab.reports import CAUCHY_WINDOW, build_report
@@ -87,22 +87,28 @@ def test_a_spread_beyond_the_largest_double_fails_its_point_without_a_warning():
     assert rep.converged_per_point == (False, True)
 
 
-def test_csv_layout_for_uv_and_plain_points():
+def _written_csv(rep, capsys):
+    # the lines the CLI writes for a report, with no config lines
+    _emit("-", "csv", {}, *_table(rep))
+    return capsys.readouterr().out.splitlines()
+
+
+def test_csv_layout_for_uv_and_plain_points(capsys):
     values = np.array([[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
     scales = (0.1, 0.01, 0.001, 0.0001)
     rep = build_report("eps", scales, "uv", ((2.0, 4.0), (0.5, 4.0)), values, 1.0)
-    header, rows, _ = _table(rep)
-    assert header == ["eps", "u", "v", "ratio"]
-    # the rows are the CSV lines, floats to 17 significant digits
-    rows = list(rows)
-    assert rows[0] == "0.10000000000000001,2,4,1"
-    assert rows[5] == "0.01,0.5,4,4"
+    lines = _written_csv(rep, capsys)
+    assert lines[0] == "eps,u,v,ratio"
+    # one row per (point, scale), point-major, floats to 17 significant digits
+    assert len(lines) == 1 + 2 * 4
+    assert lines[1] == "0.10000000000000001,2,4,1"
+    assert lines[6] == "0.01,0.5,4,4"
 
     values = np.array([[7.0, 8.0, 9.0, 10.0]])
     rep = build_report("n", (10, 100, 1000, 10_000), "x", (1.5,), values, 1.0)
-    header, rows, _ = _table(rep)
-    assert header == ["n", "x", "value"]
-    assert list(rows) == ["10,1.5,7", "100,1.5,8", "1000,1.5,9", "10000,1.5,10"]
+    assert _written_csv(rep, capsys) == [
+        "n,x,value", "10,1.5,7", "100,1.5,8", "1000,1.5,9", "10000,1.5,10"
+    ]
 
 
 def test_json_round_trip_keys():

@@ -1,5 +1,7 @@
 """Stream contract and KS distances."""
 
+import timeit
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -62,6 +64,67 @@ def test_standard_exponential_coupled_to_uniform_source():
     w = e.standard_exponential(e.make_rng(7), 1000)
     assert np.array_equal(w, -np.log1p(-u))
     assert np.all(w > 0.0)
+
+
+# ------------------------------------------------------- the bound on draws
+
+class _Refused(Exception):
+    pass
+
+
+class _NoDraws:
+    """A stream whose every use fails: a refusal must come before any draw,
+    and a call that passes its checks ends at the draw with ``_Refused``."""
+
+    def __getattr__(self, name):
+        raise _Refused(name)
+
+
+LAW = e.MaxLaw(e.uniform(), 10)
+# (entry point, the argument's name); each takes the stream and the count or size
+DRAW_SITES = {
+    "sample_quantile_transform": (
+        lambda rng, v: e.sample_quantile_transform(e.uniform(), rng, v), "count"
+    ),
+    "sample_max_direct": (lambda rng, v: e.sample_max_direct(LAW, rng, v), "count"),
+    "sample_max_exponential_rep": (
+        lambda rng, v: e.sample_max_exponential_rep(LAW, rng, v), "count"
+    ),
+    "uniform_open": (e.uniform_open, "size"),
+    "standard_exponential": (e.standard_exponential, "size"),
+}
+
+
+def _best_seconds(call) -> float:
+    return min(timeit.repeat(call, number=1, repeat=5))
+
+
+@pytest.mark.parametrize("site", DRAW_SITES)
+@pytest.mark.parametrize("value", [2**27 + 1, 10**12, 2**64])
+def test_a_draw_past_2_27_values_is_refused_before_drawing(site, value):
+    call, name = DRAW_SITES[site]
+    message = rf"^{name} = {value} asks for {value} draws; one call draws at most 2\*\*27 = 134217728 "
+
+    def refused():
+        with pytest.raises(DomainError, match=message):
+            call(_NoDraws(), value)
+
+    assert _best_seconds(refused) < 1e-3
+
+
+@pytest.mark.parametrize("draw", [e.uniform_open, e.standard_exponential])
+def test_a_shape_is_bounded_by_its_number_of_values(draw):
+    with pytest.raises(DomainError, match=r"^size = \(16384, 8193\) asks for 134234112 draws"):
+        draw(_NoDraws(), (2**14, 2**13 + 1))
+    with pytest.raises(_Refused):  # 2**27 values: past the check, at the draw
+        draw(_NoDraws(), (2**14, 2**13))
+
+
+@pytest.mark.parametrize("site", DRAW_SITES)
+def test_the_draw_bound_is_inclusive(site):
+    call, _ = DRAW_SITES[site]
+    with pytest.raises(_Refused):
+        call(_NoDraws(), 2**27)
 
 
 # ------------------------------------------------- the KS sample's empirical cdf

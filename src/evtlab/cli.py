@@ -18,15 +18,11 @@ import numpy as np
 
 from .dist import Distribution, parse_distribution, sample_quantile_transform, spec_string
 from .errors import DomainError, EvtLabError
-from .geometric import (
-    DEFAULT_CLUSTER_CS, GeometricParams, OscillationReport, frac_log_search, oscillation_scan
-)
+from .geometric import DEFAULT_CLUSTER_CS, GeometricParams, frac_log_search, oscillation_scan
 from .linear_evt import (
     DEFAULT_EPS_GRID,
     DEFAULT_RHO_W,
     DEFAULT_UV_GRID,
-    NormingConstants,
-    RhoEstimate,
     dehaan_test,
     estimate_rho,
     limit_cdf,
@@ -36,7 +32,7 @@ from .maxima import HnVariant, MaxLaw, sample_max_direct, sample_max_exponential
 from .nonlinear_evt import (
     DEFAULT_N_GRID, DEFAULT_NONDEG_TOL, NormalizerSequence, convergence_diagnostic, default_x_grid
 )
-from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport
+from .reports import DEFAULT_CAUCHY_TOL
 from .stats import _real, make_rng
 
 __all__ = ["main", "run"]
@@ -86,32 +82,29 @@ def _number(part: str, text: str, kind=float):
 
 
 def _parse_range(text: str, count: int = DEFAULT_RANGE_POINTS, spacing: str = "geometric"):
-    """``start:stop[:count]`` grids; geometric spacing unless told otherwise."""
+    """``start:stop[:count]`` grids, or one value; geometric spacing, whose
+    values must be positive, unless told otherwise."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return np.array([_number(parts[0], text)])
     if len(parts) == 3:
         count = _number(parts[2], text, int)
-    elif len(parts) != 2:
+    elif len(parts) > 3:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; expected start:stop[:count]")
-    start, stop = _number(parts[0], text), _number(parts[1], text)
+    ends = [_number(part, text) for part in parts[:2]]
     if count < 2:
         raise argparse.ArgumentTypeError(f"range {text!r} needs at least 2 points")
     if count > MAX_RANGE_POINTS:
         raise argparse.ArgumentTypeError(
             f"range {text!r} asks for {count} points; at most 2**20 = {MAX_RANGE_POINTS}"
         )
+    if spacing == "geometric" and any(end <= 0.0 for end in ends):
+        raise argparse.ArgumentTypeError(
+            f"geometric range endpoints must be positive, got {text!r}"
+        )
+    if len(ends) == 1:
+        return np.array(ends)
     if spacing == "geometric":
-        if start <= 0.0 or stop <= 0.0:
-            raise argparse.ArgumentTypeError(
-                f"geometric range endpoints must be positive, got {text!r}"
-            )
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
-
-
-def _geometric_range(text: str):
-    return _parse_range(text, spacing="geometric")
+        return np.geomspace(*ends, count)
+    return np.linspace(*ends, count)
 
 
 def _linear_range(text: str):
@@ -188,11 +181,11 @@ def _csv(config: dict, header, rows) -> str:
     ])
 
 
-def _emit(path: str, fmt: str, config: dict, header, rows, json_body) -> None:
-    # rows are iterated and json_body (the function that builds the JSON
-    # body) called only for the format that is written
+def _emit(path: str, fmt: str, config: dict, header, rows, body) -> None:
+    # rows are iterated only when CSV is written; body, the JSON body, is a
+    # dict of the result's own values, whose tuples json writes as arrays
     if fmt == "json":
-        text = json.dumps({"config": config, **json_body()}, indent=2) + "\n"
+        text = json.dumps({"config": config, **body}, indent=2) + "\n"
     else:
         text = _csv(config, header, rows)
     if path == "-":
@@ -213,10 +206,6 @@ def _resolve_seed(args) -> int:
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     return seed
-
-
-def _point(p):
-    return list(p) if isinstance(p, tuple) else float(p)
 
 
 def _texts(values) -> list:
@@ -242,62 +231,40 @@ def _convergence_rows(result, values):
             yield from zip(scales, repeat(p), row)
 
 
-def _table(result):
-    """The CSV header and rows of a diagnostic's result, and a function that
-    builds its JSON body, called only when JSON is written.
+def _convergence(report):
+    """A convergence report's table, JSON body and exit code: 3 when its
+    verdict fails."""
+    values = report.values.tolist()
+    if report.point_name == "uv":
+        header = [report.scale_name, "u", "v", "ratio"]
+    else:
+        header = [report.scale_name, report.point_name, "value"]
+    body = {
+        "scale": report.scale_name,
+        "grid": report.scales,
+        "point": report.point_name,
+        "points": report.points,
+        "values": values,
+        "tol": report.tol,
+        "window": report.window,
+        "converged_per_point": report.converged_per_point,
+        "converged": report.converged,
+        "verdict": report.verdict,
+        "limit_table": report.limit_table,
+    }
+    if report.nondegenerate is not None:
+        body["nondegenerate"] = report.nondegenerate
+    return (header, _convergence_rows(report, values), body), 0 if report.verdict else 3
 
-    This is the one place that knows how each result type is written out.
-    A row is a tuple of cells; a convergence report's rows are made only when
-    they are written (``_convergence_rows``).
-    """
-    if isinstance(result, RhoEstimate):
-        rows = [(float(e), float(r)) for e, r in result.per_scale]
-        return ["eps", "rho_hat"], rows, lambda: {
-            "rho": result.rho, "spread": result.spread, "per_scale": [list(row) for row in rows]
-        }
-    if isinstance(result, NormingConstants):
-        body = {"n": result.n, "a_n": result.a_n, "b_n": result.b_n}
-        return list(body), [tuple(body.values())], lambda: body
-    if isinstance(result, OscillationReport):
-        ns, ms, probs = result.n_values.tolist(), result.levels.tolist(), result.probs.tolist()
-        return ["n", "m", "probability"], list(zip(ns, ms, probs)), lambda: {
-            "p": result.params.p,
-            "theta": result.params.theta,
-            "q": result.q,
-            "n": ns,
-            "m": ms,
-            "probability": probs,
-            "lim_inf_est": result.lim_inf_est,
-            "lim_sup_est": result.lim_sup_est,
-            "cluster_points": [[float(c), float(v)] for c, v in result.cluster_points],
-        }
-    if isinstance(result, ConvergenceReport):
-        values = result.values.tolist()
-        if result.point_name == "uv":
-            header = [result.scale_name, "u", "v", "ratio"]
-        else:
-            header = [result.scale_name, result.point_name, "value"]
-        nondeg = {} if result.nondegenerate is None else {"nondegenerate": result.nondegenerate}
-        return header, _convergence_rows(result, values), lambda: {
-            "scale": result.scale_name,
-            "grid": list(result.scales),
-            "point": result.point_name,
-            "points": [_point(p) for p in result.points],
-            "values": values,
-            "tol": result.tol,
-            "window": result.window,
-            "converged_per_point": list(result.converged_per_point),
-            "converged": result.converged,
-            "verdict": result.verdict,
-            "limit_table": [[_point(p), float(v)] for p, v in result.limit_table],
-            **nondeg,
-        }
-    raise TypeError(f"no output layout for {type(result).__name__}")
+
+def _record(body):
+    """A one-row table whose columns are the keys of its JSON body."""
+    return (list(body), [tuple(body.values())], body), 0
 
 
 def _samples(xs):
     values = xs.tolist()
-    return ["index", "value"], enumerate(values), lambda: {"samples": values}
+    return ["index", "value"], enumerate(values), {"samples": values}
 
 
 def _sample(args):
@@ -311,21 +278,23 @@ def _max(args):
 
 
 def _dehaan(args):
-    report = dehaan_test(args.dist, args.eps, args.uv, args.tol)
-    return _table(report), 0 if report.verdict else 3
+    return _convergence(dehaan_test(args.dist, args.eps, args.uv, args.tol))
 
 
 def _rho(args):
-    return _table(estimate_rho(args.dist, args.eps, args.w)), 0
+    est = estimate_rho(args.dist, args.eps, args.w)
+    body = {"rho": est.rho, "spread": est.spread, "per_scale": est.per_scale}
+    return (["eps", "rho_hat"], est.per_scale, body), 0
 
 
 def _norming(args):
-    return _table(norming_constants(args.dist, args.n)), 0
+    nc = norming_constants(args.dist, args.n)
+    return _record({"n": nc.n, "a_n": nc.a_n, "b_n": nc.b_n})
 
 
 def _limit_law(args):
     xs, gs = args.x.tolist(), limit_cdf(args.rho, args.x).tolist()
-    return (["x", "G"], list(zip(xs, gs)), lambda: {"rho": args.rho, "x": xs, "G": gs}), 0
+    return (["x", "G"], zip(xs, gs), {"rho": args.rho, "x": xs, "G": gs}), 0
 
 
 def _nonlinear(args):
@@ -335,31 +304,40 @@ def _nonlinear(args):
         raise DomainError("--target is required for the construction normalizer")
     else:
         seq = NormalizerSequence.from_target(args.target, args.base)
-    report = convergence_diagnostic(
+    return _convergence(convergence_diagnostic(
         seq, args.x, args.n, _VARIANTS[args.variant], args.tol, args.nondeg_tol
-    )
-    return _table(report), 0 if report.verdict else 3
+    ))
 
 
 def _geom_oscillate(args):
     tol = _real(args.tol, "tol", "[0, inf]")
     report = oscillation_scan(GeometricParams(args.p), args.q, args.n, args.cluster_c)
+    ns, ms, probs = report.n_values.tolist(), report.levels.tolist(), report.probs.tolist()
     spread = report.lim_sup_est - report.lim_inf_est
-    converged = spread <= tol
-    header, rows, body = _table(report)
-    code = 0 if converged else 3
-    return (header, rows, lambda: body() | {"spread": spread, "converged": converged}), code
+    body = {
+        "p": report.params.p,
+        "theta": report.params.theta,
+        "q": report.q,
+        "n": ns,
+        "m": ms,
+        "probability": probs,
+        "lim_inf_est": report.lim_inf_est,
+        "lim_sup_est": report.lim_sup_est,
+        "cluster_points": report.cluster_points,
+        "spread": spread,
+        "converged": spread <= tol,
+    }
+    return (["n", "m", "probability"], zip(ns, ms, probs), body), 0 if body["converged"] else 3
 
 
 def _geom_density(args):
     n, frac, horizon = frac_log_search(args.theta, args.x, args.y, args.n_max)
-    body = {"n": n, "frac": frac, "sufficient_horizon": horizon}
-    return (list(body), [(n, frac, horizon)], lambda: body), 0
+    return _record({"n": n, "frac": frac, "sufficient_horizon": horizon})
 
 
 # Each subcommand computes ((header, rows, body), exit code) from the parsed
-# arguments, with body the function that builds the JSON body; run resolves
-# the seed and the law specs before and writes the output after.
+# arguments, with rows iterated only when CSV is written and body the JSON
+# body, a dict; run resolves the seed and the law specs before, writes after.
 _COMMANDS = {
     "sample": _sample,
     "max": _max,
@@ -406,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dehaan", help="attraction criterion scale sweep")
     p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=_geometric_range, default=DEFAULT_EPS_GRID,
+    p.add_argument("--eps", type=_parse_range, default=DEFAULT_EPS_GRID,
                    help="geometric scale grid start:stop[:count]")
     p.add_argument("--uv", type=_uv_pair, action=_AppendPair, default=DEFAULT_UV_GRID,
                    help="u,v pair (repeatable; default: a 12-pair grid)")
@@ -415,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="estimate the attraction index rho")
     p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=_geometric_range, default=DEFAULT_EPS_GRID)
+    p.add_argument("--eps", type=_parse_range, default=DEFAULT_EPS_GRID)
     p.add_argument("--w", type=float, default=DEFAULT_RHO_W)
     common(p)
 
@@ -438,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="linear",
                    help="tail mass 1 - exp(-x/n) (exp) or x/n (linear); "
                    "epsilon: an alias of linear")
-    p.add_argument("--x", type=_geometric_range, default=_frozen(default_x_grid()),
+    p.add_argument("--x", type=_parse_range, default=_frozen(default_x_grid()),
                    help="geometric grid (default: 32 points on [1/16, 16])")
     p.add_argument("--n", type=_int_range, default=DEFAULT_N_GRID)
     p.add_argument("--tol", type=float, default=DEFAULT_CAUCHY_TOL)

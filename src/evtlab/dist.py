@@ -243,7 +243,8 @@ def parse_distribution(text: str) -> Distribution:
     """Parse ``family:param=value[,param=value]``, e.g. ``pareto:alpha=2``.
 
     Parameters are optional and default per family; ``uniform:`` and plain
-    ``uniform`` both denote uniform(0, 1).
+    ``uniform`` both denote uniform(0, 1).  Each key may be given once: a
+    repeated key, as in ``normal:mu=0,mu=5``, is a ``DomainError``.
     """
     if not isinstance(text, str) or not text.strip():
         raise DomainError("distribution spec must be a nonempty string")
@@ -264,6 +265,8 @@ def parse_distribution(text: str) -> Distribution:
                     f"bad parameter {item!r} for family {name!r}; "
                     f"valid keys: {list(keys)}"
                 )
+            if key in kwargs:
+                raise DomainError(f"parameter {key!r} is given twice in {text!r}")
             try:
                 kwargs[key] = float(value)
             except ValueError:

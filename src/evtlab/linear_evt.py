@@ -85,7 +85,10 @@ def k_rho(rho: float, u):
         out = (arr**rho - 1.0) / rho
     else:
         z = rho * log_u
-        out = log_u * (1.0 + z / 2.0 + z * z / 6.0)
+        with np.errstate(invalid="ignore"):  # inf - inf at u = inf for rho < 0
+            out = log_u * (1.0 + z / 2.0 + z * z / 6.0)
+        if rho < 0.0:  # the limit -1/rho at u = inf, inf for rho = -5e-324
+            out = np.where(arr == np.inf, -1.0 / rho, out)
     return _scalar_or_array(u, out)
 
 

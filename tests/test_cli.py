@@ -707,14 +707,15 @@ _COLUMN = st.lists(_CELLS, min_size=1, max_size=6)
 
 @st.composite
 def _tables(draw):
-    """A table of each kind the CLI writes, made by the CLI's own code from
-    drawn cells, with its header and the raw cells of its rows."""
+    """A table of each kind the CLI writes, made by the subcommand's own
+    builder from drawn cells (the library call it makes patched to return
+    them), with its header and the raw cells of its rows."""
     kind = draw(st.sampled_from(
         ["convergence", "samples", "oscillation", "limit-law", "rho", "norming", "geom-density"]
     ))
     if kind == "convergence":
         report = draw(_reports())
-        return cli._table(report), _convergence_rows(report)
+        return cli._convergence(report)[0], _convergence_rows(report)
     if kind == "samples":
         values = draw(_COLUMN)
         return cli._samples(np.array(values)), (["index", "value"], list(enumerate(values)))
@@ -725,7 +726,10 @@ def _tables(draw):
             evtlab.GeometricParams(0.5), 0, np.array(ns, dtype=np.int64),
             np.array(ms, dtype=np.int64), np.array(probs), 0.0, 1.0, ((0.5, 0.25),),
         )
-        return cli._table(report), (["n", "m", "probability"], list(zip(ns, ms, probs)))
+        args = argparse.Namespace(p=0.5, q=0, n=None, tol=0.5, cluster_c=(0.5,))
+        with mock.patch.object(cli, "oscillation_scan", lambda *a: report):
+            table, _ = cli._geom_oscillate(args)
+        return table, (["n", "m", "probability"], list(zip(ns, ms, probs)))
     if kind == "limit-law":
         xs = draw(_COLUMN)
         gs = draw(st.lists(_CELLS, min_size=len(xs), max_size=len(xs)))
@@ -736,10 +740,16 @@ def _tables(draw):
     if kind == "rho":
         pairs = draw(st.lists(st.tuples(_CELLS, _CELLS), min_size=1, max_size=6))
         report = evtlab.RhoEstimate(0.5, tuple(pairs), 0.25)
-        return cli._table(report), (["eps", "rho_hat"], pairs)
+        args = argparse.Namespace(dist=None, eps=None, w=None)
+        with mock.patch.object(cli, "estimate_rho", lambda *a: report):
+            table, _ = cli._rho(args)
+        return table, (["eps", "rho_hat"], pairs)
     if kind == "norming":
         row = (draw(st.integers(3, 2**960)), draw(_CELLS), draw(_CELLS))
-        return cli._table(evtlab.NormingConstants(*row)), (["n", "a_n", "b_n"], [row])
+        args = argparse.Namespace(dist=None, n=None)
+        with mock.patch.object(cli, "norming_constants", lambda *a: evtlab.NormingConstants(*row)):
+            table, _ = cli._norming(args)
+        return table, (["n", "a_n", "b_n"], [row])
     row = (draw(st.integers(1, 2**70)), draw(_CELLS), draw(st.integers(1, 2**70)))
     args = argparse.Namespace(theta=1.0, x=0.5, y=0.75, n_max=10)
     with mock.patch.object(cli, "frac_log_search", lambda *a: row):
@@ -787,19 +797,10 @@ def test_json_output_formats_no_csv_line(monkeypatch):
     # a convergence report's CSV lines are made only when they are written
     report = evtlab.dehaan_test(evtlab.pareto(2.0))
     monkeypatch.setattr(cli, "_fmt", None)  # a call would raise
-    header, rows, body = cli._table(report)
+    (header, rows, body), _ = cli._convergence(report)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         cli._emit("-", "json", {}, header, rows, body)
-    assert json.loads(out.getvalue())["values"] == body()["values"]
-
-
-def test_csv_output_builds_no_json_body(monkeypatch):
-    # a convergence report's JSON body, whose points _point makes, is built
-    # only when it is written
-    monkeypatch.setattr(cli, "_point", None)  # a call would raise
-    for argv, code in (("dehaan --dist geometric:p=0.5 --uv 3,4", 3), (NONLINEAR, 0)):
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.run(argv.split()) == code
+    assert json.loads(out.getvalue())["values"] == body["values"]
 
 
 BAD_RANGE = "needs at least 2 points"
@@ -830,6 +831,13 @@ NONLINEAR = "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1"
         (NONLINEAR, "--x", "1:2:3:4", TOO_MANY),
         (NONLINEAR, "--x", "1:two", "'two' in '1:two' is not a number"),
         (NONLINEAR, "--x", "0:2", NOT_POSITIVE),
+        # one value follows the rule of a range's endpoints
+        (DEHAAN, "--eps", "0", f"{NOT_POSITIVE}, got '0'"),
+        ("rho --dist pareto:alpha=2", "--eps", "-1e-3", f"{NOT_POSITIVE}, got '-1e-3'"),
+        (NONLINEAR, "--n", "0", f"{NOT_POSITIVE}, got '0'"),
+        (NONLINEAR, "--x", "0", f"{NOT_POSITIVE}, got '0'"),
+        ("geom-oscillate", "--n", "-5", f"{NOT_POSITIVE}, got '-5'"),
+        (NONLINEAR, "--x", "one", "'one' in 'one' is not a number"),
         ("limit-law --rho 0", "--x", "-2:6:1", BAD_RANGE),
         ("limit-law --rho 0", "--x", "-2:6:,", "',' in '-2:6:,' is not an integer"),
         ("limit-law --rho 0", "--x", "-2:6:3:4", TOO_MANY),
@@ -849,6 +857,26 @@ def test_malformed_option_values_say_why(command, option, value, reason, capsys)
     out, err = capsys.readouterr()
     assert out == "" and f"argument {option}: " in err and reason in err
     assert not re.search(r"\b_\w", err), err
+
+
+@pytest.mark.parametrize("x", ["0", "-1.5", "0.5"])
+def test_one_value_of_a_linear_range_may_be_any_real(x, capsys):
+    assert cli.run(["limit-law", "--rho", "0", f"--x={x}"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"{float(x):.17g},")
+
+
+@pytest.mark.parametrize(
+    "command,spec,key",
+    [
+        ("sample --dist", "normal:mu=0,mu=5", "mu"),
+        ("nonlinear --target exponential:rate=1 --base", "uniform:a=0,b=1,a=0.5", "a"),
+        ("nonlinear --base uniform:a=0,b=1 --target", "exponential:rate=1,rate=2", "rate"),
+    ],
+)
+def test_repeated_law_parameter_exits_2(command, spec, key, capsys):
+    assert cli.run(shlex.split(command) + [spec]) == 2
+    message = f"evtlab {command.split()[0]}: parameter '{key}' is given twice in '{spec}'\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_unknown_family_exit_2(capsys):

@@ -397,3 +397,17 @@ def test_parse_distribution_errors():
     for bad in ("", "cauchy:", "uniform:c=1", "pareto:alpha=two", "pareto:alpha"):
         with pytest.raises(DomainError):
             e.parse_distribution(bad)
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ("normal:mu=0,mu=5", "mu"),
+        ("uniform:a=0,b=1,a=0.5", "a"),
+        ("pareto:alpha=2, alpha=2", "alpha"),
+    ],
+)
+def test_parse_distribution_refuses_a_repeated_key(spec, key):
+    # the last value would otherwise win without a word
+    with pytest.raises(DomainError, match=f"parameter '{key}' is given twice in '{spec}'"):
+        e.parse_distribution(spec)

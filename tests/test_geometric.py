@@ -1,5 +1,6 @@
 """Geometric law: exact step algebra, fractional-part search, oscillation."""
 
+import argparse
 import importlib
 import math
 import time
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evtlab as e
-from evtlab.cli import _table
+from evtlab import cli
 from evtlab.errors import DomainError, SearchHorizonError
 from evtlab.geometric import GeometricParams, sufficient_horizon
 
@@ -509,10 +510,12 @@ def test_subsequence_keeps_every_accepted_k():
 def test_oscillation_report_serialization():
     gp = GeometricParams(0.5)
     report = e.oscillation_scan(gp, 0, np.array([100, 1000, 10_000]))
-    header, rows, body = _table(report)
-    d = body()
+    args = argparse.Namespace(
+        p=0.5, q=0, n=np.array([100, 1000, 10_000]), tol=1e-2, cluster_c=e.DEFAULT_CLUSTER_CS
+    )
+    (header, rows, d), _ = cli._geom_oscillate(args)
     assert header == ["n", "m", "probability"]
-    assert len(rows) == 3
+    assert len(list(rows)) == 3
     assert d["p"] == 0.5 and d["q"] == 0
     assert len(d["probability"]) == 3
     assert [c for c, _ in d["cluster_points"]] == [0.0, 0.5, 0.9]

@@ -1,5 +1,7 @@
 """The k_rho family, attraction criterion, rho estimate, and the limit law."""
 
+import argparse
+import json
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import evtlab as e
-from evtlab.cli import _emit, _table
+from evtlab import cli
 from evtlab.dist import CONTINUOUS, Distribution
 from evtlab.errors import (
     ContractViolationError,
@@ -53,6 +55,22 @@ def test_k_rho_validation():
         e.k_rho(0.5, -1.0)
     with pytest.raises(DomainError):
         e.k_rho(math.nan, 1.0)
+
+
+@pytest.mark.parametrize(
+    "rho,limit",
+    [
+        (-1e-7, 1e7), (1e-7, math.inf), (-1e-6, 1e6), (1e-6, math.inf),
+        (-5e-324, math.inf), (-2e-6, 5e5), (2e-6, math.inf),
+    ],
+)
+def test_k_rho_at_infinity_is_its_limit(rho, limit):
+    # k_rho(inf) = -1/rho for rho < 0 (inf once that overflows) and inf for
+    # rho > 0, inside the series band |rho| <= 1e-6 as outside it
+    assert e.k_rho(rho, math.inf) == limit
+    out = e.k_rho(rho, [2.0, math.inf, 0.5])
+    assert out.tolist() == [e.k_rho(rho, 2.0), limit, e.k_rho(rho, 0.5)]
+    assert np.all(np.isfinite(e.k_rho(rho, [0.5, 2.0])))
 
 
 @pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
@@ -442,19 +460,22 @@ def test_three_types_monte_carlo():
 # ---------------------------------------------------------------- serialization
 
 def test_report_serialization_fields(capsys):
-    def written_csv(result):
-        _emit("-", "csv", {}, *_table(result))
-        return capsys.readouterr().out.splitlines()
+    def written(command, fmt="csv", **args):
+        # the text a subcommand's builder writes, with no config
+        (header, rows, body), _ = command(argparse.Namespace(**args))
+        cli._emit("-", fmt, {}, header, rows, body)
+        return capsys.readouterr().out
 
-    report = e.dehaan_test(e.uniform())
-    lines = written_csv(report)
+    dehaan = dict(dist=e.uniform(), eps=DEFAULT_EPS_GRID, uv=DEFAULT_UV_GRID, tol=1e-3)
+    lines = written(cli._dehaan, **dehaan).splitlines()
     assert lines[0] == "eps,u,v,ratio"
     assert len(lines) == 1 + 12 * 16
-    d = _table(report)[2]()
+    d = json.loads(written(cli._dehaan, "json", **dehaan))
     for key in ("grid", "values", "verdict", "limit_table"):
         assert key in d
-    lines = written_csv(e.estimate_rho(e.uniform()))
+    lines = written(cli._rho, dist=e.uniform(), eps=DEFAULT_EPS_GRID, w=2.0).splitlines()
     assert lines[0] == "eps,rho_hat"
     assert len(lines) == 1 + 16
     nc = e.norming_constants(e.exponential(), 100)
-    assert _table(nc)[2]() == {"n": 100, "a_n": nc.a_n, "b_n": nc.b_n}
+    d = json.loads(written(cli._norming, "json", dist=e.exponential(), n=100))
+    assert d == {"config": {}, "n": 100, "a_n": nc.a_n, "b_n": nc.b_n}

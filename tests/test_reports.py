@@ -1,12 +1,13 @@
 """Convergence report bookkeeping."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 import evtlab as e
-from evtlab.cli import _emit, _table
+from evtlab.cli import _convergence, _emit
 from evtlab.errors import DomainError
 from evtlab.linear_evt import DEFAULT_UV_GRID
 from evtlab.reports import CAUCHY_WINDOW, build_report
@@ -87,10 +88,15 @@ def test_a_spread_beyond_the_largest_double_fails_its_point_without_a_warning():
     assert rep.converged_per_point == (False, True)
 
 
+def _written(rep, fmt, capsys):
+    # the text the CLI writes for a report, with no config
+    (header, rows, body), _ = _convergence(rep)
+    _emit("-", fmt, {}, header, rows, body)
+    return capsys.readouterr().out
+
+
 def _written_csv(rep, capsys):
-    # the lines the CLI writes for a report, with no config lines
-    _emit("-", "csv", {}, *_table(rep))
-    return capsys.readouterr().out.splitlines()
+    return _written(rep, "csv", capsys).splitlines()
 
 
 def test_csv_layout_for_uv_and_plain_points(capsys):
@@ -111,10 +117,11 @@ def test_csv_layout_for_uv_and_plain_points(capsys):
     ]
 
 
-def test_json_round_trip_keys():
+def test_json_round_trip_keys(capsys):
     values = np.array([[0.0, 1.0, 2.0, 3.0]])
     rep = build_report("n", (1, 2, 3, 4), "x", (0.25,), values, tol=0.5)
-    d = _table(rep)[2]()
+    d = json.loads(_written(rep, "json", capsys))
+    assert d["config"] == {} and d["tol"] == 0.5 and d["window"] == 3
     assert d["scale"] == "n" and d["point"] == "x"
     assert d["grid"] == [1, 2, 3, 4]
     assert d["points"] == [0.25]
@@ -122,8 +129,8 @@ def test_json_round_trip_keys():
     assert d["converged_per_point"] == [False]
     assert d["limit_table"] == [[0.25, 3.0]]
     assert "nondegenerate" not in d
-    d2 = _table(build_report("n", (1, 2, 3, 4), "x", (0.25,), values, 0.5,
-                             nondegenerate=False))[2]()
+    rep = build_report("n", (1, 2, 3, 4), "x", (0.25,), values, 0.5, nondegenerate=False)
+    d2 = json.loads(_written(rep, "json", capsys))
     assert d2["nondegenerate"] is False and d2["verdict"] is False
 
 

@@ -10,8 +10,10 @@ that did not converge or degenerated), 4 unwritable output path.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+import warnings
 from itertools import chain, repeat
 
 import numpy as np
@@ -83,7 +85,8 @@ def _number(part: str, text: str, kind=float):
 
 def _parse_range(text: str, count: int = DEFAULT_RANGE_POINTS, spacing: str = "geometric"):
     """``start:stop[:count]`` grids, or one value; geometric spacing, whose
-    values must be positive, unless told otherwise."""
+    values must be positive, unless told otherwise.  Endpoints must be
+    finite, and so must stop - start."""
     parts = text.split(":")
     if len(parts) == 3:
         count = _number(parts[2], text, int)
@@ -96,6 +99,11 @@ def _parse_range(text: str, count: int = DEFAULT_RANGE_POINTS, spacing: str = "g
         raise argparse.ArgumentTypeError(
             f"range {text!r} asks for {count} points; at most 2**20 = {MAX_RANGE_POINTS}"
         )
+    if not all(map(math.isfinite, ends)):
+        raise argparse.ArgumentTypeError(f"range endpoints must be finite, got {text!r}")
+    # in Python floats, so an overflow is inf and no numpy warning
+    if not math.isfinite(ends[-1] - ends[0]):
+        raise argparse.ArgumentTypeError(f"range {text!r} spans more than the largest double")
     if spacing == "geometric" and any(end <= 0.0 for end in ends):
         raise argparse.ArgumentTypeError(
             f"geometric range endpoints must be positive, got {text!r}"
@@ -457,12 +465,17 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def run(argv) -> int:
-    """Parse argv (no program name) and execute; returns the exit code."""
+    """Parse argv (no program name) and execute; returns the exit code.  A
+    library warning goes to stderr as one line, as an error does."""
     try:
         args = _parse(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    shown = warnings.showwarning
+    warnings.showwarning = lambda message, *_, **__: print(
+        f"evtlab {args.command}: warning: {message}", file=sys.stderr
+    )
     try:
         args.seed = _resolve_seed(args)
         for name in _LAW_ARGS:
@@ -478,6 +491,8 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"evtlab {args.command}: cannot write output: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.showwarning = shown
 
 
 def main() -> int:

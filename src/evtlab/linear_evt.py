@@ -199,25 +199,23 @@ class NormingConstants:
 
 
 def _norming_arrays(dist: Distribution, n):
-    """a_n and b_n at the int n, or at each entry of an array of ints, as
-    float arrays of n's shape, from one tail-quantile call at the masses 1/n
-    and 2/n.  Each n is a checked index from 3 on (``_indices``), so every
-    mass lies in (0, 1); the first n whose a_n is not negative is refused."""
-    ns = np.ravel(n).tolist()
-    q = _finite_quantiles(dist, np.array([[1.0 / m for m in ns], [2.0 / m for m in ns]]), tail=True)
+    """a_n and b_n at the int n, or at each entry of an object array of ints,
+    in n's shape, from one tail-quantile call at the masses 1/n and 2/n.
+    Each n is a checked index from 3 on (``_indices``), so every mass lies in
+    (0, 1); the first n whose a_n is not negative is refused."""
+    q = _finite_quantiles(dist, np.array((1.0 / n, 2.0 / n), dtype=float), tail=True)
     b, a = q[0], q[1] - q[0]
     negative = a < 0.0
     if not negative.all():
         i = np.argmin(negative)  # the first n whose a_n is not negative
-        if a[i] == 0.0:
+        m, a_m = np.ravel(n)[i], float(np.ravel(a)[i])
+        if a_m == 0.0:
             raise DegenerateNormalizationError(
-                f"a_n = 0 at n = {ns[i]} for {dist.name}: the upper quantile is flat "
+                f"a_n = 0 at n = {m} for {dist.name}: the upper quantile is flat "
                 "between tail masses 2/n and 1/n"
             )
-        raise ContractViolationError(
-            f"quantile is not monotone: a_n = {float(a[i])} > 0 at n = {ns[i]}"
-        )
-    return a.reshape(np.shape(n)), b.reshape(np.shape(n))
+        raise ContractViolationError(f"quantile is not monotone: a_n = {a_m} > 0 at n = {m}")
+    return a, b
 
 
 def norming_constants(dist: Distribution, n: int) -> NormingConstants:

@@ -76,9 +76,11 @@ def build_report(
         near += 1
     window = min(len(scales) - 1, max(CAUCHY_WINDOW, near))
     tail = values[:, -window:]
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf or overflow: the row fails
-        spread = np.ptp(tail, axis=1)
-    per_point = tuple((np.isfinite(tail).all(axis=1) & (spread <= tol)).tolist())
+    # a row converges iff its max and min are finite and within tol; NaN
+    # carries through both, and a spread that overflows is inf
+    top, bottom = tail.max(axis=1), tail.min(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        per_point = tuple((np.isfinite(top) & np.isfinite(bottom) & (top - bottom <= tol)).tolist())
     limits = tuple(zip(points, values[:, -1].tolist()))
     return ConvergenceReport(
         scale_name=scale_name,

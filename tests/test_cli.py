@@ -806,6 +806,7 @@ def test_json_output_formats_no_csv_line(monkeypatch):
 BAD_RANGE = "needs at least 2 points"
 TOO_MANY = "expected start:stop[:count]"
 NOT_POSITIVE = "geometric range endpoints must be positive"
+NOT_FINITE = "range endpoints must be finite"
 DEHAAN = "dehaan --dist pareto:alpha=2"
 NONLINEAR = "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1"
 
@@ -842,6 +843,12 @@ NONLINEAR = "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1"
         ("limit-law --rho 0", "--x", "-2:6:,", "',' in '-2:6:,' is not an integer"),
         ("limit-law --rho 0", "--x", "-2:6:3:4", TOO_MANY),
         ("limit-law --rho 0", "--x", "-2:six", "'six' in '-2:six' is not a number"),
+        # refused before numpy sees them, which would warn on stderr first
+        ("geom-oscillate", "--n", "1e3:inf:4", f"{NOT_FINITE}, got '1e3:inf:4'"),
+        (DEHAAN, "--eps", "1e-2:inf:4", f"{NOT_FINITE}, got '1e-2:inf:4'"),
+        ("limit-law --rho 0", "--x", "-inf:inf:3", f"{NOT_FINITE}, got '-inf:inf:3'"),
+        ("limit-law --rho 0", "--x", "1e308:-1e308:5",
+         "range '1e308:-1e308:5' spans more than the largest double"),
         (DEHAAN, "--uv", "1", "bad pair '1'; expected u,v"),
         (DEHAAN, "--uv", "1,2,3", "bad pair '1,2,3'; expected u,v"),
         (DEHAAN, "--uv", "1,b", "'b' in '1,b' is not a number"),
@@ -857,6 +864,29 @@ def test_malformed_option_values_say_why(command, option, value, reason, capsys)
     out, err = capsys.readouterr()
     assert out == "" and f"argument {option}: " in err and reason in err
     assert not re.search(r"\b_\w", err), err
+    assert err.count("\n") == 1, err
+
+
+def test_a_library_warning_is_one_line_on_stderr(capsys):
+    # n_max is far below the horizon at theta = 1e300: frac_log_search warns
+    argv = shlex.split("geom-density --theta 1e300 --x 0 --y 1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.run(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == "" and quiet.out.splitlines()[-1].startswith("1,0,")
+    shown = warnings.showwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)  # not once per process
+        for _ in range(2):
+            assert cli.run(argv) == 0
+            out, err = capsys.readouterr()
+            assert out == quiet.out
+            assert err.startswith(
+                "evtlab geom-density: warning: n_max=1000000 is below the sufficient horizon 9"
+            )
+            assert err.endswith("; the search may fail\n") and err.count("\n") == 1, err
+            assert warnings.showwarning is shown
 
 
 @pytest.mark.parametrize("x", ["0", "-1.5", "0.5"])

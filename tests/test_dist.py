@@ -384,6 +384,12 @@ def test_parse_distribution_round_trip():
         assert again.params == dist.params
 
 
+def test_repr_is_the_spec_string():
+    assert repr(e.pareto(2.0)) == "Distribution('pareto:alpha=2')"
+    spec = "normal:mu=1,sigma=3"
+    assert repr(e.parse_distribution(spec)) == f"Distribution({spec!r})"
+
+
 def test_parse_distribution_forms():
     assert e.parse_distribution("uniform:").name == "uniform"
     assert e.parse_distribution("uniform").params == {"a": 0.0, "b": 1.0}

@@ -240,6 +240,46 @@ def test_frac_log_search_matches_the_linear_scan(window):
     assert [w.category for w in caught] == [UserWarning] * (n_max < horizon)
 
 
+def _first_reaching_by_scan(theta, x, q, cap, around, width):
+    """The smallest n in [1, cap] with theta*np.log(n) - q >= x, by a scan of
+    every n within ``width`` of ``around``; cap + 1 for none.  The scan must
+    start at a miss, so that its first hit is the first overall."""
+    ns = np.arange(max(1, around - width), min(cap, around + width) + 1, dtype=np.int64)
+    hit = theta * np.log(ns) - q >= x
+    assert ns[0] == 1 or not hit[0]
+    if hit.any():
+        return int(ns[np.argmax(hit)])
+    assert ns[-1] == cap  # the scan reaches the cap: no n reaches the level
+    return cap + 1
+
+
+@pytest.mark.parametrize(
+    "theta,cap,width",
+    [
+        (1.0, 10**12, 4096),  # every block of n <= 1e12; guesses hit
+        (1.0, 2**62, 2**16),  # blocks near 2**62, where the float n moves in steps of 1024
+        (1e4, 2**62, 2**16),
+        (1e6, 2**62, 2**16),
+    ],
+)
+def test_first_reaching_matches_a_scan_of_its_predicate(theta, cap, width):
+    last = math.floor(theta * math.log(cap))
+    # the blocks up to the cap, and the one past it, which no n <= cap reaches
+    qs = np.arange(max(0, last - 27), last + 2, dtype=float)
+    top = float(cap + 1)
+    for x in (0.0, 0.123456789, 0.5, 0.999999):
+        ns, t = geometric._first_reaching(theta, x, qs, cap)
+        guesses = [min(math.ceil(min(math.exp((q + x) / theta), top)), cap + 1) for q in qs]
+        expected = [_first_reaching_by_scan(theta, x, q, cap, g, width)
+                    for q, g in zip(qs, guesses)]
+        assert ns.tolist() == expected, x
+        assert ns[-1] == cap + 1
+        # each n comes with the theta*np.log(n) of the hit test, bit for bit
+        assert t.tolist() == (theta * np.log(ns)).tolist()
+        if cap == 2**62:  # the guess near 2**62 is off by thousands
+            assert max(abs(n - g) for n, g in zip(ns.tolist(), guesses)) > 1000
+
+
 @pytest.mark.parametrize("theta", [500.0, 2000.0, 5000.0])
 def test_frac_log_search_mixes_integer_and_block_steps(theta, monkeypatch):
     # blocks are shorter than an integer below n = theta: the first steps

@@ -211,6 +211,13 @@ def test_diagnostic_affine_geometric_fails():
     assert not report.verdict
 
 
+def test_diagnostic_affine_refuses_an_n_below_3():
+    # b_n and a_n take the tail mass 2/n, which is 1 at n = 2
+    seq = e.NormalizerSequence.affine(e.pareto(2.0))
+    with pytest.raises(DomainError, match=r"^n must be an integer >= 3, got 2$"):
+        e.convergence_diagnostic(seq, n_grid=(2, 10, 100, 1000))
+
+
 @pytest.mark.filterwarnings("error")
 def test_diagnostic_affine_geometric_degenerate_constants():
     # p = 0.2 at n = 100 has a_n = 0; the builder itself must refuse, before

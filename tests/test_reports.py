@@ -41,6 +41,10 @@ def test_cauchy_verdict_rejects_nonfinite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _per_point(rows, 1.0) == (False, False, False, True)
+        # at tol = inf only finiteness decides: a spread that overflows to
+        # inf passes, an inf value does not
+        wide = [[0.0, -1e308, 1e308, 0.0], [1.0, 1.0, np.inf, 1.0]]
+        assert _per_point(wide, np.inf) == (True, False)
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1e-9])

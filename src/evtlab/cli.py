@@ -466,15 +466,16 @@ def _parse(argv) -> argparse.Namespace:
 
 def run(argv) -> int:
     """Parse argv (no program name) and execute; returns the exit code.  A
-    library warning goes to stderr as one line, as an error does."""
+    library warning goes to stderr as one line, as an error does, once the
+    report is written; a run that fails writes its one error line alone."""
     try:
         args = _parse(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    shown = warnings.showwarning
-    warnings.showwarning = lambda message, *_, **__: print(
-        f"evtlab {args.command}: warning: {message}", file=sys.stderr
+    shown, notes = warnings.showwarning, []
+    warnings.showwarning = lambda message, *_, **__: notes.append(
+        f"evtlab {args.command}: warning: {message}\n"
     )
     try:
         args.seed = _resolve_seed(args)
@@ -484,6 +485,7 @@ def run(argv) -> int:
         config = _config(args)
         (header, rows, body), code = _COMMANDS[args.command](args)
         _emit(args.out, args.format, config, header, rows, body)
+        sys.stderr.writelines(notes)
         return code
     except EvtLabError as exc:
         print(f"evtlab {args.command}: {exc}", file=sys.stderr)

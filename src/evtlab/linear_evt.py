@@ -94,7 +94,7 @@ def k_rho(rho: float, u):
 
 def _validate_eps(eps: float, factor: float):
     """Refuse a coarsest scale ``eps``, checked by the grid rule, with eps * factor >= 1."""
-    if eps * factor >= 1.0:
+    if float(eps) * factor >= 1.0:  # a Python product overflows to inf with no warning
         raise DomainError(f"eps * {factor} must stay below 1, got eps={eps}")
 
 

@@ -8,7 +8,9 @@ strict generalized inverse of F, that is, the tail quantile Q(1 - eps) at
 eps = 1 - exp(-omega/n), computed as -expm1(-omega/n).  Both samplers below
 consume uniforms from the same stream contract, so they can be compared
 seed-for-seed; the exponential-representation route is the one that stays
-cheap at large n.
+cheap at large n.  The direct sampler draws disjoint row ranges of one
+counter-based stream on one thread per usable CPU, with the bits and the
+stream end of a one-thread draw.
 
 The normalized maximum profile h_n(x) = g(Q(1 - eps)) of a monotone
 normalizer g is taken at the base tail quantile in two forms that differ in
@@ -26,6 +28,8 @@ with its whole n column, and spot-checks the monotonicity of g here too.
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,17 +75,20 @@ def _indices(n, least: int = 1):
     return n
 
 
-# Most uniforms ``sample_max_direct`` holds at once (4 MB, as doubles or as
-# raw words).  Not smaller: a freed 4 MB block raises glibc's mmap threshold
-# to 4 MB and its trim threshold to 8 MB, so the 800 kB arrays of 1e5 points
-# made next are served from the heap without page faults.  With blocks of
-# 2**16 to 2**18, a pass of the benchmark's sampling cases took 6k to 19k
-# minor faults and up to 1.4x the time, against 31 faults at 2**19.
+# Most uniforms one part of ``sample_max_direct`` holds at once (4 MB, as
+# doubles or as raw words); a draw split over k parts holds k such blocks.
+# Not smaller: a freed 4 MB block raises glibc's mmap threshold to 4 MB and
+# its trim threshold to 8 MB, for every thread, so the 800 kB arrays of 1e5
+# points made next are served from the heap without page faults.  With blocks
+# of 2**16 to 2**18, a pass of the benchmark's sampling cases took 6k to 19k
+# minor faults and up to 1.4x the time, against 31 faults at 2**19; halving
+# each part's block with two worker threads brought back hundreds of faults.
 _DIRECT_BLOCK = 2**19
 
-# Most uniforms ``sample_max_direct`` draws in one call, count * n: about 20 s
-# of draws at 5 ns each on a 2-vCPU x86-64 host.  The exponential
-# representation draws count uniforms at any n.
+# Most uniforms ``sample_max_direct`` draws in one call, count * n: about 14 s
+# of Philox words and row maxima on one thread of a 2-vCPU x86-64 host (3.2 ns
+# a word), and about 7 s split over both.  The exponential representation
+# draws count uniforms at any n.
 _DIRECT_BUDGET = 2**32
 
 # the words below this one give the double 0.0, which ``uniform_open`` redraws
@@ -94,6 +101,22 @@ def _word_generators():
     word w as (w >> 11) * 2**-53 (MT19937 builds its doubles from two 32-bit
     words); looked up on first use, so that no import loads numpy.random."""
     return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+
+
+@functools.cache
+def _counter_generators():
+    """The word generators that move on by any number of words at once
+    (``advance``), so disjoint ranges of one stream can be drawn side by side;
+    SFC64 cannot."""
+    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -116,12 +139,81 @@ def max_cdf(law: MaxLaw, x):
 def _open_words(bitgen, shape):
     """Raw words of ``bitgen`` in ``shape``, none of which gives the double
     0.0: such a word is redrawn in stream order, as ``uniform_open`` redraws
-    a zero."""
+    a zero.  Also whether any word was redrawn."""
     words = bitgen.random_raw(shape)
+    redrawn = False
     while not words.min() >= _ZERO_WORDS:  # one reduction; a zero is all but never there
         zero = words < _ZERO_WORDS
         words[zero] = bitgen.random_raw(int(zero.sum()))
-    return words
+        redrawn = True
+    return words, redrawn
+
+
+def _row_maxima(u, n: int, bitgen, rng) -> bool:
+    """Raise ``u`` (zeros) to the row maxima of a (u.size, n) draw: raw words
+    of ``bitgen`` where it is given, else doubles of ``rng``.  Row-major
+    blocks of at most ``_DIRECT_BLOCK`` keep the stream order of one draw.
+    Whether a zero word was redrawn, which moves the stream on by a word."""
+    width = min(n, _DIRECT_BLOCK)
+    rows = _DIRECT_BLOCK // width
+    redrawn = False
+    for r in range(0, u.size, rows):
+        block = u[r : r + rows]
+        for c in range(0, n, width):
+            shape = (block.size, min(width, n - c))
+            if bitgen is None:
+                part = _uniform_open(rng, shape)
+            else:
+                part, zero = _open_words(bitgen, shape)
+                redrawn |= zero
+            np.maximum(block, part.max(axis=1), out=block)
+            del part  # not held while the next block is drawn
+    return redrawn
+
+
+def _moved_on(bitgen, state, words: int):
+    """A new bit generator of ``bitgen``'s type, at ``state`` moved on by
+    ``words`` raw words."""
+    gen = type(bitgen)(0)  # the seed only builds it; the state is set next
+    gen.state = state
+    if type(gen) is np.random.Philox:  # advance drops the words left in its buffer of four
+        left = 4 - state["buffer_pos"]
+        if words > left:
+            gen.random_raw(left)
+            gen.advance((words - left) // 4)
+            words = (words - left) % 4
+        gen.random_raw(words)
+    else:
+        gen.advance(words)
+    return gen
+
+
+def _in_parallel(task, parts: int) -> list:
+    """``[task(0), ..., task(parts - 1)]``: task 0 on the calling thread, each
+    other on a thread of its own.  Once every thread has ended, the first
+    exception, in task order, is raised."""
+    results, errors = [None] * parts, [None] * parts
+
+    def run(i):
+        try:
+            results[i] = task(i)
+        except BaseException as exc:  # raised on the calling thread below
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, parts):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def sample_max_direct(law: MaxLaw, rng, count: int):
@@ -135,27 +227,52 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
     the generator's doubles are its raw words shifted (``_word_generators``),
     the maxima are taken on the words and only the maxima become doubles: the
     same uniforms, and the same stream position, as ``uniform_open`` gives.
+
+    Where the generator can also move on by any number of words
+    (``_counter_generators``), the rows are split into contiguous ranges of
+    whole blocks, at least one each, one range per usable CPU, each drawn on
+    its own thread from a copy of the generator moved on to the range's first
+    word.  The maxima and the stream's end are those of the one-thread draw:
+    a redrawn zero word moves every later range's start, so those ranges are
+    drawn again in order, and the caller's generator is set to the last
+    range's end, only once every range is drawn.
     """
     size = _count(count)
-    if size * law.n > _DIRECT_BUDGET:
+    n = law.n
+    if size * n > _DIRECT_BUDGET:
         raise DomainError(
-            f"count * n = {size} * {law.n} draws is above the direct sampler's budget of "
+            f"count * n = {size} * {n} draws is above the direct sampler's budget of "
             f"2**32 = {_DIRECT_BUDGET}; the exponential representation "
             "(sample_max_exponential_rep, --method exprep) draws count uniforms at any n"
         )
-    # row-major blocks keep the stream order of one (size, n) draw
-    width = min(law.n, _DIRECT_BLOCK)
-    rows = _DIRECT_BLOCK // width
     bitgen = getattr(rng, "bit_generator", None)
     on_words = type(bitgen) in _word_generators()
     u = np.zeros(size, dtype=np.uint64 if on_words else float)
-    for r in range(0, size, rows):
-        block = u[r : r + rows]
-        for c in range(0, law.n, width):
-            shape = (block.size, min(width, law.n - c))
-            part = _open_words(bitgen, shape) if on_words else _uniform_open(rng, shape)
-            np.maximum(block, part.max(axis=1), out=block)
-            del part  # not held while the next block is drawn
+    rows = _DIRECT_BLOCK // min(n, _DIRECT_BLOCK)  # the rows of a block of _row_maxima
+    parts = 1
+    if type(bitgen) in _counter_generators():
+        parts = max(1, min(_usable_cpus(), size // rows))
+    # whole blocks to each part: a zero word is redrawn after the words of its
+    # block, so a block split over two parts would change the stream order
+    blocks = -(-size // rows)
+    starts = [rows * (blocks * i // parts) for i in range(parts)] + [size]
+    ranges = [u[a:b] for a, b in zip(starts, starts[1:])]
+    if parts == 1:
+        gens = [bitgen if on_words else None]
+    else:
+        state = bitgen.state
+        gens = [_moved_on(bitgen, state, a * n) for a in starts[:-1]]
+    redrawn = _in_parallel(lambda i: _row_maxima(ranges[i], n, gens[i], rng), parts)
+    if True in redrawn[:-1]:
+        i = redrawn.index(True)
+        for j in range(i + 1, parts):  # drawn on from where range i's draw ended
+            ranges[j][...] = 0
+            _row_maxima(ranges[j], n, gens[i], rng)
+        gens[-1] = gens[i]
+    if parts > 1:
+        end = gens[-1].state
+        end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+        bitgen.state = end
     if on_words:
         u = np.multiply(u >> np.uint64(11), 2.0**-53)
     return _finite_quantiles(law.base, u)

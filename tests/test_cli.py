@@ -197,6 +197,15 @@ def test_non_finite_tail_quantile_is_a_domain_error(command, capsys):
     assert "is not finite at eps = " in err and "pareto:alpha=0.01" in err
 
 
+@pytest.mark.parametrize("command", ["rho", "dehaan"])
+def test_a_scale_whose_product_overflows_is_refused_in_one_line(command, capsys):
+    # eps * 4 overflows a double: no numpy overflow warning comes before the
+    # refusal (the argv fuzz test found one)
+    assert cli.run([command, "--dist", "pareto:", "--eps=1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"evtlab {command}: eps * 4.0 must stay below 1, got eps=1e+308\n"
+
+
 @pytest.mark.parametrize("variant", ["linear", "exp"])
 def test_nonlinear_refuses_n_where_the_base_cdf_saturates(variant, capsys):
     argv = f"nonlinear --base uniform:a=0,b=1 --target normal --n 1e3:1e18:4 --variant {variant}"
@@ -889,6 +898,22 @@ def test_a_library_warning_is_one_line_on_stderr(capsys):
             assert warnings.showwarning is shown
 
 
+def test_a_failed_run_writes_its_error_line_alone(capsys):
+    # n_max is below the horizon, so frac_log_search warns, and then finds no
+    # n: the error names the horizon, and the warning before it is not written
+    # (the argv fuzz test found the two lines)
+    argv = shlex.split("geom-density --theta 1 --x 0.25 --y 1 --n-max 1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "evtlab geom-density: no n <= 1 with frac(theta log n) in [0.25, 1.0]; "
+        "a horizon of 3 suffices\n"
+    )
+
+
 @pytest.mark.parametrize("x", ["0", "-1.5", "0.5"])
 def test_one_value_of_a_linear_range_may_be_any_real(x, capsys):
     assert cli.run(["limit-law", "--rho", "0", f"--x={x}"]) == 0
@@ -969,3 +994,124 @@ def test_python_dash_m_runs_the_command_line(module, argv, golden):
     )
     assert done.stdout == (goldens / golden).read_bytes()
     assert done.returncode == json.loads((goldens / "exit_codes.json").read_text())[golden]
+
+
+# Option values at the edges of what the double, int64 and int parsers take:
+# signed zeros and subnormals, the largest doubles, the infinities and NaN,
+# 2**63 and 2**960 +- 1, digit strings past a double's range and past
+# Python's 4 300-digit int limit, the empty string, and a few plain values
+EXTREMES = (
+    "0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "inf", "-inf", "nan",
+    str(2**63), str(-(2**63)), str(2**960 - 1), str(2**960 + 1),
+    "1" * 400, "9" * 5000, "0." + "0" * 400 + "1", "", "1", "2", "3", "0.5", "-1",
+)
+_VALUE = st.sampled_from(EXTREMES)
+_RANGE = st.lists(_VALUE, min_size=1, max_size=3).map(":".join)
+_LIST = st.lists(_VALUE, min_size=1, max_size=3).map(",".join)
+# a law spec: one of each family, or one whose keys may be empty, unknown or
+# given twice and whose values are EXTREMES
+_LAW = st.one_of(
+    st.sampled_from([
+        "uniform", "exponential", "pareto:alpha=2", "pareto:alpha=0.01", "normal",
+        "degenerate:c=1", "geometric:p=0.5",
+    ]),
+    st.builds(
+        lambda family, items: f"{family}:" + ",".join(f"{k}={v}" for k, v in items),
+        st.sampled_from(
+            ["uniform", "exponential", "pareto", "normal", "degenerate", "geometric", "x"]
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "rate", "alpha", "mu", "sigma", "c", "p", ""]), _VALUE
+            ),
+            max_size=3,
+        ),
+    ),
+)
+
+
+def _or_extreme(*plain):
+    return st.one_of(st.sampled_from(plain), _VALUE)
+
+
+# no large finite theta: a search's cost grows with theta (frac_log_search)
+_LARGE = ("1e308", str(2**63), str(2**960 - 1), str(2**960 + 1))
+_THETA = st.sampled_from(["100"] + [v for v in EXTREMES if v not in _LARGE])
+# each command's required options first; a count or n is at most 1000 unless
+# it is one of EXTREMES, so a draw is of a few thousand values at most, or is
+# refused by its budget before drawing
+FUZZ_OPTIONS = {
+    "sample": ({"--dist": _LAW}, {"--count": _or_extreme("5")}),
+    "max": (
+        {"--dist": _LAW},
+        {
+            "--n": _or_extreme("10", "1000"),
+            "--count": _or_extreme("5"),
+            "--method": st.sampled_from(["direct", "exprep", ""]),
+        },
+    ),
+    "dehaan": ({"--dist": _LAW}, {"--eps": _RANGE, "--uv": _LIST, "--tol": _VALUE}),
+    "rho": ({"--dist": _LAW}, {"--eps": _RANGE, "--w": _VALUE}),
+    "norming": ({"--dist": _LAW, "--n": _or_extreme("100")}, {}),
+    "limit-law": ({"--rho": _VALUE}, {"--x": _RANGE}),
+    "nonlinear": (
+        {"--base": _LAW},
+        {
+            "--target": _LAW,
+            "--normalizer": st.sampled_from(["construction", "affine", ""]),
+            "--variant": st.sampled_from(["exp", "linear", "epsilon", ""]),
+            "--x": _RANGE,
+            "--n": _RANGE,
+            "--tol": _VALUE,
+            "--nondeg-tol": _VALUE,
+        },
+    ),
+    "geom-oscillate": (
+        {},
+        {
+            "--p": _or_extreme("0.25"),
+            "--q": _VALUE,
+            "--n": _RANGE,
+            "--tol": _VALUE,
+            "--cluster-c": _LIST,
+        },
+    ),
+    "geom-density": (
+        {"--theta": _THETA, "--x": _or_extreme("0.25"), "--y": _or_extreme("0.75")},
+        {"--n-max": _VALUE},
+    ),
+}
+_COMMON = {"--seed": _VALUE, "--format": st.sampled_from(["csv", "json", ""])}
+
+
+@st.composite
+def _argv(draw, command):
+    required, optional = FUZZ_OPTIONS[command]
+    optional = {**optional, **_COMMON}
+    pairs = [(name, draw(values)) for name, values in required.items()]
+    # an option may come twice, which argparse resolves to its last value
+    names = draw(st.lists(st.sampled_from(sorted(optional)), max_size=4))
+    pairs += [(name, draw(optional[name])) for name in names]
+    return [command] + [f"{name}={value}" for name, value in pairs]
+
+
+@pytest.mark.parametrize("command", FUZZ_OPTIONS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_argv_keeps_the_exit_code_contract(command, data):
+    # whatever the values, a run ends with a code of the contract and at most
+    # one line on stderr, never a traceback or a raw warning
+    argv = data.draw(_argv(command))
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in out + err and "Warning" not in err, (argv, err)
+    if err:
+        usage = code == 1 and err.startswith("usage:")
+        assert usage or (err.count("\n") == 1 and err.startswith(f"evtlab {command}:")), (
+            argv, err
+        )
+    if code == 0:
+        assert out, argv

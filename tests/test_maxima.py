@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import os
 import re
 import sys
+import threading
 import timeit
 import warnings
 
@@ -196,10 +198,11 @@ def test_zero_words_are_redrawn_in_stream_order():
     # words below 2**11 are the double 0.0; each is redrawn in flat order,
     # and a redraw that is again below 2**11 is redrawn in the next round
     bitgen = _Words([0, 2**63, 2**11 - 1, 2**11, 5, 2**12, 2**13, 2**14])
-    got = maxima._open_words(bitgen, (2, 2))
+    got, redrawn = maxima._open_words(bitgen, (2, 2))
     assert got.dtype == np.uint64
     assert got.tolist() == [[2**13, 2**63], [2**12, 2**11]]
-    assert bitgen.words == [2**14]
+    assert bitgen.words == [2**14] and redrawn
+    assert maxima._open_words(_Words([2**11, 2**14]), 2)[1] is False
 
 
 def test_direct_sampler_redraws_a_zero_word_as_uniform_open_redraws_a_zero(monkeypatch):
@@ -215,6 +218,126 @@ def test_direct_sampler_redraws_a_zero_word_as_uniform_open_redraws_a_zero(monke
     assert np.array_equal(got, e.sample_max_direct(law, on_doubles, 2))
     assert got.tolist() == [2.0**-4, 2.0**-3]
     assert on_words.bit_generator.words == on_doubles.bit_generator.words == [2**62]
+
+
+def _split_draw(monkeypatch, cpus, stream, count, n):
+    """The direct sampler's maxima over ``cpus`` usable CPUs, with blocks of 8
+    words, the part counts it drew with, and the generator it drew from."""
+    monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 8)
+    monkeypatch.setattr(maxima, "_usable_cpus", lambda: cpus)
+    used = []
+    in_parallel = maxima._in_parallel
+    monkeypatch.setattr(
+        maxima, "_in_parallel", lambda task, parts: used.append(parts) or in_parallel(task, parts)
+    )
+    rng = _stream(stream)
+    return e.sample_max_direct(e.MaxLaw(e.uniform(), n), rng, count), used, rng
+
+
+SPLIT_STREAMS = (
+    # Philox with 0, 3, 2 and 1 words left in its buffer of four, and with a
+    # 32-bit half word kept for the next 32-bit draw; the two PCG generators
+    "Philox-0", "Philox-1", "Philox-2", "Philox-3", "Philox-half", "PCG64-0", "PCG64DXSM-3",
+)
+
+
+def _stream(name):
+    kind, _, drawn = name.partition("-")
+    rng = np.random.Generator(getattr(np.random, kind)(9))
+    if drawn == "half":
+        rng.integers(0, 2**32, dtype=np.uint32)
+    else:
+        rng.random(int(drawn))
+    return rng
+
+
+def _next_draws(rng):
+    # a double, then a 32-bit draw, which a generator may take from half a word
+    return rng.random(), int(rng.integers(0, 2**32, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("stream", SPLIT_STREAMS)
+@pytest.mark.parametrize("count,n", [(17, 3), (5, 11), (9, 8), (2, 1)])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 5])
+def test_split_draw_is_the_one_thread_draw(monkeypatch, stream, count, n, cpus):
+    # each part is moved on by the words of the rows before it, so any number
+    # of parts gives the maxima, and the stream end, of one thread; each part
+    # gets whole blocks (8 // n rows of n words here), at least one
+    got, used, rng = _split_draw(monkeypatch, cpus, stream, count, n)
+    assert used == [min(cpus, max(1, count // (8 // min(n, 8))))]
+    assert np.array_equal(got, e.uniform_open(_stream(stream), (count, n)).max(axis=1))
+    reference = _stream(stream)
+    reference.random((count, n))
+    assert _next_draws(rng) == _next_draws(reference)
+
+
+@pytest.mark.parametrize("stream", ["Philox-0", "Philox-1", "PCG64-0"])
+@pytest.mark.parametrize("count,n", [(40, 3), (12, 11)])
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+def test_split_draw_redraws_a_zero_word_in_stream_order(monkeypatch, stream, count, n, cpus):
+    # with one word in 4 taken as a zero, zeros fall in every part: each moves
+    # the start of the parts after it, which are drawn again from there, and
+    # each block's zeros are redrawn after its words, whichever part drew it
+    monkeypatch.setattr(maxima, "_ZERO_WORDS", 2**62)
+    calls = []
+    row_maxima = maxima._row_maxima
+    monkeypatch.setattr(maxima, "_row_maxima", lambda *a: calls.append(a) or row_maxima(*a))
+    got, used, rng = _split_draw(monkeypatch, cpus, stream, count, n)
+    assert used == [cpus] and len(calls) > cpus  # some parts were drawn again
+    want, _, one = _split_draw(monkeypatch, 1, stream, count, n)
+    assert np.array_equal(got, want)
+    assert _next_draws(rng) == _next_draws(one)
+
+
+def test_split_draw_with_more_parts_than_cores_switching_often(monkeypatch):
+    # eight parts, and a thread switch every microsecond: each part writes
+    # its own rows and its own generator only, so every draw is the one of a
+    # single thread
+    monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 64)
+    monkeypatch.setattr(maxima, "_usable_cpus", lambda: 8)
+    law = e.MaxLaw(e.uniform(), 7)
+    want = e.uniform_open(_stream("Philox-1"), (4000, 7)).max(axis=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert np.array_equal(e.sample_max_direct(law, _stream("Philox-1"), 4000), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_failing_part_leaves_the_stream_unmoved(monkeypatch, where):
+    # the exception of any part reaches the caller with its own type, once
+    # every thread has ended, and the caller's generator is not moved on
+    row_maxima = maxima._row_maxima
+    main = threading.main_thread()
+
+    def failing(*args):
+        row_maxima(*args)
+        if (threading.current_thread() is main) == (where == "caller"):
+            raise _Boom(where)
+
+    monkeypatch.setattr(maxima, "_row_maxima", failing)
+    monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 8)
+    monkeypatch.setattr(maxima, "_usable_cpus", lambda: 3)  # 3 parts of 10 rows
+    rng = _stream("Philox-1")
+    threads = threading.active_count()
+    with pytest.raises(_Boom, match=where):
+        e.sample_max_direct(e.MaxLaw(e.uniform(), 3), rng, 30)
+    assert threading.active_count() == threads
+    assert _next_draws(rng) == _next_draws(_stream("Philox-1"))
+
+
+def test_usable_cpus_are_the_affinity_mask():
+    if hasattr(os, "sched_getaffinity"):
+        assert maxima._usable_cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert maxima._usable_cpus() == (os.cpu_count() or 1)
 
 
 def _digest(a) -> str:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import geometric as _geom
 from .errors import DomainError
-from .stats import _count, _real, _reals, _scalar_or_array, _uniform_open
+from .stats import _count, _open_draw, _real, _reals, _scalar_or_array
 
 __all__ = [
     "Distribution",
@@ -224,9 +224,14 @@ def sample_quantile_transform(dist: Distribution, rng, count: int):
     """``count`` draws of Q(U) with U uniform on (0, 1) from ``rng``.
 
     For uniform(0, 1) the output is bit-identical to the raw uniform stream;
-    discrete laws are sampled exactly through the same route.
+    discrete laws are sampled exactly through the same route.  Where the
+    generator can move on by any number of words (Philox, PCG64 and
+    PCG64DXSM), a draw of at least 2**15 values is cut into even ranges,
+    one per usable CPU, each drawn and transformed on a thread of its own
+    (``stats._split_draw``): the samples, the first u a non-finite Q(u) is
+    named at, and the stream's end do not depend on the number of CPUs.
     """
-    return _finite_quantiles(dist, _uniform_open(rng, _count(count)))
+    return _open_draw(rng, _count(count), partial(_finite_quantiles, dist))
 
 
 _FAMILIES = {

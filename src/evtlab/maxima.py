@@ -8,9 +8,11 @@ strict generalized inverse of F, that is, the tail quantile Q(1 - eps) at
 eps = 1 - exp(-omega/n), computed as -expm1(-omega/n).  Both samplers below
 consume uniforms from the same stream contract, so they can be compared
 seed-for-seed; the exponential-representation route is the one that stays
-cheap at large n.  The direct sampler draws disjoint row ranges of one
-counter-based stream on one thread per usable CPU, with the bits and the
-stream end of a one-thread draw.
+cheap at large n.  Both samplers, and ``max_cdf`` over a large x, cut
+their work into even ranges, one per usable CPU, that run side by side
+(``stats._split_draw`` and ``stats._split_map``); a sampler's ranges draw
+disjoint parts of one counter-based stream, with the bits and the stream
+end of a one-thread draw.
 
 The normalized maximum profile h_n(x) = g(Q(1 - eps)) of a monotone
 normalizer g is taken at the base tail quantile in two forms that differ in
@@ -28,8 +30,6 @@ with its whole n column, and spot-checks the monotonicity of g here too.
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,7 +39,8 @@ from .dist import Distribution, _finite_quantiles
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
 from .stats import (
-    _count, _integer, _reals, _scalar_or_array, _standard_exponential, _uniform_open
+    _count, _exponential_of, _integer, _open_draw, _open_words, _reals, _scalar_or_array,
+    _split_draw, _split_map, _uniform_open,
 )
 
 __all__ = [
@@ -91,9 +92,6 @@ _DIRECT_BLOCK = 2**19
 # draws count uniforms at any n.
 _DIRECT_BUDGET = 2**32
 
-# the words below this one give the double 0.0, which ``uniform_open`` redraws
-_ZERO_WORDS = 2**11
-
 
 @functools.cache
 def _word_generators():
@@ -101,22 +99,6 @@ def _word_generators():
     word w as (w >> 11) * 2**-53 (MT19937 builds its doubles from two 32-bit
     words); looked up on first use, so that no import loads numpy.random."""
     return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
-
-
-@functools.cache
-def _counter_generators():
-    """The word generators that move on by any number of words at once
-    (``advance``), so disjoint ranges of one stream can be drawn side by side;
-    SFC64 cannot."""
-    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM)
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -133,20 +115,8 @@ class MaxLaw:
 def max_cdf(law: MaxLaw, x):
     """P{M_n <= x} = F(x)**n, computed as exp(n log1p(-S(x)))."""
     arr = _reals(x, "x", "[-inf, inf]")
-    return _scalar_or_array(x, _cdf_of_max(float(law.n), law.base.sf(arr)))
-
-
-def _open_words(bitgen, shape):
-    """Raw words of ``bitgen`` in ``shape``, none of which gives the double
-    0.0: such a word is redrawn in stream order, as ``uniform_open`` redraws
-    a zero.  Also whether any word was redrawn."""
-    words = bitgen.random_raw(shape)
-    redrawn = False
-    while not words.min() >= _ZERO_WORDS:  # one reduction; a zero is all but never there
-        zero = words < _ZERO_WORDS
-        words[zero] = bitgen.random_raw(int(zero.sum()))
-        redrawn = True
-    return words, redrawn
+    n, sf = float(law.n), law.base.sf
+    return _scalar_or_array(x, _split_map(lambda v, out: _cdf_of_max(n, sf(v), out), arr))
 
 
 def _row_maxima(u, n: int, bitgen, rng) -> bool:
@@ -171,51 +141,6 @@ def _row_maxima(u, n: int, bitgen, rng) -> bool:
     return redrawn
 
 
-def _moved_on(bitgen, state, words: int):
-    """A new bit generator of ``bitgen``'s type, at ``state`` moved on by
-    ``words`` raw words."""
-    gen = type(bitgen)(0)  # the seed only builds it; the state is set next
-    gen.state = state
-    if type(gen) is np.random.Philox:  # advance drops the words left in its buffer of four
-        left = 4 - state["buffer_pos"]
-        if words > left:
-            gen.random_raw(left)
-            gen.advance((words - left) // 4)
-            words = (words - left) % 4
-        gen.random_raw(words)
-    else:
-        gen.advance(words)
-    return gen
-
-
-def _in_parallel(task, parts: int) -> list:
-    """``[task(0), ..., task(parts - 1)]``: task 0 on the calling thread, each
-    other on a thread of its own.  Once every thread has ended, the first
-    exception, in task order, is raised."""
-    results, errors = [None] * parts, [None] * parts
-
-    def run(i):
-        try:
-            results[i] = task(i)
-        except BaseException as exc:  # raised on the calling thread below
-            errors[i] = exc
-
-    started = []
-    try:
-        for i in range(1, parts):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            started.append(thread)
-        run(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 def sample_max_direct(law: MaxLaw, rng, count: int):
     """An array of ``count`` maxima of n quantile-transform draws each.
 
@@ -229,13 +154,13 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
     same uniforms, and the same stream position, as ``uniform_open`` gives.
 
     Where the generator can also move on by any number of words
-    (``_counter_generators``), the rows are split into contiguous ranges of
-    whole blocks, at least one each, one range per usable CPU, each drawn on
-    its own thread from a copy of the generator moved on to the range's first
-    word.  The maxima and the stream's end are those of the one-thread draw:
-    a redrawn zero word moves every later range's start, so those ranges are
-    drawn again in order, and the caller's generator is set to the last
-    range's end, only once every range is drawn.
+    (``stats._counter_generators``), the rows are cut into even ranges, one
+    per usable CPU, each drawn and turned into quantiles on a thread of its
+    own from a copy of the generator moved on to the range's first word
+    (``stats._split_draw``).  The maxima and the stream's end are those of
+    the one-thread draw: if any range sees a zero word, which one thread
+    redraws after the words of its block, the whole draw runs again on one
+    thread.
     """
     size = _count(count)
     n = law.n
@@ -248,34 +173,21 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
     bitgen = getattr(rng, "bit_generator", None)
     on_words = type(bitgen) in _word_generators()
     u = np.zeros(size, dtype=np.uint64 if on_words else float)
-    rows = _DIRECT_BLOCK // min(n, _DIRECT_BLOCK)  # the rows of a block of _row_maxima
-    parts = 1
-    if type(bitgen) in _counter_generators():
-        parts = max(1, min(_usable_cpus(), size // rows))
-    # whole blocks to each part: a zero word is redrawn after the words of its
-    # block, so a block split over two parts would change the stream order
-    blocks = -(-size // rows)
-    starts = [rows * (blocks * i // parts) for i in range(parts)] + [size]
-    ranges = [u[a:b] for a, b in zip(starts, starts[1:])]
-    if parts == 1:
-        gens = [bitgen if on_words else None]
-    else:
-        state = bitgen.state
-        gens = [_moved_on(bitgen, state, a * n) for a in starts[:-1]]
-    redrawn = _in_parallel(lambda i: _row_maxima(ranges[i], n, gens[i], rng), parts)
-    if True in redrawn[:-1]:
-        i = redrawn.index(True)
-        for j in range(i + 1, parts):  # drawn on from where range i's draw ended
-            ranges[j][...] = 0
-            _row_maxima(ranges[j], n, gens[i], rng)
-        gens[-1] = gens[i]
-    if parts > 1:
-        end = gens[-1].state
-        end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
-        bitgen.state = end
-    if on_words:
-        u = np.multiply(u >> np.uint64(11), 2.0**-53)
-    return _finite_quantiles(law.base, u)
+
+    def draw(gen, a, b):
+        return None if _row_maxima(u[a:b], n, gen, rng) else u[a:b]
+
+    def transform(top):
+        if on_words:
+            top = np.multiply(top >> np.uint64(11), 2.0**-53)
+        return _finite_quantiles(law.base, top)
+
+    out = _split_draw(rng, size, n, draw, transform)
+    if out is None:
+        u[...] = 0  # a split that saw a zero word wrote some maxima
+        _row_maxima(u, n, bitgen if on_words else None, rng)
+        out = transform(u)
+    return out
 
 
 def sample_max_exponential_rep(law: MaxLaw, rng, count: int):
@@ -288,10 +200,15 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int):
     so eps lies in (0, 1) for every n the law accepts and no draw is ever
     redrawn.
     """
-    eps = _standard_exponential(rng, _count(count))
-    np.divide(eps, -float(law.n), out=eps)  # -omega/n: the sign of a quotient is exact
-    np.expm1(eps, out=eps)
-    return _finite_quantiles(law.base, np.negative(eps, out=eps), tail=True)
+    minus_n = -float(law.n)
+
+    def transform(u):
+        eps = _exponential_of(u)  # omega, in u's array
+        np.divide(eps, minus_n, out=eps)  # -omega/n: the sign of a quotient is exact
+        np.expm1(eps, out=eps)
+        return _finite_quantiles(law.base, np.negative(eps, out=eps), tail=True)
+
+    return _open_draw(rng, _count(count), transform)
 
 
 class HnVariant(str, Enum):

@@ -13,6 +13,19 @@ experiments are reproducible per seed.  One call draws at most 2**27 values
 gets the same uniforms from them.  A bulk draw is checked with one ``min``
 reduction and transformed in its own array.
 
+The bulk samplers split a draw of at least two parts' worth (``_PART``
+values a part) into even row ranges, one per usable CPU, where the
+generator can move on by any number of words (Philox and the PCG64s,
+``_counter_generators``; Salmon et al., SC 2011).  Each part draws its
+range from a copy of the generator moved on to its first word and
+transforms it on the same thread, into its own slice of one output array
+(``_split_draw``).  Part 0 runs on the caller and the others on one pool
+of worker threads for the process, built at the first split and again in
+a forked child.  The words, and so the values and the stream's end, are
+those of a one-thread draw; if any part sees a word that gives 0.0, which
+one thread redraws in stream order, the whole draw runs again on one
+thread.  ``max_cdf`` splits its pass over x the same way (``_split_map``).
+
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
 at the two supported levels; no p-values are computed.  Each sample is
 checked and sorted once, and its empirical cdf is read off the sorted copy
@@ -34,6 +47,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +235,243 @@ def _uniform_open(rng: np.random.Generator, size):
     return u
 
 
+# the words below this one give the double 0.0, which ``uniform_open`` redraws
+_ZERO_WORDS = 2**11
+
+
+def _open_words(bitgen, shape):
+    """Raw words of ``bitgen`` in ``shape``, none of which gives the double
+    0.0: such a word is redrawn in stream order, as ``uniform_open`` redraws
+    a zero.  Also whether any word was redrawn."""
+    words = bitgen.random_raw(shape)
+    redrawn = False
+    while not words.min() >= _ZERO_WORDS:  # one reduction; a zero is all but never there
+        zero = words < _ZERO_WORDS
+        words[zero] = bitgen.random_raw(int(zero.sum()))
+        redrawn = True
+    return words, redrawn
+
+
+# Least values one part of a split pass takes: a pass of fewer than two
+# parts' worth runs on the caller alone.  On a 2-vCPU x86-64 host a pool
+# round trip costs about 20 us, and a part of 2**14 values about 70 us to
+# draw and take exponential quantiles of, 200 us with normal quantiles.
+_PART = 2**14
+
+
+@functools.cache
+def _counter_generators():
+    """The bit generators whose ``Generator.random`` double is the raw 64-bit
+    word w as (w >> 11) * 2**-53 and that move on by any number of words at
+    once (``advance``), so disjoint ranges of one stream can be drawn side by
+    side; SFC64 cannot move on, and MT19937 builds a double from two words.
+    Looked up on first use, so that no import loads numpy.random."""
+    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _moved_on(bitgen, state, words: int):
+    """A new bit generator of ``bitgen``'s type, at ``state`` moved on by
+    ``words`` raw words."""
+    gen = type(bitgen)(0)  # the seed only builds it; the state is set next
+    gen.state = state
+    if type(gen) is np.random.Philox:  # advance drops the words left in its buffer of four
+        left = 4 - state["buffer_pos"]
+        if words > left:
+            gen.random_raw(left)
+            gen.advance((words - left) // 4)
+            words = (words - left) % 4
+        gen.random_raw(words)
+    else:
+        gen.advance(words)
+    return gen
+
+
+# The pool: a task queue and the worker threads that serve it, started at
+# the first split and as a split needs more; a forked child has only the
+# thread that forked, so it builds its own.
+_pool_lock = threading.Lock()
+_pool = None  # the task queue
+_pool_size = 0  # the worker threads serving it
+_worker = threading.local()  # .pooled is set on the pool's threads
+
+
+def _forget_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _work(tasks):
+    """A worker thread of the pool: for each (run, i, done) task, run(i),
+    which raises nothing, then release ``done``."""
+    _worker.pooled = True
+    while True:
+        run, i, done = tasks.get()
+        run(i)
+        done.release()
+
+
+def _tasks(workers: int):
+    """The pool's task queue, served by at least ``workers`` threads."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool is None:
+            from queue import SimpleQueue  # not at import: a process may never split
+
+            # glibc raises its mmap threshold to the size of a freed mapped
+            # block (mallopt(3)), so this freed 4 MB block, such as a direct
+            # draw frees, keeps the parts' arrays in the heap.  Below that
+            # threshold each array of 1e5 points is mapped and unmapped anew,
+            # which costs more with two threads running: on a 2-vCPU x86-64
+            # host the benchmark's first sampling pass, scipy's import aside,
+            # took 9 ms more split than on one thread, and 5 ms less with
+            # this block freed first.
+            np.empty(2**19)
+            _pool, _pool_size = SimpleQueue(), 0
+        while _pool_size < workers:
+            threading.Thread(target=_work, args=(_pool,), name="evtlab-part", daemon=True).start()
+            _pool_size += 1
+        return _pool
+
+
+def _in_parallel(task, parts: int) -> None:
+    """task(0), ..., task(parts - 1): task 0 on the calling thread and the
+    others on the pool's threads, each under the caller's numpy error state,
+    which a thread does not inherit.  Once every task has ended, the first
+    exception, in task order, is raised."""
+    errors = [None] * parts
+    errstate = np.geterr()
+
+    def run(i):
+        try:
+            with np.errstate(**errstate):
+                task(i)
+        except BaseException as exc:  # raised on the calling thread below
+            errors[i] = exc
+
+    tasks = _tasks(parts - 1)
+    waits = []
+    for i in range(1, parts):
+        done = threading.Lock()
+        done.acquire()
+        tasks.put((run, i, done))
+        waits.append(done)
+    try:
+        run(0)
+    finally:
+        for done in waits:
+            done.acquire()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _parts(values: int, rows: int) -> int:
+    """The parts a pass over ``rows`` rows of ``values`` values in all is
+    split into: one per usable CPU, each of at least ``_PART`` values and
+    one row.  A worker of the pool splits nothing, so it never waits on the
+    pool it belongs to."""
+    if values < 2 * _PART or getattr(_worker, "pooled", False):
+        return 1
+    return min(_usable_cpus(), values // _PART, rows)
+
+
+def _cuts(rows: int, parts: int) -> list:
+    """The first row of each of ``parts`` even ranges of ``rows`` rows, then ``rows``."""
+    return [rows * i // parts for i in range(parts + 1)]
+
+
+def _split_draw(rng, rows: int, width: int, draw, transform):
+    """The float array of ``transform`` of ``rows`` rows of ``width`` words
+    each, drawn from ``rng`` in even row ranges side by side (``_parts``),
+    or None where the caller is to draw on one thread.
+
+    ``draw(gen, a, b)`` draws rows a to b from ``gen``, a copy of rng's bit
+    generator moved on to row a's first word, and returns them, or None if
+    it saw a word below ``_ZERO_WORDS``.  ``transform`` of what it returns
+    fills rows a to b of the output, on the same thread.  The parts draw
+    the words one thread would, so the values are the same.
+
+    None comes back, with rng unmoved, where rng cannot move on by any
+    number of words (``_counter_generators``), where the draw is too small
+    to split, and where any part saw a zero word, which one thread redraws
+    in stream order.  Otherwise rng is moved on to the draw's end once every
+    part has drawn, as a one-thread draw leaves it.  An exception is raised
+    once every part has ended, the first in part order: rng is at the
+    draw's end if it came from a transform, and unmoved if a draw raised.
+    """
+    bitgen = getattr(rng, "bit_generator", None)
+    parts = _parts(rows * width, rows) if type(bitgen) in _counter_generators() else 1
+    if parts == 1:
+        return None
+    cuts = _cuts(rows, parts)
+    state = bitgen.state
+    gens = [_moved_on(bitgen, state, a * width) for a in cuts[:-1]]
+    out = np.empty(rows)
+    drawn = [None] * parts  # whether each part drew its words with no zero word
+
+    def part(i):
+        a, b = cuts[i], cuts[i + 1]
+        words = draw(gens[i], a, b)
+        drawn[i] = words is not None
+        if drawn[i]:
+            out[a:b] = transform(words)
+
+    error = None
+    try:
+        _in_parallel(part, parts)
+    except Exception as exc:  # raised below, unless one thread draws again
+        error = exc
+    if False in drawn:
+        return None
+    if None not in drawn:  # the last part ends where one thread would, but for the half word
+        end = gens[-1].state
+        end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+        bitgen.state = end
+    if error is not None:
+        raise error
+    return out
+
+
+def _open_draw(rng, size: int, transform):
+    """``transform(_uniform_open(rng, size))``, for a ``transform`` that
+    maps each uniform alone to a value: drawn and transformed in parts
+    where it splits (``_split_draw``), with the same values and stream end."""
+    least = _ZERO_WORDS * 2.0**-64  # the least double of a word that is not a zero word
+
+    def draw(gen, a, b):
+        u = np.random.Generator(gen).random(b - a)
+        return u if u.min() >= least else None
+
+    out = _split_draw(rng, size, 1, draw, transform)
+    return transform(_uniform_open(rng, size)) if out is None else out
+
+
+def _split_map(fn, arr: np.ndarray) -> np.ndarray:
+    """``fn(arr, out)`` into a new float array ``out`` of arr's shape, for an
+    ``fn`` that maps each entry alone, split into even parts of arr's flat
+    entries side by side as a draw is (``_parts``)."""
+    parts = _parts(arr.size, arr.size)
+    out = np.empty(arr.shape)
+    if parts == 1:
+        return fn(arr, out)
+    flat, cuts = arr.reshape(-1), _cuts(arr.size, parts)
+    dest = out.reshape(-1)
+    _in_parallel(lambda i: fn(flat[cuts[i] : cuts[i + 1]], dest[cuts[i] : cuts[i + 1]]), parts)
+    return out
+
+
 def uniform_open(rng: np.random.Generator, size):
     """An array of ``size`` uniform draws in the open interval (0, 1).
 
@@ -229,9 +481,8 @@ def uniform_open(rng: np.random.Generator, size):
     return _uniform_open(rng, _size(size))
 
 
-def _standard_exponential(rng: np.random.Generator, size):
-    """``standard_exponential``'s draw, for a ``size`` already checked."""
-    u = _uniform_open(rng, size)
+def _exponential_of(u):
+    """omega = -log(1 - u), formed in the array of uniforms ``u``."""
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.negative(u, out=u)
@@ -240,7 +491,7 @@ def _standard_exponential(rng: np.random.Generator, size):
 def standard_exponential(rng: np.random.Generator, size):
     """An array of ``size`` draws omega = -log(1 - U) with U from the shared
     uniform source, formed in U's own array."""
-    return _standard_exponential(rng, _size(size))
+    return _exponential_of(_uniform_open(rng, _size(size)))
 
 
 def _sorted_sample(samples) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Distribution families and the strict generalized inverse."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtlab as e
+from evtlab import stats
 from evtlab.dist import CONTINUOUS, DISCRETE
 from evtlab.errors import DomainError
 
@@ -373,6 +375,63 @@ def test_sample_quantile_transform_exponential_ks():
 def test_sample_quantile_transform_count_validation():
     with pytest.raises(DomainError):
         e.sample_quantile_transform(e.uniform(), e.make_rng(0), 0)
+
+
+def _split_into(monkeypatch, cpus):
+    """Split draws over ``cpus`` usable CPUs; the types of the exceptions
+    their parts raise are listed in the list returned."""
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
+    raised = []
+    in_parallel = stats._in_parallel
+
+    def recording(task, parts):
+        def part(i):
+            try:
+                return task(i)
+            except BaseException as exc:
+                raised.append(type(exc))
+                raise
+
+        return in_parallel(part, parts)
+
+    monkeypatch.setattr(stats, "_in_parallel", recording)
+    return raised
+
+
+def _pareto_failure(rng):
+    with pytest.raises(DomainError, match=r"^Q\(u\) = inf is not finite at u = ") as failure:
+        e.sample_quantile_transform(e.pareto(alpha=0.002), rng, 10**5)
+    return str(failure.value), rng.random(), int(rng.integers(0, 2**32, dtype=np.uint32))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+def test_a_split_draw_raises_the_one_part_error(monkeypatch, cpus):
+    # Q(u) = (1 - u)**-500 overflows above u = 0.76: each part names its own
+    # first such u, with no warning, and the error of the first part is the
+    # one-part draw's; the stream ends where the one-part draw leaves it
+    _split_into(monkeypatch, 1)
+    want = _pareto_failure(e.make_rng(3, 1))
+    raised = _split_into(monkeypatch, cpus)
+    assert _pareto_failure(e.make_rng(3, 1)) == want
+    assert raised and set(raised) == {DomainError}
+
+
+def test_each_part_runs_under_the_callers_error_state(monkeypatch):
+    # a worker thread inherits no numpy error state, neither numpy 2's
+    # context variable nor numpy 1's per-thread state
+    _split_into(monkeypatch, 3)
+    seen = []
+
+    def quantile(u):
+        seen.append(np.geterr())
+        return u
+
+    law = dataclasses.replace(e.uniform(), quantile=quantile)
+    with np.errstate(divide="ignore", invalid="raise", under="warn"):
+        want = dict(np.geterr(), over="ignore")  # the quantiles ignore an overflow
+        e.sample_quantile_transform(law, e.make_rng(1), 10**5)
+    assert seen == [want] * 3
 
 
 # ---------------------------------------------------------------- spec strings

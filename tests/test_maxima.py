@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+import time
 import timeit
 import warnings
 
@@ -198,11 +199,11 @@ def test_zero_words_are_redrawn_in_stream_order():
     # words below 2**11 are the double 0.0; each is redrawn in flat order,
     # and a redraw that is again below 2**11 is redrawn in the next round
     bitgen = _Words([0, 2**63, 2**11 - 1, 2**11, 5, 2**12, 2**13, 2**14])
-    got, redrawn = maxima._open_words(bitgen, (2, 2))
+    got, redrawn = stats._open_words(bitgen, (2, 2))
     assert got.dtype == np.uint64
     assert got.tolist() == [[2**13, 2**63], [2**12, 2**11]]
     assert bitgen.words == [2**14] and redrawn
-    assert maxima._open_words(_Words([2**11, 2**14]), 2)[1] is False
+    assert stats._open_words(_Words([2**11, 2**14]), 2)[1] is False
 
 
 def test_direct_sampler_redraws_a_zero_word_as_uniform_open_redraws_a_zero(monkeypatch):
@@ -222,13 +223,15 @@ def test_direct_sampler_redraws_a_zero_word_as_uniform_open_redraws_a_zero(monke
 
 def _split_draw(monkeypatch, cpus, stream, count, n):
     """The direct sampler's maxima over ``cpus`` usable CPUs, with blocks of 8
-    words, the part counts it drew with, and the generator it drew from."""
+    words and parts of at least 4, the part counts of its splits, and the
+    generator it drew from."""
     monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 8)
-    monkeypatch.setattr(maxima, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(stats, "_PART", 4)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
     used = []
-    in_parallel = maxima._in_parallel
+    in_parallel = stats._in_parallel
     monkeypatch.setattr(
-        maxima, "_in_parallel", lambda task, parts: used.append(parts) or in_parallel(task, parts)
+        stats, "_in_parallel", lambda task, parts: used.append(parts) or in_parallel(task, parts)
     )
     rng = _stream(stream)
     return e.sample_max_direct(e.MaxLaw(e.uniform(), n), rng, count), used, rng
@@ -261,10 +264,12 @@ def _next_draws(rng):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 5])
 def test_split_draw_is_the_one_thread_draw(monkeypatch, stream, count, n, cpus):
     # each part is moved on by the words of the rows before it, so any number
-    # of parts gives the maxima, and the stream end, of one thread; each part
-    # gets whole blocks (8 // n rows of n words here), at least one
+    # of parts gives the maxima, and the stream end, of one thread; a part
+    # starts anywhere in a block (8 // n rows of n words here), and takes at
+    # least 4 words and one row
     got, used, rng = _split_draw(monkeypatch, cpus, stream, count, n)
-    assert used == [min(cpus, max(1, count // (8 // min(n, 8))))]
+    parts = max(1, min(cpus, count * n // 4, count))
+    assert used == ([parts] if parts > 1 else [])
     assert np.array_equal(got, e.uniform_open(_stream(stream), (count, n)).max(axis=1))
     reference = _stream(stream)
     reference.random((count, n))
@@ -275,15 +280,16 @@ def test_split_draw_is_the_one_thread_draw(monkeypatch, stream, count, n, cpus):
 @pytest.mark.parametrize("count,n", [(40, 3), (12, 11)])
 @pytest.mark.parametrize("cpus", [2, 3, 5])
 def test_split_draw_redraws_a_zero_word_in_stream_order(monkeypatch, stream, count, n, cpus):
-    # with one word in 4 taken as a zero, zeros fall in every part: each moves
-    # the start of the parts after it, which are drawn again from there, and
-    # each block's zeros are redrawn after its words, whichever part drew it
-    monkeypatch.setattr(maxima, "_ZERO_WORDS", 2**62)
+    # with one word in 4 taken as a zero, zeros fall in every part, and the
+    # whole draw runs again on one thread, which redraws each block's zeros
+    # after its words
+    monkeypatch.setattr(stats, "_ZERO_WORDS", 2**62)
     calls = []
     row_maxima = maxima._row_maxima
     monkeypatch.setattr(maxima, "_row_maxima", lambda *a: calls.append(a) or row_maxima(*a))
     got, used, rng = _split_draw(monkeypatch, cpus, stream, count, n)
-    assert used == [cpus] and len(calls) > cpus  # some parts were drawn again
+    assert used == [cpus] and len(calls) == cpus + 1
+    assert calls[-1][0].size == count and calls[-1][2] is rng.bit_generator
     want, _, one = _split_draw(monkeypatch, 1, stream, count, n)
     assert np.array_equal(got, want)
     assert _next_draws(rng) == _next_draws(one)
@@ -294,7 +300,8 @@ def test_split_draw_with_more_parts_than_cores_switching_often(monkeypatch):
     # its own rows and its own generator only, so every draw is the one of a
     # single thread
     monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 64)
-    monkeypatch.setattr(maxima, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(stats, "_PART", 1024)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 8)
     law = e.MaxLaw(e.uniform(), 7)
     want = e.uniform_open(_stream("Philox-1"), (4000, 7)).max(axis=1)
     interval = sys.getswitchinterval()
@@ -313,31 +320,48 @@ class _Boom(Exception):
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_a_failing_part_leaves_the_stream_unmoved(monkeypatch, where):
     # the exception of any part reaches the caller with its own type, once
-    # every thread has ended, and the caller's generator is not moved on
+    # every part has ended, and the caller's generator is not moved on
     row_maxima = maxima._row_maxima
     main = threading.main_thread()
+    ended = []
 
     def failing(*args):
         row_maxima(*args)
         if (threading.current_thread() is main) == (where == "caller"):
             raise _Boom(where)
+        time.sleep(0.05)  # a part that does not fail ends well after one that does
+        ended.append(args[0].size)
 
     monkeypatch.setattr(maxima, "_row_maxima", failing)
     monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 8)
-    monkeypatch.setattr(maxima, "_usable_cpus", lambda: 3)  # 3 parts of 10 rows
+    monkeypatch.setattr(stats, "_PART", 4)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 3)  # 3 parts of 10 rows
     rng = _stream("Philox-1")
-    threads = threading.active_count()
     with pytest.raises(_Boom, match=where):
         e.sample_max_direct(e.MaxLaw(e.uniform(), 3), rng, 30)
-    assert threading.active_count() == threads
+    assert ended == [10] * (2 if where == "caller" else 1)
     assert _next_draws(rng) == _next_draws(_stream("Philox-1"))
+
+
+def test_direct_rows_are_cut_evenly(monkeypatch):
+    # a part starts at an even share of the rows, wherever that falls in a
+    # block: 1 000 and 1 000 rows at the benchmark's shape, whose blocks are
+    # 262 rows
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 2)
+    starts = []
+    moved_on = stats._moved_on
+    monkeypatch.setattr(stats, "_moved_on", lambda *a: starts.append(a[2]) or moved_on(*a))
+    got = e.sample_max_direct(e.MaxLaw(e.uniform(), 2000), _stream("Philox-1"), 2000)
+    assert starts == [0, 1000 * 2000]
+    assert np.array_equal(got, e.uniform_open(_stream("Philox-1"), (2000, 2000)).max(axis=1))
+    assert stats._cuts(17, 5) == [0, 3, 6, 10, 13, 17]
 
 
 def test_usable_cpus_are_the_affinity_mask():
     if hasattr(os, "sched_getaffinity"):
-        assert maxima._usable_cpus() == len(os.sched_getaffinity(0))
+        assert stats._usable_cpus() == len(os.sched_getaffinity(0))
     else:
-        assert maxima._usable_cpus() == (os.cpu_count() or 1)
+        assert stats._usable_cpus() == (os.cpu_count() or 1)
 
 
 def _digest(a) -> str:

@@ -1,12 +1,21 @@
-"""Stream contract and KS distances."""
+"""Stream contract, split draws and KS distances."""
 
+import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import timeit
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import evtlab as e
+from evtlab import stats
 from evtlab.errors import ContractViolationError, DomainError
 from evtlab.stats import _sorted_sample
 
@@ -125,6 +134,235 @@ def test_the_draw_bound_is_inclusive(site):
     call, _ = DRAW_SITES[site]
     with pytest.raises(_Refused):
         call(_NoDraws(), 2**27)
+
+
+# ------------------------------------------------------------- split draws
+
+# Philox with 0, 3, 2 and 1 words left in its buffer of four, and with a
+# 32-bit half word kept for the next 32-bit draw; the two PCG generators,
+# which move on by any number of words too; SFC64, which cannot, and
+# MT19937, whose doubles take two words
+SPLIT_STREAMS = (
+    "Philox-0", "Philox-1", "Philox-2", "Philox-3", "Philox-half",
+    "PCG64-0", "PCG64DXSM-3", "SFC64-1", "MT19937-1",
+)
+COUNTER = ("Philox", "PCG64", "PCG64DXSM")
+SPLIT_SIZES = (2**15 - 1, 2**15, 2**15 + 1, 10**5 + 3)
+LAWS = {
+    "uniform": e.uniform(),
+    "exponential": e.exponential(),
+    "pareto2": e.pareto(2.0),
+    "normal": e.normal(),
+    "degenerate": e.degenerate(0.0),
+    "geometric": e.geometric(0.5),
+}
+SAMPLERS = {
+    "quantile_transform": e.sample_quantile_transform,
+    "exprep": lambda law, rng, size: e.sample_max_exponential_rep(e.MaxLaw(law, 10**6), rng, size),
+}
+
+
+def _stream(name):
+    kind, _, drawn = name.partition("-")
+    rng = np.random.Generator(getattr(np.random, kind)(9))
+    if drawn == "half":
+        rng.integers(0, 2**32, dtype=np.uint32)
+    else:
+        rng.random(int(drawn))
+    return rng
+
+
+def _next_draws(rng):
+    # a double, then a 32-bit draw, which a generator may take from half a word
+    return rng.random(), int(rng.integers(0, 2**32, dtype=np.uint32))
+
+
+def _on_cpus(monkeypatch, cpus):
+    """Split over ``cpus`` usable CPUs; the part count of each split is
+    listed in the list returned."""
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
+    used = []
+    in_parallel = stats._in_parallel
+    monkeypatch.setattr(
+        stats, "_in_parallel", lambda task, parts: used.append(parts) or in_parallel(task, parts)
+    )
+    return used
+
+
+def _sampled(monkeypatch, cpus, sampler, law, stream, size):
+    used = _on_cpus(monkeypatch, cpus)
+    rng = _stream(stream)
+    return SAMPLERS[sampler](law, rng, size), _next_draws(rng), used
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("stream", SPLIT_STREAMS)
+@pytest.mark.parametrize("size", SPLIT_SIZES)
+@pytest.mark.parametrize("cpus", [2, 3, 4, 5])
+def test_a_split_draw_is_the_one_part_draw(monkeypatch, sampler, stream, size, cpus):
+    # each part starts at its first row's word, so any number of parts gives
+    # the samples, and the stream end, of one part; a part takes at least
+    # 2**14 values, and only a generator that moves on by any number of
+    # words splits
+    law = LAWS["exponential"]
+    want, want_next, _ = _sampled(monkeypatch, 1, sampler, law, stream, size)
+    got, got_next, used = _sampled(monkeypatch, cpus, sampler, law, stream, size)
+    assert np.array_equal(got, want) and got_next == want_next
+    parts = min(cpus, size // 2**14) if stream.partition("-")[0] in COUNTER else 1
+    assert used == ([parts] if parts > 1 else [])
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("cpus", [2, 5])
+def test_every_law_splits_to_the_one_part_draw(monkeypatch, sampler, law, cpus):
+    want, want_next, _ = _sampled(monkeypatch, 1, sampler, LAWS[law], "Philox-1", 10**5 + 3)
+    got, got_next, used = _sampled(monkeypatch, cpus, sampler, LAWS[law], "Philox-1", 10**5 + 3)
+    assert np.array_equal(got, want) and got_next == want_next
+    assert used == [cpus]
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("shape", [2**15 - 1, 10**5 + 3, (7, 14287)])
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+def test_max_cdf_splits_to_the_one_part_pass(monkeypatch, law, shape, cpus):
+    # the pass over x is cut into even parts of its flat entries, whatever
+    # its shape; x holds the law's maxima, and both infinities
+    max_law = e.MaxLaw(LAWS[law], 10**6)
+    x = e.sample_max_exponential_rep(max_law, e.make_rng(4), int(np.prod(shape)))
+    x[[0, -1]] = -np.inf, np.inf
+    x = x.reshape(shape)
+    _on_cpus(monkeypatch, 1)
+    want = e.max_cdf(max_law, x)
+    used = _on_cpus(monkeypatch, cpus)
+    got = e.max_cdf(max_law, x)
+    assert np.array_equal(got, want) and got.shape == x.shape
+    parts = min(cpus, x.size // 2**14)
+    assert used == ([parts] if parts > 1 else [])
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("stream", ["Philox-1", "Philox-half", "PCG64-0"])
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+def test_a_zero_word_draws_the_whole_draw_again_on_one_thread(monkeypatch, sampler, stream, cpus):
+    # with one word in 4 taken as a zero, every part sees one, and the draw
+    # is made again on one thread from where the stream stood
+    monkeypatch.setattr(stats, "_ZERO_WORDS", 2**62)
+    calls = []
+    uniform_open = stats._uniform_open
+    monkeypatch.setattr(stats, "_uniform_open", lambda *a: calls.append(a[1]) or uniform_open(*a))
+    law = LAWS["normal"]
+    want, want_next, _ = _sampled(monkeypatch, 1, sampler, law, stream, 10**5 + 3)
+    got, got_next, used = _sampled(monkeypatch, cpus, sampler, law, stream, 10**5 + 3)
+    assert np.array_equal(got, want) and got_next == want_next
+    assert used == [cpus] and calls == [10**5 + 3] * 2
+
+
+def test_split_draws_share_one_pool_of_daemon_threads(monkeypatch):
+    _on_cpus(monkeypatch, 3)
+    law = LAWS["uniform"]
+    e.sample_quantile_transform(law, e.make_rng(1), 10**5)
+    threads = threading.enumerate()
+    for seed in range(5):
+        e.sample_quantile_transform(law, e.make_rng(seed), 10**5)
+    assert threading.enumerate() == threads
+    workers = [t for t in threads if t.name == "evtlab-part"]
+    assert len(workers) >= 2 and all(t.daemon for t in workers)
+
+
+def test_callers_on_several_threads_share_the_pool(monkeypatch):
+    # four callers split draws of three parts each into one pool, with a
+    # thread switch every microsecond: each gets the draws of one thread
+    _on_cpus(monkeypatch, 3)
+    law = LAWS["exponential"]
+    want = [e.sample_quantile_transform(law, e.make_rng(seed), 10**5) for seed in range(4)]
+    got = [[] for _ in want]
+
+    def caller(seed):
+        for _ in range(5):
+            got[seed].append(e.sample_quantile_transform(law, e.make_rng(seed), 10**5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(seed,)) for seed in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    for draws, one in zip(got, want):
+        assert len(draws) == 5 and all(np.array_equal(draw, one) for draw in draws)
+
+
+def test_a_pool_thread_splits_nothing(monkeypatch):
+    # a worker that split would wait on the pool it belongs to
+    _on_cpus(monkeypatch, 2)
+    seen = []
+
+    def quantile(u):
+        seen.append((threading.current_thread().name, stats._parts(10**6, 10**6)))
+        return u
+
+    law = dataclasses.replace(LAWS["uniform"], quantile=quantile)
+    e.sample_quantile_transform(law, e.make_rng(1), 10**5)
+    assert sorted(seen) == [("MainThread", 2), ("evtlab-part", 1)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_a_pool_of_its_own(monkeypatch):
+    # the parent's worker threads do not run in a forked child: a child that
+    # kept the parent's pool would wait for ever on its first split
+    used = _on_cpus(monkeypatch, 2)
+    law = LAWS["normal"]
+    want = e.sample_quantile_transform(law, e.make_rng(5), 10**5)
+    assert used == [2] and stats._pool is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # a fork of a threaded process
+        pid = os.fork()
+    if pid == 0:  # the child: never returns into the test run
+        code = 1
+        try:
+            fresh = stats._pool is None
+            got = e.sample_quantile_transform(law, e.make_rng(5), 10**5)
+            if fresh and used == [2, 2] and np.array_equal(got, want):
+                code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while not (ended := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split draw did not end within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(ended[1]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
+def test_one_usable_cpu_takes_one_part_and_starts_no_thread():
+    # a fresh interpreter on one CPU of its mask, as under ``taskset -c 0``
+    script = """
+import os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import evtlab as e
+from evtlab import stats
+law = e.MaxLaw(e.normal(), 2000)
+e.sample_quantile_transform(law.base, e.make_rng(1), 10**5)
+m = e.sample_max_exponential_rep(law, e.make_rng(2), 10**5)
+e.max_cdf(law, m)
+e.sample_max_direct(law, e.make_rng(3), 2000)
+print(stats._usable_cpus(), stats._pool, threading.active_count())
+"""
+    src = os.path.dirname(os.path.dirname(e.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert done.stdout.split() == ["1", "None", "1"]
 
 
 # ------------------------------------------------- the KS sample's empirical cdf

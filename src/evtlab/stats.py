@@ -25,13 +25,19 @@ a forked child.  The words, and so the values and the stream's end, are
 those of a one-thread draw; if any part sees a word that gives 0.0, which
 one thread redraws in stream order, the whole draw runs again on one
 thread.  ``max_cdf`` splits its pass over x the same way (``_split_map``).
+A thread running a part, the caller's too, splits nothing further.
 
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
 at the two supported levels; no p-values are computed.  Each sample is
-checked and sorted once, and its empirical cdf is read off the sorted copy
-(``_sorted_sample``).  The one-sample statistic checks the cdf's values
-with one ``min`` and one ``max`` and never writes into them, as a law may
-return an array of its own.
+checked once as a 1-d array of reals (``_sample``; another shape is a
+``DomainError``), and its empirical cdf is read off a sorted copy.  The
+one-sample check of a sample of two parts' worth partitions the copy at
+the part cuts, so that each part's slice holds the values of its ranks,
+and each part sorts its slice, evaluates the cdf on it and returns the
+largest and least of F(s_i) - i/n on its own thread: the parts together
+are the sorted sample, and the statistic is the one-thread double.  It
+checks the cdf's values with one ``min`` and one ``max`` a part and never
+writes into them, as a law may return an array of its own.
 
 The package checks its integer, grid, real and real-array arguments here
 (``_integer``, ``_grid``, ``_real``, ``_reals``; a draw's ``size`` through
@@ -300,7 +306,7 @@ def _moved_on(bitgen, state, words: int):
 _pool_lock = threading.Lock()
 _pool = None  # the task queue
 _pool_size = 0  # the worker threads serving it
-_worker = threading.local()  # .pooled is set on the pool's threads
+_worker = threading.local()  # .in_part is set while a thread runs a part of a split
 
 
 def _forget_pool():
@@ -315,7 +321,6 @@ if hasattr(os, "register_at_fork"):
 def _work(tasks):
     """A worker thread of the pool: for each (run, i, done) task, run(i),
     which raises nothing, then release ``done``."""
-    _worker.pooled = True
     while True:
         run, i, done = tasks.get()
         run(i)
@@ -348,17 +353,21 @@ def _tasks(workers: int):
 def _in_parallel(task, parts: int) -> None:
     """task(0), ..., task(parts - 1): task 0 on the calling thread and the
     others on the pool's threads, each under the caller's numpy error state,
-    which a thread does not inherit.  Once every task has ended, the first
-    exception, in task order, is raised."""
+    which a thread does not inherit, and marked as running a part, so that
+    nothing it calls splits again (``_parts``).  Once every task has ended,
+    the first exception, in task order, is raised."""
     errors = [None] * parts
     errstate = np.geterr()
 
     def run(i):
+        _worker.in_part = True
         try:
             with np.errstate(**errstate):
                 task(i)
         except BaseException as exc:  # raised on the calling thread below
             errors[i] = exc
+        finally:
+            _worker.in_part = False
 
     tasks = _tasks(parts - 1)
     waits = []
@@ -380,9 +389,10 @@ def _in_parallel(task, parts: int) -> None:
 def _parts(values: int, rows: int) -> int:
     """The parts a pass over ``rows`` rows of ``values`` values in all is
     split into: one per usable CPU, each of at least ``_PART`` values and
-    one row.  A worker of the pool splits nothing, so it never waits on the
-    pool it belongs to."""
-    if values < 2 * _PART or getattr(_worker, "pooled", False):
+    one row.  A thread running a part of a split, the caller's part 0 too,
+    splits nothing: a pool thread would wait on the pool it belongs to, and
+    the caller on a pool its other parts keep busy."""
+    if values < 2 * _PART or getattr(_worker, "in_part", False):
         return 1
     return min(_usable_cpus(), values // _PART, rows)
 
@@ -494,10 +504,19 @@ def standard_exponential(rng: np.random.Generator, size):
     return _exponential_of(_uniform_open(rng, _size(size)))
 
 
+def _sample(samples) -> np.ndarray:
+    """``samples`` checked as a 1-d array of reals (inf but not NaN); another
+    shape is a ``DomainError`` that names it."""
+    x = _reals(samples, "samples", "[-inf, inf]")
+    if x.ndim != 1:
+        raise DomainError(f"samples must be a 1-d array, got shape {x.shape}")
+    return x
+
+
 def _sorted_sample(samples) -> np.ndarray:
-    """``samples`` checked as reals (inf but not NaN) and sorted: the sample's
+    """``samples`` checked (``_sample``) and sorted: the sample's
     right-continuous empirical cdf at x is the count of entries <= x over n."""
-    return np.sort(_reals(samples, "samples", "[-inf, inf]"))
+    return np.sort(_sample(samples))
 
 
 @dataclass(frozen=True)
@@ -515,26 +534,52 @@ def _threshold(alpha: float, n_effective: float) -> float:
     return KS_CRITICAL[alpha] / np.sqrt(n_effective)
 
 
+def _ks_ends(s: np.ndarray, cdf, a: int, n: int):
+    """The largest and least of d_i = F(s_i) - i/n over the slice ``s`` of a
+    sample of ``n`` values that holds its ranks a, a + 1, ...: s is sorted in
+    place, and F's values are checked but never written."""
+    s.sort()
+    f = np.asarray(cdf(s), dtype=float)
+    if not (f.min() >= 0.0 and f.max() <= 1.0):  # NaN carries through min
+        raise ContractViolationError("cdf returned values outside [0, 1]")
+    d = np.arange(a, a + s.size, dtype=float)
+    np.divide(d, n, out=d)
+    np.subtract(f, d, out=d)
+    return d.max(), d.min()
+
+
 def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:
     """Sup-distance between the sample ECDF and ``cdf``, with verdict.
+
+    ``cdf`` must map each value alone: a sample of at least two parts'
+    worth is cut at its ranks into even parts (``_parts``), and ``cdf`` is
+    called on each part's sorted values, on several threads at once.
 
     D- takes F(s), not the left limit F(s-), so at an atom of ``cdf`` the
     statistic is overstated by up to the atom's mass; the exact statistic
     would make the threshold conservative there (Conover, JASA 1972).
     """
-    s = _sorted_sample(samples)
-    n = s.size
+    x = _sample(samples)
+    n = x.size
     if n < _MIN_KS_SAMPLES:
         raise DomainError(f"one-sample KS requires >= {_MIN_KS_SAMPLES} samples, got {n}")
-    f = np.asarray(cdf(s), dtype=float)
-    if not (f.min() >= 0.0 and f.max() <= 1.0):  # NaN carries through min
-        raise ContractViolationError("cdf returned values outside [0, 1]")
     # D+ = max((i + 1)/n - f) = 1/n - min(f - i/n) and D- = max(f - i/n),
-    # with d = f - i/n built in the ramp's array, as f may be the law's own
-    d = np.arange(n, dtype=float)
-    np.divide(d, n, out=d)
-    np.subtract(f, d, out=d)
-    stat = float(max(d.max(), 1.0 / n - d.min(), 0.0))
+    # over the sorted sample; each part sorts the values of its ranks, which
+    # a partition of a copy of x at the part cuts puts in its slice
+    parts = _parts(n, n)
+    cuts = _cuts(n, parts)
+    s = np.partition(x, cuts[1:-1]) if parts > 1 else x.copy()
+    ends = [None] * parts
+
+    def part(i):
+        ends[i] = _ks_ends(s[cuts[i] : cuts[i + 1]], cdf, cuts[i], n)
+
+    if parts > 1:
+        _in_parallel(part, parts)
+    else:
+        part(0)
+    highs, lows = zip(*ends)
+    stat = float(max(max(highs), 1.0 / n - min(lows), 0.0))
     thr = float(_threshold(alpha, n))
     return KsResult(stat, float(n), thr, stat < thr)
 

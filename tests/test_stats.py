@@ -1,7 +1,9 @@
 """Stream contract, split draws and KS distances."""
 
 import dataclasses
+import functools
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -297,8 +299,9 @@ def test_callers_on_several_threads_share_the_pool(monkeypatch):
         assert len(draws) == 5 and all(np.array_equal(draw, one) for draw in draws)
 
 
-def test_a_pool_thread_splits_nothing(monkeypatch):
-    # a worker that split would wait on the pool it belongs to
+def test_a_part_splits_nothing_on_any_thread(monkeypatch):
+    # a worker that split would wait on the pool it belongs to, and the
+    # caller's part 0 on a pool its other parts keep busy
     _on_cpus(monkeypatch, 2)
     seen = []
 
@@ -308,7 +311,8 @@ def test_a_pool_thread_splits_nothing(monkeypatch):
 
     law = dataclasses.replace(LAWS["uniform"], quantile=quantile)
     e.sample_quantile_transform(law, e.make_rng(1), 10**5)
-    assert sorted(seen) == [("MainThread", 2), ("evtlab-part", 1)]
+    assert sorted(seen) == [("MainThread", 1), ("evtlab-part", 1)]
+    assert stats._parts(10**6, 10**6) == 2  # the mark ends with the part
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -353,6 +357,7 @@ law = e.MaxLaw(e.normal(), 2000)
 e.sample_quantile_transform(law.base, e.make_rng(1), 10**5)
 m = e.sample_max_exponential_rep(law, e.make_rng(2), 10**5)
 e.max_cdf(law, m)
+e.ks_one_sample(m, lambda x: e.max_cdf(law, x))
 e.sample_max_direct(law, e.make_rng(3), 2000)
 print(stats._usable_cpus(), stats._pool, threading.active_count())
 """
@@ -476,16 +481,29 @@ def test_ks_one_sample_validation():
         e.ks_one_sample(np.linspace(0.01, 0.99, 100), lambda x: 2.0 * np.asarray(x))
 
 
-def test_ks_one_sample_refuses_a_nan_cdf_and_leaves_its_output_alone():
-    x = np.linspace(0.01, 0.99, 100)
-    f = np.linspace(0.01, 0.99, 100)
-    for bad in (np.nan, -1e-300, 1.0 + 2.0**-52):
-        g = f.copy()
-        g[7] = bad
-        with pytest.raises(ContractViolationError, match="outside"):
-            e.ks_one_sample(x, lambda s, g=g: g)
-    e.ks_one_sample(x, lambda s: f)
-    assert np.array_equal(f, np.linspace(0.01, 0.99, 100))
+@pytest.mark.parametrize("n,at", [(100, 7), (10**5 + 3, 7), (10**5 + 3, 10**5 - 5)])
+def test_ks_one_sample_refuses_a_nan_cdf_and_leaves_its_output_alone(monkeypatch, n, at):
+    # at 1e5 + 3 points the check splits in two, and the bad value lies in
+    # the first or in the last part; no array the cdf returned is written
+    used = _on_cpus(monkeypatch, 2)
+    x = np.linspace(0.01, 0.99, n)
+    for bad in (np.nan, -1e-300, 1.0 + 2.0**-52, None):
+        returned = []
+
+        def cdf(s, bad=bad):  # the uniform law's, with ``bad`` at x[at]
+            f = s.copy()
+            if bad is not None:
+                f[s == x[at]] = bad
+            returned.append((f, f.tobytes()))
+            return f
+
+        if bad is None:
+            assert e.ks_one_sample(x, cdf) == e.ks_one_sample(x, e.uniform().cdf)
+        else:
+            with pytest.raises(ContractViolationError, match="outside"):
+                e.ks_one_sample(x, cdf)
+        assert returned and all(f.tobytes() == bits for f, bits in returned)
+    assert used == ([2] * 5 if n > 2**15 else [])
 
 
 def test_ks_refuses_a_nan_sample():
@@ -543,6 +561,29 @@ def test_ks_two_sample_matches_a_brute_force_count(seed):
     assert e.ks_two_sample(a, b).statistic == brute
 
 
+@pytest.mark.parametrize(
+    "call,shape",
+    [
+        (lambda cdf: e.ks_one_sample(np.linspace(0.01, 0.99, 100).reshape(10, 10), cdf), (10, 10)),
+        (lambda cdf: e.ks_one_sample(np.full((2, 2**15), 0.5), cdf), (2, 32768)),
+        (lambda cdf: e.ks_one_sample(0.5, cdf), ()),
+        (lambda cdf: e.ks_one_sample(np.float64(0.5), cdf), ()),
+        (lambda cdf: e.ks_two_sample(np.full((1, 50), 0.5), np.full(50, 0.5)), (1, 50)),
+        (lambda cdf: e.ks_two_sample(np.full(50, 0.5), [np.full(50, 0.5)]), (1, 50)),
+        (lambda cdf: e.ks_two_sample(0.5, np.full(50, 0.5)), ()),
+        (lambda cdf: e.ks_two_sample(np.full(50, 0.5), np.empty((0, 3))), (0, 3)),
+    ],
+)
+def test_ks_refuses_a_sample_that_is_not_1d(monkeypatch, call, shape):
+    # a typed refusal naming the shape, before any sort, split or cdf call
+    used = _on_cpus(monkeypatch, 2)
+    seen = []
+    message = rf"^samples must be a 1-d array, got shape {re.escape(str(shape))}$"
+    with pytest.raises(DomainError, match=message):
+        call(lambda s: seen.append(s) or e.uniform().cdf(s))
+    assert seen == [] and used == []
+
+
 def test_ks_refuses_an_empty_sample():
     x = np.linspace(0.01, 0.99, 50)
     for call in (
@@ -586,3 +627,119 @@ def test_ks_result_threshold_table():
     res = e.ks_one_sample(np.linspace(0.001, 0.999, 400), e.uniform().cdf, alpha=0.01)
     assert res.threshold == pytest.approx(1.628 / np.sqrt(400))
     assert res.passed == (res.statistic < res.threshold)
+
+
+# ---------------------------------------------------------- split KS checks
+
+KS_SIZES = (2 * stats._PART - 1, 2 * stats._PART, 2 * stats._PART + 1, 10**5 + 3)
+_MAX_LAW = e.MaxLaw(e.normal(), 10**6)
+_NORMING = e.norming_constants(_MAX_LAW.base, _MAX_LAW.n)
+
+
+@functools.cache
+def _ks_case(case, size):
+    """(a read-only sample of ``size`` values, the cdf it is checked against)."""
+    rng = e.make_rng(8, size)
+    normal = e.sample_quantile_transform(e.normal(), rng, size)
+    if case in LAWS:  # the geometric law's sample is all ties
+        x, cdf = e.sample_quantile_transform(LAWS[case], rng, size), LAWS[case].cdf
+    elif case == "max_cdf":
+        x = e.sample_max_exponential_rep(_MAX_LAW, rng, size)
+        cdf = lambda v: e.max_cdf(_MAX_LAW, v)
+    elif case == "limit_cdf":
+        m = e.sample_max_exponential_rep(_MAX_LAW, rng, size)
+        x, cdf = (m - _NORMING.b_n) / _NORMING.a_n, lambda z: e.limit_cdf(0.0, z)
+    elif case == "constant":
+        x, cdf = np.full(size, 0.25), e.uniform().cdf
+    elif case == "infinities":
+        x, cdf = normal, e.normal().cdf
+        x[rng.integers(0, size, 50)] = np.inf
+        x[rng.integers(0, size, 50)] = -np.inf
+    elif case == "signed zeros":  # the exponential cdf keeps the zero's sign
+        x, cdf = np.abs(normal) - 1.0, e.exponential().cdf
+        x[rng.random(size) < 0.3] = 0.0
+        x[rng.random(size) < 0.3] = -0.0
+    else:
+        x, cdf = np.sort(normal), e.normal().cdf
+        if case == "reversed":
+            x = x[::-1].copy()
+    x.flags.writeable = False
+    return x, cdf
+
+
+KS_CASES = (
+    *LAWS, "max_cdf", "limit_cdf", "constant", "infinities", "signed zeros", "sorted", "reversed"
+)
+
+
+@pytest.mark.parametrize("case", KS_CASES)
+@pytest.mark.parametrize("size", KS_SIZES)
+@pytest.mark.parametrize("cpus", [2, 3, 4, 5])
+def test_a_split_ks_check_is_the_one_part_check(monkeypatch, case, size, cpus):
+    # each part sorts the values of its ranks, so the parts hold the sorted
+    # sample, and each d_i is the one-part check's double
+    sample, cdf = _ks_case(case, size)
+    x = sample.copy()
+    _on_cpus(monkeypatch, 1)
+    want = e.ks_one_sample(x, cdf)
+    used = _on_cpus(monkeypatch, cpus)
+    got = e.ks_one_sample(x, cdf)
+    assert got.statistic.hex() == want.statistic.hex()
+    assert (got.threshold, got.passed, got.n_effective) == (
+        want.threshold, want.passed, want.n_effective
+    )
+    assert x.tobytes() == sample.tobytes()  # the caller's array is not written
+    parts = min(cpus, size // stats._PART)
+    assert used == ([parts] if parts > 1 else [])
+
+
+def test_a_ks_check_of_the_exact_law_splits_once(monkeypatch):
+    # max_cdf, called in a part, the caller's part 0 too, splits nothing
+    used = _on_cpus(monkeypatch, 2)
+    law = e.MaxLaw(e.normal(), 10**6)
+    m = e.sample_max_exponential_rep(law, e.make_rng(1, 2), 10**5)
+    used.clear()
+    e.ks_one_sample(m, lambda x: e.max_cdf(law, x))
+    assert used == [2]
+
+
+def _cdf_failure(x, cdf):
+    with pytest.raises(ValueError) as failure:
+        e.ks_one_sample(x, cdf)
+    return type(failure.value), str(failure.value)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+def test_a_split_ks_check_raises_the_one_part_error(monkeypatch, cpus):
+    # the cdf refuses values past the sample's 99th percentile, which lie
+    # in the last part only, and names the first it was given; parts are in
+    # value order, so that is the one-part check's first bad value
+    x = e.sample_quantile_transform(e.normal(), e.make_rng(6), 10**5 + 3)
+    top = np.quantile(x, 0.99)
+
+    def cdf(s):
+        if s[-1] > top:
+            raise ValueError(f"no cdf at {s[s > top][0]!r}")
+        return e.normal().cdf(s)
+
+    _on_cpus(monkeypatch, 1)
+    want = _cdf_failure(x, cdf)
+    used = _on_cpus(monkeypatch, cpus)
+    assert _cdf_failure(x, cdf) == want
+    assert used == [cpus]
+
+
+def test_each_ks_part_runs_under_the_callers_error_state(monkeypatch):
+    used = _on_cpus(monkeypatch, 3)
+    seen = []
+
+    def cdf(s):
+        seen.append(np.geterr())
+        return e.uniform().cdf(s)
+
+    x = e.sample_quantile_transform(e.uniform(), e.make_rng(1), 10**5)
+    used.clear()
+    with np.errstate(divide="ignore", invalid="raise", under="warn"):
+        want = np.geterr()
+        e.ks_one_sample(x, cdf)
+    assert used == [3] and seen == [want] * 3

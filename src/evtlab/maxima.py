@@ -10,8 +10,8 @@ consume uniforms from the same stream contract, so they can be compared
 seed-for-seed; the exponential-representation route is the one that stays
 cheap at large n.  Both samplers, and ``max_cdf`` over a large x, cut
 their work into even ranges, one per usable CPU, that run side by side
-(``stats._split_draw`` and ``stats._split_map``); a sampler's ranges draw
-disjoint parts of one counter-based stream, with the bits and the stream
+(``stats._in_parallel``); a sampler's ranges draw disjoint parts of one
+counter-based stream (``stats._split_draw``), with the bits and the stream
 end of a one-thread draw.
 
 The normalized maximum profile h_n(x) = g(Q(1 - eps)) of a monotone
@@ -28,7 +28,6 @@ column of n values; ``nonlinear_evt.convergence_diagnostic`` calls it once,
 with its whole n column, and spot-checks the monotonicity of g here too.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -39,8 +38,8 @@ from .dist import Distribution, _finite_quantiles
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
 from .stats import (
-    _count, _exponential_of, _integer, _open_draw, _open_words, _reals, _scalar_or_array,
-    _split_draw, _split_map, _uniform_open,
+    _count, _cuts, _exponential_of, _in_parallel, _integer, _open_draw, _open_words, _reals,
+    _scalar_or_array, _split_draw, _uniform_open, _word_generators,
 )
 
 __all__ = [
@@ -76,14 +75,10 @@ def _indices(n, least: int = 1):
     return n
 
 
-# Most uniforms one part of ``sample_max_direct`` holds at once (4 MB, as
-# doubles or as raw words); a draw split over k parts holds k such blocks.
-# Not smaller: a freed 4 MB block raises glibc's mmap threshold to 4 MB and
-# its trim threshold to 8 MB, for every thread, so the 800 kB arrays of 1e5
-# points made next are served from the heap without page faults.  With blocks
-# of 2**16 to 2**18, a pass of the benchmark's sampling cases took 6k to 19k
-# minor faults and up to 1.4x the time, against 31 faults at 2**19; halving
-# each part's block with two worker threads brought back hundreds of faults.
+# Most uniforms one range of ``sample_max_direct`` holds at once (4 MB, as
+# doubles or as raw words); a draw split over k ranges holds k such blocks.
+# Not smaller: a freed 4 MB block keeps later arrays out of glibc's mmap
+# path (the note at ``stats._tasks``).
 _DIRECT_BLOCK = 2**19
 
 # Most uniforms ``sample_max_direct`` draws in one call, count * n: about 14 s
@@ -91,14 +86,6 @@ _DIRECT_BLOCK = 2**19
 # a word), and about 7 s split over both.  The exponential representation
 # draws count uniforms at any n.
 _DIRECT_BUDGET = 2**32
-
-
-@functools.cache
-def _word_generators():
-    """The bit generators whose ``Generator.random`` double is the raw 64-bit
-    word w as (w >> 11) * 2**-53 (MT19937 builds its doubles from two 32-bit
-    words); looked up on first use, so that no import loads numpy.random."""
-    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
 @dataclass(frozen=True)
@@ -116,26 +103,31 @@ def max_cdf(law: MaxLaw, x):
     """P{M_n <= x} = F(x)**n, computed as exp(n log1p(-S(x)))."""
     arr = _reals(x, "x", "[-inf, inf]")
     n, sf = float(law.n), law.base.sf
-    return _scalar_or_array(x, _split_map(lambda v, out: _cdf_of_max(n, sf(v), out), arr))
+    flat, out = arr.reshape(-1), np.empty(arr.shape)  # split as a draw is, into flat ranges
+    dest = out.reshape(-1)
+    _in_parallel(lambda a, b: _cdf_of_max(n, sf(flat[a:b]), dest[a:b]), _cuts(arr.size, arr.size))
+    return _scalar_or_array(x, out)
 
 
-def _row_maxima(u, n: int, bitgen, rng) -> bool:
-    """Raise ``u`` (zeros) to the row maxima of a (u.size, n) draw: raw words
-    of ``bitgen`` where it is given, else doubles of ``rng``.  Row-major
-    blocks of at most ``_DIRECT_BLOCK`` keep the stream order of one draw.
-    Whether a zero word was redrawn, which moves the stream on by a word."""
+def _row_maxima(u, n: int, rng) -> bool:
+    """Raise ``u`` (zeros) to the row maxima of a (u.size, n) draw from
+    ``rng``: raw words of its bit generator where u holds words, else its
+    open uniforms.  Row-major blocks of at most ``_DIRECT_BLOCK`` keep the
+    stream order of one draw.  Whether a zero was redrawn, which moves the
+    stream on by a word."""
     width = min(n, _DIRECT_BLOCK)
     rows = _DIRECT_BLOCK // width
+    on_words = u.dtype == np.uint64
     redrawn = False
     for r in range(0, u.size, rows):
         block = u[r : r + rows]
         for c in range(0, n, width):
             shape = (block.size, min(width, n - c))
-            if bitgen is None:
-                part = _uniform_open(rng, shape)
+            if on_words:
+                part, zero = _open_words(rng.bit_generator, shape)
             else:
-                part, zero = _open_words(bitgen, shape)
-                redrawn |= zero
+                part, zero = _uniform_open(rng, shape)
+            redrawn |= zero
             np.maximum(block, part.max(axis=1), out=block)
             del part  # not held while the next block is drawn
     return redrawn
@@ -149,18 +141,12 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
     row-major blocks of at most 2**19, so memory stays bounded, but time is
     O(count * n): above 2**32 draws (``_DIRECT_BUDGET``) the call is a
     ``DomainError``; use the exponential representation for large n.  Where
-    the generator's doubles are its raw words shifted (``_word_generators``),
-    the maxima are taken on the words and only the maxima become doubles: the
-    same uniforms, and the same stream position, as ``uniform_open`` gives.
-
-    Where the generator can also move on by any number of words
-    (``stats._counter_generators``), the rows are cut into even ranges, one
-    per usable CPU, each drawn and turned into quantiles on a thread of its
-    own from a copy of the generator moved on to the range's first word
-    (``stats._split_draw``).  The maxima and the stream's end are those of
-    the one-thread draw: if any range sees a zero word, which one thread
-    redraws after the words of its block, the whole draw runs again on one
-    thread.
+    the generator's doubles are its raw words shifted
+    (``stats._word_generators``), the maxima are taken on the words and only
+    the maxima become doubles: the same uniforms, and the same stream
+    position, as ``uniform_open`` gives.  The rows are split into even
+    ranges as ``stats._split_draw`` splits a draw, with the maxima and the
+    stream end of one thread.
     """
     size = _count(count)
     n = law.n
@@ -170,24 +156,18 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
             f"2**32 = {_DIRECT_BUDGET}; the exponential representation "
             "(sample_max_exponential_rep, --method exprep) draws count uniforms at any n"
         )
-    bitgen = getattr(rng, "bit_generator", None)
-    on_words = type(bitgen) in _word_generators()
-    u = np.zeros(size, dtype=np.uint64 if on_words else float)
+    on_words = type(getattr(rng, "bit_generator", None)) in _word_generators()
 
     def draw(gen, a, b):
-        return None if _row_maxima(u[a:b], n, gen, rng) else u[a:b]
+        top = np.zeros(b - a, dtype=np.uint64 if on_words else float)
+        return top, _row_maxima(top, n, gen)
 
     def transform(top):
         if on_words:
             top = np.multiply(top >> np.uint64(11), 2.0**-53)
         return _finite_quantiles(law.base, top)
 
-    out = _split_draw(rng, size, n, draw, transform)
-    if out is None:
-        u[...] = 0  # a split that saw a zero word wrote some maxima
-        _row_maxima(u, n, bitgen if on_words else None, rng)
-        out = transform(u)
-    return out
+    return _split_draw(rng, size, n, draw, transform)
 
 
 def sample_max_exponential_rep(law: MaxLaw, rng, count: int):

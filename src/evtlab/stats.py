@@ -14,29 +14,30 @@ gets the same uniforms from them.  A bulk draw is checked with one ``min``
 reduction and transformed in its own array.
 
 The bulk samplers split a draw of at least two parts' worth (``_PART``
-values a part) into even row ranges, one per usable CPU, where the
-generator can move on by any number of words (Philox and the PCG64s,
-``_counter_generators``; Salmon et al., SC 2011).  Each part draws its
-range from a copy of the generator moved on to its first word and
-transforms it on the same thread, into its own slice of one output array
-(``_split_draw``).  Part 0 runs on the caller and the others on one pool
-of worker threads for the process, built at the first split and again in
-a forked child.  The words, and so the values and the stream's end, are
-those of a one-thread draw; if any part sees a word that gives 0.0, which
-one thread redraws in stream order, the whole draw runs again on one
-thread.  ``max_cdf`` splits its pass over x the same way (``_split_map``).
-A thread running a part, the caller's too, splits nothing further.
+values a part) into even row ranges, one per usable CPU (``_cuts``), where
+the generator's doubles are its raw words and it can move on by any number
+of them (``advance``: Philox and the PCG64s, in ``_word_generators``; Salmon
+et al., SC 2011).  Each range is drawn from a copy of the generator moved on
+to its first word and transformed on the same thread, into its own slice of
+one output array (``_split_draw``).  The first range runs on the caller and
+the others on one pool of worker threads for the process, built at the
+first split and again in a forked child (``_in_parallel``).  The words, and
+so the values and the stream's end, are those of a one-thread draw; if any
+range sees a word that gives 0.0, which one thread redraws in stream order,
+the whole draw runs again on one thread.  ``max_cdf`` splits its pass over
+x into the same ranges.  A thread running a range, the caller's too,
+splits nothing further.
 
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
 at the two supported levels; no p-values are computed.  Each sample is
 checked once as a 1-d array of reals (``_sample``; another shape is a
 ``DomainError``), and its empirical cdf is read off a sorted copy.  The
 one-sample check of a sample of two parts' worth partitions the copy at
-the part cuts, so that each part's slice holds the values of its ranks,
-and each part sorts its slice, evaluates the cdf on it and returns the
-largest and least of F(s_i) - i/n on its own thread: the parts together
+the range cuts, so that each range's slice holds the values of its ranks,
+and each range sorts its slice, evaluates the cdf on it and returns the
+largest and least of F(s_i) - i/n on its own thread: the ranges together
 are the sorted sample, and the statistic is the one-thread double.  It
-checks the cdf's values with one ``min`` and one ``max`` a part and never
+checks the cdf's values with one ``min`` and one ``max`` a range and never
 writes into them, as a law may return an array of its own.
 
 The package checks its integer, grid, real and real-array arguments here
@@ -232,17 +233,21 @@ def _size(size):
     return _bounded(_integer(size, "size", 0), "size")
 
 
-def _uniform_open(rng: np.random.Generator, size):
-    """``uniform_open``'s draw, for a ``size`` already checked."""
-    u = rng.random(size)
-    while u.size and not u.min() > 0.0:  # one reduction; a zero is all but never there
-        zero = u == 0.0
-        u[zero] = rng.random(int(zero.sum()))
-    return u
-
-
 # the words below this one give the double 0.0, which ``uniform_open`` redraws
 _ZERO_WORDS = 2**11
+
+
+def _uniform_open(rng: np.random.Generator, size):
+    """``uniform_open``'s draw, for a ``size`` already checked, and whether
+    any zero, the double of a word below ``_ZERO_WORDS``, was redrawn."""
+    least = _ZERO_WORDS * 2.0**-64  # the least double of any other word
+    u = rng.random(size)
+    redrawn = False
+    while u.size and not u.min() >= least:  # one reduction; a zero is all but never there
+        zero = u < least
+        u[zero] = rng.random(int(zero.sum()))
+        redrawn = True
+    return u, redrawn
 
 
 def _open_words(bitgen, shape):
@@ -258,21 +263,21 @@ def _open_words(bitgen, shape):
     return words, redrawn
 
 
-# Least values one part of a split pass takes: a pass of fewer than two
-# parts' worth runs on the caller alone.  On a 2-vCPU x86-64 host a pool
-# round trip costs about 20 us, and a part of 2**14 values about 70 us to
+# Least values one range of a split pass takes: a pass of fewer than two
+# ranges' worth runs on the caller alone.  On a 2-vCPU x86-64 host a pool
+# round trip costs about 20 us, and a range of 2**14 values about 70 us to
 # draw and take exponential quantiles of, 200 us with normal quantiles.
 _PART = 2**14
 
 
 @functools.cache
-def _counter_generators():
+def _word_generators():
     """The bit generators whose ``Generator.random`` double is the raw 64-bit
-    word w as (w >> 11) * 2**-53 and that move on by any number of words at
-    once (``advance``), so disjoint ranges of one stream can be drawn side by
-    side; SFC64 cannot move on, and MT19937 builds a double from two words.
-    Looked up on first use, so that no import loads numpy.random."""
-    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM)
+    word w as (w >> 11) * 2**-53 (MT19937 builds its doubles from two 32-bit
+    words); looked up on first use, so that no import loads numpy.random.
+    Those that can move on by any number of words (``advance``; not SFC64)
+    split a draw (``_split_draw``)."""
+    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
 def _usable_cpus() -> int:
@@ -306,7 +311,7 @@ def _moved_on(bitgen, state, words: int):
 _pool_lock = threading.Lock()
 _pool = None  # the task queue
 _pool_size = 0  # the worker threads serving it
-_worker = threading.local()  # .in_part is set while a thread runs a part of a split
+_worker = threading.local()  # .in_part is set while a thread runs a range of a split
 
 
 def _forget_pool():
@@ -335,13 +340,18 @@ def _tasks(workers: int):
             from queue import SimpleQueue  # not at import: a process may never split
 
             # glibc raises its mmap threshold to the size of a freed mapped
-            # block (mallopt(3)), so this freed 4 MB block, such as a direct
-            # draw frees, keeps the parts' arrays in the heap.  Below that
-            # threshold each array of 1e5 points is mapped and unmapped anew,
-            # which costs more with two threads running: on a 2-vCPU x86-64
-            # host the benchmark's first sampling pass, scipy's import aside,
-            # took 9 ms more split than on one thread, and 5 ms less with
-            # this block freed first.
+            # block, and its trim threshold to twice that, for every thread
+            # (mallopt(3)).  A freed 4 MB block, this one or a direct draw's
+            # (``maxima._DIRECT_BLOCK``), so keeps the 800 kB arrays of 1e5
+            # points made next in the heap; below the threshold each is
+            # mapped and unmapped anew, page faults and all, which costs
+            # more with two threads running.  On a 2-vCPU x86-64 host, direct
+            # blocks of 2**16 to 2**18 took a pass of the benchmark's sampling
+            # cases 6k to 19k minor faults and up to 1.4x the time, against 31
+            # faults at 2**19, and halving each range's block with two threads
+            # brought back hundreds; the first sampling pass, scipy's import
+            # aside, took 9 ms more split than on one thread, and 5 ms less
+            # with this block freed first.
             np.empty(2**19)
             _pool, _pool_size = SimpleQueue(), 0
         while _pool_size < workers:
@@ -350,12 +360,31 @@ def _tasks(workers: int):
         return _pool
 
 
-def _in_parallel(task, parts: int) -> None:
-    """task(0), ..., task(parts - 1): task 0 on the calling thread and the
-    others on the pool's threads, each under the caller's numpy error state,
-    which a thread does not inherit, and marked as running a part, so that
-    nothing it calls splits again (``_parts``).  Once every task has ended,
-    the first exception, in task order, is raised."""
+def _cuts(values: int, rows: int) -> list:
+    """The bounds of the even ranges a pass over ``rows`` rows of ``values``
+    values in all is split into, [0, ..., rows]: one range per usable CPU,
+    each of at least ``_PART`` values and one row, or [0, rows] for a pass
+    of fewer than two ranges' worth.  A thread running a range of a split,
+    the caller's too, splits nothing: a pool thread would wait on the pool
+    it belongs to, and the caller on a pool its other ranges keep busy."""
+    if values < 2 * _PART or getattr(_worker, "in_part", False):
+        return [0, rows]
+    parts = min(_usable_cpus(), values // _PART, rows)
+    return [rows * i // parts for i in range(parts + 1)]
+
+
+def _in_parallel(task, cuts) -> None:
+    """task(a, b) for each range [a, b) between neighbours of ``cuts``.  A
+    single range runs on the caller as it is.  Of several, the first runs
+    on the calling thread and the others on the pool's threads, each under
+    the caller's numpy error state, which a thread does not inherit, and
+    marked as running a range, so that nothing it calls splits again
+    (``_cuts``); once every range has ended, the first exception, in range
+    order, is raised."""
+    parts = len(cuts) - 1
+    if parts == 1:
+        task(*cuts)
+        return
     errors = [None] * parts
     errstate = np.geterr()
 
@@ -363,7 +392,7 @@ def _in_parallel(task, parts: int) -> None:
         _worker.in_part = True
         try:
             with np.errstate(**errstate):
-                task(i)
+                task(cuts[i], cuts[i + 1])
         except BaseException as exc:  # raised on the calling thread below
             errors[i] = exc
         finally:
@@ -386,100 +415,58 @@ def _in_parallel(task, parts: int) -> None:
             raise exc
 
 
-def _parts(values: int, rows: int) -> int:
-    """The parts a pass over ``rows`` rows of ``values`` values in all is
-    split into: one per usable CPU, each of at least ``_PART`` values and
-    one row.  A thread running a part of a split, the caller's part 0 too,
-    splits nothing: a pool thread would wait on the pool it belongs to, and
-    the caller on a pool its other parts keep busy."""
-    if values < 2 * _PART or getattr(_worker, "in_part", False):
-        return 1
-    return min(_usable_cpus(), values // _PART, rows)
-
-
-def _cuts(rows: int, parts: int) -> list:
-    """The first row of each of ``parts`` even ranges of ``rows`` rows, then ``rows``."""
-    return [rows * i // parts for i in range(parts + 1)]
-
-
 def _split_draw(rng, rows: int, width: int, draw, transform):
-    """The float array of ``transform`` of ``rows`` rows of ``width`` words
-    each, drawn from ``rng`` in even row ranges side by side (``_parts``),
-    or None where the caller is to draw on one thread.
+    """``transform`` of ``rows`` rows of ``width`` words each drawn from
+    ``rng``, as one float array: in even row ranges side by side (``_cuts``)
+    where rng's bit generator is in ``_word_generators`` and has ``advance``.
 
-    ``draw(gen, a, b)`` draws rows a to b from ``gen``, a copy of rng's bit
-    generator moved on to row a's first word, and returns them, or None if
-    it saw a word below ``_ZERO_WORDS``.  ``transform`` of what it returns
-    fills rows a to b of the output, on the same thread.  The parts draw
-    the words one thread would, so the values are the same.
-
-    None comes back, with rng unmoved, where rng cannot move on by any
-    number of words (``_counter_generators``), where the draw is too small
-    to split, and where any part saw a zero word, which one thread redraws
-    in stream order.  Otherwise rng is moved on to the draw's end once every
-    part has drawn, as a one-thread draw leaves it.  An exception is raised
-    once every part has ended, the first in part order: rng is at the
-    draw's end if it came from a transform, and unmoved if a draw raised.
+    ``draw(gen, a, b)`` draws rows a to b from the generator ``gen`` and
+    returns them and whether it redrew a zero word (``_ZERO_WORDS``), and
+    ``transform`` of them fills rows a to b on the same thread.  A range
+    draws from a copy of rng moved on to row a's first word, so the ranges
+    draw the words one thread would.  The draw runs on one thread, from rng,
+    where there is one range and where any range redrew a zero word, which
+    one thread redraws in stream order; else rng is moved on to the draw's
+    end once every range has drawn.  The first exception in range order is
+    raised once every range has ended, with rng at the draw's end if a
+    transform raised it and unmoved if a draw did.
     """
     bitgen = getattr(rng, "bit_generator", None)
-    parts = _parts(rows * width, rows) if type(bitgen) in _counter_generators() else 1
-    if parts == 1:
-        return None
-    cuts = _cuts(rows, parts)
-    state = bitgen.state
-    gens = [_moved_on(bitgen, state, a * width) for a in cuts[:-1]]
-    out = np.empty(rows)
-    drawn = [None] * parts  # whether each part drew its words with no zero word
+    splits = type(bitgen) in _word_generators() and hasattr(bitgen, "advance")
+    cuts = _cuts(rows * width, rows) if splits else [0, rows]
+    if len(cuts) > 2:
+        state = bitgen.state
+        gens = {a: np.random.Generator(_moved_on(bitgen, state, a * width)) for a in cuts[:-1]}
+        out = np.empty(rows)
+        redrawn = {}  # whether each range that drew redrew a zero word, by its first row
 
-    def part(i):
-        a, b = cuts[i], cuts[i + 1]
-        words = draw(gens[i], a, b)
-        drawn[i] = words is not None
-        if drawn[i]:
-            out[a:b] = transform(words)
+        def part(a, b):
+            values, redrawn[a] = draw(gens[a], a, b)
+            if not redrawn[a]:
+                out[a:b] = transform(values)
 
-    error = None
-    try:
-        _in_parallel(part, parts)
-    except Exception as exc:  # raised below, unless one thread draws again
-        error = exc
-    if False in drawn:
-        return None
-    if None not in drawn:  # the last part ends where one thread would, but for the half word
-        end = gens[-1].state
-        end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
-        bitgen.state = end
-    if error is not None:
-        raise error
-    return out
+        error = None
+        try:
+            _in_parallel(part, cuts)
+        except Exception as exc:  # raised below, unless one thread draws again
+            error = exc
+        if True not in redrawn.values():
+            # the last range ends where one thread would, but for the half word
+            if len(redrawn) == len(gens):
+                end = gens[cuts[-2]].bit_generator.state
+                end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+                bitgen.state = end
+            if error is not None:
+                raise error
+            return out
+    return transform(draw(rng, 0, rows)[0])
 
 
 def _open_draw(rng, size: int, transform):
-    """``transform(_uniform_open(rng, size))``, for a ``transform`` that
-    maps each uniform alone to a value: drawn and transformed in parts
-    where it splits (``_split_draw``), with the same values and stream end."""
-    least = _ZERO_WORDS * 2.0**-64  # the least double of a word that is not a zero word
-
-    def draw(gen, a, b):
-        u = np.random.Generator(gen).random(b - a)
-        return u if u.min() >= least else None
-
-    out = _split_draw(rng, size, 1, draw, transform)
-    return transform(_uniform_open(rng, size)) if out is None else out
-
-
-def _split_map(fn, arr: np.ndarray) -> np.ndarray:
-    """``fn(arr, out)`` into a new float array ``out`` of arr's shape, for an
-    ``fn`` that maps each entry alone, split into even parts of arr's flat
-    entries side by side as a draw is (``_parts``)."""
-    parts = _parts(arr.size, arr.size)
-    out = np.empty(arr.shape)
-    if parts == 1:
-        return fn(arr, out)
-    flat, cuts = arr.reshape(-1), _cuts(arr.size, parts)
-    dest = out.reshape(-1)
-    _in_parallel(lambda i: fn(flat[cuts[i] : cuts[i + 1]], dest[cuts[i] : cuts[i + 1]]), parts)
-    return out
+    """``transform`` of ``_uniform_open(rng, size)``'s uniforms, for a
+    ``transform`` that maps each alone to a value, split as ``_split_draw``
+    splits it."""
+    return _split_draw(rng, size, 1, lambda gen, a, b: _uniform_open(gen, b - a), transform)
 
 
 def uniform_open(rng: np.random.Generator, size):
@@ -488,7 +475,7 @@ def uniform_open(rng: np.random.Generator, size):
     Exact zeros (probability 2**-53 per draw) are redrawn in stream order,
     so quantile transforms never see an endpoint.
     """
-    return _uniform_open(rng, _size(size))
+    return _uniform_open(rng, _size(size))[0]
 
 
 def _exponential_of(u):
@@ -501,7 +488,7 @@ def _exponential_of(u):
 def standard_exponential(rng: np.random.Generator, size):
     """An array of ``size`` draws omega = -log(1 - U) with U from the shared
     uniform source, formed in U's own array."""
-    return _exponential_of(_uniform_open(rng, _size(size)))
+    return _exponential_of(_uniform_open(rng, _size(size))[0])
 
 
 def _sample(samples) -> np.ndarray:
@@ -551,9 +538,9 @@ def _ks_ends(s: np.ndarray, cdf, a: int, n: int):
 def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:
     """Sup-distance between the sample ECDF and ``cdf``, with verdict.
 
-    ``cdf`` must map each value alone: a sample of at least two parts'
-    worth is cut at its ranks into even parts (``_parts``), and ``cdf`` is
-    called on each part's sorted values, on several threads at once.
+    ``cdf`` must map each value alone: a sample of at least two ranges'
+    worth is cut at its ranks into even ranges (``_cuts``), and ``cdf`` is
+    called on each range's sorted values, on several threads at once.
 
     D- takes F(s), not the left limit F(s-), so at an atom of ``cdf`` the
     statistic is overstated by up to the atom's mass; the exact statistic
@@ -564,20 +551,12 @@ def ks_one_sample(samples, cdf, alpha: float = 0.05) -> KsResult:
     if n < _MIN_KS_SAMPLES:
         raise DomainError(f"one-sample KS requires >= {_MIN_KS_SAMPLES} samples, got {n}")
     # D+ = max((i + 1)/n - f) = 1/n - min(f - i/n) and D- = max(f - i/n),
-    # over the sorted sample; each part sorts the values of its ranks, which
-    # a partition of a copy of x at the part cuts puts in its slice
-    parts = _parts(n, n)
-    cuts = _cuts(n, parts)
-    s = np.partition(x, cuts[1:-1]) if parts > 1 else x.copy()
-    ends = [None] * parts
-
-    def part(i):
-        ends[i] = _ks_ends(s[cuts[i] : cuts[i + 1]], cdf, cuts[i], n)
-
-    if parts > 1:
-        _in_parallel(part, parts)
-    else:
-        part(0)
+    # over the sorted sample; each range sorts the values of its ranks, which
+    # a partition of a copy of x at the range cuts puts in its slice
+    cuts = _cuts(n, n)
+    s = np.partition(x, cuts[1:-1]) if len(cuts) > 2 else x.copy()
+    ends = []
+    _in_parallel(lambda a, b: ends.append(_ks_ends(s[a:b], cdf, a, n)), cuts)
     highs, lows = zip(*ends)
     stat = float(max(max(highs), 1.0 / n - min(lows), 0.0))
     thr = float(_threshold(alpha, n))

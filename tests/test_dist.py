@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtlab as e
-from evtlab import stats
 from evtlab.dist import CONTINUOUS, DISCRETE
 from evtlab.errors import DomainError
 
@@ -377,27 +376,6 @@ def test_sample_quantile_transform_count_validation():
         e.sample_quantile_transform(e.uniform(), e.make_rng(0), 0)
 
 
-def _split_into(monkeypatch, cpus):
-    """Split draws over ``cpus`` usable CPUs; the types of the exceptions
-    their parts raise are listed in the list returned."""
-    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
-    raised = []
-    in_parallel = stats._in_parallel
-
-    def recording(task, parts):
-        def part(i):
-            try:
-                return task(i)
-            except BaseException as exc:
-                raised.append(type(exc))
-                raise
-
-        return in_parallel(part, parts)
-
-    monkeypatch.setattr(stats, "_in_parallel", recording)
-    return raised
-
-
 def _pareto_failure(rng):
     with pytest.raises(DomainError, match=r"^Q\(u\) = inf is not finite at u = ") as failure:
         e.sample_quantile_transform(e.pareto(alpha=0.002), rng, 10**5)
@@ -406,21 +384,21 @@ def _pareto_failure(rng):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cpus", [2, 3, 5])
-def test_a_split_draw_raises_the_one_part_error(monkeypatch, cpus):
+def test_a_split_draw_raises_the_one_part_error(on_cpus, cpus):
     # Q(u) = (1 - u)**-500 overflows above u = 0.76: each part names its own
     # first such u, with no warning, and the error of the first part is the
     # one-part draw's; the stream ends where the one-part draw leaves it
-    _split_into(monkeypatch, 1)
+    on_cpus(1)
     want = _pareto_failure(e.make_rng(3, 1))
-    raised = _split_into(monkeypatch, cpus)
+    raised = on_cpus(cpus).raised
     assert _pareto_failure(e.make_rng(3, 1)) == want
     assert raised and set(raised) == {DomainError}
 
 
-def test_each_part_runs_under_the_callers_error_state(monkeypatch):
+def test_each_part_runs_under_the_callers_error_state(on_cpus):
     # a worker thread inherits no numpy error state, neither numpy 2's
     # context variable nor numpy 1's per-thread state
-    _split_into(monkeypatch, 3)
+    on_cpus(3)
     seen = []
 
     def quantile(u):

@@ -21,6 +21,8 @@ from evtlab.errors import ContractViolationError, DomainError
 from evtlab.geometric import _cdf_of_max
 from evtlab.maxima import HnVariant
 
+from conftest import COUNTER, SPLIT_STREAMS, _next_draws, _stream
+
 
 # ---------------------------------------------------------------- max_cdf
 
@@ -211,64 +213,41 @@ def test_direct_sampler_redraws_a_zero_word_as_uniform_open_redraws_a_zero(monke
     # one zero in each row, and one of their two redraws is a zero again
     words = [2**40, 2**10, 2**20, 2**30, 2**50, 0, 2**60, 5, 2**61, 2**62]
     law = e.MaxLaw(e.uniform(), 3)
-    monkeypatch.setattr(maxima, "_word_generators", lambda: (_Words,))
+    for module in (stats, maxima):
+        monkeypatch.setattr(module, "_word_generators", lambda: (_Words,))
     on_words = _WordStream(words)
     got = e.sample_max_direct(law, on_words, 2)
-    monkeypatch.setattr(maxima, "_word_generators", lambda: ())
+    for module in (stats, maxima):
+        monkeypatch.setattr(module, "_word_generators", lambda: ())
     on_doubles = _WordStream(words)
     assert np.array_equal(got, e.sample_max_direct(law, on_doubles, 2))
     assert got.tolist() == [2.0**-4, 2.0**-3]
     assert on_words.bit_generator.words == on_doubles.bit_generator.words == [2**62]
 
 
-def _split_draw(monkeypatch, cpus, stream, count, n):
+def _split_draw(monkeypatch, on_cpus, cpus, stream, count, n):
     """The direct sampler's maxima over ``cpus`` usable CPUs, with blocks of 8
     words and parts of at least 4, the part counts of its splits, and the
     generator it drew from."""
     monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 8)
     monkeypatch.setattr(stats, "_PART", 4)
-    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
-    used = []
-    in_parallel = stats._in_parallel
-    monkeypatch.setattr(
-        stats, "_in_parallel", lambda task, parts: used.append(parts) or in_parallel(task, parts)
-    )
+    used = on_cpus(cpus).parts
     rng = _stream(stream)
     return e.sample_max_direct(e.MaxLaw(e.uniform(), n), rng, count), used, rng
-
-
-SPLIT_STREAMS = (
-    # Philox with 0, 3, 2 and 1 words left in its buffer of four, and with a
-    # 32-bit half word kept for the next 32-bit draw; the two PCG generators
-    "Philox-0", "Philox-1", "Philox-2", "Philox-3", "Philox-half", "PCG64-0", "PCG64DXSM-3",
-)
-
-
-def _stream(name):
-    kind, _, drawn = name.partition("-")
-    rng = np.random.Generator(getattr(np.random, kind)(9))
-    if drawn == "half":
-        rng.integers(0, 2**32, dtype=np.uint32)
-    else:
-        rng.random(int(drawn))
-    return rng
-
-
-def _next_draws(rng):
-    # a double, then a 32-bit draw, which a generator may take from half a word
-    return rng.random(), int(rng.integers(0, 2**32, dtype=np.uint32))
 
 
 @pytest.mark.parametrize("stream", SPLIT_STREAMS)
 @pytest.mark.parametrize("count,n", [(17, 3), (5, 11), (9, 8), (2, 1)])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 5])
-def test_split_draw_is_the_one_thread_draw(monkeypatch, stream, count, n, cpus):
+def test_split_draw_is_the_one_thread_draw(monkeypatch, on_cpus, stream, count, n, cpus):
     # each part is moved on by the words of the rows before it, so any number
     # of parts gives the maxima, and the stream end, of one thread; a part
     # starts anywhere in a block (8 // n rows of n words here), and takes at
     # least 4 words and one row
-    got, used, rng = _split_draw(monkeypatch, cpus, stream, count, n)
+    got, used, rng = _split_draw(monkeypatch, on_cpus, cpus, stream, count, n)
     parts = max(1, min(cpus, count * n // 4, count))
+    if stream.partition("-")[0] not in COUNTER:  # a generator that cannot move on draws whole
+        parts = 1
     assert used == ([parts] if parts > 1 else [])
     assert np.array_equal(got, e.uniform_open(_stream(stream), (count, n)).max(axis=1))
     reference = _stream(stream)
@@ -279,7 +258,9 @@ def test_split_draw_is_the_one_thread_draw(monkeypatch, stream, count, n, cpus):
 @pytest.mark.parametrize("stream", ["Philox-0", "Philox-1", "PCG64-0"])
 @pytest.mark.parametrize("count,n", [(40, 3), (12, 11)])
 @pytest.mark.parametrize("cpus", [2, 3, 5])
-def test_split_draw_redraws_a_zero_word_in_stream_order(monkeypatch, stream, count, n, cpus):
+def test_split_draw_redraws_a_zero_word_in_stream_order(
+    monkeypatch, on_cpus, stream, count, n, cpus
+):
     # with one word in 4 taken as a zero, zeros fall in every part, and the
     # whole draw runs again on one thread, which redraws each block's zeros
     # after its words
@@ -287,10 +268,10 @@ def test_split_draw_redraws_a_zero_word_in_stream_order(monkeypatch, stream, cou
     calls = []
     row_maxima = maxima._row_maxima
     monkeypatch.setattr(maxima, "_row_maxima", lambda *a: calls.append(a) or row_maxima(*a))
-    got, used, rng = _split_draw(monkeypatch, cpus, stream, count, n)
+    got, used, rng = _split_draw(monkeypatch, on_cpus, cpus, stream, count, n)
     assert used == [cpus] and len(calls) == cpus + 1
-    assert calls[-1][0].size == count and calls[-1][2] is rng.bit_generator
-    want, _, one = _split_draw(monkeypatch, 1, stream, count, n)
+    assert calls[-1][0].size == count and calls[-1][2] is rng
+    want, _, one = _split_draw(monkeypatch, on_cpus, 1, stream, count, n)
     assert np.array_equal(got, want)
     assert _next_draws(rng) == _next_draws(one)
 
@@ -354,7 +335,8 @@ def test_direct_rows_are_cut_evenly(monkeypatch):
     got = e.sample_max_direct(e.MaxLaw(e.uniform(), 2000), _stream("Philox-1"), 2000)
     assert starts == [0, 1000 * 2000]
     assert np.array_equal(got, e.uniform_open(_stream("Philox-1"), (2000, 2000)).max(axis=1))
-    assert stats._cuts(17, 5) == [0, 3, 6, 10, 13, 17]
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 5)
+    assert stats._cuts(17 * stats._PART, 17) == [0, 3, 6, 10, 13, 17]
 
 
 def test_usable_cpus_are_the_affinity_mask():

@@ -21,6 +21,8 @@ from evtlab import stats
 from evtlab.errors import ContractViolationError, DomainError
 from evtlab.stats import _sorted_sample
 
+from conftest import COUNTER, SPLIT_STREAMS, _next_draws, _stream
+
 
 # ---------------------------------------------------------------- streams
 
@@ -67,6 +69,29 @@ def test_uniform_open_redraws_zeros():
     out = e.uniform_open(_Stub(), 3)
     assert out.tolist() == [0.5, 0.125, 0.75]
     assert np.all(out > 0.0)
+
+
+class _Doubles:
+    """A generator that hands out fixed doubles, in order."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+
+    def random(self, size):
+        out, self.doubles = self.doubles[:size], self.doubles[size:]
+        return np.array(out)
+
+
+def test_uniform_open_says_whether_it_redrew_a_zero():
+    # zeros are redrawn in flat order, and a redraw that is again a zero is
+    # redrawn in the next round; 2**-53, the least double of a word that is
+    # not a zero word, is kept
+    rng = _Doubles([0.5, 0.0, 0.0, 0.75, 0.0, 0.25, 0.125, 0.375])
+    u, redrawn = stats._uniform_open(rng, 4)
+    assert u.tolist() == [0.5, 0.125, 0.25, 0.75] and redrawn is True
+    assert rng.doubles == [0.375]
+    u, redrawn = stats._uniform_open(_Doubles([0.5, 2.0**-53, 0.25]), 2)
+    assert u.tolist() == [0.5, 2.0**-53] and redrawn is False
 
 
 def test_standard_exponential_coupled_to_uniform_source():
@@ -140,15 +165,6 @@ def test_the_draw_bound_is_inclusive(site):
 
 # ------------------------------------------------------------- split draws
 
-# Philox with 0, 3, 2 and 1 words left in its buffer of four, and with a
-# 32-bit half word kept for the next 32-bit draw; the two PCG generators,
-# which move on by any number of words too; SFC64, which cannot, and
-# MT19937, whose doubles take two words
-SPLIT_STREAMS = (
-    "Philox-0", "Philox-1", "Philox-2", "Philox-3", "Philox-half",
-    "PCG64-0", "PCG64DXSM-3", "SFC64-1", "MT19937-1",
-)
-COUNTER = ("Philox", "PCG64", "PCG64DXSM")
 SPLIT_SIZES = (2**15 - 1, 2**15, 2**15 + 1, 10**5 + 3)
 LAWS = {
     "uniform": e.uniform(),
@@ -164,35 +180,8 @@ SAMPLERS = {
 }
 
 
-def _stream(name):
-    kind, _, drawn = name.partition("-")
-    rng = np.random.Generator(getattr(np.random, kind)(9))
-    if drawn == "half":
-        rng.integers(0, 2**32, dtype=np.uint32)
-    else:
-        rng.random(int(drawn))
-    return rng
-
-
-def _next_draws(rng):
-    # a double, then a 32-bit draw, which a generator may take from half a word
-    return rng.random(), int(rng.integers(0, 2**32, dtype=np.uint32))
-
-
-def _on_cpus(monkeypatch, cpus):
-    """Split over ``cpus`` usable CPUs; the part count of each split is
-    listed in the list returned."""
-    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
-    used = []
-    in_parallel = stats._in_parallel
-    monkeypatch.setattr(
-        stats, "_in_parallel", lambda task, parts: used.append(parts) or in_parallel(task, parts)
-    )
-    return used
-
-
-def _sampled(monkeypatch, cpus, sampler, law, stream, size):
-    used = _on_cpus(monkeypatch, cpus)
+def _sampled(on_cpus, cpus, sampler, law, stream, size):
+    used = on_cpus(cpus).parts
     rng = _stream(stream)
     return SAMPLERS[sampler](law, rng, size), _next_draws(rng), used
 
@@ -201,14 +190,14 @@ def _sampled(monkeypatch, cpus, sampler, law, stream, size):
 @pytest.mark.parametrize("stream", SPLIT_STREAMS)
 @pytest.mark.parametrize("size", SPLIT_SIZES)
 @pytest.mark.parametrize("cpus", [2, 3, 4, 5])
-def test_a_split_draw_is_the_one_part_draw(monkeypatch, sampler, stream, size, cpus):
+def test_a_split_draw_is_the_one_part_draw(on_cpus, sampler, stream, size, cpus):
     # each part starts at its first row's word, so any number of parts gives
     # the samples, and the stream end, of one part; a part takes at least
     # 2**14 values, and only a generator that moves on by any number of
     # words splits
     law = LAWS["exponential"]
-    want, want_next, _ = _sampled(monkeypatch, 1, sampler, law, stream, size)
-    got, got_next, used = _sampled(monkeypatch, cpus, sampler, law, stream, size)
+    want, want_next, _ = _sampled(on_cpus, 1, sampler, law, stream, size)
+    got, got_next, used = _sampled(on_cpus, cpus, sampler, law, stream, size)
     assert np.array_equal(got, want) and got_next == want_next
     parts = min(cpus, size // 2**14) if stream.partition("-")[0] in COUNTER else 1
     assert used == ([parts] if parts > 1 else [])
@@ -217,9 +206,9 @@ def test_a_split_draw_is_the_one_part_draw(monkeypatch, sampler, stream, size, c
 @pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("law", LAWS)
 @pytest.mark.parametrize("cpus", [2, 5])
-def test_every_law_splits_to_the_one_part_draw(monkeypatch, sampler, law, cpus):
-    want, want_next, _ = _sampled(monkeypatch, 1, sampler, LAWS[law], "Philox-1", 10**5 + 3)
-    got, got_next, used = _sampled(monkeypatch, cpus, sampler, LAWS[law], "Philox-1", 10**5 + 3)
+def test_every_law_splits_to_the_one_part_draw(on_cpus, sampler, law, cpus):
+    want, want_next, _ = _sampled(on_cpus, 1, sampler, LAWS[law], "Philox-1", 10**5 + 3)
+    got, got_next, used = _sampled(on_cpus, cpus, sampler, LAWS[law], "Philox-1", 10**5 + 3)
     assert np.array_equal(got, want) and got_next == want_next
     assert used == [cpus]
 
@@ -227,16 +216,16 @@ def test_every_law_splits_to_the_one_part_draw(monkeypatch, sampler, law, cpus):
 @pytest.mark.parametrize("law", LAWS)
 @pytest.mark.parametrize("shape", [2**15 - 1, 10**5 + 3, (7, 14287)])
 @pytest.mark.parametrize("cpus", [2, 3, 5])
-def test_max_cdf_splits_to_the_one_part_pass(monkeypatch, law, shape, cpus):
+def test_max_cdf_splits_to_the_one_part_pass(on_cpus, law, shape, cpus):
     # the pass over x is cut into even parts of its flat entries, whatever
     # its shape; x holds the law's maxima, and both infinities
     max_law = e.MaxLaw(LAWS[law], 10**6)
     x = e.sample_max_exponential_rep(max_law, e.make_rng(4), int(np.prod(shape)))
     x[[0, -1]] = -np.inf, np.inf
     x = x.reshape(shape)
-    _on_cpus(monkeypatch, 1)
+    on_cpus(1)
     want = e.max_cdf(max_law, x)
-    used = _on_cpus(monkeypatch, cpus)
+    used = on_cpus(cpus).parts
     got = e.max_cdf(max_law, x)
     assert np.array_equal(got, want) and got.shape == x.shape
     parts = min(cpus, x.size // 2**14)
@@ -246,22 +235,27 @@ def test_max_cdf_splits_to_the_one_part_pass(monkeypatch, law, shape, cpus):
 @pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("stream", ["Philox-1", "Philox-half", "PCG64-0"])
 @pytest.mark.parametrize("cpus", [2, 3, 5])
-def test_a_zero_word_draws_the_whole_draw_again_on_one_thread(monkeypatch, sampler, stream, cpus):
+def test_a_zero_word_draws_the_whole_draw_again_on_one_thread(
+    monkeypatch, on_cpus, sampler, stream, cpus
+):
     # with one word in 4 taken as a zero, every part sees one, and the draw
-    # is made again on one thread from where the stream stood
+    # is made again on one thread from where the stream stood; the parts
+    # draw through ``_uniform_open`` too, between the two one-thread draws
     monkeypatch.setattr(stats, "_ZERO_WORDS", 2**62)
     calls = []
     uniform_open = stats._uniform_open
     monkeypatch.setattr(stats, "_uniform_open", lambda *a: calls.append(a[1]) or uniform_open(*a))
     law = LAWS["normal"]
-    want, want_next, _ = _sampled(monkeypatch, 1, sampler, law, stream, 10**5 + 3)
-    got, got_next, used = _sampled(monkeypatch, cpus, sampler, law, stream, 10**5 + 3)
+    want, want_next, _ = _sampled(on_cpus, 1, sampler, law, stream, 10**5 + 3)
+    got, got_next, used = _sampled(on_cpus, cpus, sampler, law, stream, 10**5 + 3)
     assert np.array_equal(got, want) and got_next == want_next
-    assert used == [cpus] and calls == [10**5 + 3] * 2
+    parts = np.diff([(10**5 + 3) * i // cpus for i in range(cpus + 1)]).tolist()
+    assert used == [cpus] and calls[0] == calls[-1] == 10**5 + 3
+    assert sorted(calls[1:-1]) == sorted(parts)
 
 
-def test_split_draws_share_one_pool_of_daemon_threads(monkeypatch):
-    _on_cpus(monkeypatch, 3)
+def test_split_draws_share_one_pool_of_daemon_threads(on_cpus):
+    on_cpus(3)
     law = LAWS["uniform"]
     e.sample_quantile_transform(law, e.make_rng(1), 10**5)
     threads = threading.enumerate()
@@ -272,10 +266,10 @@ def test_split_draws_share_one_pool_of_daemon_threads(monkeypatch):
     assert len(workers) >= 2 and all(t.daemon for t in workers)
 
 
-def test_callers_on_several_threads_share_the_pool(monkeypatch):
+def test_callers_on_several_threads_share_the_pool(on_cpus):
     # four callers split draws of three parts each into one pool, with a
     # thread switch every microsecond: each gets the draws of one thread
-    _on_cpus(monkeypatch, 3)
+    on_cpus(3)
     law = LAWS["exponential"]
     want = [e.sample_quantile_transform(law, e.make_rng(seed), 10**5) for seed in range(4)]
     got = [[] for _ in want]
@@ -299,27 +293,53 @@ def test_callers_on_several_threads_share_the_pool(monkeypatch):
         assert len(draws) == 5 and all(np.array_equal(draw, one) for draw in draws)
 
 
-def test_a_part_splits_nothing_on_any_thread(monkeypatch):
+def test_one_range_runs_on_the_caller_as_it_is(monkeypatch):
+    # no pool, no mark and no error state of its own: the task runs as the
+    # caller would run it, and its exception reaches the caller as it is
+    def no_pool(workers):
+        raise AssertionError("a one-range call asked for the pool")
+
+    monkeypatch.setattr(stats, "_tasks", no_pool)
+    seen = []
+
+    def task(a, b):
+        seen.append((a, b, threading.current_thread(), getattr(stats._worker, "in_part", False)))
+
+    stats._in_parallel(task, [0, 7])
+    assert seen == [(0, 7, threading.current_thread(), False)]
+    with pytest.raises(KeyError, match="boom"):
+        stats._in_parallel(lambda a, b: {}["boom"], [0, 3])
+    # every split path below two parts' worth takes one range, and so no pool
+    assert stats._cuts(2 * stats._PART - 1, 10) == [0, 10]
+    law = e.MaxLaw(e.normal(), 10)
+    x = e.sample_quantile_transform(law.base, e.make_rng(1), 2 * stats._PART - 1)
+    m = e.sample_max_exponential_rep(law, e.make_rng(2), 2 * stats._PART - 1)
+    e.ks_one_sample(m, lambda v: e.max_cdf(law, v))
+    e.sample_max_direct(law, e.make_rng(3), 100)
+    assert x.size == m.size == 2 * stats._PART - 1
+
+
+def test_a_part_splits_nothing_on_any_thread(on_cpus):
     # a worker that split would wait on the pool it belongs to, and the
     # caller's part 0 on a pool its other parts keep busy
-    _on_cpus(monkeypatch, 2)
+    on_cpus(2)
     seen = []
 
     def quantile(u):
-        seen.append((threading.current_thread().name, stats._parts(10**6, 10**6)))
+        seen.append((threading.current_thread().name, len(stats._cuts(10**6, 10**6)) - 1))
         return u
 
     law = dataclasses.replace(LAWS["uniform"], quantile=quantile)
     e.sample_quantile_transform(law, e.make_rng(1), 10**5)
     assert sorted(seen) == [("MainThread", 1), ("evtlab-part", 1)]
-    assert stats._parts(10**6, 10**6) == 2  # the mark ends with the part
+    assert len(stats._cuts(10**6, 10**6)) - 1 == 2  # the mark ends with the part
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_builds_a_pool_of_its_own(monkeypatch):
+def test_a_forked_child_builds_a_pool_of_its_own(on_cpus):
     # the parent's worker threads do not run in a forked child: a child that
     # kept the parent's pool would wait for ever on its first split
-    used = _on_cpus(monkeypatch, 2)
+    used = on_cpus(2).parts
     law = LAWS["normal"]
     want = e.sample_quantile_transform(law, e.make_rng(5), 10**5)
     assert used == [2] and stats._pool is not None
@@ -482,10 +502,10 @@ def test_ks_one_sample_validation():
 
 
 @pytest.mark.parametrize("n,at", [(100, 7), (10**5 + 3, 7), (10**5 + 3, 10**5 - 5)])
-def test_ks_one_sample_refuses_a_nan_cdf_and_leaves_its_output_alone(monkeypatch, n, at):
+def test_ks_one_sample_refuses_a_nan_cdf_and_leaves_its_output_alone(on_cpus, n, at):
     # at 1e5 + 3 points the check splits in two, and the bad value lies in
     # the first or in the last part; no array the cdf returned is written
-    used = _on_cpus(monkeypatch, 2)
+    used = on_cpus(2).parts
     x = np.linspace(0.01, 0.99, n)
     for bad in (np.nan, -1e-300, 1.0 + 2.0**-52, None):
         returned = []
@@ -574,9 +594,9 @@ def test_ks_two_sample_matches_a_brute_force_count(seed):
         (lambda cdf: e.ks_two_sample(np.full(50, 0.5), np.empty((0, 3))), (0, 3)),
     ],
 )
-def test_ks_refuses_a_sample_that_is_not_1d(monkeypatch, call, shape):
+def test_ks_refuses_a_sample_that_is_not_1d(on_cpus, call, shape):
     # a typed refusal naming the shape, before any sort, split or cdf call
-    used = _on_cpus(monkeypatch, 2)
+    used = on_cpus(2).parts
     seen = []
     message = rf"^samples must be a 1-d array, got shape {re.escape(str(shape))}$"
     with pytest.raises(DomainError, match=message):
@@ -675,14 +695,14 @@ KS_CASES = (
 @pytest.mark.parametrize("case", KS_CASES)
 @pytest.mark.parametrize("size", KS_SIZES)
 @pytest.mark.parametrize("cpus", [2, 3, 4, 5])
-def test_a_split_ks_check_is_the_one_part_check(monkeypatch, case, size, cpus):
+def test_a_split_ks_check_is_the_one_part_check(on_cpus, case, size, cpus):
     # each part sorts the values of its ranks, so the parts hold the sorted
     # sample, and each d_i is the one-part check's double
     sample, cdf = _ks_case(case, size)
     x = sample.copy()
-    _on_cpus(monkeypatch, 1)
+    on_cpus(1)
     want = e.ks_one_sample(x, cdf)
-    used = _on_cpus(monkeypatch, cpus)
+    used = on_cpus(cpus).parts
     got = e.ks_one_sample(x, cdf)
     assert got.statistic.hex() == want.statistic.hex()
     assert (got.threshold, got.passed, got.n_effective) == (
@@ -693,9 +713,9 @@ def test_a_split_ks_check_is_the_one_part_check(monkeypatch, case, size, cpus):
     assert used == ([parts] if parts > 1 else [])
 
 
-def test_a_ks_check_of_the_exact_law_splits_once(monkeypatch):
+def test_a_ks_check_of_the_exact_law_splits_once(on_cpus):
     # max_cdf, called in a part, the caller's part 0 too, splits nothing
-    used = _on_cpus(monkeypatch, 2)
+    used = on_cpus(2).parts
     law = e.MaxLaw(e.normal(), 10**6)
     m = e.sample_max_exponential_rep(law, e.make_rng(1, 2), 10**5)
     used.clear()
@@ -710,7 +730,7 @@ def _cdf_failure(x, cdf):
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 5])
-def test_a_split_ks_check_raises_the_one_part_error(monkeypatch, cpus):
+def test_a_split_ks_check_raises_the_one_part_error(on_cpus, cpus):
     # the cdf refuses values past the sample's 99th percentile, which lie
     # in the last part only, and names the first it was given; parts are in
     # value order, so that is the one-part check's first bad value
@@ -722,15 +742,15 @@ def test_a_split_ks_check_raises_the_one_part_error(monkeypatch, cpus):
             raise ValueError(f"no cdf at {s[s > top][0]!r}")
         return e.normal().cdf(s)
 
-    _on_cpus(monkeypatch, 1)
+    on_cpus(1)
     want = _cdf_failure(x, cdf)
-    used = _on_cpus(monkeypatch, cpus)
+    used = on_cpus(cpus).parts
     assert _cdf_failure(x, cdf) == want
     assert used == [cpus]
 
 
-def test_each_ks_part_runs_under_the_callers_error_state(monkeypatch):
-    used = _on_cpus(monkeypatch, 3)
+def test_each_ks_part_runs_under_the_callers_error_state(on_cpus):
+    used = on_cpus(3).parts
     seen = []
 
     def cdf(s):

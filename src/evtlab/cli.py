@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import warnings
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -47,6 +47,9 @@ MAX_RANGE_POINTS = 2**20
 _LAW_ARGS = ("dist", "base", "target")
 # options that say how to run and where to write, outside the embedded config
 _RUN_ARGS = ("command", "seed", "format", "out")
+# rows one format operation writes: a larger table is written in chunks of
+# this many rows, so the writer holds one chunk's cells and text at a time
+_CHUNK = 2**15
 
 _VARIANTS = {
     "exp": HnVariant.EXP_FORM,
@@ -173,34 +176,55 @@ def _config(args) -> dict:
     return config
 
 
-def _csv(config: dict, header, rows) -> str:
-    """The CSV text: a ``# key=value`` line per config entry, the header and
-    the rows, each part written by one format operation.  A row's template
+def _csv(config: dict, header, rows):
+    """The CSV text, in parts: a ``# key=value`` line per config entry, the
+    header and the rows, in chunks of ``_CHUNK`` rows, each part written by
+    one format operation; the first part holds all three.  A row's template
     takes each column's conversion from the column's first cell, as every
-    column holds one type, and is repeated over every cell of every row,
-    flattened into one tuple; cell text is never part of a template."""
+    column holds one type, and is repeated over every cell of a chunk's
+    rows, flattened into one tuple; cell text is never part of a template."""
     head = "".join([f"# %s={_fmt(v)}\n" for v in config.values()])
-    cells = tuple(chain.from_iterable(rows))
+    rows = iter(rows)
+    chunks = iter(lambda: tuple(chain.from_iterable(islice(rows, _CHUNK))), ())
+    cells = next(chunks, ())
     line = ",".join(map(_fmt, cells[: len(header)])) + "\n"
-    return "".join([
+    yield "".join([
         head % tuple(chain.from_iterable(config.items())),
         ",".join(header) + "\n",
         (line * (len(cells) // len(header))) % cells,
     ])
+    for cells in chunks:
+        yield (line * (len(cells) // len(header))) % cells
+
+
+def _json(config: dict, body):
+    """The text of ``json.dumps({"config": config, **body}, indent=2)`` and a
+    newline, in parts.  A body whose last value is a nonempty float array,
+    a sample of finite values, has that array written in chunks of
+    ``_CHUNK`` values, each by one format operation, with the float repr
+    json writes; any other body is written by json.dumps at once."""
+    doc = {"config": config, **body}
+    key, values = next(reversed(doc.items()))
+    if not (isinstance(values, np.ndarray) and values.size):
+        yield json.dumps(doc, indent=2) + "\n"
+        return
+    head = json.dumps({**doc, key: []}, indent=2)[:-3]  # up to the array's "["
+    for i in range(0, values.size, _CHUNK):
+        chunk = values[i : i + _CHUNK].tolist()
+        text = (",\n    %r" * len(chunk)) % tuple(chunk)
+        yield head + text[1:] if i == 0 else text
+    yield "\n  ]\n}\n"
 
 
 def _emit(path: str, fmt: str, config: dict, header, rows, body) -> None:
     # rows are iterated only when CSV is written; body, the JSON body, is a
     # dict of the result's own values, whose tuples json writes as arrays
-    if fmt == "json":
-        text = json.dumps({"config": config, **body}, indent=2) + "\n"
-    else:
-        text = _csv(config, header, rows)
+    parts = _json(config, body) if fmt == "json" else _csv(config, header, rows)
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _resolve_seed(args) -> int:
@@ -271,8 +295,12 @@ def _record(body):
 
 
 def _samples(xs):
-    values = xs.tolist()
-    return ["index", "value"], enumerate(values), {"samples": values}
+    """A sample's table: its rows are made a chunk at a time as they are
+    written, and its JSON body holds the array, which ``_json`` writes."""
+    rows = chain.from_iterable(
+        zip(range(i, xs.size), xs[i : i + _CHUNK].tolist()) for i in range(0, xs.size, _CHUNK)
+    )
+    return ["index", "value"], rows, {"samples": xs}
 
 
 def _sample(args):

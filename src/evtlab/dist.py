@@ -26,6 +26,7 @@ ndtr/ndtri, importing scipy.special on its first evaluation, so
 ``import evtlab`` never loads it).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -60,7 +61,15 @@ DISCRETE = "discrete"
 class Distribution:
     """A named law: vectorized cdf F and survival function 1 - F, strict
     generalized-inverse quantile Q(u), tail quantile Q(1 - eps) taken at the
-    tail mass eps, and kind tag ('continuous' or 'discrete')."""
+    tail mass eps, and kind tag ('continuous' or 'discrete').
+
+    The families' ``quantile`` and ``tail`` also take ``out``, a float array
+    of the argument's shape: they write their values into it and return it,
+    with no array of their own, and the samplers hand them their output.
+    The geometric law's, which reread u near an integer, and the callables
+    of a law built by hand may take the argument alone: a sampler copies
+    their values into its output, with the same bits.  No callable writes
+    its argument."""
 
     name: str
     cdf: callable
@@ -80,15 +89,32 @@ def quantile(dist: Distribution, u):
     return _scalar_or_array(u, _finite_quantiles(dist, _reals(u, "quantile argument u", "(0, 1)")))
 
 
-def _finite_quantiles(dist: Distribution, arg, tail: bool = False):
-    """Q(u) at the array u, or with ``tail`` Q(1 - eps) at the array eps; a
-    non-finite value is a ``DomainError`` naming the first such u or eps."""
+def _takes_out(fn) -> bool:
+    """Whether the law's callable ``fn`` is a function with a parameter
+    ``out``, as the families' kernels are; a partial or another callable is
+    called on its argument alone."""
+    code = getattr(fn, "__code__", None)
+    names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount] if code else ()
+    return "out" in names
+
+
+def _finite_quantiles(dist: Distribution, arg, out=None, tail: bool = False):
+    """Q(u) at the array u, or with ``tail`` Q(1 - eps) at the array eps, in
+    ``out`` if given, a float array of arg's shape; a non-finite value is a
+    ``DomainError`` naming the first such u or eps, which is never written.
+    A kernel that takes ``out`` writes into it; another one's values are
+    copied in."""
     fn, value, name = (dist.tail, "Q(1 - eps)", "eps") if tail else (dist.quantile, "Q(u)", "u")
     with np.errstate(over="ignore"):
-        out = np.asarray(fn(arg), dtype=float)
-    finite = np.isfinite(out)
-    if not finite.all():
-        i = np.argmin(finite)  # the first non-finite value, in flat order
+        if out is None:
+            out = np.asarray(fn(arg), dtype=float)
+        elif _takes_out(fn):
+            fn(arg, out=out)
+        else:
+            out[...] = fn(arg)
+    # NaN carries through min, so a min and a max see any value that is not finite
+    if out.size and not (math.isfinite(out.min()) and math.isfinite(out.max())):
+        i = np.argmin(np.isfinite(out))  # the first non-finite value, in flat order
         raise DomainError(
             f"{value} = {out.flat[i]} is not finite at {name} = "
             f"{float(arg.flat[i])!r} for {spec_string(dist)}"
@@ -117,11 +143,18 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
     def sf(x):
         return np.clip((b - np.asarray(x, dtype=float)) / width, 0.0, 1.0)
 
-    def q(u):
-        return a + np.asarray(u, dtype=float) * width
+    def q(u, out=None):
+        if out is None:
+            return a + np.asarray(u, dtype=float) * width
+        np.multiply(u, width, out=out)
+        return np.add(a, out, out=out)
 
-    def tail(eps):
-        return a + (1.0 - np.asarray(eps, dtype=float)) * width
+    def tail(eps, out=None):
+        if out is None:
+            return a + (1.0 - np.asarray(eps, dtype=float)) * width
+        np.subtract(1.0, eps, out=out)
+        out *= width
+        return np.add(a, out, out=out)
 
     return Distribution("uniform", cdf, sf, q, tail, CONTINUOUS, {"a": a, "b": b})
 
@@ -136,11 +169,20 @@ def exponential(rate: float = 1.0) -> Distribution:
     def sf(x):
         return np.exp(-rate * np.maximum(np.asarray(x, dtype=float), 0.0))
 
-    def q(u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / rate
+    def q(u, out=None):
+        if out is None:
+            return -np.log1p(-np.asarray(u, dtype=float)) / rate
+        np.negative(u, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        return np.divide(out, rate, out=out)
 
-    def tail(eps):
-        return -np.log(np.asarray(eps, dtype=float)) / rate
+    def tail(eps, out=None):
+        if out is None:
+            return -np.log(np.asarray(eps, dtype=float)) / rate
+        np.log(eps, out=out)
+        np.negative(out, out=out)
+        return np.divide(out, rate, out=out)
 
     return Distribution("exponential", cdf, sf, q, tail, CONTINUOUS, {"rate": rate})
 
@@ -156,11 +198,19 @@ def pareto(alpha: float = 1.0) -> Distribution:
     def sf(x):
         return np.maximum(np.asarray(x, dtype=float), 1.0) ** (-alpha)
 
-    def tail(eps):
-        return np.asarray(eps, dtype=float) ** (-1.0 / alpha)
+    def tail(eps, out=None):
+        if out is None:
+            return np.asarray(eps, dtype=float) ** (-1.0 / alpha)
+        out[...] = eps
+        out **= -1.0 / alpha  # the ** operator's own kernel: it takes x ** -1.0 as 1/x
+        return out
 
-    def q(u):
-        return tail(1.0 - np.asarray(u, dtype=float))
+    def q(u, out=None):
+        if out is None:
+            return tail(1.0 - np.asarray(u, dtype=float))
+        np.subtract(1.0, u, out=out)
+        out **= -1.0 / alpha
+        return out
 
     return Distribution("pareto", cdf, sf, q, tail, CONTINUOUS, {"alpha": alpha})
 
@@ -179,15 +229,23 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
 
         return ndtr((mu - np.asarray(x, dtype=float)) / sigma)
 
-    def q(u):
+    def q(u, out=None):
         from scipy.special import ndtri
 
-        return mu + sigma * ndtri(np.asarray(u, dtype=float))
+        if out is None:
+            return mu + sigma * ndtri(np.asarray(u, dtype=float))
+        ndtri(u, out=out)
+        out *= sigma
+        return np.add(mu, out, out=out)
 
-    def tail(eps):
+    def tail(eps, out=None):
         from scipy.special import ndtri
 
-        return mu - sigma * ndtri(np.asarray(eps, dtype=float))
+        if out is None:
+            return mu - sigma * ndtri(np.asarray(eps, dtype=float))
+        ndtri(eps, out=out)
+        out *= sigma
+        return np.subtract(mu, out, out=out)
 
     return Distribution("normal", cdf, sf, q, tail, CONTINUOUS, {"mu": mu, "sigma": sigma})
 
@@ -201,8 +259,11 @@ def degenerate(c: float = 0.0) -> Distribution:
     def sf(x):
         return np.where(np.asarray(x, dtype=float) >= c, 0.0, 1.0)
 
-    def q(u):
-        return np.full_like(np.asarray(u, dtype=float), c)
+    def q(u, out=None):
+        if out is None:
+            return np.full_like(np.asarray(u, dtype=float), c)
+        out.fill(c)
+        return out
 
     return Distribution("degenerate", cdf, sf, q, q, DISCRETE, {"c": c})
 
@@ -224,12 +285,14 @@ def sample_quantile_transform(dist: Distribution, rng, count: int):
     """``count`` draws of Q(U) with U uniform on (0, 1) from ``rng``.
 
     For uniform(0, 1) the output is bit-identical to the raw uniform stream;
-    discrete laws are sampled exactly through the same route.  Where the
-    generator can move on by any number of words (Philox, PCG64 and
-    PCG64DXSM), a draw of at least 2**15 values is cut into even ranges,
-    one per usable CPU, each drawn and transformed on a thread of its own
-    (``stats._split_draw``): the samples, the first u a non-finite Q(u) is
-    named at, and the stream's end do not depend on the number of CPUs.
+    discrete laws are sampled exactly through the same route.  Q is written
+    into the output from the uniforms, which stay as drawn, so a draw holds
+    16 B a value.  Where the generator can move on by any number of words
+    (Philox, PCG64 and PCG64DXSM), a draw of at least 2**15 values is cut
+    into even ranges, one per usable CPU, each drawn and transformed into
+    its slice of the output on a thread of its own (``stats._split_draw``):
+    the samples, the first u a non-finite Q(u) is named at, and the
+    stream's end do not depend on the number of CPUs.
     """
     return _open_draw(rng, _count(count), partial(_finite_quantiles, dist))
 

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .maxima import _indices
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
-from .stats import _grid, _real, _reals, _scalar_or_array
+from .stats import _cells, _grid, _real, _reals, _scalar_or_array
 
 __all__ = [
     "RHO_SERIES_BAND",
@@ -108,6 +108,8 @@ def _dehaan_grid(dist: Distribution, uv_grid, scales):
     if any(v == 1.0 for _, v in pairs):
         raise DomainError("v = 1 makes the denominator identically zero")
     _validate_eps(scales[0], max(1.0, max(map(max, pairs))))
+    grids = f"uv_grid of {len(pairs)} pairs by eps_grid of {scales.size} points"
+    _cells(len(pairs), scales.size, grids)
     eps = np.asarray(scales, dtype=float)
     factors = np.array([(1.0, u, v) for u, v in pairs], dtype=float).T
     # checked: eps*u with u < 1 underflows to 0 at a subnormal eps

@@ -75,11 +75,11 @@ def _indices(n, least: int = 1):
     return n
 
 
-# Most uniforms one range of ``sample_max_direct`` holds at once (4 MB, as
-# doubles or as raw words); a draw split over k ranges holds k such blocks.
-# Not smaller: a freed 4 MB block keeps later arrays out of glibc's mmap
-# path (the note at ``stats._tasks``).
-_DIRECT_BLOCK = 2**19
+# Most uniforms one range of ``sample_max_direct`` holds at once (1 MB, as
+# doubles or as raw words, which fits in a core's L2 cache); a draw split
+# over k ranges holds k such blocks.  They stay in the heap once the first
+# bulk pass has set it up (the note at ``stats._set_up_heap``).
+_DIRECT_BLOCK = 2**17
 
 # Most uniforms ``sample_max_direct`` draws in one call, count * n: about 14 s
 # of Philox words and row maxima on one thread of a 2-vCPU x86-64 host (3.2 ns
@@ -138,15 +138,17 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
 
     Q is nondecreasing, so Q(max U_i) is pointwise identical to the maximum
     of the per-draw transforms.  The (count, n) uniforms are drawn in
-    row-major blocks of at most 2**19, so memory stays bounded, but time is
+    row-major blocks of at most 2**17 (1 MB) a range, so a draw holds a
+    block a range beside its maxima and its output, 16 B a row, but time is
     O(count * n): above 2**32 draws (``_DIRECT_BUDGET``) the call is a
     ``DomainError``; use the exponential representation for large n.  Where
     the generator's doubles are its raw words shifted
     (``stats._word_generators``), the maxima are taken on the words and only
-    the maxima become doubles: the same uniforms, and the same stream
-    position, as ``uniform_open`` gives.  The rows are split into even
-    ranges as ``stats._split_draw`` splits a draw, with the maxima and the
-    stream end of one thread.
+    the maxima become doubles, in the words' own array: the same uniforms,
+    and the same stream position, as ``uniform_open`` gives.  The rows are
+    split into even ranges as ``stats._split_draw`` splits a draw, with the
+    maxima and the stream end of one thread, and Q of each range's maxima is
+    written into its slice of the output.
     """
     size = _count(count)
     n = law.n
@@ -162,10 +164,11 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
         top = np.zeros(b - a, dtype=np.uint64 if on_words else float)
         return top, _row_maxima(top, n, gen)
 
-    def transform(top):
-        if on_words:
-            top = np.multiply(top >> np.uint64(11), 2.0**-53)
-        return _finite_quantiles(law.base, top)
+    def transform(top, out):
+        if on_words:  # the words' doubles, formed in their own array
+            np.right_shift(top, np.uint64(11), out=top)
+            top = np.multiply(top, 2.0**-53, out=top.view(float))
+        _finite_quantiles(law.base, top, out)
 
     return _split_draw(rng, size, n, draw, transform)
 
@@ -176,17 +179,18 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int):
 
     The base law's tail quantile is taken at the tail mass
     eps = -expm1(-omega/n), formed in omega's array, which keeps every bit
-    of omega/n at any n.  The uniform stream gives omega in [2**-53, 36.8],
+    of omega/n at any n, and written into the output: a draw holds 16 B a
+    value.  The uniform stream gives omega in [2**-53, 36.8],
     so eps lies in (0, 1) for every n the law accepts and no draw is ever
     redrawn.
     """
     minus_n = -float(law.n)
 
-    def transform(u):
+    def transform(u, out):
         eps = _exponential_of(u)  # omega, in u's array
         np.divide(eps, minus_n, out=eps)  # -omega/n: the sign of a quotient is exact
         np.expm1(eps, out=eps)
-        return _finite_quantiles(law.base, np.negative(eps, out=eps), tail=True)
+        _finite_quantiles(law.base, np.negative(eps, out=eps), out, tail=True)
 
     return _open_draw(rng, _count(count), transform)
 

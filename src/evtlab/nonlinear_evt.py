@@ -25,7 +25,7 @@ from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import _norming_arrays
 from .maxima import HnVariant, _h_n_args, _indices, _spot_check
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
-from .stats import _grid, _integer, _ordered, _real, _reals, _scalar_or_array, _vector
+from .stats import _cells, _grid, _integer, _ordered, _real, _reals, _scalar_or_array, _vector
 
 __all__ = [
     "DEFAULT_NONDEG_TOL",
@@ -182,6 +182,7 @@ def convergence_diagnostic(
     ns = _ordered(_vector(ns, "n_grid"), "n_grid", 1)
     xs = _grid(default_x_grid() if x_grid is None else x_grid, "x_grid")
     variant = HnVariant(variant)
+    _cells(xs.size, ns.size, f"x_grid of {xs.size} points by n_grid of {ns.size} points")
     # one pass over the n-major (n, x) grid; the report wants (x, n)
     n_col = ns[:, None]
     g = normalizer.builder(n_col)

@@ -11,7 +11,9 @@ experiments are reproducible per seed.  One call draws at most 2**27 values
 ``DomainError`` before anything is drawn.  The direct maxima sampler
 (``maxima.sample_max_direct``) alone reads the generator's raw words, and
 gets the same uniforms from them.  A bulk draw is checked with one ``min``
-reduction and transformed in its own array.
+reduction, and its values are written into the output array, so a sampler
+holds its uniforms and its output; the first pass of a process whose
+arrays reach glibc's mmap threshold sets up the heap (``_set_up_heap``).
 
 The bulk samplers split a draw of at least two parts' worth (``_PART``
 values a part) into even row ranges, one per usable CPU (``_cuts``), where
@@ -19,7 +21,7 @@ the generator's doubles are its raw words and it can move on by any number
 of them (``advance``: Philox and the PCG64s, in ``_word_generators``; Salmon
 et al., SC 2011).  Each range is drawn from a copy of the generator moved on
 to its first word and transformed on the same thread, into its own slice of
-one output array (``_split_draw``).  The first range runs on the caller and
+the output array (``_split_draw``).  The first range runs on the caller and
 the others on one pool of worker threads for the process, built at the
 first split and again in a forked child (``_in_parallel``).  The words, and
 so the values and the stream's end, are those of a one-thread draw; if any
@@ -79,6 +81,10 @@ _MIN_KS_SAMPLES = 20
 
 # Most values one call draws: 2**27 doubles are 1 GiB
 _MAX_DRAWS = 2**27
+
+# Most cells one grid diagnostic evaluates, rows by columns: at this bound
+# `evtlab nonlinear` peaks at about 320 MB written as CSV and 760 MB as JSON
+_MAX_CELLS = 2**22
 
 
 def _scalar_or_array(x, out):
@@ -219,6 +225,16 @@ def _bounded(value, name: str):
     return value
 
 
+def _cells(rows: int, columns: int, grids: str) -> None:
+    """Refuse a grid of ``rows`` by ``columns`` cells above ``_MAX_CELLS``,
+    with ``grids`` naming both; called before any array of the grid is built."""
+    if rows * columns > _MAX_CELLS:
+        raise DomainError(
+            f"{grids} is {rows * columns} cells; one call evaluates at most "
+            f"2**22 = {_MAX_CELLS}"
+        )
+
+
 def _count(count) -> int:
     """A sampler's ``count``: a positive integer (``_integer``) of at most ``_MAX_DRAWS``."""
     return _bounded(_integer(count, "count"), "count")
@@ -339,25 +355,35 @@ def _tasks(workers: int):
         if _pool is None:
             from queue import SimpleQueue  # not at import: a process may never split
 
-            # glibc raises its mmap threshold to the size of a freed mapped
-            # block, and its trim threshold to twice that, for every thread
-            # (mallopt(3)).  A freed 4 MB block, this one or a direct draw's
-            # (``maxima._DIRECT_BLOCK``), so keeps the 800 kB arrays of 1e5
-            # points made next in the heap; below the threshold each is
-            # mapped and unmapped anew, page faults and all, which costs
-            # more with two threads running.  On a 2-vCPU x86-64 host, direct
-            # blocks of 2**16 to 2**18 took a pass of the benchmark's sampling
-            # cases 6k to 19k minor faults and up to 1.4x the time, against 31
-            # faults at 2**19, and halving each range's block with two threads
-            # brought back hundreds; the first sampling pass, scipy's import
-            # aside, took 9 ms more split than on one thread, and 5 ms less
-            # with this block freed first.
-            np.empty(2**19)
             _pool, _pool_size = SimpleQueue(), 0
         while _pool_size < workers:
             threading.Thread(target=_work, args=(_pool,), name="evtlab-part", daemon=True).start()
             _pool_size += 1
         return _pool
+
+
+# glibc maps every block of at least its mmap threshold afresh, 128 kB at
+# start, and raises the threshold to the size of a freed mapped block, and
+# its trim threshold to twice that (mallopt(3)).  One freed 4 MB block so
+# keeps the arrays of a bulk pass, 1e5-point arrays and the direct sampler's
+# 1 MB blocks (``maxima._DIRECT_BLOCK``) among them, in the heap; while the
+# threshold is below their size, each is mapped and unmapped anew, page
+# faults and all.  On a 2-vCPU x86-64 host, with 1 MB direct blocks but this
+# block freed only when the first split starts the pool, a pass of the
+# benchmark's sampling cases on one CPU, where nothing splits, took 11 900
+# minor faults and 119-141 ms, against 0.1 faults and 91-96 ms with it freed
+# before the first bulk pass; on both CPUs 0.2 faults a pass.
+_MMAP_THRESHOLD = 2**17
+_heap_set_up = False
+
+
+def _set_up_heap() -> None:
+    """Allocate and free one 4 MB block, once in a process (a forked child
+    shares its parent's heap settings)."""
+    global _heap_set_up
+    if not _heap_set_up:
+        np.empty(2**19)
+        _heap_set_up = True
 
 
 def _cuts(values: int, rows: int) -> list:
@@ -366,7 +392,11 @@ def _cuts(values: int, rows: int) -> list:
     each of at least ``_PART`` values and one row, or [0, rows] for a pass
     of fewer than two ranges' worth.  A thread running a range of a split,
     the caller's too, splits nothing: a pool thread would wait on the pool
-    it belongs to, and the caller on a pool its other ranges keep busy."""
+    it belongs to, and the caller on a pool its other ranges keep busy.
+    Every bulk pass asks here first, so the first pass whose values reach
+    glibc's mmap threshold sets up the heap (``_set_up_heap``)."""
+    if 8 * values >= _MMAP_THRESHOLD:
+        _set_up_heap()
     if values < 2 * _PART or getattr(_worker, "in_part", False):
         return [0, rows]
     parts = min(_usable_cpus(), values // _PART, rows)
@@ -416,34 +446,34 @@ def _in_parallel(task, cuts) -> None:
 
 
 def _split_draw(rng, rows: int, width: int, draw, transform):
-    """``transform`` of ``rows`` rows of ``width`` words each drawn from
-    ``rng``, as one float array: in even row ranges side by side (``_cuts``)
-    where rng's bit generator is in ``_word_generators`` and has ``advance``.
+    """The values of ``rows`` rows of ``width`` words each drawn from ``rng``,
+    as one float array: in even row ranges side by side (``_cuts``) where
+    rng's bit generator is in ``_word_generators`` and has ``advance``.
 
     ``draw(gen, a, b)`` draws rows a to b from the generator ``gen`` and
     returns them and whether it redrew a zero word (``_ZERO_WORDS``), and
-    ``transform`` of them fills rows a to b on the same thread.  A range
-    draws from a copy of rng moved on to row a's first word, so the ranges
-    draw the words one thread would.  The draw runs on one thread, from rng,
-    where there is one range and where any range redrew a zero word, which
-    one thread redraws in stream order; else rng is moved on to the draw's
-    end once every range has drawn.  The first exception in range order is
-    raised once every range has ended, with rng at the draw's end if a
-    transform raised it and unmoved if a draw did.
+    ``transform(drawn, out)`` writes their values into ``out``, rows a to b
+    of the output, on the same thread.  A range draws from a copy of rng
+    moved on to row a's first word, so the ranges draw the words one thread
+    would.  The draw runs on one thread, from rng, where there is one range
+    and where any range redrew a zero word, which one thread redraws in
+    stream order; else rng is moved on to the draw's end once every range
+    has drawn.  The first exception in range order is raised once every
+    range has ended, with rng at the draw's end if a transform raised it and
+    unmoved if a draw did.
     """
     bitgen = getattr(rng, "bit_generator", None)
-    splits = type(bitgen) in _word_generators() and hasattr(bitgen, "advance")
-    cuts = _cuts(rows * width, rows) if splits else [0, rows]
-    if len(cuts) > 2:
+    cuts = _cuts(rows * width, rows)
+    out = np.empty(rows)
+    if len(cuts) > 2 and type(bitgen) in _word_generators() and hasattr(bitgen, "advance"):
         state = bitgen.state
         gens = {a: np.random.Generator(_moved_on(bitgen, state, a * width)) for a in cuts[:-1]}
-        out = np.empty(rows)
         redrawn = {}  # whether each range that drew redrew a zero word, by its first row
 
         def part(a, b):
-            values, redrawn[a] = draw(gens[a], a, b)
+            drawn, redrawn[a] = draw(gens[a], a, b)
             if not redrawn[a]:
-                out[a:b] = transform(values)
+                transform(drawn, out[a:b])
 
         error = None
         try:
@@ -459,13 +489,14 @@ def _split_draw(rng, rows: int, width: int, draw, transform):
             if error is not None:
                 raise error
             return out
-    return transform(draw(rng, 0, rows)[0])
+    transform(draw(rng, 0, rows)[0], out)
+    return out
 
 
 def _open_draw(rng, size: int, transform):
-    """``transform`` of ``_uniform_open(rng, size)``'s uniforms, for a
-    ``transform`` that maps each alone to a value, split as ``_split_draw``
-    splits it."""
+    """The values ``transform(u, out)`` writes into ``out`` from the uniforms
+    ``u`` of ``_uniform_open(rng, size)``, for a ``transform`` that maps each
+    alone to a value, split as ``_split_draw`` splits it."""
     return _split_draw(rng, size, 1, lambda gen, a, b: _uniform_open(gen, b - a), transform)
 
 

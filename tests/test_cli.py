@@ -818,6 +818,7 @@ NOT_POSITIVE = "geometric range endpoints must be positive"
 NOT_FINITE = "range endpoints must be finite"
 DEHAAN = "dehaan --dist pareto:alpha=2"
 NONLINEAR = "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1"
+OVER_BUDGET = "cells; one call evaluates at most 2**22 = 4194304"
 
 
 @pytest.mark.parametrize(
@@ -864,14 +865,29 @@ NONLINEAR = "nonlinear --base uniform:a=0,b=1 --target exponential:rate=1"
         ("geom-oscillate", "--cluster-c", "x,y", "'x' in 'x,y' is not a number"),
         ("geom-oscillate", "--cluster-c", "0.5,", "'' in '0.5,' is not a number"),
         ("geom-oscillate", "--cluster-c", "0.5;0.7", "'0.5;0.7' in '0.5;0.7' is not a number"),
+        # two ranges each within the cap whose product is past the library's
+        # cell budget: a domain error (exit 2) on the command's own line
+        (f"{NONLINEAR} --n 10:10000:1048576", "--x", "0.5:4:1048576",
+         "evtlab nonlinear: x_grid of 1048576 points by n_grid of 9991 points is "
+         f"10476322816 {OVER_BUDGET}"),
+        (f"{NONLINEAR} --n 10:10000:128", "--x", "0.5:4:65536",
+         "evtlab nonlinear: x_grid of 65536 points by n_grid of 125 points is "
+         f"8192000 {OVER_BUDGET}"),
+        (DEHAAN, "--eps", "1e-2:1e-6:1048576",
+         "evtlab dehaan: uv_grid of 12 pairs by eps_grid of 1048576 points is "
+         f"12582912 {OVER_BUDGET}"),
     ],
 )
 def test_malformed_option_values_say_why(command, option, value, reason, capsys):
     # argparse prints an ArgumentTypeError's own message after the option's
     # name; a ValueError would show only the name of the private type function
-    assert cli.run(shlex.split(command) + [f"{option}={value}"]) == 1
+    domain = reason.startswith("evtlab ")
+    assert cli.run(shlex.split(command) + [f"{option}={value}"]) == (2 if domain else 1)
     out, err = capsys.readouterr()
-    assert out == "" and f"argument {option}: " in err and reason in err
+    if domain:
+        assert out == "" and err.startswith(reason)
+    else:
+        assert out == "" and f"argument {option}: " in err and reason in err
     assert not re.search(r"\b_\w", err), err
     assert err.count("\n") == 1, err
 

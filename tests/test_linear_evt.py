@@ -1,8 +1,11 @@
 """The k_rho family, attraction criterion, rho estimate, and the limit law."""
 
 import argparse
+import dataclasses
 import json
 import math
+import re
+import time
 import warnings
 from decimal import Decimal, localcontext
 
@@ -483,3 +486,21 @@ def test_report_serialization_fields(capsys):
     nc = e.norming_constants(e.exponential(), 100)
     d = json.loads(written(cli._norming, "json", dist=e.exponential(), n=100))
     assert d == {"config": {}, "n": 100, "a_n": nc.a_n, "b_n": nc.b_n}
+
+
+def test_a_grid_past_the_cell_budget_is_refused_before_it_is_built():
+    # 64 pairs by 2**16 + 1 scales is past 2**22 cells: refused, both sizes
+    # named, in under a millisecond, before any tail quantile
+    law = dataclasses.replace(e.pareto(2.0), tail=None)  # a call would raise TypeError
+    pairs = [(2.0 + k / 64, 4.0) for k in range(64)]
+    scales = np.geomspace(1e-2, 1e-6, 2**16 + 1)
+    message = "uv_grid of 64 pairs by eps_grid of 65537 points is 4194368 cells; one call "
+    with pytest.raises(DomainError, match=re.escape(message)):
+        e.dehaan_test(law, scales, pairs)
+    took = []
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            e.dehaan_test(law, scales, pairs)
+        took.append(time.perf_counter() - start)
+    assert min(took) < 1e-3

@@ -1,7 +1,9 @@
 """Prescribed-limit normalizers and the convergence/nondegeneracy diagnostic."""
 
+import dataclasses
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -349,3 +351,22 @@ def test_default_x_grid_window():
     assert xs.size == 32
     assert xs[0] == pytest.approx(1.0 / 16.0)
     assert xs[-1] == pytest.approx(16.0)
+
+
+def test_a_grid_past_the_cell_budget_is_refused_before_it_is_built():
+    # 2**11 x points by 2**11 + 1 n values is past 2**22 cells: refused, both
+    # sizes named, in under a millisecond, and no builder call made
+    seq = dataclasses.replace(  # a builder call would raise TypeError
+        NormalizerSequence.from_target(e.exponential(), e.uniform()), builder=None
+    )
+    xs, ns = np.geomspace(0.5, 4.0, 2**11), np.arange(10, 10 + 2**11 + 1)
+    message = "x_grid of 2048 points by n_grid of 2049 points is 4196352 cells; one call "
+    with pytest.raises(DomainError, match=re.escape(message)):
+        e.convergence_diagnostic(seq, xs, ns)
+    took = []
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            e.convergence_diagnostic(seq, xs, ns)
+        took.append(time.perf_counter() - start)
+    assert min(took) < 1e-3

@@ -26,7 +26,6 @@ ndtr/ndtri, importing scipy.special on its first evaluation, so
 ``import evtlab`` never loads it).
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -98,23 +97,28 @@ def _takes_out(fn) -> bool:
     return "out" in names
 
 
+def _into(x, out):
+    """``out``, or a new float array of ``x``'s shape: the array a family's
+    kernel writes its values into and returns."""
+    return np.empty_like(x, dtype=float) if out is None else out
+
+
 def _finite_quantiles(dist: Distribution, arg, out=None, tail: bool = False):
     """Q(u) at the array u, or with ``tail`` Q(1 - eps) at the array eps, in
     ``out`` if given, a float array of arg's shape; a non-finite value is a
     ``DomainError`` naming the first such u or eps, which is never written.
-    A kernel that takes ``out`` writes into it; another one's values are
-    copied in."""
+    A callable with an ``out`` parameter is handed ``out``; an array a
+    callable returns that is not ``out`` is copied in."""
     fn, value, name = (dist.tail, "Q(1 - eps)", "eps") if tail else (dist.quantile, "Q(u)", "u")
     with np.errstate(over="ignore"):
-        if out is None:
-            out = np.asarray(fn(arg), dtype=float)
-        elif _takes_out(fn):
-            fn(arg, out=out)
-        else:
-            out[...] = fn(arg)
-    # NaN carries through min, so a min and a max see any value that is not finite
-    if out.size and not (math.isfinite(out.min()) and math.isfinite(out.max())):
-        i = np.argmin(np.isfinite(out))  # the first non-finite value, in flat order
+        res = fn(arg, out=out) if out is not None and _takes_out(fn) else fn(arg)
+    if out is None:
+        out = np.asarray(res, dtype=float)
+    elif res is not out:
+        out[...] = res
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = np.argmin(finite)  # the first non-finite value, in flat order
         raise DomainError(
             f"{value} = {out.flat[i]} is not finite at {name} = "
             f"{float(arg.flat[i])!r} for {spec_string(dist)}"
@@ -144,15 +148,11 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
         return np.clip((b - np.asarray(x, dtype=float)) / width, 0.0, 1.0)
 
     def q(u, out=None):
-        if out is None:
-            return a + np.asarray(u, dtype=float) * width
-        np.multiply(u, width, out=out)
+        out = np.multiply(u, width, out=_into(u, out))
         return np.add(a, out, out=out)
 
     def tail(eps, out=None):
-        if out is None:
-            return a + (1.0 - np.asarray(eps, dtype=float)) * width
-        np.subtract(1.0, eps, out=out)
+        out = np.subtract(1.0, eps, out=_into(eps, out))
         out *= width
         return np.add(a, out, out=out)
 
@@ -170,17 +170,13 @@ def exponential(rate: float = 1.0) -> Distribution:
         return np.exp(-rate * np.maximum(np.asarray(x, dtype=float), 0.0))
 
     def q(u, out=None):
-        if out is None:
-            return -np.log1p(-np.asarray(u, dtype=float)) / rate
-        np.negative(u, out=out)
+        out = np.negative(u, out=_into(u, out))
         np.log1p(out, out=out)
         np.negative(out, out=out)
         return np.divide(out, rate, out=out)
 
     def tail(eps, out=None):
-        if out is None:
-            return -np.log(np.asarray(eps, dtype=float)) / rate
-        np.log(eps, out=out)
+        out = np.log(eps, out=_into(eps, out))
         np.negative(out, out=out)
         return np.divide(out, rate, out=out)
 
@@ -199,16 +195,13 @@ def pareto(alpha: float = 1.0) -> Distribution:
         return np.maximum(np.asarray(x, dtype=float), 1.0) ** (-alpha)
 
     def tail(eps, out=None):
-        if out is None:
-            return np.asarray(eps, dtype=float) ** (-1.0 / alpha)
+        out = _into(eps, out)
         out[...] = eps
         out **= -1.0 / alpha  # the ** operator's own kernel: it takes x ** -1.0 as 1/x
         return out
 
     def q(u, out=None):
-        if out is None:
-            return tail(1.0 - np.asarray(u, dtype=float))
-        np.subtract(1.0, u, out=out)
+        out = np.subtract(1.0, u, out=_into(u, out))
         out **= -1.0 / alpha
         return out
 
@@ -232,18 +225,14 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
     def q(u, out=None):
         from scipy.special import ndtri
 
-        if out is None:
-            return mu + sigma * ndtri(np.asarray(u, dtype=float))
-        ndtri(u, out=out)
+        out = ndtri(u, out=_into(u, out))
         out *= sigma
         return np.add(mu, out, out=out)
 
     def tail(eps, out=None):
         from scipy.special import ndtri
 
-        if out is None:
-            return mu - sigma * ndtri(np.asarray(eps, dtype=float))
-        ndtri(eps, out=out)
+        out = ndtri(eps, out=_into(eps, out))
         out *= sigma
         return np.subtract(mu, out, out=out)
 
@@ -260,8 +249,7 @@ def degenerate(c: float = 0.0) -> Distribution:
         return np.where(np.asarray(x, dtype=float) >= c, 0.0, 1.0)
 
     def q(u, out=None):
-        if out is None:
-            return np.full_like(np.asarray(u, dtype=float), c)
+        out = _into(u, out)
         out.fill(c)
         return out
 
@@ -287,7 +275,7 @@ def sample_quantile_transform(dist: Distribution, rng, count: int):
     For uniform(0, 1) the output is bit-identical to the raw uniform stream;
     discrete laws are sampled exactly through the same route.  Q is written
     into the output from the uniforms, which stay as drawn, so a draw holds
-    16 B a value.  Where the generator can move on by any number of words
+    16 B a value, and 1 B more while its values are checked.  Where the generator can move on by any number of words
     (Philox, PCG64 and PCG64DXSM), a draw of at least 2**15 values is cut
     into even ranges, one per usable CPU, each drawn and transformed into
     its slice of the output on a thread of its own (``stats._split_draw``):

@@ -77,8 +77,8 @@ def _indices(n, least: int = 1):
 
 # Most uniforms one range of ``sample_max_direct`` holds at once (1 MB, as
 # doubles or as raw words, which fits in a core's L2 cache); a draw split
-# over k ranges holds k such blocks.  They stay in the heap once the first
-# bulk pass has set it up (the note at ``stats._set_up_heap``).
+# over k ranges holds k such blocks.  They stay in the heap, which ``stats``
+# sets up at import (the note above ``stats._cuts``).
 _DIRECT_BLOCK = 2**17
 
 # Most uniforms ``sample_max_direct`` draws in one call, count * n: about 14 s
@@ -180,7 +180,7 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int):
     The base law's tail quantile is taken at the tail mass
     eps = -expm1(-omega/n), formed in omega's array, which keeps every bit
     of omega/n at any n, and written into the output: a draw holds 16 B a
-    value.  The uniform stream gives omega in [2**-53, 36.8],
+    value, and 1 B more while its values are checked.  The uniform stream gives omega in [2**-53, 36.8],
     so eps lies in (0, 1) for every n the law accepts and no draw is ever
     redrawn.
     """

@@ -12,8 +12,8 @@ experiments are reproducible per seed.  One call draws at most 2**27 values
 (``maxima.sample_max_direct``) alone reads the generator's raw words, and
 gets the same uniforms from them.  A bulk draw is checked with one ``min``
 reduction, and its values are written into the output array, so a sampler
-holds its uniforms and its output; the first pass of a process whose
-arrays reach glibc's mmap threshold sets up the heap (``_set_up_heap``).
+holds its uniforms and its output; the heap is set up at import to keep
+those arrays off glibc's mmap path (the note above ``_cuts``).
 
 The bulk samplers split a draw of at least two parts' worth (``_PART``
 values a part) into even row ranges, one per usable CPU (``_cuts``), where
@@ -364,26 +364,17 @@ def _tasks(workers: int):
 
 # glibc maps every block of at least its mmap threshold afresh, 128 kB at
 # start, and raises the threshold to the size of a freed mapped block, and
-# its trim threshold to twice that (mallopt(3)).  One freed 4 MB block so
-# keeps the arrays of a bulk pass, 1e5-point arrays and the direct sampler's
-# 1 MB blocks (``maxima._DIRECT_BLOCK``) among them, in the heap; while the
+# its trim threshold to twice that, for the whole process (mallopt(3)).  This
+# one 4 MB block, allocated and freed at import, so keeps the arrays of a bulk
+# pass, 1e5-point arrays and the direct sampler's 1 MB blocks
+# (``maxima._DIRECT_BLOCK``) among them, in the heap, split or not; while the
 # threshold is below their size, each is mapped and unmapped anew, page
 # faults and all.  On a 2-vCPU x86-64 host, with 1 MB direct blocks but this
 # block freed only when the first split starts the pool, a pass of the
 # benchmark's sampling cases on one CPU, where nothing splits, took 11 900
 # minor faults and 119-141 ms, against 0.1 faults and 91-96 ms with it freed
-# before the first bulk pass; on both CPUs 0.2 faults a pass.
-_MMAP_THRESHOLD = 2**17
-_heap_set_up = False
-
-
-def _set_up_heap() -> None:
-    """Allocate and free one 4 MB block, once in a process (a forked child
-    shares its parent's heap settings)."""
-    global _heap_set_up
-    if not _heap_set_up:
-        np.empty(2**19)
-        _heap_set_up = True
+# at import; on both CPUs 0.2 to 5 faults a pass.
+np.empty(2**19)
 
 
 def _cuts(values: int, rows: int) -> list:
@@ -392,11 +383,7 @@ def _cuts(values: int, rows: int) -> list:
     each of at least ``_PART`` values and one row, or [0, rows] for a pass
     of fewer than two ranges' worth.  A thread running a range of a split,
     the caller's too, splits nothing: a pool thread would wait on the pool
-    it belongs to, and the caller on a pool its other ranges keep busy.
-    Every bulk pass asks here first, so the first pass whose values reach
-    glibc's mmap threshold sets up the heap (``_set_up_heap``)."""
-    if 8 * values >= _MMAP_THRESHOLD:
-        _set_up_heap()
+    it belongs to, and the caller on a pool its other ranges keep busy."""
     if values < 2 * _PART or getattr(_worker, "in_part", False):
         return [0, rows]
     parts = min(_usable_cpus(), values // _PART, rows)

@@ -48,8 +48,9 @@ _LAW_ARGS = ("dist", "base", "target")
 # options that say how to run and where to write, outside the embedded config
 _RUN_ARGS = ("command", "seed", "format", "out")
 # rows one format operation writes: a larger table is written in chunks of
-# this many rows, so the writer holds one chunk's cells and text at a time
-_CHUNK = 2**15
+# this many rows, so the writer holds one chunk's cells and text at a time,
+# about 150 B a row of a sample's CSV table (0.6 MB)
+_CHUNK = 2**12
 
 _VARIANTS = {
     "exp": HnVariant.EXP_FORM,
@@ -179,22 +180,24 @@ def _config(args) -> dict:
 def _csv(config: dict, header, rows):
     """The CSV text, in parts: a ``# key=value`` line per config entry, the
     header and the rows, in chunks of ``_CHUNK`` rows, each part written by
-    one format operation; the first part holds all three.  A row's template
-    takes each column's conversion from the column's first cell, as every
-    column holds one type, and is repeated over every cell of a chunk's
-    rows, flattened into one tuple; cell text is never part of a template."""
+    one format operation; the first part holds all three, and a table of
+    one chunk is that part alone.  A row's template takes each column's
+    conversion from the column's first cell, as every column holds one
+    type, and is repeated over every cell of a chunk's rows, flattened into
+    one tuple; cell text is never part of a template."""
     head = "".join([f"# %s={_fmt(v)}\n" for v in config.values()])
     rows = iter(rows)
-    chunks = iter(lambda: tuple(chain.from_iterable(islice(rows, _CHUNK))), ())
-    cells = next(chunks, ())
+    cells = tuple(chain.from_iterable(islice(rows, _CHUNK)))
     line = ",".join(map(_fmt, cells[: len(header)])) + "\n"
     yield "".join([
         head % tuple(chain.from_iterable(config.items())),
         ",".join(header) + "\n",
         (line * (len(cells) // len(header))) % cells,
     ])
-    for cells in chunks:
-        yield (line * (len(cells) // len(header))) % cells
+    while len(cells) == _CHUNK * len(header):  # a full chunk: more rows may follow
+        cells = tuple(chain.from_iterable(islice(rows, _CHUNK)))
+        if cells:
+            yield (line * (len(cells) // len(header))) % cells
 
 
 def _json(config: dict, body):
@@ -297,9 +300,8 @@ def _record(body):
 def _samples(xs):
     """A sample's table: its rows are made a chunk at a time as they are
     written, and its JSON body holds the array, which ``_json`` writes."""
-    rows = chain.from_iterable(
-        zip(range(i, xs.size), xs[i : i + _CHUNK].tolist()) for i in range(0, xs.size, _CHUNK)
-    )
+    chunks = (xs[i : i + _CHUNK].tolist() for i in range(0, xs.size, _CHUNK))
+    rows = enumerate(chain.from_iterable(chunks))
     return ["index", "value"], rows, {"samples": xs}
 
 
@@ -510,9 +512,9 @@ def run(argv) -> int:
         for name in _LAW_ARGS:
             if getattr(args, name, None) is not None:
                 setattr(args, name, parse_distribution(getattr(args, name)))
-        config = _config(args)
         (header, rows, body), code = _COMMANDS[args.command](args)
-        _emit(args.out, args.format, config, header, rows, body)
+        # formed once the command has run: a refused run formats none of its grids
+        _emit(args.out, args.format, _config(args), header, rows, body)
         sys.stderr.writelines(notes)
         return code
     except EvtLabError as exc:

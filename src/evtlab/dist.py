@@ -33,7 +33,7 @@ import numpy as np
 
 from . import geometric as _geom
 from .errors import DomainError
-from .stats import _count, _open_draw, _real, _reals, _scalar_or_array
+from .stats import _count, _first, _open_draw, _real, _reals, _scalar_or_array
 
 __all__ = [
     "Distribution",
@@ -85,7 +85,8 @@ class Distribution:
 def quantile(dist: Distribution, u):
     """Q(u) = inf{x : F(x) > u} for u in (0, 1); endpoints are rejected, and a
     non-finite value is a ``DomainError`` naming the first such u and the law."""
-    return _scalar_or_array(u, _finite_quantiles(dist, _reals(u, "quantile argument u", "(0, 1)")))
+    arr = _reals(u, "quantile argument u", "(0, 1)")
+    return _scalar_or_array(arr, _finite_quantiles(dist, arr))
 
 
 def _takes_out(fn) -> bool:
@@ -109,16 +110,16 @@ def _finite_quantiles(dist: Distribution, arg, out=None, tail: bool = False):
     ``DomainError`` naming the first such u or eps, which is never written.
     A callable with an ``out`` parameter is handed ``out``; an array a
     callable returns that is not ``out`` is copied in."""
-    fn, value, name = (dist.tail, "Q(1 - eps)", "eps") if tail else (dist.quantile, "Q(u)", "u")
+    fn = dist.tail if tail else dist.quantile
     with np.errstate(over="ignore"):
         res = fn(arg, out=out) if out is not None and _takes_out(fn) else fn(arg)
     if out is None:
         out = np.asarray(res, dtype=float)
     elif res is not out:
         out[...] = res
-    finite = np.isfinite(out)
-    if not finite.all():
-        i = np.argmin(finite)  # the first non-finite value, in flat order
+    i = _first(np.isfinite(out))
+    if i >= 0:
+        value, name = ("Q(1 - eps)", "eps") if tail else ("Q(u)", "u")
         raise DomainError(
             f"{value} = {out.flat[i]} is not finite at {name} = "
             f"{float(arg.flat[i])!r} for {spec_string(dist)}"
@@ -132,7 +133,7 @@ def tail_quantile(dist: Distribution, eps):
     A non-finite value is a ``DomainError`` naming the first such eps and
     the law."""
     arr = _reals(eps, "tail mass eps", "(0, 1)")
-    return _scalar_or_array(eps, _finite_quantiles(dist, arr, tail=True))
+    return _scalar_or_array(arr, _finite_quantiles(dist, arr, tail=True))
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
@@ -275,12 +276,13 @@ def sample_quantile_transform(dist: Distribution, rng, count: int):
     For uniform(0, 1) the output is bit-identical to the raw uniform stream;
     discrete laws are sampled exactly through the same route.  Q is written
     into the output from the uniforms, which stay as drawn, so a draw holds
-    16 B a value, and 1 B more while its values are checked.  Where the generator can move on by any number of words
-    (Philox, PCG64 and PCG64DXSM), a draw of at least 2**15 values is cut
-    into even ranges, one per usable CPU, each drawn and transformed into
-    its slice of the output on a thread of its own (``stats._split_draw``):
-    the samples, the first u a non-finite Q(u) is named at, and the
-    stream's end do not depend on the number of CPUs.
+    16 B a value, and 1 B more while its values are checked.  Where the
+    generator can move on by any number of words (Philox, PCG64 and
+    PCG64DXSM), a draw of at least 2**15 values is cut into even ranges,
+    one per usable CPU, each drawn and transformed into its slice of the
+    output on a thread of its own (``stats._split_draw``): the samples, the
+    first u a non-finite Q(u) is named at, and the stream's end do not
+    depend on the number of CPUs.
     """
     return _open_draw(rng, _count(count), partial(_finite_quantiles, dist))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SearchHorizonError
-from .stats import _grid, _integer, _real, _reals, _scalar_or_array
+from .stats import _first, _grid, _integer, _real, _reals, _scalar_or_array
 
 __all__ = [
     "GeometricParams",
@@ -72,7 +72,8 @@ class GeometricParams:
 
 def geom_sf(params: GeometricParams, t):
     """S(t) = p**(floor(t)+1) for t >= 0, and 1 for t < 0."""
-    return _scalar_or_array(t, _geom_sf(params, _reals(t, "t", "[-inf, inf]")))
+    arr = _reals(t, "t", "[-inf, inf]")
+    return _scalar_or_array(arr, _geom_sf(params, arr))
 
 
 def _geom_sf(params: GeometricParams, arr):
@@ -90,7 +91,7 @@ def geom_cdf(params: GeometricParams, t):
     near = out < 0.5  # exactly where S > 1/2
     out[near] = -np.expm1(k[near] * math.log(params.p))
     out[arr.ravel() < 0.0] = 0.0
-    return _scalar_or_array(t, out.reshape(arr.shape))
+    return _scalar_or_array(arr, out.reshape(arr.shape))
 
 
 def _cdf_of_max(n, sf, out=None):
@@ -188,34 +189,34 @@ def _first_reaching(theta: float, x: float, qs: np.ndarray, cap: int) -> tuple:
     thousands).
     """
     top = cap + 1
-    with np.errstate(over="ignore"):  # q + x >= 0, so every guess is at least 1
+    # q + x >= 0, so every guess is at least 1; lo may be 0, whose log is -inf
+    with np.errstate(over="ignore", divide="ignore"):
         guess = np.ceil(np.minimum(np.exp((qs + x) / theta), float(top)))
-    guess = np.minimum(guess.astype(np.int64), top)
-    # [lo, hi] brackets the answer once n = lo misses and n = hi reaches;
-    # n = 0 misses and n = top reaches by convention
-    wide = guess >> 50
-    lo, hi = guess - 1 - wide, np.minimum(guess + wide, top)
-    with np.errstate(divide="ignore"):
+        guess = np.minimum(guess.astype(np.int64), top)
+        # [lo, hi] brackets the answer once n = lo misses and n = hi reaches;
+        # n = 0 misses and n = top reaches by convention
+        wide = guess >> 50
+        lo, hi = guess - 1 - wide, np.minimum(guess + wide, top)
         t = theta * np.log(np.array((lo, hi)))
     seed = t - qs >= x
     t = t[1]
-    if wide.any() or not (seed[1] > seed[0]).all():
+    if np.count_nonzero(wide) or np.count_nonzero(seed[1] > seed[0]) < qs.size:
         step = 1 + wide
-        i = np.flatnonzero(seed[0])
+        i = seed[0].nonzero()[0]
         while i.size:
             hi[i] = lo[i]
             step[i] = np.minimum(step[i], 1 << 60) * 2
             lo[i] = np.maximum(lo[i] - step[i], 0)
             i = i[lo[i] > 0]
             i = i[theta * np.log(lo[i]) - qs[i] >= x]
-        i = np.flatnonzero(~seed[1] & (hi < top))
+        i = (~seed[1] & (hi < top)).nonzero()[0]
         while i.size:
             lo[i] = hi[i]
             step[i] = np.minimum(step[i], 1 << 60) * 2
             hi[i] = np.minimum(hi[i] + step[i], top)
             i = i[hi[i] < top]
             i = i[theta * np.log(hi[i]) - qs[i] < x]
-        i = np.flatnonzero(hi - lo > 1)
+        i = (hi - lo > 1).nonzero()[0]
         while i.size:
             mid = lo[i] + (hi[i] - lo[i]) // 2
             up = theta * np.log(mid) - qs[i] >= x
@@ -258,7 +259,7 @@ def frac_log_search(theta: float, x: float, y: float, n_max: int):
             stacklevel=2,
         )
     cap = min(n_max, _SEARCH_CEILING)
-    last_block = int(np.floor(theta * np.log(np.array([cap], dtype=np.int64)))[0])
+    last_block = math.floor(theta * np.log(np.array([cap], dtype=np.int64)).item())
     # every n below n_next misses, and so does every n in a block below q_next
     n_next, q_next = 1, 0
     while n_next <= cap and q_next <= last_block:
@@ -273,9 +274,9 @@ def frac_log_search(theta: float, x: float, y: float, n_max: int):
             n_next = int(ns[-1]) + 1
             t = theta * np.log(ns)
         frac = t - np.floor(t)
-        hits = np.flatnonzero((frac >= x) & (frac <= y))
-        if hits.size and ns[hits[0]] <= cap:  # a block step gives cap + 1 for none
-            return int(ns[hits[0]]), float(frac[hits[0]]), horizon
+        hit = _first((frac >= x) & (frac <= y), True)
+        if hit >= 0 and ns[hit] <= cap:  # a block step gives cap + 1 for none
+            return int(ns[hit]), float(frac[hit]), horizon
         q_next = max(q_next, math.floor(t[-1]))
     searched = n_max if cap == n_max else f"2**62 (the search's ceiling; n_max={n_max})"
     raise SearchHorizonError(

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .maxima import _indices
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
-from .stats import _cells, _grid, _real, _reals, _scalar_or_array
+from .stats import _cells, _first, _grid, _real, _reals, _scalar_or_array
 
 __all__ = [
     "RHO_SERIES_BAND",
@@ -89,7 +89,7 @@ def k_rho(rho: float, u):
             out = log_u * (1.0 + z / 2.0 + z * z / 6.0)
         if rho < 0.0:  # the limit -1/rho at u = inf, inf for rho = -5e-324
             out = np.where(arr == np.inf, -1.0 / rho, out)
-    return _scalar_or_array(u, out)
+    return _scalar_or_array(arr, out)
 
 
 def _validate_eps(eps: float, factor: float):
@@ -101,24 +101,34 @@ def _validate_eps(eps: float, factor: float):
 def _dehaan_grid(dist: Distribution, uv_grid, scales):
     """The (u, v) pairs as floats, and the ratio for every pair (rows) at
     every strictly decreasing scale (columns), from one tail-quantile call at
-    the (3, pairs, scales) tail masses eps*{1, u, v}."""
-    pairs = [(_real(u, "u", "(0, inf)"), _real(v, "v", "(0, inf)")) for u, v in uv_grid]
+    the tail masses eps*f, one row of scales for each distinct factor f
+    among 1, the u and the v, in the order of its first use."""
+    pairs = list(uv_grid)
+    flat = [w for pair in pairs if type(pair) is tuple and len(pair) == 2 for w in pair]
+    # one pass: 2-tuples of floats, the least above 0, the sum finite (no NaN or inf); a
+    # failed pass walks the pairs, naming the first bad u or v, or taking ints as floats
+    if not (len(flat) == 2 * len(pairs) and set(map(type, flat)) == {float}
+            and min(flat) > 0.0 and math.isfinite(sum(flat))):
+        pairs = [(_real(u, "u", "(0, inf)"), _real(v, "v", "(0, inf)")) for u, v in pairs]
+        flat = [w for pair in pairs for w in pair]
     if not pairs:
         raise DomainError("uv_grid must be nonempty")
-    if any(v == 1.0 for _, v in pairs):
+    k, vs = len(pairs), flat[1::2]
+    if 1.0 in vs:
         raise DomainError("v = 1 makes the denominator identically zero")
-    _validate_eps(scales[0], max(1.0, max(map(max, pairs))))
-    grids = f"uv_grid of {len(pairs)} pairs by eps_grid of {scales.size} points"
-    _cells(len(pairs), scales.size, grids)
-    eps = np.asarray(scales, dtype=float)
-    factors = np.array([(1.0, u, v) for u, v in pairs], dtype=float).T
-    # checked: eps*u with u < 1 underflows to 0 at a subnormal eps
-    q = tail_quantile(dist, factors[:, :, None] * eps)
-    num, den = q[1] - q[0], q[2] - q[0]
-    flat = np.argwhere(den == 0.0)
-    if flat.size:
-        i, j = flat[0]
-        (u, v), e = pairs[i], float(eps[j])
+    factors = [1.0, *flat[0::2], *vs]
+    _validate_eps(scales[0], max(factors))
+    _cells(k, scales.size, "uv_grid of {} pairs by eps_grid of {} points")
+    rows = {}  # each distinct factor's row of masses
+    at = [rows.setdefault(f, len(rows)) for f in factors]
+    # checked: eps*u with u < 1 underflows to 0 at a subnormal eps; then
+    # Q(1 - eps*f) for each factor of 1, the u and the v, in that order
+    q = tail_quantile(dist, np.multiply.outer(list(rows), scales)).take(at, 0)
+    num, den = q[1 : k + 1] - q[0], q[k + 1 :] - q[0]
+    zero = _first(den != 0.0)
+    if zero >= 0:
+        i, j = divmod(zero, scales.size)
+        (u, v), e = pairs[i], float(scales[j])
         raise DegenerateTailError(
             f"flat upper quantile: Q(1-{e}*{v}) == Q(1-{e}) for {dist.name} "
             f"at (u, v, eps) = ({u}, {v}, {e})"
@@ -174,13 +184,13 @@ def estimate_rho(
     # every factor is >= 1 and scales[0] * 2w < 1, so each mass lies in (0, 1)
     q = _finite_quantiles(dist, masses, tail=True)
     r = q[..., 0] - q[..., 1]
-    zero = np.argwhere(r == 0.0)
-    if zero.size:
-        j, i = zero[0]
+    zero = _first(r != 0.0)
+    if zero >= 0:
+        j, i = divmod(zero, 2)
         raise DegenerateTailError(
             f"tail increment r({float(masses[j, i, 0])}) = 0 for {dist.name}"
         )
-    if np.any(r > 0.0) and np.any(r < 0.0):
+    if 0 < np.count_nonzero(r > 0.0) < r.size:  # no r is 0, so some r is negative
         raise InconsistentTailError("tail increment changed sign across scales")
     rho_hat = np.log(r[:, 1] / r[:, 0]) / math.log(w)
     tail = rho_hat[rho_hat.size // 2 :]
@@ -207,9 +217,8 @@ def _norming_arrays(dist: Distribution, n):
     (0, 1); the first n whose a_n is not negative is refused."""
     q = _finite_quantiles(dist, np.array((1.0 / n, 2.0 / n), dtype=float), tail=True)
     b, a = q[0], q[1] - q[0]
-    negative = a < 0.0
-    if not negative.all():
-        i = np.argmin(negative)  # the first n whose a_n is not negative
+    i = _first(np.asarray(a < 0.0))  # the first n whose a_n is not negative
+    if i >= 0:
         m, a_m = np.ravel(n)[i], float(np.ravel(a)[i])
         if a_m == 0.0:
             raise DegenerateNormalizationError(
@@ -275,7 +284,7 @@ def limit_cdf(rho: float, x):
     np.negative(v, out=v)
     if not gumbel:
         np.copyto(v, 0.0 if rho > 0.0 else 1.0, where=outside)
-    return _scalar_or_array(x, v)
+    return _scalar_or_array(arr, v)
 
 
 @dataclass(frozen=True)

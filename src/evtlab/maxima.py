@@ -38,8 +38,8 @@ from .dist import Distribution, _finite_quantiles
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
 from .stats import (
-    _count, _cuts, _exponential_of, _in_parallel, _integer, _open_draw, _open_words, _reals,
-    _scalar_or_array, _split_draw, _uniform_open, _word_generators,
+    _count, _cuts, _exponential_of, _first, _in_parallel, _integer, _open_draw, _open_words,
+    _reals, _scalar_or_array, _split_draw, _uniform_open, _word_generators,
 )
 
 __all__ = [
@@ -62,8 +62,7 @@ def _indices(n, least: int = 1):
     is checked in one pass; it is walked entry by entry only to name a bad one."""
     if isinstance(n, np.ndarray):
         ms = n.ravel().tolist()
-        ints = all(type(m) is int for m in ms)
-        if not (ints and (not ms or least <= min(ms) and max(ms) <= _N_MAX)):
+        if not (set(map(type, ms)) == {int} and least <= min(ms) and max(ms) <= _N_MAX):
             ms = [_indices(m, least) for m in ms]
         return np.array(ms, dtype=object).reshape(n.shape)
     n = _integer(n, "n", least)
@@ -106,7 +105,7 @@ def max_cdf(law: MaxLaw, x):
     flat, out = arr.reshape(-1), np.empty(arr.shape)  # split as a draw is, into flat ranges
     dest = out.reshape(-1)
     _in_parallel(lambda a, b: _cdf_of_max(n, sf(flat[a:b]), dest[a:b]), _cuts(arr.size, arr.size))
-    return _scalar_or_array(x, out)
+    return _scalar_or_array(arr, out)
 
 
 def _row_maxima(u, n: int, rng) -> bool:
@@ -180,9 +179,9 @@ def sample_max_exponential_rep(law: MaxLaw, rng, count: int):
     The base law's tail quantile is taken at the tail mass
     eps = -expm1(-omega/n), formed in omega's array, which keeps every bit
     of omega/n at any n, and written into the output: a draw holds 16 B a
-    value, and 1 B more while its values are checked.  The uniform stream gives omega in [2**-53, 36.8],
-    so eps lies in (0, 1) for every n the law accepts and no draw is ever
-    redrawn.
+    value, and 1 B more while its values are checked.  The uniform stream
+    gives omega in [2**-53, 36.8], so eps lies in (0, 1) for every n the law
+    accepts and no draw is ever redrawn.
     """
     minus_n = -float(law.n)
 
@@ -221,9 +220,8 @@ def _h_n_args(n, x, variant: HnVariant):
     else:
         args = x / nf
         msg = "linear_form: x must lie in (0, n), got x={x}, n={n}"
-    inside = (args > 0.0) & (args < 1.0)
-    if not inside.all():
-        i = np.argmin(inside)  # the first mass outside, in flat order
+    i = _first((args > 0.0) & (args < 1.0))  # the first mass outside, in flat order
+    if i >= 0:
         x, n = (np.broadcast_to(v, args.shape).flat[i] for v in (x, n))
         raise DomainError(msg.format(arg=args.flat[i], x=x, n=n))
     return args
@@ -232,6 +230,7 @@ def _h_n_args(n, x, variant: HnVariant):
 _SPOT_CHECK_POINTS = 200
 # the points of a spot check are _RAMP * step + lo, as np.linspace forms them
 _RAMP = np.arange(float(_SPOT_CHECK_POINTS))
+_LARGEST = np.finfo(float).max
 
 
 def _spot_check(g, lo, hi, direction: str) -> None:
@@ -252,13 +251,13 @@ def _spot_check(g, lo, hi, direction: str) -> None:
     lo, hi = lo[..., None], hi[..., None]
     with np.errstate(over="ignore"):
         span = hi - lo
-    wide = not np.isfinite(span).all()
+    wide = _first(np.isfinite(span)) >= 0
     if wide:  # the span overflows only with both ends beyond 2**970, where halving is exact
         scale = np.where(np.isfinite(span), 1.0, 2.0)
         lo, hi = lo / scale, hi / scale
         span = hi - lo
     step = span / (_SPOT_CHECK_POINTS - 1)
-    if (step == 0.0).any():  # a subnormal span: np.linspace scales the ramp first
+    if np.count_nonzero(step) < step.size:  # a subnormal span: np.linspace scales the ramp first
         pts = np.where(step == 0.0, _RAMP / (_SPOT_CHECK_POINTS - 1) * span, _RAMP * step)
     else:
         pts = _RAMP * step
@@ -269,14 +268,12 @@ def _spot_check(g, lo, hi, direction: str) -> None:
     vals = np.asarray(g(pts), dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, no step
         steps = vals[..., 1:] - vals[..., :-1]
-    size = np.abs(vals)
+    # sizes capped at the largest double: a step to or from +-inf, itself +-inf
+    # or nan, is judged by its sign alone, not by an infinite slack
+    size = np.minimum(np.abs(vals), _LARGEST)
     tol = 1e-9 * np.maximum(1.0, np.maximum(size[..., :-1], size[..., 1:]))
-    # a step to or from +-inf is judged by its sign alone, not by an infinite slack
-    if direction == "nondecreasing":
-        bad = (steps < -tol) | (steps == -np.inf)
-    else:
-        bad = (steps > tol) | (steps == np.inf)
-    if not (bad.any() or math.isnan(vals.min())):  # the min is nan if any value is
+    bad = steps < -tol if direction == "nondecreasing" else steps > tol
+    if _first(bad, True) < 0 and not math.isnan(vals.min()):  # the min is nan if any value is
         return
     rows = (np.reshape(a, (-1, a.shape[-1])) for a in (pts, vals, np.isnan(vals), bad))
     for p, v, at_nan, at_bad in zip(*rows):

@@ -25,7 +25,9 @@ from .errors import DomainError, UnsupportedBaseError
 from .linear_evt import _norming_arrays
 from .maxima import HnVariant, _h_n_args, _indices, _spot_check
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
-from .stats import _cells, _grid, _integer, _ordered, _real, _reals, _scalar_or_array, _vector
+from .stats import (
+    _cells, _first, _grid, _integer, _ordered, _real, _reals, _scalar_or_array, _vector
+)
 
 __all__ = [
     "DEFAULT_NONDEG_TOL",
@@ -58,20 +60,19 @@ def _g_n(target: Distribution, n, survival):
     ``DomainError`` naming the first such (n, x) in flat order, as G_inv(1)
     is no value of g_n.
     """
-    nf = np.asarray(n, dtype=float)
+    minus_n = -np.asarray(n, dtype=float)
 
     def g(x):
         arr = _reals(x, "x", "[-inf, inf]")
-        level = np.exp(-nf * survival(arr))
-        saturated = level >= 1.0
-        if saturated.any():
-            i = np.argmax(saturated)  # the first, in flat order
+        level = np.exp(minus_n * survival(arr))
+        i = _first(level >= 1.0, True)  # the first, in flat order
+        if i >= 0:
             n_i, x_i = (np.broadcast_to(v, level.shape).flat[i] for v in (n, arr))
             raise DomainError(
                 f"n = {n_i}: the level exp(-n(1 - F(x))) rounds to 1 at "
                 f"x = {float(x_i)!r}, where G_inv(1) is no value of g_n"
             )
-        return _scalar_or_array(x, target.quantile(np.maximum(level, _TINY)))
+        return _scalar_or_array(arr, target.quantile(np.maximum(level, _TINY)))
 
     return g
 
@@ -149,7 +150,7 @@ def _varies(xs, hs, tol: float) -> bool:
     and ``xs`` must hold two distinct x; h, made by user code, is checked
     here as reals, inf but not NaN (``stats._reals``)."""
     hs = _reals(hs, "nondegeneracy h", "[-inf, inf]")
-    if not xs.min() < xs.max():  # xs holds no NaN
+    if _first(xs == xs[0]) < 0:  # xs holds no NaN
         raise DomainError("nondegeneracy check needs >= 2 distinct x values")
     return float(hs.max()) - float(hs.min()) > tol  # in Python floats: inf - inf is nan, no warning
 
@@ -182,16 +183,17 @@ def convergence_diagnostic(
     ns = _ordered(_vector(ns, "n_grid"), "n_grid", 1)
     xs = _grid(default_x_grid() if x_grid is None else x_grid, "x_grid")
     variant = HnVariant(variant)
-    _cells(xs.size, ns.size, f"x_grid of {xs.size} points by n_grid of {ns.size} points")
+    _cells(xs.size, ns.size, "x_grid of {} points by n_grid of {} points")
     # one pass over the n-major (n, x) grid; the report wants (x, n)
     n_col = ns[:, None]
     g = normalizer.builder(n_col)
     qs = _finite_quantiles(normalizer.base, _h_n_args(n_col, xs, variant), tail=True)
     values = np.asarray(g(qs), dtype=float).T
     ends = sorted({0, ns.size - 1})
-    lo, hi = qs[ends].min(axis=1), qs[ends].max(axis=1)  # finite, as tail quantiles are
+    edges = qs[ends]
+    lo, hi = edges.min(axis=1), edges.max(axis=1)  # finite, as tail quantiles are
     checked = lo < hi
-    if checked.any():
+    if np.count_nonzero(checked):
         g = normalizer.builder(n_col[ends][checked])
         _spot_check(g, lo[checked], hi[checked], normalizer.direction)
     nondeg = _varies(xs, values[:, -1], _real(nondeg_tol, "nondegeneracy tol", "[0, inf]"))

@@ -48,7 +48,10 @@ The package checks its integer, grid, real and real-array arguments here
 refusal is a ``DomainError`` naming it.  Each argument is checked once: a
 public function is its checks plus a private kernel that takes checked
 values, and an internal caller, whose values are checked or built inside
-the kernel's domain, calls the kernel, not the public function.
+the kernel's domain, calls the kernel, not the public function.  A check
+of many values checks the array, then walks: one pass over the array (a
+``min`` and a ``max``, or ``_first``, the ``argmin`` of a mask), and only
+a failed pass walks the entries, to name the first bad one.
 """
 
 # the np.random.Generator annotations stay text, so importing loads no numpy.random
@@ -87,12 +90,19 @@ _MAX_DRAWS = 2**27
 _MAX_CELLS = 2**22
 
 
-def _scalar_or_array(x, out):
-    """``out`` as a float when the argument ``x`` was a scalar, else as a
+def _scalar_or_array(arr: np.ndarray, out):
+    """``out`` as a float when ``arr``, the checked argument, is 0-d, else as a
     float array: the return convention of every vectorized function here."""
-    if np.ndim(x) == 0:
+    if arr.ndim == 0:
         return float(out)
     return np.asarray(out, dtype=float)
+
+
+def _first(mask: np.ndarray, value: bool = False) -> int:
+    """The flat index of the first entry ``value`` of the bool array ``mask``, or
+    -1 if none: one ``argmin`` (``argmax`` for True), which stops there."""
+    i = int(mask.argmax() if value else mask.argmin()) if mask.size else 0
+    return i if mask.size and mask.item(i) is value else -1
 
 
 def _is_int(value) -> bool:
@@ -144,7 +154,7 @@ def _reals(values, name: str, interval: str) -> np.ndarray:
     if raw.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be real numbers, got {raw.dtype} entries")
     # numpy reads a bool among numbers as 0 or 1, so a sequence is checked entry by entry
-    if raw.ndim and not isinstance(values, np.ndarray):
+    if not isinstance(values, np.ndarray) and raw.ndim:
         if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
             raise DomainError(f"{name} must be real numbers, got bool entries")
     arr = raw.astype(float, copy=False)
@@ -170,8 +180,9 @@ def _vector(arr: np.ndarray, name: str) -> np.ndarray:
 def _ordered(grid: np.ndarray, name: str, order: int) -> np.ndarray:
     """``grid``, refused unless strictly increasing (``order`` 1) or decreasing (-1)."""
     steps = grid[1:] > grid[:-1] if order > 0 else grid[1:] < grid[:-1]
-    if not steps.all():
-        way, i = ("increasing" if order > 0 else "decreasing"), steps.argmin()
+    i = _first(steps)
+    if i >= 0:
+        way = "increasing" if order > 0 else "decreasing"
         raise DomainError(f"{name} must be strictly {way}, got {grid.tolist()[i : i + 2]}")
     return grid
 
@@ -195,8 +206,8 @@ def _grid(values, name: str, order: int = 0, least: int | None = None):
                     f"{name} must be integers of magnitude below 2**63, got {bad[0]!r}"
                 )
         grid = arr.astype(np.int64)
-        if grid.min() < least:
-            i = np.argmax(grid < least)
+        i = _first(grid >= least)
+        if i >= 0:
             raise DomainError(f"{name} must be integers >= {least}, got {arr.tolist()[i]!r}")
     return _ordered(grid, name, order) if order else grid
 
@@ -226,12 +237,12 @@ def _bounded(value, name: str):
 
 
 def _cells(rows: int, columns: int, grids: str) -> None:
-    """Refuse a grid of ``rows`` by ``columns`` cells above ``_MAX_CELLS``,
-    with ``grids`` naming both; called before any array of the grid is built."""
+    """Refuse a grid of ``rows`` by ``columns`` cells above ``_MAX_CELLS``, with
+    ``grids`` a template naming both; called before any array of the grid is built."""
     if rows * columns > _MAX_CELLS:
         raise DomainError(
-            f"{grids} is {rows * columns} cells; one call evaluates at most "
-            f"2**22 = {_MAX_CELLS}"
+            f"{grids.format(rows, columns)} is {rows * columns} cells; one call "
+            f"evaluates at most 2**22 = {_MAX_CELLS}"
         )
 
 

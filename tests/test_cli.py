@@ -19,12 +19,12 @@ from unittest import mock
 import numpy as np
 import pytest
 import test_golden
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import evtlab
-from evtlab import cli
+from evtlab import cli, stats
 from evtlab.reports import build_report
 
 # Everything here must appear verbatim (prefixed with "evtlab ") in README.md;
@@ -1131,3 +1131,37 @@ def test_every_argv_keeps_the_exit_code_contract(command, data):
         )
     if code == 0:
         assert out, argv
+
+
+@st.composite
+def _over_the_budget(draw):
+    """The argv of a nonlinear or dehaan run whose grid product is past the
+    library's cell budget, with every point count at most the CLI's cap,
+    and that product."""
+    cap, cells = cli.MAX_RANGE_POINTS, stats._MAX_CELLS
+    if draw(st.booleans()):
+        xs = draw(st.integers(cells // cap + 1, cap))
+        ns = draw(st.integers(max(2, cells // xs + 1), cap))
+        # the n grid rounds to distinct integers from 1e9 on, so it keeps all ns points
+        argv = [f"--x=0.5:4:{xs}", f"--n=1e9:1e15:{ns}"]
+        return ["nonlinear", "--base", "uniform", "--target", "exponential", *argv], xs * ns
+    pairs = draw(st.integers(1, 12))
+    assume(pairs * cap > cells)
+    scales = draw(st.integers(cells // pairs + 1, cap))
+    uv = [f"--uv={i + 2},{i + 3}" for i in range(pairs)]
+    return ["dehaan", "--dist", "pareto:alpha=2", f"--eps=1e-2:1e-6:{scales}", *uv], pairs * scales
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(case=_over_the_budget())
+def test_every_grid_past_the_cell_budget_is_refused(case):
+    # a refused run builds no product grid: exit 2 and one line naming it
+    argv, cells = case
+    assert cells > stats._MAX_CELLS
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code == 2 and out == "", (argv, code, err)
+    assert err.count("\n") == 1 and err.startswith(f"evtlab {argv[0]}:"), (argv, err)
+    assert f" is {cells} cells; " in err, (argv, err)

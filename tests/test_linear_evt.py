@@ -127,6 +127,47 @@ def test_dehaan_test_pair_and_scale_validation():
 
 # ---------------------------------------------------------------- dehaan_test
 
+# a bad u or v and the message that names it; "'4'" is the string "4"
+BAD_UV = {
+    "bool": (True, "True"),
+    "string": ("4", "'4'"),
+    "nan": (math.nan, "nan"),
+    "zero": (0.0, "0.0"),
+    "inf": (math.inf, "inf"),
+}
+
+
+@pytest.mark.parametrize("at", range(4), ids=["u0", "v0", "u1", "v1"])
+@pytest.mark.parametrize("label", BAD_UV)
+def test_the_pair_check_names_the_first_bad_u_or_v(label, at):
+    # the first bad entry in pair order, u before v, is named, whatever comes
+    # after it: a second bad entry, or a v = 1, which is checked only once
+    # every entry is a real number in (0, inf)
+    bad, text = BAD_UV[label]
+    flat = [2.0, 4.0, 0.5, 3.0, 0.25, 1.0, 0.125, 8.0]
+    flat[at] = bad
+    for second in (False, True):
+        if second:
+            flat[at + 2] = True
+        pairs = list(zip(flat[0::2], flat[1::2]))
+        with pytest.raises(DomainError) as failure:
+            e.dehaan_test(e.pareto(2.0), uv_grid=pairs)
+        assert str(failure.value) == f"{'uv'[at % 2]} must be a real number in (0, inf), got {text}"
+
+
+def test_the_pair_check_takes_every_real_and_refuses_v_at_1():
+    # ints, numpy reals and lists are taken as float pairs, with the ratios
+    # of the float pairs; v = 1 is refused once every entry is real
+    want = e.dehaan_test(e.pareto(2.0), uv_grid=[(2.0, 4.0), (0.5, 3.0)])
+    for pairs in ([(2, 4), (0.5, 3)], [(np.float64(2.0), np.int64(4)), [0.5, 3.0]]):
+        got = e.dehaan_test(e.pareto(2.0), uv_grid=pairs)
+        assert got.points == want.points and got.values.tobytes() == want.values.tobytes()
+        assert all(type(w) is float for pair in got.points for w in pair)
+    for pairs in ([(2.0, 1.0)], [(2.0, 4.0), (0.5, 1)], [(2.0, 1.0), (3.0, 1.0)]):
+        with pytest.raises(DomainError, match="^v = 1 makes the denominator identically zero$"):
+            e.dehaan_test(e.pareto(2.0), uv_grid=pairs)
+
+
 def test_dehaan_test_uniform_converges_to_k1_ratios():
     report = e.dehaan_test(e.uniform())
     assert report.converged
@@ -276,6 +317,30 @@ def test_norming_constants_from_tail_masses_at_huge_n():
     assert nc.a_n == pytest.approx(-math.log(2.0), rel=1e-12)
     with pytest.raises(DomainError, match=r"too large.*2\*\*960"):
         e.norming_constants(e.pareto(1.0), 2**960 + 1)
+
+
+@pytest.mark.parametrize("n", [3, 2**53 + 1, 2**960])
+def test_norming_constants_at_the_edges_of_n(n):
+    # pareto(1)'s tail quantile is 1/eps, so b_n = 1/(1/n) and a_n = 1/(2/n) - b_n
+    # in doubles; n itself is kept as the int it was given, 2**53 + 1 too
+    b = 1.0 / (1.0 / n)
+    a = 1.0 / (2.0 / n) - b
+    for given in [n, np.int64(n)] if n < 2**63 else [n]:
+        nc = e.norming_constants(e.pareto(1.0), given)
+        assert type(nc.n) is int and nc.n == n
+        assert (nc.a_n, nc.b_n) == (a, b)
+    # the affine normalizer takes the same constants at a column of n
+    g = e.NormalizerSequence.affine(e.pareto(1.0)).builder(np.array([[3], [n]], dtype=object))
+    assert g(np.zeros((2, 1))).ravel().tolist() == [-3.0 / -1.5, -b / a]
+
+
+@pytest.mark.parametrize(
+    "n,message",
+    [(2, "n must be an integer >= 3, got 2"), (2**960 + 1, f"n = {2**960 + 1} is too large")],
+)
+def test_norming_constants_refuse_n_past_the_edges(n, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        e.norming_constants(e.pareto(1.0), n)
 
 
 def test_norming_constants_degenerate_geometric():

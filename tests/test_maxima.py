@@ -655,6 +655,19 @@ def test_spot_check_orders_infinite_values_by_their_sign(g, refused):
                 _spot_check_row(g, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("step", [np.inf, 1e300, 1.7e308])
+def test_spot_check_orders_infinite_values_by_their_sign_either_way(step):
+    # the mirror of the nondecreasing table: a nonincreasing g may step down
+    # to -inf or from +inf, but not up to +inf or from -inf
+    up = lambda t: np.where(t < 0.5, -step, np.inf)  # noqa: E731
+    down = lambda t: np.where(t < 0.5, np.inf, -step)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _spot_check_row(down, 0.0, 1.0, "nonincreasing")
+        with pytest.raises(ContractViolationError, match=r"^g is not nonincreasing: g\(0\.497"):
+            _spot_check_row(up, 0.0, 1.0, "nonincreasing")
+
+
 def test_spot_check_rows_are_the_one_row_checks_in_one_call():
     # each row's points are np.linspace's (halved and doubled where the span
     # overflows), g is called once on all rows, and the failure named is the

@@ -184,8 +184,10 @@ def test_a_refusal_names_the_first_uniform(on_cpus, sampler, message, cpus):
 
 # most bytes a value the CLI's sample and max runs hold, traced: the
 # sampler's uniforms, output and finiteness mask; the writer holds the output
-# and one chunk of rows at a time
+# and one chunk of rows at a time, about 150 B a row, which fits in the 9 B a
+# value left beside the output from about 20 chunks on
 CLI_BYTES_PER_VALUE = 17
+CLI_COUNT = 24 * cli._CHUNK + 5
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -196,7 +198,7 @@ def test_sample_and_max_write_in_bounded_memory(command, fmt):
         "max": ["max", "--dist", "exponential:rate=1", "--n", "10", "--method", "exprep"],
     }[command]
     cli.run(argv + ["--count", "10", "--out", os.devnull])
-    count = 10**6
+    count = CLI_COUNT
     peak, code = _traced_peak(
         lambda: cli.run(argv + ["--count", str(count), "--format", fmt, "--out", os.devnull])
     )

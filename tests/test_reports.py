@@ -47,6 +47,30 @@ def test_cauchy_verdict_rejects_nonfinite():
         assert _per_point(wide, np.inf) == (True, False)
 
 
+# a window that holds a NaN, +inf or -inf, or whose spread overflows, with
+# its verdict at tol 0 and at tol inf: at tol 0 only equal finite values
+# pass, at tol inf every finite window does
+EDGE_ROWS = {
+    "equal": ([7.0, 2.0, 2.0, 2.0], True, True),
+    "one ulp apart": ([7.0, 1.0, 1.0 + 2**-52, 1.0], False, True),
+    "nan": ([2.0, 2.0, np.nan, 2.0], False, False),
+    "+inf": ([2.0, 2.0, 2.0, np.inf], False, False),
+    "-inf": ([2.0, -np.inf, 2.0, 2.0], False, False),
+    "all -inf": ([2.0, -np.inf, -np.inf, -np.inf], False, False),
+    "overflow": ([0.0, 1e308, -1e308, 1e308], False, True),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, np.inf])
+def test_the_per_point_verdict_at_the_edges(tol):
+    names = list(EDGE_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _per_point([EDGE_ROWS[name][0] for name in names], tol)
+    want = [EDGE_ROWS[name][1 if tol == 0.0 else 2] for name in names]
+    assert dict(zip(names, got)) == dict(zip(names, want))
+
+
 @pytest.mark.parametrize("tol", [np.nan, -1e-9])
 def test_build_report_refuses_nan_or_negative_tol(tol):
     with pytest.raises(DomainError, match=r"tol must be a real number in \[0, inf\]"):

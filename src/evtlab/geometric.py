@@ -94,13 +94,11 @@ def geom_cdf(params: GeometricParams, t):
     return _scalar_or_array(arr, out.reshape(arr.shape))
 
 
-def _cdf_of_max(n, sf, out=None):
+def _cdf_of_max(n, sf):
     """P{M_n <= x} = F(x)**n as exp(n log1p(-S(x))): exact in the survival
     function S at any n, where F**n loses what 1 - S rounds away.  Formed
-    in one array of its own, ``out`` if given, never in the law's ``sf``
-    output."""
-    if out is None:
-        out = np.empty(np.shape(sf))  # an ndarray for a 0-d sf too
+    in one array of its own, never in the law's ``sf`` output."""
+    out = np.empty(np.shape(sf))  # an ndarray for a 0-d sf too
     np.negative(sf, out=out)
     with np.errstate(divide="ignore"):
         np.log1p(out, out=out)

@@ -8,11 +8,10 @@ strict generalized inverse of F, that is, the tail quantile Q(1 - eps) at
 eps = 1 - exp(-omega/n), computed as -expm1(-omega/n).  Both samplers below
 consume uniforms from the same stream contract, so they can be compared
 seed-for-seed; the exponential-representation route is the one that stays
-cheap at large n.  Both samplers, and ``max_cdf`` over a large x, cut
-their work into even ranges, one per usable CPU, that run side by side
-(``stats._in_parallel``); a sampler's ranges draw disjoint parts of one
+cheap at large n.  Both samplers cut their work into even ranges, one per
+usable CPU, that run side by side and draw disjoint parts of one
 counter-based stream (``stats._split_draw``), with the bits and the stream
-end of a one-thread draw.
+end of a one-thread draw; ``max_cdf`` is one pass on the calling thread.
 
 The normalized maximum profile h_n(x) = g(Q(1 - eps)) of a monotone
 normalizer g is taken at the base tail quantile in two forms that differ in
@@ -38,8 +37,8 @@ from .dist import Distribution, _finite_quantiles
 from .errors import ContractViolationError, DomainError
 from .geometric import _cdf_of_max
 from .stats import (
-    _count, _cuts, _exponential_of, _first, _in_parallel, _integer, _open_draw, _open_words,
-    _reals, _scalar_or_array, _split_draw, _uniform_open, _word_generators,
+    _count, _exponential_of, _first, _integer, _open_draw, _open_words, _reals,
+    _scalar_or_array, _split_draw, _uniform_open, _word_generators,
 )
 
 __all__ = [
@@ -99,13 +98,10 @@ class MaxLaw:
 
 
 def max_cdf(law: MaxLaw, x):
-    """P{M_n <= x} = F(x)**n, computed as exp(n log1p(-S(x)))."""
+    """P{M_n <= x} = F(x)**n, computed as exp(n log1p(-S(x))), in one pass
+    on the calling thread."""
     arr = _reals(x, "x", "[-inf, inf]")
-    n, sf = float(law.n), law.base.sf
-    flat, out = arr.reshape(-1), np.empty(arr.shape)  # split as a draw is, into flat ranges
-    dest = out.reshape(-1)
-    _in_parallel(lambda a, b: _cdf_of_max(n, sf(flat[a:b]), dest[a:b]), _cuts(arr.size, arr.size))
-    return _scalar_or_array(arr, out)
+    return _scalar_or_array(arr, _cdf_of_max(float(law.n), law.base.sf(arr)))
 
 
 def _row_maxima(u, n: int, rng) -> bool:

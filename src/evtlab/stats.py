@@ -26,9 +26,8 @@ the others on one pool of worker threads for the process, built at the
 first split and again in a forked child (``_in_parallel``).  The words, and
 so the values and the stream's end, are those of a one-thread draw; if any
 range sees a word that gives 0.0, which one thread redraws in stream order,
-the whole draw runs again on one thread.  ``max_cdf`` splits its pass over
-x into the same ranges.  A thread running a range, the caller's too,
-splits nothing further.
+the whole draw runs again on one thread.  A thread running a range, the
+caller's too, splits nothing further.
 
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
 at the two supported levels; no p-values are computed.  Each sample is

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from evtlab import dist, maxima, stats
+from evtlab import stats
 
 # Philox with 0, 3, 2 and 1 words left in its buffer of four, and with a
 # 32-bit half word kept for the next 32-bit draw; the two PCG generators,
@@ -40,8 +40,8 @@ def on_cpus(monkeypatch):
     """``on_cpus(cpus)`` splits over ``cpus`` usable CPUs from then on, and
     returns the record of the splits made after it: the range count of each
     split of two ranges or more (``.parts``), and the type of each exception
-    a range raised (``.raised``).  The hook replaces ``_in_parallel`` in
-    every module that binds it, ``maxima``'s import too."""
+    a range raised (``.raised``).  The hook replaces ``stats._in_parallel``,
+    which every split calls."""
     in_parallel = stats._in_parallel
     record = types.SimpleNamespace(parts=[], raised=[])
 
@@ -58,9 +58,7 @@ def on_cpus(monkeypatch):
 
         return in_parallel(part, cuts)
 
-    for module in (stats, dist, maxima):
-        if getattr(module, "_in_parallel", None) is in_parallel:
-            monkeypatch.setattr(module, "_in_parallel", recording)
+    monkeypatch.setattr(stats, "_in_parallel", recording)
 
     def split(cpus):
         nonlocal record

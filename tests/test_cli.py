@@ -572,6 +572,35 @@ def test_range_point_count_ceiling_is_inclusive():
     assert cli._parse_range(f"1:2:{cli.MAX_RANGE_POINTS}").size == cli.MAX_RANGE_POINTS
 
 
+_RANGE_ENDS = st.floats(2.0**-4, 2.0**62)
+
+
+@st.composite
+def _int_range_texts(draw):
+    """An increasing, decreasing, single-value or duplicate-heavy integer range."""
+    kind = draw(st.sampled_from(["one", "increasing", "decreasing", "duplicates"]))
+    start = draw(_RANGE_ENDS)
+    if kind == "one":
+        return repr(start)
+    if kind == "duplicates":  # up to 4096 points over a span of at most 4
+        stop = start + draw(st.floats(0.0, 4.0))
+        if draw(st.booleans()):
+            start, stop = stop, start
+    else:
+        stop = draw(_RANGE_ENDS.filter(lambda v: v != start))
+        if (start < stop) != (kind == "increasing"):
+            start, stop = stop, start
+    return f"{start!r}:{stop!r}:{draw(st.integers(2, 4096))}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_range_texts())
+def test_an_integer_range_is_its_ascending_distinct_ints(text):
+    want = np.unique(np.rint(cli._parse_range(text)).astype(np.int64))  # the reference
+    got = cli._int_range(text)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
 _CHOICES = (
     "'sample', 'max', 'dehaan', 'rho', 'norming', 'limit-law', 'nonlinear', "
     "'geom-oscillate', 'geom-density'"

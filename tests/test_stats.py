@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import importlib
 import os
+import pkgutil
 import re
 import signal
 import subprocess
@@ -216,20 +218,26 @@ def test_every_law_splits_to_the_one_part_draw(on_cpus, sampler, law, cpus):
 @pytest.mark.parametrize("law", LAWS)
 @pytest.mark.parametrize("shape", [2**15 - 1, 10**5 + 3, (7, 14287)])
 @pytest.mark.parametrize("cpus", [2, 3, 5])
-def test_max_cdf_splits_to_the_one_part_pass(on_cpus, law, shape, cpus):
-    # the pass over x is cut into even parts of its flat entries, whatever
-    # its shape; x holds the law's maxima, and both infinities
+def test_max_cdf_splits_nothing_on_any_cpu_count(on_cpus, law, shape, cpus):
+    # the pass over x is one pass on the calling thread, whatever its size,
+    # its shape and the CPUs: the law's sf is called once, on the whole x;
+    # x holds the law's maxima, and both infinities
     max_law = e.MaxLaw(LAWS[law], 10**6)
     x = e.sample_max_exponential_rep(max_law, e.make_rng(4), int(np.prod(shape)))
     x[[0, -1]] = -np.inf, np.inf
     x = x.reshape(shape)
     on_cpus(1)
     want = e.max_cdf(max_law, x)
+    passes = []
+
+    def sf(v):
+        passes.append((threading.current_thread(), v.shape))
+        return max_law.base.sf(v)
+
     used = on_cpus(cpus).parts
-    got = e.max_cdf(max_law, x)
-    assert np.array_equal(got, want) and got.shape == x.shape
-    parts = min(cpus, x.size // 2**14)
-    assert used == ([parts] if parts > 1 else [])
+    got = e.max_cdf(e.MaxLaw(dataclasses.replace(max_law.base, sf=sf), max_law.n), x)
+    assert used == [] and passes == [(threading.current_thread(), x.shape)]
+    assert got.shape == x.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
@@ -317,6 +325,14 @@ def test_one_range_runs_on_the_caller_as_it_is(monkeypatch):
     e.ks_one_sample(m, lambda v: e.max_cdf(law, v))
     e.sample_max_direct(law, e.make_rng(3), 100)
     assert x.size == m.size == 2 * stats._PART - 1
+
+
+def test_only_stats_binds_the_split_hook():
+    # on_cpus records the splits through stats._in_parallel alone, so no
+    # other module may call a copy of it that the fixture would miss
+    names = [f"evtlab.{m.name}" for m in pkgutil.iter_modules(e.__path__)]
+    bound = [name for name in names if hasattr(importlib.import_module(name), "_in_parallel")]
+    assert bound == ["evtlab.stats"]
 
 
 def test_a_part_splits_nothing_on_any_thread(on_cpus):
@@ -714,7 +730,8 @@ def test_a_split_ks_check_is_the_one_part_check(on_cpus, case, size, cpus):
 
 
 def test_a_ks_check_of_the_exact_law_splits_once(on_cpus):
-    # max_cdf, called in a part, the caller's part 0 too, splits nothing
+    # the check's sample is split once; max_cdf, its cdf, is one pass in
+    # each part
     used = on_cpus(2).parts
     law = e.MaxLaw(e.normal(), 10**6)
     m = e.sample_max_exponential_rep(law, e.make_rng(1, 2), 10**5)

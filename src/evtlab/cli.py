@@ -208,11 +208,14 @@ def _json(config: dict, body):
     newline, in parts.  A body whose last value is a nonempty float array,
     a sample of finite values, has that array written in chunks of
     ``_CHUNK`` values, each by one format operation, with the float repr
-    json writes; any other body is written by json.dumps at once."""
+    json writes.  Any other body, a convergence report's lists among them,
+    is json's encoder's tokens, ``_CHUNK`` to a part; json.dumps joins all."""
     doc = {"config": config, **body}
     key, values = next(reversed(doc.items()))
     if not (isinstance(values, np.ndarray) and values.size):
-        yield json.dumps(doc, indent=2) + "\n"
+        tokens = chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
+        while text := "".join(islice(tokens, _CHUNK)):
+            yield text
         return
     head = json.dumps({**doc, key: []}, indent=2)[:-3]  # up to the array's "["
     for i in range(0, values.size, _CHUNK):

@@ -112,16 +112,12 @@ def _row_maxima(u, n: int, rng) -> bool:
     stream on by a word."""
     width = min(n, _DIRECT_BLOCK)
     rows = _DIRECT_BLOCK // width
-    on_words = u.dtype == np.uint64
+    draw = _open_words if u.dtype == np.uint64 else _uniform_open
     redrawn = False
     for r in range(0, u.size, rows):
         block = u[r : r + rows]
         for c in range(0, n, width):
-            shape = (block.size, min(width, n - c))
-            if on_words:
-                part, zero = _open_words(rng.bit_generator, shape)
-            else:
-                part, zero = _uniform_open(rng, shape)
+            part, zero = draw(rng, (block.size, min(width, n - c)))
             redrawn |= zero
             np.maximum(block, part.max(axis=1), out=block)
             del part  # not held while the next block is drawn
@@ -140,10 +136,8 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
     the generator's doubles are its raw words shifted
     (``stats._word_generators``), the maxima are taken on the words and only
     the maxima become doubles, in the words' own array: the same uniforms,
-    and the same stream position, as ``uniform_open`` gives.  The rows are
-    split into even ranges as ``stats._split_draw`` splits a draw, with the
-    maxima and the stream end of one thread, and Q of each range's maxima is
-    written into its slice of the output.
+    and the same stream position, as ``uniform_open`` gives.  Q of each
+    range's maxima is written into its slice of the output (``_split_draw``).
     """
     size = _count(count)
     n = law.n
@@ -155,8 +149,8 @@ def sample_max_direct(law: MaxLaw, rng, count: int):
         )
     on_words = type(getattr(rng, "bit_generator", None)) in _word_generators()
 
-    def draw(gen, a, b):
-        top = np.zeros(b - a, dtype=np.uint64 if on_words else float)
+    def draw(gen, rows):
+        top = np.zeros(rows, dtype=np.uint64 if on_words else float)
         return top, _row_maxima(top, n, gen)
 
     def transform(top, out):

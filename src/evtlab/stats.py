@@ -10,10 +10,11 @@ experiments are reproducible per seed.  One call draws at most 2**27 values
 (``_MAX_DRAWS``, 1 GiB of doubles): a larger ``count`` or ``size`` is a
 ``DomainError`` before anything is drawn.  The direct maxima sampler
 (``maxima.sample_max_direct``) alone reads the generator's raw words, and
-gets the same uniforms from them.  A bulk draw is checked with one ``min``
-reduction, and its values are written into the output array, so a sampler
-holds its uniforms and its output; the heap is set up at import to keep
-those arrays off glibc's mmap path (the note above ``_cuts``).
+gets the same uniforms from them through the same loop (``_redrawn``).  A
+bulk draw is checked with one ``min`` reduction, and its values are written
+into the output array, so a sampler holds its uniforms and its output; the
+heap is set up at import to keep those arrays off glibc's mmap path (the
+note above ``_cuts``).
 
 The bulk samplers split a draw of at least two parts' worth (``_PART``
 values a part) into even row ranges, one per usable CPU (``_cuts``), where
@@ -27,7 +28,9 @@ first split and again in a forked child (``_in_parallel``).  The words, and
 so the values and the stream's end, are those of a one-thread draw; if any
 range sees a word that gives 0.0, which one thread redraws in stream order,
 the whole draw runs again on one thread.  A thread running a range, the
-caller's too, splits nothing further.
+caller's too, splits nothing further.  A draw of ``values`` values takes at
+most min(CPUs, values // 2**14) ranges and as many pool threads less one,
+and a split direct draw holds a 1 MB block a range (``maxima._DIRECT_BLOCK``).
 
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
 at the two supported levels; no p-values are computed.  Each sample is
@@ -85,7 +88,7 @@ _MIN_KS_SAMPLES = 20
 _MAX_DRAWS = 2**27
 
 # Most cells one grid diagnostic evaluates, rows by columns: at this bound
-# `evtlab nonlinear` peaks at about 320 MB written as CSV and 760 MB as JSON
+# `evtlab nonlinear` peaks at about 250 MB, written as CSV or as JSON
 _MAX_CELLS = 2**22
 
 
@@ -263,30 +266,28 @@ def _size(size):
 _ZERO_WORDS = 2**11
 
 
+def _redrawn(draw, size, least):
+    """``draw(size)`` with each value below ``least``, a zero, redrawn in stream
+    order, a round's zeros in flat order; and whether any value was redrawn."""
+    values = draw(size)
+    redrawn = False
+    while values.size and not values.min() >= least:  # one reduction; a zero is all but never there
+        zero = values < least
+        values[zero] = draw(int(zero.sum()))
+        redrawn = True
+    return values, redrawn
+
+
 def _uniform_open(rng: np.random.Generator, size):
-    """``uniform_open``'s draw, for a ``size`` already checked, and whether
-    any zero, the double of a word below ``_ZERO_WORDS``, was redrawn."""
-    least = _ZERO_WORDS * 2.0**-64  # the least double of any other word
-    u = rng.random(size)
-    redrawn = False
-    while u.size and not u.min() >= least:  # one reduction; a zero is all but never there
-        zero = u < least
-        u[zero] = rng.random(int(zero.sum()))
-        redrawn = True
-    return u, redrawn
+    """``uniform_open``'s draw, for a ``size`` already checked, and whether any
+    zero, the double of a word below ``_ZERO_WORDS`` (read at each call), was redrawn."""
+    return _redrawn(rng.random, size, _ZERO_WORDS * 2.0**-64)
 
 
-def _open_words(bitgen, shape):
-    """Raw words of ``bitgen`` in ``shape``, none of which gives the double
-    0.0: such a word is redrawn in stream order, as ``uniform_open`` redraws
-    a zero.  Also whether any word was redrawn."""
-    words = bitgen.random_raw(shape)
-    redrawn = False
-    while not words.min() >= _ZERO_WORDS:  # one reduction; a zero is all but never there
-        zero = words < _ZERO_WORDS
-        words[zero] = bitgen.random_raw(int(zero.sum()))
-        redrawn = True
-    return words, redrawn
+def _open_words(rng: np.random.Generator, size):
+    """The raw words behind ``_uniform_open(rng, size)`` where rng's doubles are
+    its words shifted (``_word_generators``), and whether any was redrawn."""
+    return _redrawn(rng.bit_generator.random_raw, size, _ZERO_WORDS)
 
 
 # Least values one range of a split pass takes: a pass of fewer than two
@@ -447,17 +448,17 @@ def _split_draw(rng, rows: int, width: int, draw, transform):
     as one float array: in even row ranges side by side (``_cuts``) where
     rng's bit generator is in ``_word_generators`` and has ``advance``.
 
-    ``draw(gen, a, b)`` draws rows a to b from the generator ``gen`` and
-    returns them and whether it redrew a zero word (``_ZERO_WORDS``), and
-    ``transform(drawn, out)`` writes their values into ``out``, rows a to b
-    of the output, on the same thread.  A range draws from a copy of rng
-    moved on to row a's first word, so the ranges draw the words one thread
-    would.  The draw runs on one thread, from rng, where there is one range
-    and where any range redrew a zero word, which one thread redraws in
-    stream order; else rng is moved on to the draw's end once every range
-    has drawn.  The first exception in range order is raised once every
-    range has ended, with rng at the draw's end if a transform raised it and
-    unmoved if a draw did.
+    ``draw(gen, k)`` draws k rows from the generator ``gen`` and returns them
+    and whether it redrew a zero word (``_ZERO_WORDS``), and ``transform(drawn,
+    out)`` writes their values into ``out``, the range's rows of the output, on
+    the same thread.  A range draws from a copy of rng moved on to its first
+    row's first word, so the ranges draw the words one thread would.  The
+    draw runs on one thread, from rng, where there is one range and where
+    any range redrew a zero word, which one thread redraws in stream order;
+    else rng is moved on to the draw's end once every range has drawn.  The
+    first exception in range order is raised once every range has ended,
+    with rng at the draw's end if a transform raised it and unmoved if a
+    draw did.
     """
     bitgen = getattr(rng, "bit_generator", None)
     cuts = _cuts(rows * width, rows)
@@ -468,7 +469,7 @@ def _split_draw(rng, rows: int, width: int, draw, transform):
         redrawn = {}  # whether each range that drew redrew a zero word, by its first row
 
         def part(a, b):
-            drawn, redrawn[a] = draw(gens[a], a, b)
+            drawn, redrawn[a] = draw(gens[a], b - a)
             if not redrawn[a]:
                 transform(drawn, out[a:b])
 
@@ -486,7 +487,7 @@ def _split_draw(rng, rows: int, width: int, draw, transform):
             if error is not None:
                 raise error
             return out
-    transform(draw(rng, 0, rows)[0], out)
+    transform(draw(rng, rows)[0], out)
     return out
 
 
@@ -494,7 +495,7 @@ def _open_draw(rng, size: int, transform):
     """The values ``transform(u, out)`` writes into ``out`` from the uniforms
     ``u`` of ``_uniform_open(rng, size)``, for a ``transform`` that maps each
     alone to a value, split as ``_split_draw`` splits it."""
-    return _split_draw(rng, size, 1, lambda gen, a, b: _uniform_open(gen, b - a), transform)
+    return _split_draw(rng, size, 1, _uniform_open, transform)
 
 
 def uniform_open(rng: np.random.Generator, size):

@@ -200,12 +200,12 @@ class _WordStream:
 def test_zero_words_are_redrawn_in_stream_order():
     # words below 2**11 are the double 0.0; each is redrawn in flat order,
     # and a redraw that is again below 2**11 is redrawn in the next round
-    bitgen = _Words([0, 2**63, 2**11 - 1, 2**11, 5, 2**12, 2**13, 2**14])
-    got, redrawn = stats._open_words(bitgen, (2, 2))
+    rng = _WordStream([0, 2**63, 2**11 - 1, 2**11, 5, 2**12, 2**13, 2**14])
+    got, redrawn = stats._open_words(rng, (2, 2))
     assert got.dtype == np.uint64
     assert got.tolist() == [[2**13, 2**63], [2**12, 2**11]]
-    assert bitgen.words == [2**14] and redrawn
-    assert stats._open_words(_Words([2**11, 2**14]), 2)[1] is False
+    assert rng.bit_generator.words == [2**14] and redrawn
+    assert stats._open_words(_WordStream([2**11, 2**14]), 2)[1] is False
 
 
 def test_direct_sampler_redraws_a_zero_word_as_uniform_open_redraws_a_zero(monkeypatch):

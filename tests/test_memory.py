@@ -1,5 +1,6 @@
 """Memory bounded by the draw: the direct sampler's blocks, the quantile
-samplers' two arrays and the CLI's sample writer.
+samplers' two arrays, the CLI's sample writer and its JSON writer of a
+convergence report.
 
 Peaks are read with ``tracemalloc``, which sees numpy's buffers as well as
 Python's objects, so they hold on any host and any number of CPUs; the
@@ -203,3 +204,23 @@ def test_sample_and_max_write_in_bounded_memory(command, fmt):
         lambda: cli.run(argv + ["--count", str(count), "--format", fmt, "--out", os.devnull])
     )
     assert code == 0 and peak <= CLI_BYTES_PER_VALUE * count + SLACK
+
+
+# a convergence report of 4096 x-points by 16 n: 16 chunks of CSV rows
+NONLINEAR = [
+    "nonlinear", "--base", "pareto:alpha=2", "--target", "exponential:rate=1",
+    "--n", "10:10000:16", "--out", os.devnull,
+]
+
+
+def test_a_convergence_report_writes_json_in_the_memory_of_csv():
+    # the JSON body is json's tokens joined a chunk at a time, so it holds no
+    # more than the CSV rows, about 60 B a cell; the whole text at once, as
+    # json.dumps builds it, takes about 200 B a cell
+    assert cli.run(NONLINEAR + ["--x", "0.5:4:16"]) == 0  # imports are no part of a run
+    peaks = {}
+    for fmt in ("csv", "json"):
+        argv = NONLINEAR + ["--x", "0.5:4:4096", "--format", fmt]
+        peaks[fmt], code = _traced_peak(lambda: cli.run(argv))  # noqa: B023
+        assert code == 0
+    assert peaks["json"] <= peaks["csv"] + SLACK

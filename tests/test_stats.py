@@ -406,6 +406,33 @@ print(stats._usable_cpus(), stats._pool, threading.active_count())
     assert done.stdout.split() == ["1", "None", "1"]
 
 
+def test_the_values_not_the_cpus_bound_the_ranges_and_threads():
+    # a fresh interpreter that reports 64 usable CPUs: a draw of 2**15 - 1
+    # values is one range and starts no thread, and one of 2**17 values is
+    # 2**17 // _PART = 8 ranges, the caller's and 7 on as many pool threads
+    script = """
+import threading
+import evtlab as e
+from evtlab import stats
+stats._usable_cpus = lambda: 64
+in_parallel, parts = stats._in_parallel, []
+stats._in_parallel = lambda task, cuts: parts.append(len(cuts) - 1) or in_parallel(task, cuts)
+law = e.exponential()
+e.sample_quantile_transform(law, e.make_rng(1), 2**15 - 1)
+print(parts, stats._pool, threading.active_count())
+e.sample_quantile_transform(law, e.make_rng(1), 2**17)
+workers = [t for t in threading.enumerate() if t.name == "evtlab-part"]
+print(parts, stats._pool_size, threading.active_count(), len(workers))
+"""
+    src = os.path.dirname(os.path.dirname(e.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert done.stdout.splitlines() == ["[] None 1", "[8] 7 8 7"]
+
+
 # ------------------------------------------------- the KS sample's empirical cdf
 
 def _ecdf(samples, x):

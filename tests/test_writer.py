@@ -5,6 +5,7 @@ sampling command, written to stdout and to a file."""
 import contextlib
 import io
 import json
+import sys
 from itertools import chain
 
 import pytest
@@ -74,19 +75,36 @@ def test_a_streamed_table_is_the_one_shot_text(command, count, fmt, tmp_path):
     assert path.read_bytes() == want.encode()
 
 
+class _Out(io.StringIO):
+    """A stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
 def test_a_table_of_one_chunk_is_one_write(monkeypatch):
     # the config lines, the header and every row in one format operation
     # and one write; a larger table takes one write more per chunk
-    writes = []
-
-    class Out(io.StringIO):
-        def write(self, text):
-            writes.append(len(text))
-            return super().write(text)
-
     for count, fmt in [(CHUNK, "csv"), (CHUNK + 1, "csv"), (2 * CHUNK, "json")]:
-        writes.clear()
-        monkeypatch.setattr("sys.stdout", Out())
+        monkeypatch.setattr("sys.stdout", _Out())
         argv = ["sample", "--dist", "uniform", "--count", str(count), "--format", fmt]
         assert cli.run(argv) == 0
-        assert len(writes) == {CHUNK: 1, CHUNK + 1: 2, 2 * CHUNK: 3}[count]
+        assert len(sys.stdout.writes) == {CHUNK: 1, CHUNK + 1: 2, 2 * CHUNK: 3}[count]
+
+
+def test_a_convergence_report_streams_the_one_shot_json(monkeypatch):
+    # the encoder's tokens and a newline, _CHUNK to a write, are json.dumps's
+    # text: 7 writes for the 26 746 tokens of 1024 x by 16 n, and one for a
+    # body of fewer than _CHUNK tokens, as the default grid's 558
+    argv = ["nonlinear", "--base", "pareto:alpha=2", "--target", "exponential:rate=1"]
+    for grid, parts in [([], 1), (["--x", "0.5:4:1024", "--n", "10:10000:16"], 7)]:
+        monkeypatch.setattr("sys.stdout", _Out())
+        assert cli.run(argv + grid + ["--format", "json"]) == 0
+        text = sys.stdout.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert len(sys.stdout.writes) == parts

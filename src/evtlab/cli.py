@@ -30,9 +30,10 @@ from .linear_evt import (
     limit_cdf,
     norming_constants,
 )
-from .maxima import HnVariant, MaxLaw, sample_max_direct, sample_max_exponential_rep
+from .maxima import MaxLaw, sample_max_direct, sample_max_exponential_rep
 from .nonlinear_evt import (
-    DEFAULT_N_GRID, DEFAULT_NONDEG_TOL, NormalizerSequence, convergence_diagnostic, default_x_grid
+    DEFAULT_N_GRID, DEFAULT_NONDEG_TOL, HnVariant, NormalizerSequence, convergence_diagnostic,
+    default_x_grid,
 )
 from .reports import DEFAULT_CAUCHY_TOL
 from .stats import _real, make_rng

@@ -141,6 +141,8 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
     if b <= a:
         raise DomainError(f"uniform requires a < b, got a={a}, b={b}")
     width = b - a
+    if width == np.inf:  # cdf and sf would divide by it
+        raise DomainError(f"uniform requires a finite width b - a, got a={a}, b={b}")
 
     def cdf(x):
         return np.clip((np.asarray(x, dtype=float) - a) / width, 0.0, 1.0)

@@ -36,9 +36,8 @@ from .errors import (
     DomainError,
     InconsistentTailError,
 )
-from .maxima import _indices
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
-from .stats import _cells, _first, _grid, _real, _reals, _scalar_or_array
+from .stats import _cells, _first, _grid, _indices, _real, _reals, _scalar_or_array
 
 __all__ = [
     "RHO_SERIES_BAND",

@@ -8,30 +8,36 @@ Discrete bases are refused: their cdf never takes the intermediate values
 the construction needs, which is exactly the obstruction the geometric law
 exhibits.
 
-``convergence_diagnostic`` tabulates the normalized profiles h_n over an
-(x, n) grid in one pass: one base tail-quantile call at the tail masses of
-the chosen ``HnVariant`` for every (n, x), and one g_n call, built for the
-whole n column, over all of them.  It applies the Cauchy verdict per x,
-and checks that the limit profile is nondegenerate; the overall verdict is
-the conjunction.
+The normalized maximum profile h_n(x) = g_n(Q(1 - eps)) is taken at the
+base tail quantile, with the tail mass in one of two forms (``HnVariant``):
+``exp_form`` eps = 1 - exp(-x/n) or ``linear_form`` eps = x/n.  They agree
+as n grows (exp_form >= linear_form for nondecreasing g_n); the gap at
+fixed x shrinks like x**2/(2n).  ``convergence_diagnostic`` tabulates h_n
+over an (x, n) grid in one pass: one base tail-quantile call at the tail
+masses of every (n, x), and one g_n call, built for the whole n column,
+over all of them.  It applies the Cauchy verdict per x, spot-checks the
+monotonicity of the g_n at the smallest and largest n, and checks that the
+limit profile is nondegenerate; the overall verdict is the conjunction.
 """
 
+import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .dist import CONTINUOUS, Distribution, _finite_quantiles
-from .errors import DomainError, UnsupportedBaseError
+from .errors import ContractViolationError, DomainError, UnsupportedBaseError
 from .linear_evt import _norming_arrays
-from .maxima import HnVariant, _h_n_args, _indices, _spot_check
 from .reports import DEFAULT_CAUCHY_TOL, ConvergenceReport, build_report
 from .stats import (
-    _cells, _first, _grid, _integer, _ordered, _real, _reals, _scalar_or_array, _vector
+    _cells, _first, _grid, _indices, _integer, _ordered, _real, _reals, _scalar_or_array, _vector
 )
 
 __all__ = [
     "DEFAULT_NONDEG_TOL",
     "DEFAULT_N_GRID",
+    "HnVariant",
     "default_x_grid",
     "build_g_n_general",
     "NormalizerSequence",
@@ -48,6 +54,101 @@ _DIRECTIONS = ("nondecreasing", "nonincreasing")
 def default_x_grid(count: int = 32):
     """Geometric grid of ``count`` points on [1/16, 16], the diagnostics' window."""
     return np.geomspace(1.0 / 16.0, 16.0, _integer(count, "count"))
+
+
+class HnVariant(str, Enum):
+    EXP_FORM = "exp_form"
+    LINEAR_FORM = "linear_form"
+
+    @classmethod
+    def _missing_(cls, value):
+        # Enum re-raises this, a ValueError, in place of its own bare one
+        choices = [v.value for v in cls]
+        raise DomainError(f"variant must be one of {choices}, got {value!r}")
+
+
+def _h_n_args(n, x, variant: HnVariant):
+    """The base tail masses of h_n at the positive reals in array x,
+    checked to lie in (0, 1): 1 - exp(-x/n) or x/n.
+
+    ``n`` is a checked index (``stats._indices``), an int or a column of them,
+    broadcast against x; the first mass outside (0, 1) in flat (n-major)
+    order is the one named.
+    """
+    nf = np.asarray(n, dtype=float)
+    if variant is HnVariant.EXP_FORM:
+        args = -np.expm1(-x / nf)
+        msg = "exp_form: 1 - exp(-x/n) = {arg} left (0, 1) for x={x}, n={n}"
+    else:
+        args = x / nf
+        msg = "linear_form: x must lie in (0, n), got x={x}, n={n}"
+    i = _first((args > 0.0) & (args < 1.0))  # the first mass outside, in flat order
+    if i >= 0:
+        x, n = (np.broadcast_to(v, args.shape).flat[i] for v in (x, n))
+        raise DomainError(msg.format(arg=args.flat[i], x=x, n=n))
+    return args
+
+
+_SPOT_CHECK_POINTS = 200
+# the points of a spot check are _RAMP * step + lo, as np.linspace forms them
+_RAMP = np.arange(float(_SPOT_CHECK_POINTS))
+_LARGEST = np.finfo(float).max
+
+
+def _spot_check(g, lo, hi, direction: str) -> None:
+    """Spot-check that ``g`` is ``direction`` ("nondecreasing", else
+    nonincreasing) on each row [lo, hi]: lo and hi are float arrays of one
+    shape, () or (k,), with lo < hi in every entry, and ``g`` is called once
+    on an array of shape lo.shape + (200,), each row's points
+    ``np.linspace(lo, hi, 200)``, or where hi - lo overflows the points of
+    [lo/2, hi/2] doubled, so they stay finite.  No stream is drawn from.
+
+    Raises ``ContractViolationError`` on a violation beyond float slack, and
+    on a NaN value of g, naming the first such point: a monotone g has an
+    ordered value at every point.  Values of +-inf are ordered like others;
+    the slack comes from the finite values alone, and inf next to the same
+    inf is no step.  The rows are checked in order, and within a row a NaN
+    value before the order of the values.
+    """
+    lo, hi = lo[..., None], hi[..., None]
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    wide = _first(np.isfinite(span)) >= 0
+    if wide:  # the span overflows only with both ends beyond 2**970, where halving is exact
+        scale = np.where(np.isfinite(span), 1.0, 2.0)
+        lo, hi = lo / scale, hi / scale
+        span = hi - lo
+    step = span / (_SPOT_CHECK_POINTS - 1)
+    if np.count_nonzero(step) < step.size:  # a subnormal span: np.linspace scales the ramp first
+        pts = np.where(step == 0.0, _RAMP / (_SPOT_CHECK_POINTS - 1) * span, _RAMP * step)
+    else:
+        pts = _RAMP * step
+    pts += lo
+    pts[..., -1:] = hi
+    if wide:
+        pts *= scale
+    vals = np.asarray(g(pts), dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, no step
+        steps = vals[..., 1:] - vals[..., :-1]
+    # sizes capped at the largest double: a step to or from +-inf, itself +-inf
+    # or nan, is judged by its sign alone, not by an infinite slack
+    size = np.minimum(np.abs(vals), _LARGEST)
+    tol = 1e-9 * np.maximum(1.0, np.maximum(size[..., :-1], size[..., 1:]))
+    bad = steps < -tol if direction == "nondecreasing" else steps > tol
+    if _first(bad, True) < 0 and not math.isnan(vals.min()):  # the min is nan if any value is
+        return
+    rows = (np.reshape(a, (-1, a.shape[-1])) for a in (pts, vals, np.isnan(vals), bad))
+    for p, v, at_nan, at_bad in zip(*rows):
+        if at_nan.any():
+            i = int(np.argmax(at_nan))
+            raise ContractViolationError(
+                f"g({p[i]}) = nan: a {direction} g has a value at every point"
+            )
+        if at_bad.any():
+            i = int(np.argmax(at_bad))
+            raise ContractViolationError(
+                f"g is not {direction}: g({p[i]}) = {v[i]} vs g({p[i + 1]}) = {v[i + 1]}"
+            )
 
 
 def _g_n(target: Distribution, n, survival):
@@ -126,7 +227,8 @@ class NormalizerSequence:
 
     @classmethod
     def from_target(cls, target: Distribution, base: Distribution) -> "NormalizerSequence":
-        return cls(base=base, builder=lambda n: _g_n(target, n, _continuous_sf(base)))
+        sf = _continuous_sf(base)
+        return cls(base=base, builder=lambda n: _g_n(target, n, sf))
 
     @classmethod
     def affine(cls, base: Distribution) -> "NormalizerSequence":
@@ -171,7 +273,7 @@ def convergence_diagnostic(
     one pass: the builder is called once with the n column, and its g once on
     every tail quantile.  The g_n at the smallest and largest n are then
     monotonicity spot-checked, at 200 points each, on their actual
-    evaluation range (``maxima._spot_check``): the builder is called once
+    evaluation range (``_spot_check``): the builder is called once
     more with the column of those two n, and its g once on both rows of
     points (a row whose range is one point is left out).  Where several
     (n, x) fail, the first failure in n-major order is named within the

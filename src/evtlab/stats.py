@@ -8,13 +8,13 @@ kernel, which redraws an exact zero in stream order, and exponential variates
 are always derived as ``-log(1 - U)`` from the same uniform source, so coupled
 experiments are reproducible per seed.  One call draws at most 2**27 values
 (``_MAX_DRAWS``, 1 GiB of doubles): a larger ``count`` or ``size`` is a
-``DomainError`` before anything is drawn.  The direct maxima sampler
-(``maxima.sample_max_direct``) alone reads the generator's raw words, and
-gets the same uniforms from them through the same loop (``_redrawn``).  A
-bulk draw is checked with one ``min`` reduction, and its values are written
-into the output array, so a sampler holds its uniforms and its output; the
-heap is set up at import to keep those arrays off glibc's mmap path (the
-note above ``_cuts``).
+``DomainError`` before anything is drawn.  The row maxima of the direct
+maxima sampler (``_row_maxima``) are the one reader of the generator's raw
+words, and get the same uniforms from them through the same loop
+(``_redrawn``).  A bulk draw is checked with one ``min`` reduction, and its
+values are written into the output array, so a sampler holds its uniforms
+and its output; the heap is set up at import to keep those arrays off
+glibc's mmap path (the note above ``_cuts``).
 
 The bulk samplers split a draw of at least two parts' worth (``_PART``
 values a part) into even row ranges, one per usable CPU (``_cuts``), where
@@ -30,7 +30,7 @@ range sees a word that gives 0.0, which one thread redraws in stream order,
 the whole draw runs again on one thread.  A thread running a range, the
 caller's too, splits nothing further.  A draw of ``values`` values takes at
 most min(CPUs, values // 2**14) ranges and as many pool threads less one,
-and a split direct draw holds a 1 MB block a range (``maxima._DIRECT_BLOCK``).
+and a split direct draw holds a 1 MB block a range (``_DIRECT_BLOCK``).
 
 KS verdicts use the asymptotic two-sided thresholds ``c(alpha)/sqrt(n_eff)``
 at the two supported levels; no p-values are computed.  Each sample is
@@ -46,14 +46,15 @@ writes into them, as a law may return an array of its own.
 
 The package checks its integer, grid, real and real-array arguments here
 (``_integer``, ``_grid``, ``_real``, ``_reals``; a draw's ``size`` through
-``_integer`` too): none takes a bool, parses a string or reads NaN, and each
-refusal is a ``DomainError`` naming it.  Each argument is checked once: a
-public function is its checks plus a private kernel that takes checked
-values, and an internal caller, whose values are checked or built inside
-the kernel's domain, calls the kernel, not the public function.  A check
-of many values checks the array, then walks: one pass over the array (a
-``min`` and a ``max``, or ``_first``, the ``argmin`` of a mask), and only
-a failed pass walks the entries, to name the first bad one.
+``_integer`` too, and the index n of a law of maxima, from 1 to 2**960,
+through ``_indices``): none takes a bool, parses a string or reads NaN,
+and each refusal is a ``DomainError`` naming it.  Each argument is checked
+once: a public function is its checks plus a private kernel that takes
+checked values, and an internal caller, whose values are checked or built
+inside the kernel's domain, calls the kernel, not the public function.  A
+check of many values checks the array, then walks: one pass over the array
+(a ``min`` and a ``max``, or ``_first``, the ``argmin`` of a mask), and
+only a failed pass walks the entries, to name the first bad one.
 """
 
 # the np.random.Generator annotations stay text, so importing loads no numpy.random
@@ -214,6 +215,30 @@ def _grid(values, name: str, order: int = 0, least: int | None = None):
     return _ordered(grid, name, order) if order else grid
 
 
+# Largest n a law of maxima accepts.  Up to here the tail masses 2/n and
+# omega/n (omega >= 2**-53 from the uniform stream) stay normal doubles.
+_N_MAX = 2**960
+
+
+def _indices(n, least: int = 1):
+    """The index n of a law of maxima, an int or an array of them, checked as an
+    integer (``_integer``) from ``least`` to 2**960; an array comes back in
+    n's shape as Python ints, which keep each n exact.  An array of Python ints
+    is checked in one pass; it is walked entry by entry only to name a bad one."""
+    if isinstance(n, np.ndarray):
+        ms = n.ravel().tolist()
+        if not (set(map(type, ms)) == {int} and least <= min(ms) and max(ms) <= _N_MAX):
+            ms = [_indices(m, least) for m in ms]
+        return np.array(ms, dtype=object).reshape(n.shape)
+    n = _integer(n, "n", least)
+    if n > _N_MAX:
+        raise DomainError(
+            f"n = {n} is too large: the tail masses 2/n and omega/n stay normal "
+            "doubles only up to n = 2**960"
+        )
+    return n
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream): same pair, same sequence.
 
@@ -307,6 +332,39 @@ def _word_generators():
     return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
+# Most uniforms ``_row_maxima`` holds at once (1 MB, as doubles or as raw
+# words, which fits in a core's L2 cache); a draw split over k ranges holds k
+# such blocks.  They stay in the heap (the note above ``_cuts``).
+_DIRECT_BLOCK = 2**17
+
+
+def _row_maxima(rng, rows: int, n: int):
+    """The row maxima of a (rows, n) draw of ``_uniform_open(rng, ...)`` as
+    doubles, and whether a zero was redrawn, which moves the stream on by a
+    word.  Row-major blocks of at most ``_DIRECT_BLOCK`` keep the stream order
+    of one draw.  Where rng's doubles are its raw words shifted
+    (``_word_generators``), the maxima are taken on the words, the one read
+    of raw words in the package, and only the maxima become doubles, in the
+    words' own array: the same uniforms and the same stream position."""
+    on_words = type(getattr(rng, "bit_generator", None)) in _word_generators()
+    top = np.zeros(rows, dtype=np.uint64 if on_words else float)
+    draw = _open_words if on_words else _uniform_open
+    width = min(n, _DIRECT_BLOCK)
+    step = _DIRECT_BLOCK // width
+    redrawn = False
+    for r in range(0, rows, step):
+        block = top[r : r + step]
+        for c in range(0, n, width):
+            part, zero = draw(rng, (block.size, min(width, n - c)))
+            redrawn |= zero
+            np.maximum(block, part.max(axis=1), out=block)
+            del part  # not held while the next block is drawn
+    if on_words:
+        np.right_shift(top, np.uint64(11), out=top)
+        top = np.multiply(top, 2.0**-53, out=top.view(float))
+    return top, redrawn
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -378,7 +436,7 @@ def _tasks(workers: int):
 # its trim threshold to twice that, for the whole process (mallopt(3)).  This
 # one 4 MB block, allocated and freed at import, so keeps the arrays of a bulk
 # pass, 1e5-point arrays and the direct sampler's 1 MB blocks
-# (``maxima._DIRECT_BLOCK``) among them, in the heap, split or not; while the
+# (``_DIRECT_BLOCK``) among them, in the heap, split or not; while the
 # threshold is below their size, each is mapped and unmapped anew, page
 # faults and all.  On a 2-vCPU x86-64 host, with 1 MB direct blocks but this
 # block freed only when the first split starts the pool, a pass of the

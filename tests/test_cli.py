@@ -169,6 +169,13 @@ def test_every_subcommand_refuses_a_negative_seed(argv, name, monkeypatch, capsy
     assert out == "" and err == f"evtlab {name}: seed must be non-negative, got -3\n"
 
 
+def test_a_uniform_width_that_overflows_is_a_domain_error(capsys):
+    assert cli.run(shlex.split("sample --dist uniform:a=-1e308,b=1e308")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "finite width b - a, got a=-1e+308, b=1e+308" in err
+
+
 def test_norming_at_n_whose_level_rounds_to_one(capsys):
     n = 10**20  # 1 - 1/n == 1.0; the tail masses 1/n and 2/n are exact
     assert cli.run(shlex.split(f"norming --dist pareto:alpha=1 --n {n}")) == 0

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import MIN_EMIN, Decimal, localcontext
@@ -454,3 +455,15 @@ def test_parse_distribution_refuses_a_repeated_key(spec, key):
     # the last value would otherwise win without a word
     with pytest.raises(DomainError, match=f"parameter '{key}' is given twice in '{spec}'"):
         e.parse_distribution(spec)
+
+
+def test_uniform_refuses_a_width_that_overflows():
+    # b - a = inf would make cdf and sf 0 at every inner x, without a word
+    message = "uniform requires a finite width b - a, got a=-1e+308, b=1e+308"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        e.uniform(-1e308, 1e308)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        e.parse_distribution("uniform:a=-1e308,b=1e308")
+    widest = e.uniform(-8.9e307, 8.9e307)  # the width is below the largest double
+    assert widest.cdf(0.0) == widest.sf(0.0) == 0.5
+    assert e.max_cdf(e.MaxLaw(widest, 2), 0.0) == 0.25

@@ -19,7 +19,7 @@ import evtlab as e
 from evtlab import dist, geometric, linear_evt, maxima, nonlinear_evt, stats
 from evtlab.errors import ContractViolationError, DomainError
 from evtlab.geometric import _cdf_of_max
-from evtlab.maxima import HnVariant
+from evtlab.nonlinear_evt import HnVariant
 
 from conftest import COUNTER, SPLIT_STREAMS, _next_draws, _stream
 
@@ -131,7 +131,7 @@ def test_direct_sampler_dominates_every_draw():
 def test_direct_sampler_blocks_match_the_one_shot_draw(count, n, monkeypatch):
     # a block of 7 uniforms: several rows per block, one row per block, and
     # rows longer than a block all keep the stream order of the full draw
-    monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 7)
+    monkeypatch.setattr(stats, "_DIRECT_BLOCK", 7)
     law = e.MaxLaw(e.pareto(2.0), n)
     got = e.sample_max_direct(law, e.make_rng(5), count)
     u = e.uniform_open(e.make_rng(5), (count, n)).max(axis=1)
@@ -141,8 +141,8 @@ def test_direct_sampler_blocks_match_the_one_shot_draw(count, n, monkeypatch):
 def _direct_on_doubles(law, rng, count):
     """The direct sampler as ``uniform_open`` blocks of doubles, the route it
     takes for every generator whose doubles are not its shifted raw words."""
-    width = min(law.n, maxima._DIRECT_BLOCK)
-    rows = maxima._DIRECT_BLOCK // width
+    width = min(law.n, stats._DIRECT_BLOCK)
+    rows = stats._DIRECT_BLOCK // width
     u = np.zeros(count)
     for r in range(0, count, rows):
         block = u[r : r + rows]
@@ -213,12 +213,10 @@ def test_direct_sampler_redraws_a_zero_word_as_uniform_open_redraws_a_zero(monke
     # one zero in each row, and one of their two redraws is a zero again
     words = [2**40, 2**10, 2**20, 2**30, 2**50, 0, 2**60, 5, 2**61, 2**62]
     law = e.MaxLaw(e.uniform(), 3)
-    for module in (stats, maxima):
-        monkeypatch.setattr(module, "_word_generators", lambda: (_Words,))
+    monkeypatch.setattr(stats, "_word_generators", lambda: (_Words,))
     on_words = _WordStream(words)
     got = e.sample_max_direct(law, on_words, 2)
-    for module in (stats, maxima):
-        monkeypatch.setattr(module, "_word_generators", lambda: ())
+    monkeypatch.setattr(stats, "_word_generators", lambda: ())
     on_doubles = _WordStream(words)
     assert np.array_equal(got, e.sample_max_direct(law, on_doubles, 2))
     assert got.tolist() == [2.0**-4, 2.0**-3]
@@ -229,7 +227,7 @@ def _split_draw(monkeypatch, on_cpus, cpus, stream, count, n):
     """The direct sampler's maxima over ``cpus`` usable CPUs, with blocks of 8
     words and parts of at least 4, the part counts of its splits, and the
     generator it drew from."""
-    monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 8)
+    monkeypatch.setattr(stats, "_DIRECT_BLOCK", 8)
     monkeypatch.setattr(stats, "_PART", 4)
     used = on_cpus(cpus).parts
     rng = _stream(stream)
@@ -267,10 +265,12 @@ def test_split_draw_redraws_a_zero_word_in_stream_order(
     monkeypatch.setattr(stats, "_ZERO_WORDS", 2**62)
     calls = []
     row_maxima = maxima._row_maxima
-    monkeypatch.setattr(maxima, "_row_maxima", lambda *a: calls.append(a) or row_maxima(*a))
+    monkeypatch.setattr(
+        maxima, "_row_maxima", lambda *a, **k: calls.append(a) or row_maxima(*a, **k)
+    )
     got, used, rng = _split_draw(monkeypatch, on_cpus, cpus, stream, count, n)
     assert used == [cpus] and len(calls) == cpus + 1
-    assert calls[-1][0].size == count and calls[-1][2] is rng
+    assert calls[-1][1] == count and calls[-1][0] is rng
     want, _, one = _split_draw(monkeypatch, on_cpus, 1, stream, count, n)
     assert np.array_equal(got, want)
     assert _next_draws(rng) == _next_draws(one)
@@ -280,7 +280,7 @@ def test_split_draw_with_more_parts_than_cores_switching_often(monkeypatch):
     # eight parts, and a thread switch every microsecond: each part writes
     # its own rows and its own generator only, so every draw is the one of a
     # single thread
-    monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 64)
+    monkeypatch.setattr(stats, "_DIRECT_BLOCK", 64)
     monkeypatch.setattr(stats, "_PART", 1024)
     monkeypatch.setattr(stats, "_usable_cpus", lambda: 8)
     law = e.MaxLaw(e.uniform(), 7)
@@ -306,15 +306,16 @@ def test_a_failing_part_leaves_the_stream_unmoved(monkeypatch, where):
     main = threading.main_thread()
     ended = []
 
-    def failing(*args):
-        row_maxima(*args)
+    def failing(*args, **kwargs):
+        drawn = row_maxima(*args, **kwargs)
         if (threading.current_thread() is main) == (where == "caller"):
             raise _Boom(where)
         time.sleep(0.05)  # a part that does not fail ends well after one that does
-        ended.append(args[0].size)
+        ended.append(args[1])
+        return drawn
 
     monkeypatch.setattr(maxima, "_row_maxima", failing)
-    monkeypatch.setattr(maxima, "_DIRECT_BLOCK", 8)
+    monkeypatch.setattr(stats, "_DIRECT_BLOCK", 8)
     monkeypatch.setattr(stats, "_PART", 4)
     monkeypatch.setattr(stats, "_usable_cpus", lambda: 3)  # 3 parts of 10 rows
     rng = _stream("Philox-1")
@@ -518,15 +519,15 @@ def test_h_n_args_take_a_column_of_n():
     ns = [10, 1000, 2**60 + 1]
     col = np.array(ns, dtype=object)[:, None]
     for variant in HnVariant:
-        grid = maxima._h_n_args(col, xs, variant)
+        grid = nonlinear_evt._h_n_args(col, xs, variant)
         assert grid.shape == (3, 7)
         for j, n in enumerate(ns):
-            assert grid[j].tolist() == maxima._h_n_args(n, xs, variant).tolist()
+            assert grid[j].tolist() == nonlinear_evt._h_n_args(n, xs, variant).tolist()
     # the first mass outside (0, 1) in n-major order is named, with its exact n
     col = np.array([10, 2**80 + 1, 2**81], dtype=object)[:, None]
     message = f"exp_form: 1 - exp(-x/n) = 0.0 left (0, 1) for x=1e-300, n={2**80 + 1}"
     with pytest.raises(DomainError, match=re.escape(message)):
-        maxima._h_n_args(col, np.array([1.0, 1e-300]), HnVariant.EXP_FORM)
+        nonlinear_evt._h_n_args(col, np.array([1.0, 1e-300]), HnVariant.EXP_FORM)
     # the helper takes n checked; the entry points check it, once
     seq = e.NormalizerSequence.from_target(e.exponential(), e.uniform())
     with pytest.raises(DomainError, match="n must be a positive integer, got 0"):
@@ -534,12 +535,12 @@ def test_h_n_args_take_a_column_of_n():
 
 
 def test_indices_check_an_array_in_one_pass_and_name_a_bad_entry():
-    ns = maxima._indices(np.array([[3], [2**960], [7]], dtype=object))
+    ns = stats._indices(np.array([[3], [2**960], [7]], dtype=object))
     assert ns.shape == (3, 1) and ns.ravel().tolist() == [3, 2**960, 7]
     # a numpy integer leaves the one-pass check, and is taken as an int
-    ns = maxima._indices(np.array([3, np.int64(5)], dtype=object))
+    ns = stats._indices(np.array([3, np.int64(5)], dtype=object))
     assert ns.tolist() == [3, 5] and all(type(n) is int for n in ns)
-    assert maxima._indices(np.array([], dtype=object)).shape == (0,)
+    assert stats._indices(np.array([], dtype=object)).shape == (0,)
     for bad, message in [
         (True, "n must be a positive integer, got True"),
         (np.int64(0), "n must be a positive integer, got np.int64(0)"),
@@ -547,9 +548,9 @@ def test_indices_check_an_array_in_one_pass_and_name_a_bad_entry():
         (2**960 + 1, f"n = {2**960 + 1} is too large"),
     ]:
         with pytest.raises(DomainError, match=re.escape(message)):
-            maxima._indices(np.array([3, bad, 0], dtype=object))
+            stats._indices(np.array([3, bad, 0], dtype=object))
     with pytest.raises(DomainError, match=re.escape("n must be an integer >= 3, got 2")):
-        maxima._indices(np.array([4, 2, 1]), least=3)
+        stats._indices(np.array([4, 2, 1]), least=3)
 
 
 def _count_calls(monkeypatch, check):
@@ -586,8 +587,8 @@ def test_each_argument_is_checked_once(monkeypatch):
 # ---------------------------------------------------------------- monotone spot check
 
 def _spot_check_row(g, lo, hi, direction="nondecreasing"):
-    """``maxima._spot_check`` of the one row [lo, hi]."""
-    maxima._spot_check(g, np.float64(lo), np.float64(hi), direction)
+    """``nonlinear_evt._spot_check`` of the one row [lo, hi]."""
+    nonlinear_evt._spot_check(g, np.float64(lo), np.float64(hi), direction)
 
 
 def test_spot_check_accepts_and_rejects():
@@ -677,7 +678,7 @@ def test_spot_check_rows_are_the_one_row_checks_in_one_call():
     ends = np.concatenate([ends, [[-1e308, 1e308], [-1.5e308, 2.0**1023], [0.0, 5e-323]]])
     lo, hi = ends[ends[:, 0] < ends[:, 1]].T
     seen = []
-    maxima._spot_check(lambda t: seen.append(t) or t, lo, hi, "nondecreasing")
+    nonlinear_evt._spot_check(lambda t: seen.append(t) or t, lo, hi, "nondecreasing")
     (pts,) = seen
     assert pts.shape == (lo.size, 200)
     for row, a, b in zip(pts, lo.tolist(), hi.tolist()):
@@ -713,5 +714,7 @@ def test_spot_check_rows_are_the_one_row_checks_in_one_call():
         expected = one_row_failure(g0, lo0, hi0, "nondecreasing")
         expected = expected or one_row_failure(g1, lo1, hi1, "nondecreasing")
         with pytest.raises(ContractViolationError) as info:
-            maxima._spot_check(g, np.array([lo0, lo1]), np.array([hi0, hi1]), "nondecreasing")
+            nonlinear_evt._spot_check(
+                g, np.array([lo0, lo1]), np.array([hi0, hi1]), "nondecreasing"
+            )
         assert str(info.value) == expected

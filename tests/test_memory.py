@@ -15,7 +15,7 @@ import pytest
 from scipy.special import ndtri
 
 import evtlab as e
-from evtlab import cli, maxima
+from evtlab import cli, stats
 from evtlab.dist import CONTINUOUS, Distribution
 from evtlab.errors import DomainError
 
@@ -60,7 +60,7 @@ def test_a_direct_draw_holds_a_block_a_range(on_cpus, cpus):
     call()  # scipy's import and the pool's threads are no part of a draw
     peak, m = _traced_peak(call)
     assert record.parts == ([cpus] * 2 if cpus > 1 else [])
-    assert peak <= cpus * maxima._DIRECT_BLOCK * 8 + 2 * 8 * m.size + SLACK
+    assert peak <= cpus * stats._DIRECT_BLOCK * 8 + 2 * 8 * m.size + SLACK
 
 
 @pytest.mark.parametrize("law", IN_PLACE)

@@ -16,8 +16,7 @@ from evtlab.errors import (
     DomainError,
     UnsupportedBaseError,
 )
-from evtlab.maxima import HnVariant, _spot_check
-from evtlab.nonlinear_evt import NormalizerSequence
+from evtlab.nonlinear_evt import HnVariant, NormalizerSequence, _spot_check
 
 
 # ---------------------------------------------------------------- g_n builders
@@ -82,6 +81,13 @@ def test_build_g_n_general_refuses_discrete_base():
         e.build_g_n_general(e.uniform(), e.geometric(0.5), 10)
     with pytest.raises(UnsupportedBaseError):
         e.build_g_n_general(e.normal(), e.degenerate(0.0), 10)
+
+
+def test_from_target_refuses_a_discrete_base_when_built():
+    # as build_g_n_general does, not at each later call of the builder
+    for base in (e.geometric(0.5), e.degenerate(0.0)):
+        with pytest.raises(UnsupportedBaseError, match=f"base '{base.name}' is discrete"):
+            NormalizerSequence.from_target(e.exponential(), base)
 
 
 def test_build_g_n_general_validation():

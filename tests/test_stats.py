@@ -335,6 +335,22 @@ def test_only_stats_binds_the_split_hook():
     assert bound == ["evtlab.stats"]
 
 
+def test_maxima_is_the_law_of_the_maximum_alone():
+    # the raw-word stream is read in stats alone, and the diagnostics take
+    # their index rule from stats and their h_n profile from nonlinear_evt
+    names = [f"evtlab.{m.name}" for m in pkgutil.iter_modules(e.__path__)]
+    for private in ("_word_generators", "_open_words", "_DIRECT_BLOCK"):
+        bound = [name for name in names if hasattr(importlib.import_module(name), private)]
+        assert bound == ["evtlab.stats"], private
+    maxima = importlib.import_module("evtlab.maxima")
+    for name in ("evtlab.linear_evt", "evtlab.nonlinear_evt"):
+        bound = vars(importlib.import_module(name)).items()
+        from_maxima = [
+            k for k, v in bound if v is maxima or getattr(v, "__module__", None) == maxima.__name__
+        ]
+        assert from_maxima == [], name
+
+
 def test_a_part_splits_nothing_on_any_thread(on_cpus):
     # a worker that split would wait on the pool it belongs to, and the
     # caller's part 0 on a pool its other parts keep busy
